@@ -26,6 +26,7 @@ from .exact_abelian import (
     block_hom,
     express_in_kernel,
     hom_cokernel,
+    hom_from_presentation,
     hom_image,
     hom_kernel,
     is_isomorphism,
@@ -274,13 +275,9 @@ def free_module(cat: FinCategory, gens, variance=CONTRAVARIANT):
         else:
             src_obj, tgt_obj = a, b
             move = lambda phi, f=f: cat.compose(phi, f)
-        cols = []
-        for (i, phi) in basis[src_obj]:
-            target_label = (i, move(phi))
-            col = [0] * len(basis[tgt_obj])
-            col[index[tgt_obj][target_label]] = 1
-            cols.append(col)
-        mat = IntMatrix.from_columns(cols, nrows=len(basis[tgt_obj]))
+        mat = IntMatrix.selection(
+            len(basis[tgt_obj]),
+            [index[tgt_obj][(i, move(phi))] for (i, phi) in basis[src_obj]])
         actions[f] = AbHom(values[src_obj], values[tgt_obj], mat, check=False)
     module = CatModule(cat, variance, values, actions,
                        free_gens=gens, free_basis=basis)
@@ -295,11 +292,15 @@ def free_map_from_images(free: CatModule, target: CatModule,
         raise ValueError("source carries no free marker")
     if len(images) != len(free.free_gens):
         raise ValueError("one image per generator required")
+    return _free_map(free, target,
+                     lambda i, phi: target.actions[phi].apply(images[i]))
+
+
+def _free_map(free: CatModule, target: CatModule, image_column) -> ModuleMap:
+    # image_column(i, phi): target coordinates of basis element (i, phi)
     components = {}
     for w in free.cat.objects:
-        cols = []
-        for (i, phi) in free.free_basis[w]:
-            cols.append(target.actions[phi].apply(images[i]))
+        cols = [image_column(i, phi) for (i, phi) in free.free_basis[w]]
         mat = IntMatrix.from_columns(cols, nrows=target.values[w].ngens)
         components[w] = AbHom(free.values[w], target.values[w], mat, check=False)
     return ModuleMap(free, target, components)
@@ -318,15 +319,11 @@ def module_kernel(mm: ModuleMap):
     actions = {}
     for f in cat.morphisms:
         src_obj, tgt_obj = _action_endpoints(mm.source, f)
-        grp_s, _, inc_s = data[src_obj]
+        inc_s = data[src_obj][2]
         grp_t, basis_t, _ = data[tgt_obj]
-        act = mm.source.actions[f]
-        cols = []
-        for j in range(grp_s.ngens):
-            e = [1 if i == j else 0 for i in range(grp_s.ngens)]
-            moved = act.apply(inc_s.apply(e))
-            cols.append(express_in_kernel(grp_t, basis_t,
-                                          mm.source.values[tgt_obj], moved))
+        moved = mm.source.actions[f].compose(inc_s)
+        cols = [express_in_kernel(grp_t, basis_t, mm.source.values[tgt_obj], col)
+                for col in moved.matrix.columns()]
         mat = IntMatrix.from_columns(cols, nrows=grp_t.ngens)
         actions[f] = AbHom(values[src_obj], values[tgt_obj], mat)
     kernel = CatModule(cat, mm.source.variance, values, actions)
@@ -343,18 +340,10 @@ def module_cokernel(mm: ModuleMap):
     actions = {}
     for f in cat.morphisms:
         src_obj, tgt_obj = _action_endpoints(mm.target, f)
-        grp_s, proj_s = data[src_obj]
-        grp_t, proj_t = data[tgt_obj]
-        act = mm.target.actions[f]
-        cols = []
-        for j in range(grp_s.ngens):
-            e = [1 if i == j else 0 for i in range(grp_s.ngens)]
-            # cokernels are presented on target-canonical generators, so the
-            # representative of a class is just its witness column
-            rep = grp_s.representative(e)
-            cols.append(proj_t.apply(act.apply(rep)))
-        mat = IntMatrix.from_columns(cols, nrows=grp_t.ngens)
-        actions[f] = AbHom(values[src_obj], values[tgt_obj], mat)
+        # cokernels are presented on target-canonical generators, so the
+        # action of the target module is the presentation-level map
+        actions[f] = hom_from_presentation(values[src_obj], values[tgt_obj],
+                                           mm.target.actions[f].matrix)
     coker = CatModule(cat, mm.target.variance, values, actions)
     projection = ModuleMap(mm.target, coker,
                            {c: data[c][1] for c in cat.objects})
@@ -369,17 +358,9 @@ def module_image(mm: ModuleMap):
     actions = {}
     for f in cat.morphisms:
         src_obj, tgt_obj = _action_endpoints(mm.source, f)
-        grp_s = data[src_obj][0]
-        epi_t = data[tgt_obj][2]
-        act = mm.source.actions[f]
-        cols = []
-        for j in range(grp_s.ngens):
-            e = [1 if i == j else 0 for i in range(grp_s.ngens)]
-            # images are presented on source-canonical generators
-            rep = grp_s.representative(e)
-            cols.append(epi_t.apply(act.apply(rep)))
-        mat = IntMatrix.from_columns(cols, nrows=values[tgt_obj].ngens)
-        actions[f] = AbHom(values[src_obj], values[tgt_obj], mat)
+        # images are presented on source-canonical generators
+        actions[f] = hom_from_presentation(values[src_obj], values[tgt_obj],
+                                           mm.source.actions[f].matrix)
     image = CatModule(cat, mm.source.variance, values, actions)
     mono = ModuleMap(image, mm.target, {c: data[c][1] for c in cat.objects})
     epi = ModuleMap(mm.source, image, {c: data[c][2] for c in cat.objects})
@@ -436,19 +417,35 @@ class CatTensor:
             if cat.is_identity(f):
                 continue
             c, d = cat.dom[f], cat.cod[f]
-            mf = left.actions[f]      # M(d) -> M(c)
-            nf = right.actions[f]     # N(c) -> N(d)
+            # one relation per generator pair (x, y) of M(d) x N(c), x-major
+            mcols = left.actions[f].matrix.transpose().nonzeros    # M(d) -> M(c)
+            ncols = right.actions[f].matrix.transpose().nonzeros   # N(c) -> N(d)
+            tc, td = self.tensors[c], self.tensors[d]
+            at_c = [{} for _ in tc.entries]     # (x·f) ⊗ y, on pairs at c
+            at_d = [{} for _ in td.entries]     # x ⊗ (f·y), on pairs at d
+            col = 0
             for x in range(left.values[d].ngens):
-                ex = [1 if i == x else 0 for i in range(left.values[d].ngens)]
-                mx = mf.apply(ex)
                 for y in range(right.values[c].ngens):
-                    ey = [1 if i == y else 0 for i in range(right.values[c].ngens)]
-                    ny = nf.apply(ey)
-                    raw = [0] * self.big.total_gens
-                    self._accumulate(raw, c, self.tensors[c].pure(mx, ey), 1)
-                    self._accumulate(raw, d, self.tensors[d].pure(ex, ny), -1)
-                    rel_cols.append(self.big.group.to_canonical(raw))
+                    for a, v in mcols[x].items():
+                        k = tc.index.get((a, y))
+                        if k is not None:
+                            at_c[k][col] = v
+                    for b, w in ncols[y].items():
+                        k = td.index.get((x, b))
+                        if k is not None:
+                            at_d[k][col] = w
+                    col += 1
+            rels = (self._pairs_to_big(c, IntMatrix(len(at_c), col, nonzeros=at_c))
+                    - self._pairs_to_big(d, IntMatrix(len(at_d), col, nonzeros=at_d)))
+            rel_cols.extend(self.big.group.reduce_matrix(rels).columns())
         self.group, self.projection = quotient_group(self.big.group, rel_cols)
+
+    def _pairs_to_big(self, c, pairs: IntMatrix) -> IntMatrix:
+        # columns on the generator pairs of the tensor at c -> canonical
+        # coordinates of the big sum (unreduced)
+        tb = self.tensors[c]
+        return (self.big.inject(self.part_index[c]).matrix
+                * (tb.group.to_can * pairs))
 
     def _accumulate(self, raw, c, part_vec, sign):
         off = self.big.offsets[self.part_index[c]]
@@ -460,6 +457,15 @@ class CatTensor:
         raw = [0] * self.big.total_gens
         self._accumulate(raw, c, self.tensors[c].pure(x, y), 1)
         return self.projection.apply(self.big.group.to_canonical(raw))
+
+    def pure_map(self, c, a) -> AbHom:
+        """y ↦ class of e_a ⊗ y at object c, e_a the a-th generator of left(c)."""
+        tb = self.tensors[c]
+        pairs = IntMatrix(len(tb.entries), self.right.values[c].ngens,
+                          nonzeros=[{b: 1} if x == a else {}
+                                    for x, b, _ in tb.entries])
+        return AbHom(self.right.values[c], self.group,
+                     self.projection.matrix * self._pairs_to_big(c, pairs))
 
     def components(self, can_vec):
         """One representative of a class, as per-object tensor coordinates."""
@@ -479,17 +485,11 @@ class CatTensor:
                   else AbHom.identity(self.left.values[c]))
             rm = (right_map.components[c] if right_map is not None
                   else AbHom.identity(self.right.values[c]))
-            blocks[c] = self.tensors[c].induced(other.tensors[c], lm, rm)
-        cols = []
-        for j in range(self.group.ngens):
-            e = [1 if i == j else 0 for i in range(self.group.ngens)]
-            comps = self.components(e)
-            raw = [0] * other.big.total_gens
-            for c in cat.objects:
-                other._accumulate(raw, c, blocks[c].apply(comps[c]), 1)
-            cols.append(other.projection.apply(other.big.group.to_canonical(raw)))
-        mat = IntMatrix.from_columns(cols, nrows=other.group.ngens)
-        return AbHom(self.group, other.group, mat)
+            blocks[(other.part_index[c], self.part_index[c])] = \
+                self.tensors[c].induced(other.tensors[c], lm, rm)
+        # both groups are presented on the canonical coordinates of their sums
+        big_map = block_hom(self.big, other.big, blocks)
+        return hom_from_presentation(self.group, other.group, big_map.matrix)
 
 
 def tensor_over_cat(left: CatModule, right: CatModule) -> FpAbGroup:
@@ -544,12 +544,7 @@ class CatHomGroup:
                 m2.compose(self.big.project(ib)).negate())
             constraints.append(part)
         tgt_sum = DirectSum([p.target for p in constraints])
-        cols = []
-        for j in range(self.big.group.ngens):
-            e = [1 if i == j else 0 for i in range(self.big.group.ngens)]
-            cols.append(tgt_sum.assemble([p.apply(e) for p in constraints]))
-        delta = AbHom(self.big.group, tgt_sum.group,
-                      IntMatrix.from_columns(cols, nrows=tgt_sum.group.ngens))
+        delta = tgt_sum.hom_into(self.big.group, constraints)
         self.group, self.kernel_basis, self.inclusion = hom_kernel(delta)
 
     def to_module_map(self, can_vec) -> ModuleMap:
@@ -568,19 +563,24 @@ class CatHomGroup:
 
     def postcompose_map(self, other: "CatHomGroup", u: ModuleMap) -> AbHom:
         """Hom(M,N) -> Hom(M,N'), τ ↦ u∘τ, for a module map u: N -> N'."""
-        cols = []
-        for j in range(self.group.ngens):
-            e = [1 if i == j else 0 for i in range(self.group.ngens)]
-            cols.append(other.coords_of(u.compose(self.to_module_map(e))))
-        mat = IntMatrix.from_columns(cols, nrows=other.group.ngens)
-        return AbHom(self.group, other.group, mat)
+        return self._objectwise_map(other, {
+            c: self.bases[c].postcompose(other.bases[c], u.components[c])
+            for c in self.cat.objects})
 
     def precompose_map(self, other: "CatHomGroup", v: ModuleMap) -> AbHom:
         """Hom(M,N) -> Hom(M',N), τ ↦ τ∘v, for a module map v: M' -> M."""
-        cols = []
-        for j in range(self.group.ngens):
-            e = [1 if i == j else 0 for i in range(self.group.ngens)]
-            cols.append(other.coords_of(self.to_module_map(e).compose(v)))
+        return self._objectwise_map(other, {
+            c: self.bases[c].precompose(other.bases[c], v.components[c])
+            for c in self.cat.objects})
+
+    def _objectwise_map(self, other: "CatHomGroup", maps) -> AbHom:
+        # the map of transformation groups that acts on the component at
+        # each object c by maps[c]
+        blocks = {(i, i): maps[c] for i, c in enumerate(self.cat.objects)}
+        moved = block_hom(self.big, other.big, blocks).compose(self.inclusion)
+        cols = [express_in_kernel(other.group, other.kernel_basis,
+                                  other.big.group, col)
+                for col in moved.matrix.columns()]
         mat = IntMatrix.from_columns(cols, nrows=other.group.ngens)
         return AbHom(self.group, other.group, mat)
 
@@ -623,47 +623,26 @@ def restrict_module(func: CatFunctor, module: CatModule) -> CatModule:
     return CatModule(func.source, module.variance, values, actions)
 
 
-def _mor_free_covariant(func, d):
-    """Covariant module c ↦ Z[mor_D(d, F c)] over the functor's source."""
+def _mor_free(func, d, variance):
+    """Module c ↦ Z[mor_D(d, F c)] (covariant) or c ↦ Z[mor_D(F c, d)]
+    (contravariant) over the functor's source, with its basis and index."""
     cat_c, cat_d = func.source, func.target
-    basis = {c: cat_d.mor(d, func.obj_map[c]) for c in cat_c.objects}
+    co = variance == COVARIANT
+    basis = {c: cat_d.mor(d, func.obj_map[c]) if co else cat_d.mor(func.obj_map[c], d)
+             for c in cat_c.objects}
     values = {c: FpAbGroup.free(len(basis[c])) for c in cat_c.objects}
     index = {c: {m: k for k, m in enumerate(basis[c])} for c in cat_c.objects}
     actions = {}
     for f in cat_c.morphisms:
-        a, b = cat_c.dom[f], cat_c.cod[f]
-        cols = []
-        for alpha in basis[a]:
-            moved = cat_d.compose(alpha, func.mor_map[f])
-            col = [0] * len(basis[b])
-            col[index[b][moved]] = 1
-            cols.append(col)
-        actions[f] = AbHom(values[a], values[b],
-                           IntMatrix.from_columns(cols, nrows=len(basis[b])),
+        # covariant: alpha ↦ alpha then F(f); contravariant: beta ↦ F(f) then beta
+        a, b, g = cat_c.dom[f], cat_c.cod[f], func.mor_map[f]
+        src, tgt = (a, b) if co else (b, a)
+        moved = [cat_d.compose(m, g) if co else cat_d.compose(g, m) for m in basis[src]]
+        actions[f] = AbHom(values[src], values[tgt],
+                           IntMatrix.selection(len(basis[tgt]),
+                                               [index[tgt][m] for m in moved]),
                            check=False)
-    return CatModule(cat_c, COVARIANT, values, actions), basis, index
-
-
-def _mor_free_contravariant(func, d):
-    """Contravariant module c ↦ Z[mor_D(F c, d)] over the functor's source."""
-    cat_c, cat_d = func.source, func.target
-    basis = {c: cat_d.mor(func.obj_map[c], d) for c in cat_c.objects}
-    values = {c: FpAbGroup.free(len(basis[c])) for c in cat_c.objects}
-    index = {c: {m: k for k, m in enumerate(basis[c])} for c in cat_c.objects}
-    actions = {}
-    for f in cat_c.morphisms:
-        a, b = cat_c.dom[f], cat_c.cod[f]
-        # contravariant: value(b) -> value(a), beta ↦ F(f) then beta
-        cols = []
-        for beta in basis[b]:
-            moved = cat_d.compose(func.mor_map[f], beta)
-            col = [0] * len(basis[a])
-            col[index[a][moved]] = 1
-            cols.append(col)
-        actions[f] = AbHom(values[b], values[a],
-                           IntMatrix.from_columns(cols, nrows=len(basis[a])),
-                           check=False)
-    return CatModule(cat_c, CONTRAVARIANT, values, actions), basis, index
+    return CatModule(cat_c, variance, values, actions), basis, index
 
 
 def induce_module(func: CatFunctor, module: CatModule) -> CatModule:
@@ -676,54 +655,31 @@ def induce_module(func: CatFunctor, module: CatModule) -> CatModule:
     if module.cat != func.source:
         raise ValueError("module does not live over the functor's source")
     cat_d = func.target
-    if module.variance == CONTRAVARIANT:
-        helpers = {d: _mor_free_covariant(func, d) for d in cat_d.objects}
-        tens = {d: CatTensor(module, helpers[d][0]) for d in cat_d.objects}
-    else:
-        helpers = {d: _mor_free_contravariant(func, d) for d in cat_d.objects}
-        tens = {d: CatTensor(helpers[d][0], module) for d in cat_d.objects}
+    contra = module.variance == CONTRAVARIANT
+    helpers = {d: _mor_free(func, d, COVARIANT if contra else CONTRAVARIANT)
+               for d in cat_d.objects}
+    tens = {d: CatTensor(module, helpers[d][0]) if contra
+            else CatTensor(helpers[d][0], module) for d in cat_d.objects}
     values = {d: tens[d].group for d in cat_d.objects}
     actions = {}
     for psi in cat_d.morphisms:
         d1, d2 = cat_d.dom[psi], cat_d.cod[psi]
-        if module.variance == CONTRAVARIANT:
-            # value(d2) -> value(d1): alpha ∈ mor(d2, Fc) ↦ psi then alpha
-            src_d, tgt_d = d2, d1
-            w_src, basis_src, _ = helpers[src_d]
-            w_tgt, _, index_tgt = helpers[tgt_d]
-            comps = {}
-            for c in func.source.objects:
-                cols = []
-                for alpha in basis_src[c]:
-                    moved = cat_d.compose(psi, alpha)
-                    col = [0] * len(helpers[tgt_d][1][c])
-                    col[index_tgt[c][moved]] = 1
-                    cols.append(col)
-                comps[c] = AbHom(w_src.values[c], w_tgt.values[c],
-                                 IntMatrix.from_columns(
-                                     cols, nrows=w_tgt.values[c].ngens),
-                                 check=False)
-            mm = ModuleMap(w_src, w_tgt, comps)
-            actions[psi] = tens[src_d].induced(tens[tgt_d], None, mm)
-        else:
-            # value(d1) -> value(d2): beta ∈ mor(Fc, d1) ↦ beta then psi
-            src_d, tgt_d = d1, d2
-            w_src, basis_src, _ = helpers[src_d]
-            w_tgt, _, index_tgt = helpers[tgt_d]
-            comps = {}
-            for c in func.source.objects:
-                cols = []
-                for beta in basis_src[c]:
-                    moved = cat_d.compose(beta, psi)
-                    col = [0] * len(helpers[tgt_d][1][c])
-                    col[index_tgt[c][moved]] = 1
-                    cols.append(col)
-                comps[c] = AbHom(w_src.values[c], w_tgt.values[c],
-                                 IntMatrix.from_columns(
-                                     cols, nrows=w_tgt.values[c].ngens),
-                                 check=False)
-            mm = ModuleMap(w_src, w_tgt, comps)
-            actions[psi] = tens[src_d].induced(tens[tgt_d], mm, None)
+        # contravariant: value(d2) -> value(d1), alpha ∈ mor(d2, Fc) ↦ psi
+        # then alpha; covariant: value(d1) -> value(d2), beta ∈ mor(Fc, d1) ↦
+        # beta then psi
+        src_d, tgt_d = (d2, d1) if contra else (d1, d2)
+        w_src, basis_src, _ = helpers[src_d]
+        w_tgt, _, index_tgt = helpers[tgt_d]
+        comps = {}
+        for c in func.source.objects:
+            moved = [cat_d.compose(psi, m) if contra else cat_d.compose(m, psi)
+                     for m in basis_src[c]]
+            mat = IntMatrix.selection(w_tgt.values[c].ngens,
+                                      [index_tgt[c][m] for m in moved])
+            comps[c] = AbHom(w_src.values[c], w_tgt.values[c], mat, check=False)
+        mm = ModuleMap(w_src, w_tgt, comps)
+        actions[psi] = (tens[src_d].induced(tens[tgt_d], None, mm) if contra
+                        else tens[src_d].induced(tens[tgt_d], mm, None))
     return CatModule(cat_d, module.variance, values, actions)
 
 
@@ -736,14 +692,14 @@ def generating_cover(module: CatModule):
     """(free module, epi, marker): the objectwise-canonical-generator cover."""
     cat = module.cat
     gens = []
-    images = []
+    slots = []      # generator i is canonical generator slots[i] of its value
     for c in cat.objects:
-        grp = module.values[c]
-        for j in range(grp.ngens):
+        for j in range(module.values[c].ngens):
             gens.append(c)
-            images.append([1 if i == j else 0 for i in range(grp.ngens)])
+            slots.append(j)
     free, marker = free_module(cat, gens, module.variance)
-    epi = free_map_from_images(free, module, images)
+    epi = _free_map(free, module,
+                    lambda i, phi: module.actions[phi].matrix.column(slots[i]))
     return free, epi, marker
 
 
@@ -846,32 +802,11 @@ def finite_product_interchange(free: CatModule, modules):
     lhs = CatTensor(free, prod.module)
     rhs_parts = [CatTensor(free, m) for m in modules]
     rhs = DirectSum([t.group for t in rhs_parts])
-    cat = free.cat
-    cols = []
-    for j in range(lhs.group.ngens):
-        e = [1 if i == j else 0 for i in range(lhs.group.ngens)]
-        comps = lhs.components(e)
-        part_classes = []
-        for i, t in enumerate(rhs_parts):
-            raw = [0] * t.big.total_gens
-            for c in cat.objects:
-                # split each pair entry of the representative along factor i
-                z = lhs.tensors[c].group.representative(comps[c])
-                acc = [0] * t.tensors[c].group.ngens
-                for coeff, (a, b, _) in zip(z, lhs.tensors[c].entries):
-                    if not coeff:
-                        continue
-                    ea = [1 if k == a else 0
-                          for k in range(free.values[c].ngens)]
-                    eb = [1 if k == b else 0
-                          for k in range(prod.module.values[c].ngens)]
-                    y = prod.sums[c].project(i).apply(eb)
-                    pv = t.tensors[c].pure(ea, y)
-                    acc = [u + coeff * w for u, w in zip(acc, pv)]
-                t._accumulate(raw, c, acc, 1)
-            part_classes.append(
-                t.projection.apply(t.big.group.to_canonical(raw)))
-        cols.append(rhs.assemble(part_classes))
-    mat = IntMatrix.from_columns(cols, nrows=rhs.group.ngens)
-    the_map = AbHom(lhs.group, rhs.group, mat)
+    # factor i of the map is 1 ⊗ (projection onto M_i)
+    parts = []
+    for i, (t, m) in enumerate(zip(rhs_parts, modules)):
+        proj = ModuleMap(prod.module, m, {c: prod.sums[c].project(i)
+                                          for c in free.cat.objects})
+        parts.append(lhs.induced(t, None, proj))
+    the_map = rhs.hom_into(lhs.group, parts)
     return the_map, is_isomorphism(the_map)

@@ -25,7 +25,13 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 
-from .exact_abelian import AbHom, FpAbGroup, IntMatrix, quotient_group
+from .exact_abelian import (
+    AbHom,
+    FpAbGroup,
+    IntMatrix,
+    hom_from_presentation,
+    quotient_group,
+)
 from .fincat import (
     FinCategory,
     FinGroup,
@@ -303,7 +309,7 @@ def centralizer_quotient_chains(x: GCWComplex, h_label) -> PlainChainComplex:
     chains = cellular_chain_complex(_orbit_cw(x, cat))
     moves = sorted({_coset(group, z, h_sub)
                     for z in group.centralizer(h_sub)})
-    groups, projs, diffs = {}, {}, {}
+    groups, diffs = {}, {}
     for n in range(x.dimension + 1):
         value = chains.module(n).value(h_lab)
         rels = []
@@ -313,16 +319,11 @@ def centralizer_quotient_chains(x: GCWComplex, h_label) -> PlainChainComplex:
                 col = act.matrix.column(k)
                 col[k] -= 1
                 rels.append(col)
-        groups[n], projs[n] = quotient_group(value, rels)
+        groups[n], _ = quotient_group(value, rels)
     for n in range(1, x.dimension + 1):
-        comp = chains.diff(n).component(h_lab)
-        cols = []
-        for k in range(groups[n].ngens):
-            unit = [1 if t == k else 0 for t in range(groups[n].ngens)]
-            rep = groups[n].representative(unit)
-            cols.append(projs[n - 1].apply(comp.apply(rep)))
-        diffs[n] = AbHom(groups[n], groups[n - 1],
-                         IntMatrix.from_columns(cols, nrows=groups[n - 1].ngens))
+        # the quotients are presented on the canonical chain coordinates
+        diffs[n] = hom_from_presentation(
+            groups[n], groups[n - 1], chains.diff(n).component(h_lab).matrix)
     return PlainChainComplex(0, x.dimension, groups, diffs)
 
 
@@ -466,14 +467,9 @@ def _underlying_complex(x: GCWComplex) -> CatChainComplex:
         index = {c: k for k, c in enumerate(gs.elements)}
         actions = {}
         for g in group.elements:
-            cols = []
-            for c in gs.elements:
-                col = [0] * len(gs.elements)
-                col[index[gs.action[(g, c)]]] = 1
-                cols.append(col)
-            actions[g] = AbHom(value, value,
-                               IntMatrix.from_columns(cols, nrows=len(gs.elements)),
-                               check=False)
+            mat = IntMatrix.selection(
+                len(gs.elements), [index[gs.action[(g, c)]] for c in gs.elements])
+            actions[g] = AbHom(value, value, mat, check=False)
         modules[n] = CatModule(ocat, COVARIANT, {obj: value}, actions)
     diffs = {}
     for n in range(1, x.dimension + 1):

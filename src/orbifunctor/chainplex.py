@@ -152,11 +152,9 @@ def induced_map_on_homology(f: ChainMap, p) -> AbHom:
     """H_p(f) between canonical homology forms, via cycle transport."""
     hsrc = homology_data(f.source, p)
     htgt = homology_data(f.target, p)
-    cols = []
-    for j in range(hsrc.group.ngens):
-        e = [1 if i == j else 0 for i in range(hsrc.group.ngens)]
-        cycle = hsrc.representative(e)
-        cols.append(htgt.class_of(f.component(p).apply(cycle)))
+    # column j: the image of a cycle representing the j-th generator
+    moved = f.component(p).matrix * hsrc.inclusion.matrix * hsrc.group.reps
+    cols = [htgt.class_of(col) for col in moved.columns()]
     mat = IntMatrix.from_columns(cols, nrows=htgt.group.ngens)
     return AbHom(hsrc.group, htgt.group, mat)
 
@@ -656,34 +654,26 @@ class ComparisonData:
 
     def _component(self, m) -> AbHom:
         src = self.source_total
-        tgt = self.target_total.complex
-        jcat = self.e.coeff_base
-        out_group = tgt.group(m)
-        cache = {}
-        cols = []
-        for g in range(src.complex.group(m).ngens):
-            e_vec = [1 if i == g else 0
-                     for i in range(src.complex.group(m).ngens)]
-            acc = [0] * out_group.ngens
-            for kdx, (a, n) in enumerate(src.keys[m]):
-                part = src.sums[m].project(kdx).apply(e_vec)
-                ct = src.tensors[(a, n)]
-                percat = ct.components(part)
-                for j in jcat.objects:
-                    z = ct.tensors[j].group.representative(percat[j])
-                    for coeff, (alpha, beta, _) in zip(
-                            z, ct.tensors[j].entries):
-                        if not coeff:
-                            continue
-                        key = (a, n, j, alpha, beta)
-                        if key not in cache:
-                            cache[key] = self._elementary(m, a, n, j,
-                                                          alpha, beta)
-                        acc = [u + coeff * w
-                               for u, w in zip(acc, cache[key])]
-            cols.append(out_group.reduce(acc))
-        mat = IntMatrix.from_columns(cols, nrows=out_group.ngens)
-        return AbHom(src.complex.group(m), out_group, mat)
+        src_group = src.complex.group(m)
+        out_group = self.target_total.complex.group(m)
+        elementary = []     # columns: t of each pair entry that occurs
+        coeffs = []         # rows: that entry's coefficient per source generator
+        for kdx, (a, n) in enumerate(src.keys[m]):
+            ct = src.tensors[(a, n)]
+            # the (a, n) summand of each source generator, on the canonical
+            # coordinates of ct's big sum
+            part = ct.group.reps * src.sums[m].project(kdx).matrix
+            for jdx, j in enumerate(self.e.coeff_base.objects):
+                tb = ct.tensors[j]
+                z = tb.group.reps * (ct.big.project(jdx).matrix * part)
+                for (alpha, beta, _), row in zip(tb.entries, z.nonzeros):
+                    if row:
+                        elementary.append(
+                            self._elementary(m, a, n, j, alpha, beta))
+                        coeffs.append(row)
+        mat = (IntMatrix.from_columns(elementary, nrows=out_group.ngens)
+               * IntMatrix(len(coeffs), src_group.ngens, nonzeros=coeffs))
+        return AbHom(src_group, out_group, mat)
 
     def _elementary(self, m, a, n, j, alpha, beta):
         """t of the elementary tensor e_alpha ⊗ e_beta sitting at object j,
@@ -693,14 +683,10 @@ class ComparisonData:
         tt = self.target_total
         out_group = tt.complex.group(m)
         acc = [0] * out_group.ngens
-        e_beta = [1 if i == beta else 0
-                  for i in range(ht.complex.group(n).ngens)]
-        e_alpha_vec = [1 if i == alpha else 0
-                       for i in range(self.c.module(a).values[j].ngens)]
         for pdx, p in enumerate(ht.keys[n]):
             if p not in tt.keys.get(m, ()):
                 continue
-            hvec = ht.sums[n].project(pdx).apply(e_beta)
+            hvec = ht.sums[n].project(pdx).matrix.column(beta)
             phi = ht.homs[(p, n)].to_module_map(hvec)
             dmod = self.d.module(p)
             cemod = self.ce.module(p + m)
@@ -708,29 +694,19 @@ class ComparisonData:
             for i in icat.objects:
                 rt = self.row_totals[i]
                 key = (a, p + n)
-                cols = []
-                for y in range(dmod.values[i].ngens):
-                    ey = [1 if k == y else 0
-                          for k in range(dmod.values[i].ngens)]
-                    v = phi.components[i].apply(ey)
-                    if key in rt.tensors and p + m in rt.keys and \
-                            key in rt.keys[p + m]:
-                        cls = rt.tensors[key].class_of_pure(
-                            j, e_alpha_vec, v)
-                        vecs = [[0] * part.ngens
-                                for part in rt.sums[p + m].parts]
-                        vecs[rt.keys[p + m].index(key)] = cls
-                        cols.append(rt.sums[p + m].assemble(vecs))
-                    else:
-                        cols.append([0] * cemod.values[i].ngens)
-                comps[i] = AbHom(dmod.values[i], cemod.values[i],
-                                 IntMatrix.from_columns(
-                                     cols, nrows=cemod.values[i].ngens))
+                if key in rt.tensors and p + m in rt.keys and \
+                        key in rt.keys[p + m]:
+                    # y ↦ e_alpha ⊗ phi_i(y) at j, in the summand of key
+                    inject = rt.sums[p + m].inject(rt.keys[p + m].index(key))
+                    mat = (inject.matrix
+                           * rt.tensors[key].pure_map(j, alpha).matrix
+                           * phi.components[i].matrix)
+                    comps[i] = AbHom(dmod.values[i], cemod.values[i], mat)
+                else:
+                    comps[i] = AbHom.zero(dmod.values[i], cemod.values[i])
             psi_map = ModuleMap(dmod, cemod, comps)
             coords = tt.homs[(p, m)].coords_of(psi_map)
-            vecs = [[0] * part.ngens for part in tt.sums[m].parts]
-            vecs[tt.keys[m].index(p)] = coords
-            emb = tt.sums[m].assemble(vecs)
+            emb = tt.sums[m].inject(tt.keys[m].index(p)).apply(coords)
             acc = [u + w for u, w in zip(acc, emb)]
         return out_group.reduce(acc)
 

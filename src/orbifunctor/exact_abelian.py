@@ -37,19 +37,32 @@ def _xgcd(a, b):
 class IntMatrix:
     """Immutable integer matrix with explicit shape (0 rows or 0 cols legal).
 
+    Stored sparsely: ``nonzeros[i]`` maps the column of each nonzero entry of
+    row i to that entry, and products only visit those entries.  ``rows`` is
+    a dense read-only view, built on each access.  Stored rows are shared
+    between matrices and must never be mutated.
+
     >>> IntMatrix.identity(2) * IntMatrix.from_rows([[3], [5]])
     IntMatrix(2, 1, [[3], [5]])
     """
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "nonzeros")
 
-    def __init__(self, nrows, ncols, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if len(rows) != nrows or any(len(row) != ncols for row in rows):
+    def __init__(self, nrows, ncols, rows=None, *, nonzeros=None):
+        """Build from dense `rows`, or from per-row `nonzeros` dicts (whose
+        values must be nonzero ints); exactly one of the two is given."""
+        if nonzeros is None:
+            nonzeros = []
+            for row in rows:
+                row = list(map(int, row))
+                if len(row) != ncols:
+                    raise ValueError(f"expected shape {nrows}x{ncols}")
+                nonzeros.append({j: x for j, x in enumerate(row) if x})
+        if len(nonzeros) != nrows:
             raise ValueError(f"expected shape {nrows}x{ncols}")
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
+        self.nonzeros = tuple(nonzeros)
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
@@ -67,60 +80,83 @@ class IntMatrix:
             if not cols:
                 raise ValueError("nrows required for a matrix with no columns")
             nrows = len(cols[0])
-        return cls(nrows, len(cols), [[c[i] for c in cols] for i in range(nrows)])
+        return cls(len(cols), nrows, cols).transpose()
+
+    @classmethod
+    def selection(cls, nrows, positions):
+        """The 0/1 matrix whose column j is the unit vector at positions[j]."""
+        positions = list(positions)
+        return cls(len(positions), nrows,
+                   nonzeros=[{i: 1} for i in positions]).transpose()
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(n, n, nonzeros=[{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls(nrows, ncols, [[0] * ncols for _ in range(nrows)])
+        return cls(nrows, ncols, nonzeros=[{} for _ in range(nrows)])
 
     @classmethod
     def diagonal(cls, entries, nrows=None, ncols=None):
-        entries = list(entries)
-        if nrows is None:
-            nrows = len(entries)
-        if ncols is None:
-            ncols = len(entries)
-        rows = [[0] * ncols for _ in range(nrows)]
-        for i, d in enumerate(entries):
-            rows[i][i] = d
-        return cls(nrows, ncols, rows)
+        entries = [int(d) for d in entries]
+        nrows = len(entries) if nrows is None else nrows
+        ncols = len(entries) if ncols is None else ncols
+        if len(entries) > min(nrows, ncols):
+            raise ValueError(f"{len(entries)} diagonal entries in {nrows}x{ncols}")
+        nonzeros = [{i: d} if d else {} for i, d in enumerate(entries)]
+        return cls(nrows, ncols, nonzeros=nonzeros + [{} for _ in
+                                                      range(nrows - len(entries))])
+
+    def _dense(self):
+        """Fresh dense rows as lists."""
+        out = []
+        for nz in self.nonzeros:
+            row = [0] * self.ncols
+            for j, a in nz.items():
+                row[j] = a
+            out.append(row)
+        return out
+
+    @property
+    def rows(self):
+        return tuple(map(tuple, self._dense()))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if not -self.ncols <= j < self.ncols:
+            raise IndexError(f"column {j} out of range")
+        return self.nonzeros[i].get(j % self.ncols, 0)
 
     def column(self, j):
-        return [row[j] for row in self.rows]
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range")
+        return [nz.get(j, 0) for nz in self.nonzeros]
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        return self.transpose()._dense()
 
     def transpose(self):
-        return IntMatrix(self.ncols, self.nrows,
-                         [[self.rows[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)])
+        nonzeros = [{} for _ in range(self.ncols)]
+        for i, nz in enumerate(self.nonzeros):
+            for j, a in nz.items():
+                nonzeros[j][i] = a
+        return IntMatrix(self.ncols, self.nrows, nonzeros=nonzeros)
 
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by "
                                  f"{other.nrows}x{other.ncols}")
-            ocols = other.ncols
+            orows = other.nonzeros
             out = []
-            for row in self.rows:
-                acc = [0] * ocols
-                for k, a in enumerate(row):
-                    if a:
-                        orow = other.rows[k]
-                        for j in range(ocols):
-                            if orow[j]:
-                                acc[j] += a * orow[j]
-                out.append(acc)
-            return IntMatrix(self.nrows, ocols, out)
+            for nz in self.nonzeros:
+                acc = {}
+                for k, a in nz.items():
+                    for j, b in orows[k].items():
+                        acc[j] = acc.get(j, 0) + a * b
+                out.append({j: x for j, x in acc.items() if x})
+            return IntMatrix(self.nrows, other.ncols, nonzeros=out)
         return NotImplemented
 
     def apply(self, vec):
@@ -128,40 +164,40 @@ class IntMatrix:
         vec = list(vec)
         if len(vec) != self.ncols:
             raise ValueError(f"vector length {len(vec)} != {self.ncols}")
-        return [sum(a * x for a, x in zip(row, vec) if a) for row in self.rows]
+        return [sum([a * vec[j] for j, a in nz.items()]) for nz in self.nonzeros]
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
-        return IntMatrix(self.nrows, self.ncols,
-                         [[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
+        out = []
+        for r1, r2 in zip(self.nonzeros, other.nonzeros):
+            acc = dict(r1)
+            for j, b in r2.items():
+                acc[j] = acc.get(j, 0) + b
+            out.append({j: x for j, x in acc.items() if x})
+        return IntMatrix(self.nrows, self.ncols, nonzeros=out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return IntMatrix(self.nrows, self.ncols,
-                         [[-a for a in row] for row in self.rows])
+        return self.scale(-1)
 
     def scale(self, c):
         return IntMatrix(self.nrows, self.ncols,
-                         [[c * a for a in row] for row in self.rows])
+                         nonzeros=[{j: c * a for j, a in nz.items()} if c else {}
+                                   for nz in self.nonzeros])
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return IntMatrix(self.nrows, self.ncols + other.ncols,
-                         [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
-
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        return IntMatrix(self.nrows + other.nrows, self.ncols,
-                         self.rows + other.rows)
+        n = self.ncols
+        return IntMatrix(self.nrows, n + other.ncols,
+                         nonzeros=[{**r1, **{j + n: b for j, b in r2.items()}}
+                                   for r1, r2 in zip(self.nonzeros, other.nonzeros)])
 
     def is_zero(self):
-        return all(all(a == 0 for a in row) for row in self.rows)
+        return not any(self.nonzeros)
 
     def det(self):
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -170,7 +206,7 @@ class IntMatrix:
         n = self.nrows
         if n == 0:
             return 1
-        m = [list(row) for row in self.rows]
+        m = self._dense()
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -191,13 +227,14 @@ class IntMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.rows == other.rows)
+                and self.ncols == other.ncols and self.nonzeros == other.nonzeros)
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        return hash((self.nrows, self.ncols,
+                     tuple(tuple(sorted(nz.items())) for nz in self.nonzeros)))
 
     def __repr__(self):
-        return f"IntMatrix({self.nrows}, {self.ncols}, {[list(r) for r in self.rows]})"
+        return f"IntMatrix({self.nrows}, {self.ncols}, {self._dense()})"
 
 
 def _identity_rows(n):
@@ -215,7 +252,7 @@ class _SnfState:
     def __init__(self, a, need_u, need_uinv, need_v):
         self.m = a.nrows
         self.n = a.ncols
-        self.s = [list(row) for row in a.rows]
+        self.s = a._dense()
         self.u = _identity_rows(self.m) if need_u else None
         self.uinv = _identity_rows(self.m) if need_uinv else None
         self.v = _identity_rows(self.n) if need_v else None
@@ -413,9 +450,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     u = IntMatrix(a.nrows, a.nrows, st.u)
     v = IntMatrix(a.ncols, a.ncols, st.v)
     s = IntMatrix.diagonal(st.divisors(), a.nrows, a.ncols)
-    if a.nrows <= 12 and a.ncols <= 12:
+    if a.nrows <= 12 and a.ncols <= 12 and u * a * v != s:
         # cheap self-check at small sizes; property tests cover the rest
-        assert u * a * v == s
+        raise ArithmeticError("Smith self-check failed: U*A*V != S")
     return SmithDecomposition(u, s, v, st.divisors())
 
 
@@ -436,16 +473,21 @@ def solve(a: IntMatrix, b) -> list | None:
     if len(b) != a.nrows:
         raise ValueError(f"vector length {len(b)} != {a.nrows}")
     st = _SnfState(a, need_u=True, need_uinv=False, need_v=True).diagonalize()
+    return _solve_reduced(st, b)
+
+
+def _solve_reduced(st, b):
+    # x with A x = b from the diagonalized state of A (u and v kept), or None
     c = [sum(q * x for q, x in zip(row, b) if q) for row in st.u]
-    y = [0] * a.ncols
+    y = []
     for k in range(st.rank):
-        d = st.s[k][k]
-        if c[k] % d:
+        q, r = divmod(c[k], st.s[k][k])
+        if r:
             return None
-        y[k] = c[k] // d
-    if any(c[k] for k in range(st.rank, a.nrows)):
+        y.append(q)
+    if any(c[st.rank:]):
         return None
-    return [sum(st.v[i][k] * y[k] for k in range(st.rank) if y[k]) for i in range(a.ncols)]
+    return [sum(row[k] * y[k] for k in range(st.rank) if y[k]) for row in st.v]
 
 
 def solve_mod(a: IntMatrix, b, moduli) -> list | None:
@@ -453,9 +495,7 @@ def solve_mod(a: IntMatrix, b, moduli) -> list | None:
     moduli = list(moduli)
     if len(moduli) != a.nrows:
         raise ValueError("one modulus per target row required")
-    extra = [[t if i == j else 0 for j, t in enumerate(moduli) if t]
-             for i in range(a.nrows)]
-    aug = a.hstack(IntMatrix(a.nrows, sum(1 for t in moduli if t), extra))
+    aug = a.hstack(_relation_columns(moduli))
     x = solve(aug, b)
     return None if x is None else x[: a.ncols]
 
@@ -472,22 +512,12 @@ class LatticeBasis:
         self.matrix = matrix
         self._st = _SnfState(matrix, need_u=True, need_uinv=False,
                              need_v=True).diagonalize()
-        assert self._st.rank == matrix.ncols, "columns are not independent"
+        if self._st.rank != matrix.ncols:
+            raise ValueError("columns are not independent")
 
     def coordinates(self, vec):
         """x with matrix * x = vec, or None if vec is outside the lattice."""
-        st = self._st
-        c = [sum(q * x for q, x in zip(row, vec) if q) for row in st.u]
-        y = [0] * self.matrix.ncols
-        for k in range(st.rank):
-            d = st.s[k][k]
-            if c[k] % d:
-                return None
-            y[k] = c[k] // d
-        if any(c[k] for k in range(st.rank, self.matrix.nrows)):
-            return None
-        n = self.matrix.ncols
-        return [sum(st.v[i][k] * y[k] for k in range(st.rank) if y[k]) for i in range(n)]
+        return _solve_reduced(self._st, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +532,14 @@ class FpAbGroup:
     coordinates: free coordinates first, then one coordinate mod t_i per
     torsion factor.  Groups coming out of a presentation carry a witness pair
     (to_can, reps) translating between presentation coordinates and canonical
-    coordinates; equality deliberately ignores the witness.
+    coordinates; equality deliberately ignores the witness.  An identity
+    witness is implicit (stored as None) and built only when asked for.
 
     >>> FpAbGroup.from_invariants(1, [2, 6])
     FpAbGroup(Z ⊕ Z/2 ⊕ Z/6)
     """
 
-    __slots__ = ("rank", "torsion", "to_can", "reps")
+    __slots__ = ("rank", "torsion", "_to_can", "_reps")
 
     def __init__(self, rank, torsion, to_can=None, reps=None):
         torsion = tuple(int(t) for t in torsion)
@@ -522,9 +553,12 @@ class FpAbGroup:
         self.rank = rank
         self.torsion = torsion
         n = rank + len(torsion)
-        self.to_can = to_can if to_can is not None else IntMatrix.identity(n)
-        self.reps = reps if reps is not None else IntMatrix.identity(n)
-        assert self.to_can.nrows == n and self.reps.ncols == n
+        if to_can is not None and to_can.nrows != n:
+            raise ValueError(f"to_can has {to_can.nrows} rows, not {n}")
+        if reps is not None and reps.ncols != n:
+            raise ValueError(f"reps has {reps.ncols} columns, not {n}")
+        self._to_can = to_can
+        self._reps = reps
 
     @classmethod
     def free(cls, n):
@@ -553,7 +587,17 @@ class FpAbGroup:
 
     @property
     def pres_gens(self):
-        return self.to_can.ncols
+        return self.ngens if self._to_can is None else self._to_can.ncols
+
+    @property
+    def to_can(self) -> IntMatrix:
+        """Presentation coordinates -> canonical coordinates (unreduced)."""
+        return IntMatrix.identity(self.ngens) if self._to_can is None else self._to_can
+
+    @property
+    def reps(self) -> IntMatrix:
+        """Canonical coordinates -> presentation-coordinate representatives."""
+        return IntMatrix.identity(self.ngens) if self._reps is None else self._reps
 
     def moduli(self):
         """Per-canonical-generator annihilator: 0 for free, t_i for torsion."""
@@ -580,21 +624,30 @@ class FpAbGroup:
         return vec
 
     def reduce_matrix(self, mat: IntMatrix) -> IntMatrix:
+        """mat with torsion rows reduced; mat itself when nothing changes."""
         if mat.nrows != self.ngens:
             raise ValueError("row count must match ngens")
-        rows = [list(r) for r in mat.rows]
-        for i, t in enumerate(self.torsion):
-            j = self.rank + i
-            rows[j] = [x % t for x in rows[j]]
-        return IntMatrix(mat.nrows, mat.ncols, rows)
+        nonzeros = list(mat.nonzeros)
+        for j, t in enumerate(self.torsion, self.rank):
+            if any(not 0 <= x < t for x in nonzeros[j].values()):
+                nonzeros[j] = {c: r for c, x in nonzeros[j].items() if (r := x % t)}
+        if all(a is b for a, b in zip(nonzeros, mat.nonzeros)):
+            return mat
+        return IntMatrix(mat.nrows, mat.ncols, nonzeros=nonzeros)
 
     def to_canonical(self, pres_vec):
         """Canonical coordinates of an element given in presentation coordinates."""
-        return self.reduce(self.to_can.apply(pres_vec))
+        return self.reduce(pres_vec if self._to_can is None
+                           else self._to_can.apply(pres_vec))
 
     def representative(self, can_vec):
         """A presentation-coordinate representative of a canonical element."""
-        return self.reps.apply(can_vec)
+        if self._reps is None:
+            vec = list(can_vec)
+            if len(vec) != self.ngens:
+                raise ValueError(f"vector length {len(vec)} != {self.ngens}")
+            return vec
+        return self._reps.apply(can_vec)
 
     def order_of(self, can_vec):
         """Order of the element, or None when infinite."""
@@ -607,9 +660,6 @@ class FpAbGroup:
             if x:
                 acc = lcm(acc, t // gcd(t, x))
         return acc
-
-    def is_zero_element(self, can_vec):
-        return not any(self.reduce(can_vec))
 
     def __eq__(self, other):
         return (isinstance(other, FpAbGroup) and self.rank == other.rank
@@ -642,6 +692,8 @@ def cokernel_presentation(a: IntMatrix) -> FpAbGroup:
     FpAbGroup(Z^2)
     """
     m = a.nrows
+    if a.is_zero():
+        return FpAbGroup(m, ())
     st = _SnfState(a, need_u=True, need_uinv=True, need_v=False).diagonalize()
     divisors = st.divisors()
     r = len(divisors)
@@ -649,6 +701,8 @@ def cokernel_presentation(a: IntMatrix) -> FpAbGroup:
     tors_idx = [i for i in range(r) if divisors[i] > 1]
     torsion = [divisors[i] for i in tors_idx]
     keep = free_idx + tors_idx
+    if keep == list(range(m)) and st.u == _identity_rows(m):
+        return FpAbGroup(m - r, torsion)
     to_can = IntMatrix.from_rows([st.u[i] for i in keep], ncols=m)
     reps = IntMatrix.from_columns([[st.uinv[i][j] for i in range(m)] for j in keep],
                                   nrows=m)
@@ -751,17 +805,20 @@ def hom_from_presentation(source: FpAbGroup, target: FpAbGroup,
     if (pres_matrix.nrows != target.pres_gens
             or pres_matrix.ncols != source.pres_gens):
         raise ValueError("presentation-level matrix has the wrong shape")
-    return AbHom(source, target, target.to_can * pres_matrix * source.reps)
+    m = pres_matrix if target._to_can is None else target._to_can * pres_matrix
+    return AbHom(source, target, m if source._reps is None else m * source._reps)
+
+
+def _relation_columns(moduli) -> IntMatrix:
+    """Relation columns t * e_k, one per nonzero modulus t, in order."""
+    moduli = list(moduli)
+    return IntMatrix(len(moduli) - moduli.count(0), len(moduli),
+                     nonzeros=[{k: t} for k, t in enumerate(moduli) if t]).transpose()
 
 
 def _torsion_columns(g: FpAbGroup) -> IntMatrix:
     """Relation columns t_i * e_i of the canonical presentation of g."""
-    cols = []
-    for i, t in enumerate(g.torsion):
-        col = [0] * g.ngens
-        col[g.rank + i] = t
-        cols.append(col)
-    return IntMatrix.from_columns(cols, nrows=g.ngens)
+    return _relation_columns(g.moduli())
 
 
 def hom_kernel(f: AbHom):
@@ -777,16 +834,14 @@ def hom_kernel(f: AbHom):
     # The projection to source coordinates is injective on this kernel (the
     # torsion tail columns are independent), so the projected columns are
     # already a lattice basis.
-    proj_cols = [[full[i, j] for i in range(src.ngens)] for j in range(full.ncols)]
-    basis = IntMatrix.from_columns(proj_cols, nrows=src.ngens)
+    basis = IntMatrix(src.ngens, full.ncols, nonzeros=full.nonzeros[:src.ngens])
     if basis.ncols:
         lat = LatticeBasis(basis)
         rel_cols = []
-        for i, t in enumerate(src.torsion):
-            vec = [0] * src.ngens
-            vec[src.rank + i] = t
+        for vec in _torsion_columns(src).columns():
             coords = lat.coordinates(vec)
-            assert coords is not None, "source relation escaped the kernel lattice"
+            if coords is None:
+                raise ArithmeticError("source relation escaped the kernel lattice")
             rel_cols.append(coords)
         grp = presented_group(basis.ncols, rel_cols)
         inclusion = AbHom(grp, src, basis * grp.reps)
@@ -805,22 +860,27 @@ def hom_cokernel(f: AbHom):
     return grp, projection
 
 
-def hom_image(f: AbHom):
-    """(image group, mono into target, epi from source)."""
-    src, tgt = f.source, f.target
-    _, basis, _ = hom_kernel(f)
+def _image_of(f: AbHom, basis: IntMatrix):
+    """(image group, mono into target, epi from source), given the kernel
+    lattice basis of f."""
     # image = Z^{source gens} / (preimage lattice of 0)
     grp = cokernel_presentation(basis)
-    epi = AbHom(src, grp, grp.to_can)
-    mono = AbHom(grp, tgt, f.matrix * grp.reps)
+    epi = AbHom(f.source, grp, grp.to_can)
+    mono = AbHom(grp, f.target, f.matrix * grp.reps)
     return grp, mono, epi
+
+
+def hom_image(f: AbHom):
+    """(image group, mono into target, epi from source)."""
+    _, basis, _ = hom_kernel(f)
+    return _image_of(f, basis)
 
 
 def hom_kernel_cokernel(f: AbHom):
     """(kernel, cokernel, image) canonical forms; 0→ker→A→B→coker→0 is exact."""
-    ker, _, _ = hom_kernel(f)
+    ker, basis, _ = hom_kernel(f)
     coker, _ = hom_cokernel(f)
-    image, _, _ = hom_image(f)
+    image, _, _ = _image_of(f, basis)
     return ker, coker, image
 
 
@@ -860,7 +920,8 @@ def solve_image_membership(f: AbHom, y):
         return f.source.reduce(x), None
     coker, projection = hom_cokernel(f)
     residue = projection.apply(y)
-    assert any(residue), "solver failed on a member element"
+    if not any(residue):
+        raise ArithmeticError("solver failed on a member element")
     return None, residue
 
 
@@ -913,8 +974,7 @@ class HomologyData:
                 raise ValueError("incoming map target mismatch")
             if d_out is not None and not d_out.compose(d_in).is_zero():
                 raise ValueError("maps do not compose to zero")
-            for j in range(d_in.source.ngens):
-                col = d_in.matrix.column(j)
+            for col in d_in.matrix.columns():
                 image_vectors.append(
                     express_in_kernel(self.kernel, self.basis, space, col))
         self.group, self.projection = quotient_group(self.kernel, image_vectors)
@@ -932,6 +992,13 @@ class HomologyData:
         return self.inclusion.apply(k)
 
 
+def _exact_quotient(x, d):
+    q, r = divmod(x, d)
+    if r:
+        raise ValueError("entry incompatible with a valid homomorphism")
+    return q
+
+
 class HomBasis:
     """Coordinates for Hom(A, B) built from the structure decomposition.
 
@@ -942,7 +1009,7 @@ class HomBasis:
     contribution are omitted.
     """
 
-    __slots__ = ("source", "target", "entries", "group")
+    __slots__ = ("source", "target", "entries", "index", "group")
 
     def __init__(self, source: FpAbGroup, target: FpAbGroup):
         self.source = source
@@ -963,55 +1030,64 @@ class HomBasis:
                     if g > 1:
                         entries.append((a, b, g, u // g))
         self.entries = tuple(entries)
-        diag = IntMatrix.from_columns(
-            [[m if i == j else 0 for i in range(len(entries))]
-             for j, (_, _, m, _) in enumerate(entries) if m],
-            nrows=len(entries))
-        self.group = cokernel_presentation(diag)
+        self.index = {(a, b): k for k, (a, b, _, _) in enumerate(entries)}
+        self.group = cokernel_presentation(
+            _relation_columns(m for _, _, m, _ in entries))
 
     def to_hom(self, can_vec) -> AbHom:
         z = self.group.representative(can_vec)
-        rows = [[0] * self.source.ngens for _ in range(self.target.ngens)]
+        nonzeros = [{} for _ in range(self.target.ngens)]
         for coeff, (a, b, _, mult) in zip(z, self.entries):
             if coeff:
-                rows[b][a] += coeff * mult
+                nonzeros[b][a] = coeff * mult
         return AbHom(self.source, self.target,
-                     IntMatrix(self.target.ngens, self.source.ngens, rows))
+                     IntMatrix(self.target.ngens, self.source.ngens,
+                               nonzeros=nonzeros))
 
     def coords_of(self, f: AbHom):
         if f.source != self.source or f.target != self.target:
             raise ValueError("hom does not match this basis")
         z = [0] * len(self.entries)
-        covered = set()
-        for idx, (a, b, _, mult) in enumerate(self.entries):
-            raw = f.matrix[b, a]
-            assert raw % mult == 0, "entry incompatible with a valid homomorphism"
-            z[idx] = raw // mult
-            covered.add((a, b))
-        smod = self.source.moduli()
-        for a in range(self.source.ngens):
-            for b in range(self.target.ngens):
-                if (a, b) not in covered and smod[a]:
-                    assert f.matrix[b, a] == 0, "valid hom has a forced-zero entry"
+        for b, row in enumerate(f.matrix.nonzeros):
+            for a, raw in row.items():
+                k = self.index.get((a, b))
+                if k is None:
+                    raise ValueError("valid hom has a forced-zero entry")
+                z[k] = _exact_quotient(raw, self.entries[k][3])
         return self.group.to_canonical(z)
+
+    def _compose_map(self, other: "HomBasis", images) -> AbHom:
+        # images(a, b) yields ((a2, b2), x): the entry (a, b) of this basis,
+        # with multiplier 1, is sent to x at position (a2, b2) of a hom matrix;
+        # entries forced to zero in `other` are dropped.
+        nonzeros = [{} for _ in other.entries]
+        for k, (a, b, _, mult) in enumerate(self.entries):
+            for pos, x in images(a, b):
+                k2 = other.index.get(pos)
+                if k2 is not None:
+                    nonzeros[k2][k] = _exact_quotient(mult * x,
+                                                      other.entries[k2][3])
+        pres = IntMatrix(len(other.entries), len(self.entries),
+                         nonzeros=nonzeros)
+        return hom_from_presentation(self.group, other.group, pres)
 
     def postcompose(self, other: "HomBasis", psi: AbHom) -> AbHom:
         """Linear map Hom(A,B) -> Hom(A,B'), f ↦ psi∘f, in basis coordinates."""
-        cols = []
-        for j in range(self.group.ngens):
-            e = [1 if i == j else 0 for i in range(self.group.ngens)]
-            cols.append(other.coords_of(psi.compose(self.to_hom(e))))
-        mat = IntMatrix.from_columns(cols, nrows=other.group.ngens)
-        return AbHom(self.group, other.group, mat)
+        if (psi.source != self.target or psi.target != other.target
+                or other.source != self.source):
+            raise ValueError("composition mismatch")
+        cols = psi.matrix.transpose().nonzeros
+        return self._compose_map(
+            other, lambda a, b: (((a, b2), x) for b2, x in cols[b].items()))
 
     def precompose(self, other: "HomBasis", chi: AbHom) -> AbHom:
         """Linear map Hom(A,B) -> Hom(A',B), f ↦ f∘chi, in basis coordinates."""
-        cols = []
-        for j in range(self.group.ngens):
-            e = [1 if i == j else 0 for i in range(self.group.ngens)]
-            cols.append(other.coords_of(self.to_hom(e).compose(chi)))
-        mat = IntMatrix.from_columns(cols, nrows=other.group.ngens)
-        return AbHom(self.group, other.group, mat)
+        if (chi.target != self.source or chi.source != other.source
+                or other.target != self.target):
+            raise ValueError("composition mismatch")
+        rows = chi.matrix.nonzeros
+        return self._compose_map(
+            other, lambda a, b: (((a2, b), x) for a2, x in rows[a].items()))
 
 
 def hom_group(a: FpAbGroup, b: FpAbGroup) -> FpAbGroup:
@@ -1057,11 +1133,8 @@ class TensorBasis:
                 entries.append((a, b, m))
         self.entries = tuple(entries)
         self.index = {(a, b): i for i, (a, b, _) in enumerate(entries)}
-        diag = IntMatrix.from_columns(
-            [[m if i == j else 0 for i in range(len(entries))]
-             for j, (_, _, m) in enumerate(entries) if m],
-            nrows=len(entries))
-        self.group = cokernel_presentation(diag)
+        self.group = cokernel_presentation(
+            _relation_columns(m for _, _, m in entries))
 
     def pure(self, x, y):
         """Canonical class of the elementary tensor x ⊗ y."""
@@ -1078,26 +1151,18 @@ class TensorBasis:
             raise ValueError("source mismatch")
         if f.target != other.left or g.target != other.right:
             raise ValueError("target mismatch")
-        cols = []
-        for j in range(self.group.ngens):
-            e = [1 if i == j else 0 for i in range(self.group.ngens)]
-            z = self.group.representative(e)
-            out = [0] * len(other.entries)
-            for coeff, (a, b, _) in zip(z, self.entries):
-                if not coeff:
-                    continue
-                fcol = f.matrix.column(a)
-                gcol = g.matrix.column(b)
-                for a2, fa in enumerate(fcol):
-                    if fa:
-                        for b2, gb in enumerate(gcol):
-                            if gb:
-                                k = other.index.get((a2, b2))
-                                if k is not None:
-                                    out[k] += coeff * fa * gb
-            cols.append(other.group.to_canonical(out))
-        mat = IntMatrix.from_columns(cols, nrows=other.group.ngens)
-        return AbHom(self.group, other.group, mat)
+        fcols = f.matrix.transpose().nonzeros
+        gcols = g.matrix.transpose().nonzeros
+        nonzeros = [{} for _ in other.entries]
+        for k, (a, b, _) in enumerate(self.entries):
+            for a2, fa in fcols[a].items():
+                for b2, gb in gcols[b].items():
+                    k2 = other.index.get((a2, b2))
+                    if k2 is not None:
+                        nonzeros[k2][k] = fa * gb
+        pres = IntMatrix(len(other.entries), len(self.entries),
+                         nonzeros=nonzeros)
+        return hom_from_presentation(self.group, other.group, pres)
 
 
 def tensor_group(a: FpAbGroup, b: FpAbGroup) -> FpAbGroup:
@@ -1117,25 +1182,27 @@ def tensor_group(a: FpAbGroup, b: FpAbGroup) -> FpAbGroup:
 
 
 class DirectSum:
-    """⊕ of canonical-form groups, canonicalized, with coordinate bookkeeping."""
+    """⊕ of canonical-form groups, canonicalized, with coordinate bookkeeping.
 
-    __slots__ = ("parts", "offsets", "group")
+    Presentation coordinates of `group` are the parts' canonical coordinates,
+    concatenated.  Each injection and projection is built once, on first use.
+    """
+
+    __slots__ = ("parts", "offsets", "group", "_injects", "_projects")
 
     def __init__(self, parts):
         self.parts = tuple(parts)
         offsets = []
         pos = 0
+        moduli = []
         for p in self.parts:
             offsets.append(pos)
             pos += p.ngens
+            moduli.extend(p.moduli())
         self.offsets = tuple(offsets)
-        cols = []
-        for i, p in enumerate(self.parts):
-            for k, t in enumerate(p.torsion):
-                col = [0] * pos
-                col[offsets[i] + p.rank + k] = t
-                cols.append(col)
-        self.group = cokernel_presentation(IntMatrix.from_columns(cols, nrows=pos))
+        self.group = cokernel_presentation(_relation_columns(moduli))
+        self._injects = [None] * len(self.parts)
+        self._projects = [None] * len(self.parts)
 
     @property
     def total_gens(self):
@@ -1149,41 +1216,55 @@ class DirectSum:
         return out
 
     def inject(self, i) -> AbHom:
-        part = self.parts[i]
-        cols = [self.group.to_canonical(self.embed(i, [1 if k == j else 0
-                                                       for k in range(part.ngens)]))
-                for j in range(part.ngens)]
-        return AbHom(part, self.group,
-                     IntMatrix.from_columns(cols, nrows=self.group.ngens))
+        h = self._injects[i]
+        if h is None:
+            part = self.parts[i]
+            lo = self.offsets[i]
+            pres = IntMatrix.selection(self.total_gens,
+                                       range(lo, lo + part.ngens))
+            h = self._injects[i] = self._from_presentation(part, pres)
+        return h
 
     def project(self, i) -> AbHom:
-        part = self.parts[i]
-        lo = self.offsets[i]
-        rows = [self.group.reps.rows[lo + k] for k in range(part.ngens)]
-        return AbHom(self.group, part,
-                     IntMatrix.from_rows([list(r) for r in rows],
-                                         ncols=self.group.ngens))
+        h = self._projects[i]
+        if h is None:
+            part = self.parts[i]
+            lo = self.offsets[i]
+            rows = self.group.reps.nonzeros[lo:lo + part.ngens]
+            h = self._projects[i] = AbHom(
+                self.group, part,
+                IntMatrix(part.ngens, self.group.ngens, nonzeros=rows))
+        return h
 
     def assemble(self, component_vecs):
         """Canonical coords of the element with the given components."""
-        out = [0] * self.total_gens
-        for i, vec in enumerate(component_vecs):
-            for k, x in enumerate(vec):
-                out[self.offsets[i] + k] = x
-        return self.group.to_canonical(out)
+        return self.group.to_canonical([x for vec in component_vecs for x in vec])
+
+    def hom_into(self, source: FpAbGroup, components) -> AbHom:
+        """The map into the sum whose i-th component is components[i]."""
+        components = list(components)
+        if len(components) != len(self.parts):
+            raise ValueError("one component per part required")
+        nonzeros = []
+        for part, h in zip(self.parts, components):
+            if h.source != source or h.target != part:
+                raise ValueError("component does not map source into its part")
+            nonzeros.extend(h.matrix.nonzeros)
+        return self._from_presentation(
+            source, IntMatrix(self.total_gens, source.ngens, nonzeros=nonzeros))
+
+    def _from_presentation(self, source: FpAbGroup, pres: IntMatrix) -> AbHom:
+        # pres: source canonical coords -> presentation coords of the sum
+        to_can = self.group._to_can
+        return AbHom(source, self.group, pres if to_can is None else to_can * pres)
 
 
 def block_hom(ds_src: DirectSum, ds_tgt: DirectSum, blocks) -> AbHom:
     """Assemble an AbHom between direct sums from a dict {(i_tgt, j_src): AbHom}."""
-    cols = []
-    for j, src_part in enumerate(ds_src.parts):
-        for g in range(src_part.ngens):
-            e = [1 if k == g else 0 for k in range(src_part.ngens)]
-            comps = []
-            for i, tgt_part in enumerate(ds_tgt.parts):
-                f = blocks.get((i, j))
-                comps.append(f.apply(e) if f is not None else [0] * tgt_part.ngens)
-            cols.append(ds_tgt.assemble(comps))
-    # columns above are indexed by source *presentation* generators
-    pres = IntMatrix.from_columns(cols, nrows=ds_tgt.group.ngens)
-    return AbHom(ds_src.group, ds_tgt.group, pres * ds_src.group.reps)
+    nonzeros = [{} for _ in range(ds_tgt.total_gens)]
+    for (i, j), f in blocks.items():
+        lo, shift = ds_tgt.offsets[i], ds_src.offsets[j]
+        for r, row in enumerate(f.matrix.nonzeros):
+            nonzeros[lo + r].update((c + shift, x) for c, x in row.items())
+    pres = IntMatrix(ds_tgt.total_gens, ds_src.total_gens, nonzeros=nonzeros)
+    return hom_from_presentation(ds_src.group, ds_tgt.group, pres)

@@ -121,6 +121,15 @@ class TheoremInstance:
                 raise ValueError("space chains must carry free markers")
         else:
             raise ValueError("space must be cell data or a chain complex")
+        # Both comparison totals end in degree (top of the space chains) +
+        # (top of the coefficient window) - (bottom of the free complex);
+        # homology above the next degree is zero by construction.
+        space_hi = space.dimension if isinstance(space, GCWComplex) else space.hi
+        last = space_hi + coefficients.hi - free_complex.lo + 1
+        if not 0 <= through_degree <= last:
+            raise ValueError(
+                f"through degree {through_degree} is outside [0, {last}]: the "
+                f"comparison totals end in degree {last - 1}")
         self.index_cat = index_cat
         self.free_complex = free_complex
         self.group = group

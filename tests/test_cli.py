@@ -6,9 +6,14 @@ and checking the report bytes do not drift between runs.
 
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import orbifunctor
 from orbifunctor.exact_abelian import FpAbGroup, IntMatrix
 from orbifunctor.fincat import (
     FinGroup,
@@ -239,6 +244,16 @@ class TestCommands:
         path = write_manifest(tmp_path, data)
         assert main(["verify-theorem", "--manifest", path]) == 1
 
+    @pytest.mark.parametrize("degree", ["99999999999999999999", "40", "3", "-1"])
+    def test_through_degree_out_of_range_rejected(self, tmp_path, degree):
+        # the shipped totals end in degree 1, so conclusions stop at 2
+        data = json.loads(shipped_text())
+        data["instance"]["through_degree"] = degree
+        path = write_manifest(tmp_path, data)
+        start = time.perf_counter()
+        assert main(["verify-theorem", "--manifest", path]) == 2
+        assert time.perf_counter() - start < 5
+
     def test_validate_shipped(self, tmp_path):
         path = write_manifest(tmp_path, json.loads(shipped_text()))
         assert main(["validate", "--manifest", path]) == 0
@@ -350,6 +365,25 @@ class TestReports:
         assert main(["verify-theorem", "--manifest", path,
                      "--report", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_report_bytes_same_without_asserts(self, tmp_path):
+        # python -O strips assert statements; no guard may depend on them
+        path = write_manifest(tmp_path, json.loads(shipped_text()))
+        plain = tmp_path / "plain.json"
+        optimized = tmp_path / "optimized.json"
+        code = main(["verify-theorem", "--manifest", path,
+                     "--report", str(plain)])
+        src = os.path.dirname(os.path.dirname(orbifunctor.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "import sys; from orbifunctor.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "verify-theorem", "--manifest", path, "--report", str(optimized)],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == code == 0
+        assert optimized.read_bytes() == plain.read_bytes()
 
     def test_report_shape(self, tmp_path):
         path = write_manifest(tmp_path, json.loads(shipped_text()))

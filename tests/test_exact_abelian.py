@@ -585,3 +585,142 @@ def test_direct_sum_properties(parts):
         for j in range(len(parts)):
             if j != i:
                 assert ds.project(j).compose(ds.inject(i)).is_zero()
+
+
+# -- the sparse core against dense and unit-vector references ---------------
+#
+# The references below are the dense mat-vec loop and the unit-vector column
+# builder that the sparse core replaced; they are kept here on purpose.
+
+
+def dense_apply(m, vec):
+    return [sum(a * x for a, x in zip(row, vec)) for row in m.rows]
+
+
+def dense_product(a, b):
+    return [[sum(a.rows[i][k] * b.rows[k][j] for k in range(a.ncols))
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+def unit_columns(n, image, nrows):
+    """The matrix whose column j is image(e_j), e_j the j-th unit vector."""
+    cols = [image([1 if i == j else 0 for i in range(n)]) for j in range(n)]
+    return IntMatrix.from_columns(cols, nrows=nrows)
+
+
+small = st.integers(-9, 9)
+mostly_zero = st.one_of(st.just(0), st.just(0), small)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_apply_and_product_match_dense(data):
+    a = data.draw(int_matrices(max_rows=5, max_cols=5, entries=mostly_zero))
+    vec = data.draw(st.lists(small, min_size=a.ncols, max_size=a.ncols))
+    assert a.apply(vec) == dense_apply(a, vec)
+    b = data.draw(int_matrices(min_rows=a.ncols, max_rows=a.ncols,
+                               max_cols=5, entries=mostly_zero))
+    assert a * b == IntMatrix(a.nrows, b.ncols, dense_product(a, b))
+    assert (a * b).rows == tuple(map(tuple, dense_product(a, b)))
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0), (2, 3)])
+def test_sparse_core_on_empty_and_zero_shapes(m, n):
+    z = IntMatrix.zeros(m, n)
+    assert z.apply([5] * n) == dense_apply(z, [5] * n) == [0] * m
+    assert z * IntMatrix.identity(n) == z == IntMatrix.identity(m) * z
+    assert (z * IntMatrix.zeros(n, 2)).rows == ((0, 0),) * m
+    assert z.rows == ((0,) * n,) * m
+    assert z == IntMatrix(m, n, [[0] * n for _ in range(m)])
+
+
+def test_identity_witnesses_are_implicit():
+    for g in (FpAbGroup.free(4), FpAbGroup.from_invariants(1, [2, 4]),
+              cokernel_presentation(IntMatrix.zeros(3, 0)),
+              cokernel_presentation(IntMatrix.diagonal([2, 4]))):
+        assert g._to_can is None and g._reps is None
+        assert g.to_can == g.reps == IntMatrix.identity(g.ngens)
+
+
+def explicit_copy(g):
+    """The same group, carrying its witnesses as explicit matrices."""
+    return FpAbGroup(g.rank, g.torsion, to_can=g.to_can, reps=g.reps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices(max_rows=4, max_cols=4, entries=mostly_zero), st.data())
+def test_implicit_witnesses_match_explicit(a, data):
+    g = cokernel_presentation(a)
+    ex = explicit_copy(g)
+    assert g == ex and hash(g) == hash(ex) and ex._to_can is not None
+    pres = data.draw(st.lists(small, min_size=a.nrows, max_size=a.nrows))
+    assert g.to_canonical(pres) == ex.to_canonical(pres)
+    can = data.draw(st.lists(small, min_size=g.ngens, max_size=g.ngens))
+    assert g.representative(can) == ex.representative(can)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fp_groups(), fp_groups(), st.data())
+def test_implicit_witness_homs_match_explicit(src, tgt, data):
+    f = data.draw(ab_homs(source=src, target=tgt))
+    ex_src, ex_tgt = explicit_copy(src), explicit_copy(tgt)
+    assert src._reps is None and tgt._to_can is None
+    assert (hom_from_presentation(src, tgt, f.matrix)
+            == hom_from_presentation(ex_src, ex_tgt, f.matrix) == f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(fp_groups(max_rank=1, max_factors=2), min_size=0, max_size=3))
+def test_direct_sum_maps_cached_and_match_fresh(parts):
+    ds, fresh = DirectSum(parts), DirectSum(parts)
+    for i, p in enumerate(parts):
+        assert ds.inject(i) is ds.inject(i) and ds.project(i) is ds.project(i)
+        assert ds.inject(i) == fresh.inject(i)
+        assert ds.project(i) == fresh.project(i)
+        inject = unit_columns(p.ngens,
+                              lambda e: ds.group.to_canonical(ds.embed(i, e)),
+                              ds.group.ngens)
+        assert ds.inject(i) == AbHom(p, ds.group, inject)
+        lo = ds.offsets[i]
+        project = IntMatrix.from_rows(ds.group.reps.rows[lo:lo + p.ngens],
+                                      ncols=ds.group.ngens)
+        assert ds.project(i) == AbHom(ds.group, p, project)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fp_groups(), fp_groups(), fp_groups(), st.data())
+def test_hom_basis_products_match_unit_vector_reference(a, b, c, data):
+    psi = data.draw(ab_homs(source=b, target=c))
+    hab, hac = HomBasis(a, b), HomBasis(a, c)
+    post = unit_columns(hab.group.ngens,
+                        lambda e: hac.coords_of(psi.compose(hab.to_hom(e))),
+                        hac.group.ngens)
+    assert hab.postcompose(hac, psi) == AbHom(hab.group, hac.group, post)
+    chi = data.draw(ab_homs(source=c, target=a))
+    hcb = HomBasis(c, b)
+    pre = unit_columns(hab.group.ngens,
+                       lambda e: hcb.coords_of(hab.to_hom(e).compose(chi)),
+                       hcb.group.ngens)
+    assert hab.precompose(hcb, chi) == AbHom(hab.group, hcb.group, pre)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tensor_induced_matches_unit_vector_reference(data):
+    a, b = data.draw(fp_groups()), data.draw(fp_groups())
+    f = data.draw(ab_homs(source=a))
+    g = data.draw(ab_homs(source=b))
+    tb, tb2 = TensorBasis(a, b), TensorBasis(f.target, g.target)
+
+    def image(e):
+        out = [0] * len(tb2.entries)
+        for coeff, (x, y, _) in zip(tb.group.representative(e), tb.entries):
+            for x2, fx in enumerate(f.matrix.column(x)):
+                for y2, gy in enumerate(g.matrix.column(y)):
+                    k = tb2.index.get((x2, y2))
+                    if k is not None:
+                        out[k] += coeff * fx * gy
+        return tb2.group.to_canonical(out)
+
+    ref = unit_columns(tb.group.ngens, image, tb2.group.ngens)
+    assert tb.induced(tb2, f, g) == AbHom(tb.group, tb2.group, ref)
