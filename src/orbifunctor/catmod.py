@@ -320,9 +320,9 @@ def module_kernel(mm: ModuleMap):
     for f in cat.morphisms:
         src_obj, tgt_obj = _action_endpoints(mm.source, f)
         inc_s = data[src_obj][2]
-        grp_t, basis_t, _ = data[tgt_obj]
+        grp_t, lattice_t, _ = data[tgt_obj]
         moved = mm.source.actions[f].compose(inc_s)
-        cols = [express_in_kernel(grp_t, basis_t, mm.source.values[tgt_obj], col)
+        cols = [express_in_kernel(grp_t, lattice_t, mm.source.values[tgt_obj], col)
                 for col in moved.matrix.columns()]
         mat = IntMatrix.from_columns(cols, nrows=grp_t.ngens)
         actions[f] = AbHom(values[src_obj], values[tgt_obj], mat)

@@ -70,6 +70,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 
 from .exact_abelian import AbHom, FpAbGroup, IntMatrix, format_group
 from .fincat import (
@@ -172,6 +173,26 @@ def _require(data, key, path, kind=None):
               f"wrong type: expected {getattr(kind, '__name__', kind)}, "
               f"got {type(value).__name__}")
     return value
+
+
+def _list_in(value, path):
+    if not isinstance(value, list):
+        _fail(path, f"expected a list, got {value!r}")
+    return value
+
+
+def _member(value, path, pool, what):
+    # `in` on a tuple compares with ==, so an unhashable value is refused too
+    x = _tuplify(value)
+    if x not in pool:
+        _fail(path, f"{value!r} is not a {what}")
+    return x
+
+
+def _elements(value, path, group):
+    """A JSON list of elements of `group`, as a tuple."""
+    return tuple(_member(x, path, group.elements, "group element")
+                 for x in _list_in(value, path))
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +300,21 @@ def encode_family(family: SubgroupFamily):
 
 def decode_family(data, path, group):
     kind = _require(data, "kind", path)
-    if kind == "all":
-        return SubgroupFamily.all(group)
-    if kind == "trivial":
-        return SubgroupFamily.trivial(group)
-    if kind in ("members", "closure"):
-        field = "members" if kind == "members" else "seeds"
-        raw = _require(data, field, path, list)
-        subs = [frozenset(_tuplify(m)) for m in raw]
-        try:
+    try:
+        if kind == "all":
+            return SubgroupFamily.all(group)
+        if kind == "trivial":
+            return SubgroupFamily.trivial(group)
+        if kind in ("members", "closure"):
+            field = "members" if kind == "members" else "seeds"
+            raw = _require(data, field, path, list)
+            subs = [frozenset(_elements(m, f"{path}.{field}", group))
+                    for m in raw]
             if kind == "closure":
                 return family_closure(group, subs)
             return SubgroupFamily(group, subs)
-        except ValueError as err:
-            _fail(path, str(err))
+    except ValueError as err:
+        _fail(path, str(err))
     _fail(path, f"unknown family kind {kind!r}")
 
 
@@ -533,26 +555,29 @@ def _decode_cells(data, path, decode_label):
     cells = {}
     for key, labs in raw.items():
         n = _int_in(key, f"{path}.cells")
-        cells[n] = tuple(decode_label(lab) for lab in labs)
+        where = f"{path}.cells.{key}"
+        cells[n] = tuple(decode_label(lab, where)
+                         for lab in _list_in(labs, where))
     return cells
 
 
 def _decode_boundary(data, path, decode_term):
     out = {}
-    for k, entry in enumerate(data.get("boundary", [])):
+    raw = _list_in(data.get("boundary", []), f"{path}.boundary")
+    for k, entry in enumerate(raw):
         where = f"{path}.boundary[{k}]"
         if not isinstance(entry, list) or len(entry) != 3:
             _fail(where, f"expected [degree, cell, terms], got {entry!r}")
         n = _int_in(entry[0], where)
         i = _int_in(entry[1], where)
         terms = []
-        for t, term in enumerate(entry[2]):
+        for t, term in enumerate(_list_in(entry[2], f"{where}.terms")):
             if not isinstance(term, list) or len(term) != 3:
                 _fail(f"{where}.terms[{t}]",
                       f"expected [coeff, cell, attach], got {term!r}")
             terms.append((_int_in(term[0], f"{where}.terms[{t}]"),
                           _int_in(term[1], f"{where}.terms[{t}]"),
-                          decode_term(term[2])))
+                          decode_term(term[2], f"{where}.terms[{t}]")))
         out[(n, i)] = tuple(terms)
     return out
 
@@ -583,8 +608,11 @@ def decode_icw(data, path, ctx):
     if kind == "cells":
         if "category" not in ctx:
             _fail(path, "cells kind needs the category section")
-        cells = _decode_cells(data, path, _tuplify)
-        boundary = _decode_boundary(data, path, _tuplify)
+        cat = ctx["category"]
+        cells = _decode_cells(data, path, partial(
+            _member, pool=cat.objects, what="base object"))
+        boundary = _decode_boundary(data, path, partial(
+            _member, pool=cat.morphisms, what="base morphism"))
         valid = data.get("truncation_valid")
         if valid is not None:
             valid = _int_in(valid, f"{path}.truncation_valid")
@@ -609,8 +637,9 @@ def encode_gcw(x: GCWComplex):
 def decode_gcw(data, path, ctx):
     if "group" not in ctx:
         _fail(path, "gcw section needs the group section")
-    cells = _decode_cells(data, path, _tuplify)
-    boundary = _decode_boundary(data, path, _tuplify)
+    elements = partial(_elements, group=ctx["group"])
+    cells = _decode_cells(data, path, elements)
+    boundary = _decode_boundary(data, path, elements)
     try:
         return GCWComplex(ctx["group"], cells, boundary)
     except ValueError as err:
@@ -823,6 +852,8 @@ def parse_manifest(text: str) -> Manifest:
 
 
 def _decode_instance(data, path, ctx):
+    if not isinstance(data, dict):
+        _fail(path, f"expected an object, got {type(data).__name__}")
     for need in ("category", "group", "family", "gcw", "bifunctor"):
         if need not in ctx:
             _fail(path, f"dangling reference, no {need} section")

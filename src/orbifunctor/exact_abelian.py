@@ -477,17 +477,14 @@ def solve(a: IntMatrix, b) -> list | None:
 
 
 def _solve_reduced(st, b):
-    # x with A x = b from the diagonalized state of A (u and v kept), or None
-    c = [sum(q * x for q, x in zip(row, b) if q) for row in st.u]
-    y = []
-    for k in range(st.rank):
-        q, r = divmod(c[k], st.s[k][k])
-        if r:
-            return None
-        y.append(q)
-    if any(c[st.rank:]):
+    # x with A x = b from the diagonalized state of A (u and v kept), or None;
+    # both products visit only the nonzero entries of their vector
+    nz = [(j, x) for j, x in enumerate(b) if x]
+    c = [sum(row[j] * x for j, x in nz) for row in st.u]
+    if any(c[st.rank:]) or any(c[k] % st.s[k][k] for k in range(st.rank)):
         return None
-    return [sum(row[k] * y[k] for k in range(st.rank) if y[k]) for row in st.v]
+    y = [(k, c[k] // st.s[k][k]) for k in range(st.rank) if c[k]]
+    return [sum(row[k] * q for k, q in y) for row in st.v]
 
 
 def solve_mod(a: IntMatrix, b, moduli) -> list | None:
@@ -822,11 +819,12 @@ def _torsion_columns(g: FpAbGroup) -> IntMatrix:
 
 
 def hom_kernel(f: AbHom):
-    """(kernel group, lattice basis of kernel representatives, inclusion).
+    """(kernel group, kernel lattice, inclusion).
 
-    The lattice basis columns live in source canonical coordinates; the kernel
-    group's witness is taken over that basis, so `inclusion` transports
-    canonical kernel generators into the source.
+    The kernel lattice is a `LatticeBasis` of kernel representatives in
+    source canonical coordinates, reduced once; `express_in_kernel` reuses
+    that reduction.  The kernel group's witness is taken over that basis, so
+    `inclusion` transports canonical kernel generators into the source.
     """
     src, tgt = f.source, f.target
     stacked = f.matrix.hstack(_torsion_columns(tgt))
@@ -835,11 +833,11 @@ def hom_kernel(f: AbHom):
     # torsion tail columns are independent), so the projected columns are
     # already a lattice basis.
     basis = IntMatrix(src.ngens, full.ncols, nonzeros=full.nonzeros[:src.ngens])
+    lattice = LatticeBasis(basis)
     if basis.ncols:
-        lat = LatticeBasis(basis)
         rel_cols = []
         for vec in _torsion_columns(src).columns():
-            coords = lat.coordinates(vec)
+            coords = lattice.coordinates(vec)
             if coords is None:
                 raise ArithmeticError("source relation escaped the kernel lattice")
             rel_cols.append(coords)
@@ -848,7 +846,7 @@ def hom_kernel(f: AbHom):
     else:
         grp = FpAbGroup.zero()
         inclusion = AbHom.zero(grp, src)
-    return grp, basis, inclusion
+    return grp, lattice, inclusion
 
 
 def hom_cokernel(f: AbHom):
@@ -860,11 +858,11 @@ def hom_cokernel(f: AbHom):
     return grp, projection
 
 
-def _image_of(f: AbHom, basis: IntMatrix):
+def _image_of(f: AbHom, lattice: LatticeBasis):
     """(image group, mono into target, epi from source), given the kernel
-    lattice basis of f."""
+    lattice of f."""
     # image = Z^{source gens} / (preimage lattice of 0)
-    grp = cokernel_presentation(basis)
+    grp = cokernel_presentation(lattice.matrix)
     epi = AbHom(f.source, grp, grp.to_can)
     mono = AbHom(grp, f.target, f.matrix * grp.reps)
     return grp, mono, epi
@@ -872,15 +870,15 @@ def _image_of(f: AbHom, basis: IntMatrix):
 
 def hom_image(f: AbHom):
     """(image group, mono into target, epi from source)."""
-    _, basis, _ = hom_kernel(f)
-    return _image_of(f, basis)
+    _, lattice, _ = hom_kernel(f)
+    return _image_of(f, lattice)
 
 
 def hom_kernel_cokernel(f: AbHom):
     """(kernel, cokernel, image) canonical forms; 0→ker→A→B→coker→0 is exact."""
-    ker, basis, _ = hom_kernel(f)
+    ker, lattice, _ = hom_kernel(f)
     coker, _ = hom_cokernel(f)
-    image, _, _ = _image_of(f, basis)
+    image, _, _ = _image_of(f, lattice)
     return ker, coker, image
 
 
@@ -925,18 +923,19 @@ def solve_image_membership(f: AbHom, y):
     return None, residue
 
 
-def express_in_kernel(kernel_group: FpAbGroup, basis: IntMatrix,
+def express_in_kernel(kernel_group: FpAbGroup, lattice: LatticeBasis,
                       source: FpAbGroup, vec):
     """Canonical kernel coordinates of a source element lying in the kernel.
 
-    `kernel_group` and `basis` must come from hom_kernel on a map out of
-    `source`.  Raises if the element is not actually in the kernel subgroup.
+    `kernel_group` and `lattice` must come from hom_kernel on a map out of
+    `source`, which checked that the source relations lie in the lattice; so
+    lattice coordinates are right up to a kernel relation, which
+    `to_canonical` removes.  Raises if the element is not in the kernel.
     """
-    aug = basis.hstack(_torsion_columns(source))
-    x = solve(aug, source.reduce(vec))
+    x = lattice.coordinates(source.reduce(vec))
     if x is None:
         raise ValueError("element does not lie in the kernel subgroup")
-    return kernel_group.to_canonical(x[: basis.ncols])
+    return kernel_group.to_canonical(x)
 
 
 def quotient_group(g: FpAbGroup, relation_vectors):

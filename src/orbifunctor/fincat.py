@@ -19,6 +19,9 @@ from itertools import product
 # group_analysis and the subgroup lattice walk every subset chain; keep the
 # exhaustive algorithms honest by refusing huge groups outright.
 GROUP_ORDER_BOUND = 24
+# The truncated index categories grow cubically in their size and their
+# composition tables quadratically in that; refuse sizes past this outright.
+CATEGORY_SIZE_BOUND = 24
 
 
 class FinGroup:
@@ -700,8 +703,8 @@ def standard_category(kind: str, truncation: int) -> FinCategory:
     kind "grid": mor(m, n) = {(i, j) : i, j >= 0, i + j = n - m}, composed
     componentwise.
     """
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
+    if not 0 <= truncation <= CATEGORY_SIZE_BOUND:
+        raise ValueError(f"truncation must be in [0, {CATEGORY_SIZE_BOUND}]")
     objects = list(range(truncation + 1))
     if kind == "chain":
         morphisms = [(i, j) for i in objects for j in objects if i <= j]

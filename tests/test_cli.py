@@ -4,9 +4,11 @@ The shipped scenario file doubles as a fixture: parsing it, verifying it,
 and checking the report bytes do not drift between runs.
 """
 
+import copy
 import importlib.resources
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -25,6 +27,7 @@ from orbifunctor.cellspaces import classifying_model, reflection_circle
 from orbifunctor.verify import GradedSeqSpec, transport_pi0_module
 from orbifunctor.cli import (
     ManifestError,
+    Report,
     decode_abelian,
     decode_bifunctor,
     decode_category,
@@ -411,3 +414,75 @@ class TestReports:
                                          "torsion": ["2", "4"]}}}}))
         rep = run("homology", m)
         assert rep.groups[0]["value"] == "Z^2 ⊕ Z/2 ⊕ Z/4"
+
+
+class _Overrun(BaseException):
+    """Raised by the per-case alarm; no handler in the program catches it."""
+
+
+def _raise_overrun(signum, frame):
+    raise _Overrun()
+
+
+_DELETE = object()
+_MUTATIONS = (None, 7, "7", [], {}, "-1", "abc", [[]], "0", "1000", _DELETE)
+
+
+def _field_paths(node, prefix=()):
+    """Every object field and list entry below `node`, depth first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _mutated(base, path, value):
+    data = copy.deepcopy(base)
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    if value is _DELETE:
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = value
+    return json.dumps(data)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_every_single_field_mutation_ends_in_a_report_or_input_error():
+    # Each field of the shipped manifest in turn is replaced by one of a few
+    # ill-typed or out-of-range values, or deleted.  verify-theorem must then
+    # give a report (exit 0 or 1) or a ManifestError (exit 2) within a
+    # bounded time: never another exception, never a hang.
+    base = json.loads(shipped_text())
+    previous = signal.signal(signal.SIGALRM, _raise_overrun)
+    bad = []
+    cases = 0
+    try:
+        for path in list(_field_paths(base)):
+            for value in _MUTATIONS:
+                cases += 1
+                text = _mutated(base, path, value)
+                signal.alarm(10)
+                try:
+                    outcome = run("verify-theorem", parse_manifest(text))
+                except ManifestError as err:
+                    outcome = err
+                except _Overrun:
+                    outcome = "no answer within 10 s"
+                except Exception as err:
+                    outcome = f"{type(err).__name__}: {err}"
+                finally:
+                    signal.alarm(0)
+                if not isinstance(outcome, (Report, ManifestError)):
+                    shown = "deleted" if value is _DELETE else repr(value)
+                    bad.append(f"{path} = {shown}: {outcome}")
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert cases == 561
+    assert bad == []

@@ -724,3 +724,147 @@ def test_tensor_induced_matches_unit_vector_reference(data):
 
     ref = unit_columns(tb.group.ngens, image, tb2.group.ngens)
     assert tb.induced(tb2, f, g) == AbHom(tb.group, tb2.group, ref)
+
+
+# -- kernel coordinates from the kernel lattice's own reduction -------------
+#
+# The reference is the route express_in_kernel took before it reused the
+# lattice hom_kernel reduces: one full solve against the kernel basis
+# stacked with the source's torsion relations.  It is kept here on purpose.
+
+
+def express_in_kernel_reference(kernel_group, basis, source, vec):
+    x = solve(basis.hstack(ea._torsion_columns(source)), source.reduce(vec))
+    if x is None:
+        raise ValueError("element does not lie in the kernel subgroup")
+    return kernel_group.to_canonical(x[: basis.ncols])
+
+
+def dense_solve_reduced(st_, b):
+    """The dense dot-product loop the sparse _solve_reduced replaced."""
+    c = [sum(q * x for q, x in zip(row, b) if q) for row in st_.u]
+    y = []
+    for k in range(st_.rank):
+        q, r = divmod(c[k], st_.s[k][k])
+        if r:
+            return None
+        y.append(q)
+    if any(c[st_.rank:]):
+        return None
+    return [sum(row[k] * y[k] for k in range(st_.rank) if y[k]) for row in st_.v]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ab_homs(), st.data())
+def test_express_in_kernel_matches_stacked_solve(f, data):
+    ker, lattice, inc = hom_kernel(f)
+    src = f.source
+    # a kernel member, shifted by a random multiple of the source relations
+    k = data.draw(st.lists(small, min_size=ker.ngens, max_size=ker.ngens))
+    shift = [data.draw(small) * m for m in src.moduli()]
+    member = [x + s for x, s in zip(inc.apply(k), shift)]
+    got = ea.express_in_kernel(ker, lattice, src, member)
+    assert got == express_in_kernel_reference(ker, lattice.matrix, src, member)
+    assert got == ker.reduce(k)
+    # an arbitrary element: both routes agree, or both refuse it
+    vec = data.draw(st.lists(small, min_size=src.ngens, max_size=src.ngens))
+    if any(f.apply(vec)):
+        with pytest.raises(ValueError):
+            ea.express_in_kernel(ker, lattice, src, vec)
+        with pytest.raises(ValueError):
+            express_in_kernel_reference(ker, lattice.matrix, src, vec)
+    else:
+        assert (ea.express_in_kernel(ker, lattice, src, vec)
+                == express_in_kernel_reference(ker, lattice.matrix, src, vec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(max_rows=5, max_cols=5, entries=mostly_zero), st.data())
+def test_sparse_solve_reduced_matches_dense(a, data):
+    st_ = ea._SnfState(a, need_u=True, need_uinv=False, need_v=True).diagonalize()
+    x = data.draw(st.lists(mostly_zero, min_size=a.ncols, max_size=a.ncols))
+    member = a.apply(x)
+    got = ea._solve_reduced(st_, member)
+    assert got == dense_solve_reduced(st_, member)
+    assert got is not None and a.apply(got) == member
+    # an arbitrary right-hand side is most often inconsistent
+    b = data.draw(st.lists(mostly_zero, min_size=a.nrows, max_size=a.nrows))
+    got = ea._solve_reduced(st_, b)
+    assert got == dense_solve_reduced(st_, b)
+    assert got is None or a.apply(got) == b
+
+
+def test_sparse_solve_reduced_refuses_inconsistent_systems():
+    a = IntMatrix.from_rows([[2, 0], [0, 0]])
+    st_ = ea._SnfState(a, need_u=True, need_uinv=False, need_v=True).diagonalize()
+    for b in ([1, 0], [0, 1], [2, 3]):
+        assert ea._solve_reduced(st_, b) is None
+        assert dense_solve_reduced(st_, b) is None
+    assert ea._solve_reduced(st_, [4, 0]) == dense_solve_reduced(st_, [4, 0])
+
+
+def count_smith_reductions(monkeypatch):
+    calls = []
+    original = ea._SnfState.diagonalize
+
+    def counting(self):
+        calls.append((self.m, self.n))
+        return original(self)
+    monkeypatch.setattr(ea._SnfState, "diagonalize", counting)
+    return calls
+
+
+def test_homology_classes_run_no_further_smith_reduction(monkeypatch):
+    # Z --(2,2,0)--> Z^3 --(1,-1,0)--> Z: H = Z/2 ⊕ Z
+    z, z3 = FpAbGroup.free(1), FpAbGroup.free(3)
+    d_in = AbHom(z, z3, IntMatrix.from_rows([[2], [2], [0]]))
+    d_out = AbHom(z3, z, IntMatrix.from_rows([[1, -1, 0]]))
+    calls = count_smith_reductions(monkeypatch)
+    h = ea.HomologyData(d_in, d_out)
+    assert h.group == FpAbGroup.from_invariants(1, [2])
+    built = len(calls)
+    classes = {tuple(h.class_of([a, a, b])) for a in range(-6, 7)
+               for b in range(-3, 4)}
+    assert len(calls) == built
+    assert len(classes) == 2 * 7      # a mod 2, and b itself
+    with pytest.raises(ValueError):
+        h.class_of([1, 0, 0])
+    assert len(calls) == built
+
+
+def test_hom_coordinates_run_no_further_smith_reduction(monkeypatch):
+    from orbifunctor.catmod import CatHomGroup, ModuleMap, free_module
+    from orbifunctor.fincat import FinGroup, SubgroupFamily, orbit_category
+    g = FinGroup.cyclic(2)
+    cat = orbit_category(g, SubgroupFamily.all(g))
+    mod, _ = free_module(cat, list(cat.objects), "contra")
+    hg = CatHomGroup(mod, mod)
+    other = CatHomGroup(mod, mod)
+    ident = ModuleMap.identity(mod)
+    triple = ident.add(ident).add(ident)
+    calls = count_smith_reductions(monkeypatch)
+    for j in range(hg.group.ngens):
+        e = [1 if i == j else 0 for i in range(hg.group.ngens)]
+        assert hg.coords_of(hg.to_module_map(e)) == e
+    moved = hg.postcompose_map(other, triple)
+    assert moved.apply(hg.coords_of(ident)) == other.coords_of(triple)
+    assert hg.precompose_map(other, triple) == moved
+    assert calls == []
+
+
+# -- an independent Smith oracle -------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_smith_and_cokernel_match_sympy(a):
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+    flat = [x for row in a.rows for x in row]
+    factors = invariant_factors(Matrix(a.nrows, a.ncols, flat), domain=ZZ)
+    nonzero = [int(d) for d in factors if d != 0]
+    assert list(smith_normal_form(a).divisors) == nonzero
+    g = cokernel_presentation(a)
+    assert g.rank == a.nrows - len(nonzero)
+    assert list(g.torsion) == [d for d in nonzero if d > 1]

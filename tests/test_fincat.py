@@ -10,6 +10,7 @@ from orbifunctor.fincat import (
     CatFunctor,
     FinCategory,
     FinGroup,
+    CATEGORY_SIZE_BOUND,
     GROUP_ORDER_BOUND,
     SubgroupFamily,
     coset_g_set,
@@ -335,6 +336,9 @@ def test_standard_category_errors():
         standard_category("ladder", 2)
     with pytest.raises(ValueError):
         standard_category("chain", -1)
+    for kind in ("chain", "grid"):
+        with pytest.raises(ValueError, match="truncation"):
+            standard_category(kind, CATEGORY_SIZE_BOUND + 1)
 
 
 def test_one_object_category():
