@@ -198,13 +198,9 @@ def validate_module_map(mm: ModuleMap) -> list:
     if problems:
         return problems
     for f in cat.morphisms:
-        a, b = cat.dom[f], cat.cod[f]
-        if mm.source.variance == COVARIANT:
-            lhs = mm.target.actions[f].compose(mm.components[a])
-            rhs = mm.components[b].compose(mm.source.actions[f])
-        else:
-            lhs = mm.components[a].compose(mm.source.actions[f])
-            rhs = mm.target.actions[f].compose(mm.components[b])
+        s, t = _action_endpoints(mm.source, f)
+        lhs = mm.target.actions[f].compose(mm.components[s])
+        rhs = mm.components[t].compose(mm.source.actions[f])
         if lhs != rhs:
             problems.append(f"naturality fails at morphism {f!r}")
             return problems
@@ -311,57 +307,50 @@ def _free_map(free: CatModule, target: CatModule, image_column) -> ModuleMap:
 # ---------------------------------------------------------------------------
 
 
+def _objectwise(mm: ModuleMap, build, act):
+    """(module, data) from data[c] = build(component at c), whose first entry
+    is the value at c; act(f, s, t, data) is the action of f from s to t."""
+    cat = mm.source.cat
+    data = {c: build(mm.components[c]) for c in cat.objects}
+    actions = {f: act(f, *_action_endpoints(mm.source, f), data)
+               for f in cat.morphisms}
+    return CatModule(cat, mm.source.variance,
+                     {c: data[c][0] for c in cat.objects}, actions), data
+
+
 def module_kernel(mm: ModuleMap):
     """(kernel module, inclusion).  Objectwise kernels with induced actions."""
-    cat = mm.source.cat
-    data = {c: hom_kernel(mm.components[c]) for c in cat.objects}
-    values = {c: data[c][0] for c in cat.objects}
-    actions = {}
-    for f in cat.morphisms:
-        src_obj, tgt_obj = _action_endpoints(mm.source, f)
-        inc_s = data[src_obj][2]
-        grp_t, lattice_t, _ = data[tgt_obj]
-        moved = mm.source.actions[f].compose(inc_s)
-        cols = [express_in_kernel(grp_t, lattice_t, mm.source.values[tgt_obj], col)
+    def act(f, s, t, data):
+        grp_t, lattice_t, _ = data[t]
+        moved = mm.source.actions[f].compose(data[s][2])
+        cols = [express_in_kernel(grp_t, lattice_t, mm.source.values[t], col)
                 for col in moved.matrix.columns()]
-        mat = IntMatrix.from_columns(cols, nrows=grp_t.ngens)
-        actions[f] = AbHom(values[src_obj], values[tgt_obj], mat)
-    kernel = CatModule(cat, mm.source.variance, values, actions)
-    inclusion = ModuleMap(kernel, mm.source,
-                          {c: data[c][2] for c in cat.objects})
-    return kernel, inclusion
+        return AbHom(data[s][0], grp_t,
+                     IntMatrix.from_columns(cols, nrows=grp_t.ngens))
+
+    kernel, data = _objectwise(mm, hom_kernel, act)
+    return kernel, ModuleMap(kernel, mm.source,
+                             {c: data[c][2] for c in mm.source.cat.objects})
 
 
 def module_cokernel(mm: ModuleMap):
     """(cokernel module, projection).  Objectwise cokernels, induced actions."""
-    cat = mm.source.cat
-    data = {c: hom_cokernel(mm.components[c]) for c in cat.objects}
-    values = {c: data[c][0] for c in cat.objects}
-    actions = {}
-    for f in cat.morphisms:
-        src_obj, tgt_obj = _action_endpoints(mm.target, f)
-        # cokernels are presented on target-canonical generators, so the
-        # action of the target module is the presentation-level map
-        actions[f] = hom_from_presentation(values[src_obj], values[tgt_obj],
-                                           mm.target.actions[f].matrix)
-    coker = CatModule(cat, mm.target.variance, values, actions)
-    projection = ModuleMap(mm.target, coker,
-                           {c: data[c][1] for c in cat.objects})
-    return coker, projection
+    # cokernels are presented on target-canonical generators, so the action
+    # of the target module is the presentation-level map
+    coker, data = _objectwise(mm, hom_cokernel, lambda f, s, t, data:
+                              hom_from_presentation(data[s][0], data[t][0],
+                                                    mm.target.actions[f].matrix))
+    return coker, ModuleMap(mm.target, coker,
+                            {c: data[c][1] for c in mm.source.cat.objects})
 
 
 def module_image(mm: ModuleMap):
     """(image module, mono into target, epi from source)."""
+    # images are presented on source-canonical generators
+    image, data = _objectwise(mm, hom_image, lambda f, s, t, data:
+                              hom_from_presentation(data[s][0], data[t][0],
+                                                    mm.source.actions[f].matrix))
     cat = mm.source.cat
-    data = {c: hom_image(mm.components[c]) for c in cat.objects}
-    values = {c: data[c][0] for c in cat.objects}
-    actions = {}
-    for f in cat.morphisms:
-        src_obj, tgt_obj = _action_endpoints(mm.source, f)
-        # images are presented on source-canonical generators
-        actions[f] = hom_from_presentation(values[src_obj], values[tgt_obj],
-                                           mm.source.actions[f].matrix)
-    image = CatModule(cat, mm.source.variance, values, actions)
     mono = ModuleMap(image, mm.target, {c: data[c][1] for c in cat.objects})
     epi = ModuleMap(mm.source, image, {c: data[c][2] for c in cat.objects})
     return image, mono, epi
@@ -447,15 +436,9 @@ class CatTensor:
         return (self.big.inject(self.part_index[c]).matrix
                 * (tb.group.to_can * pairs))
 
-    def _accumulate(self, raw, c, part_vec, sign):
-        off = self.big.offsets[self.part_index[c]]
-        for k, v in enumerate(part_vec):
-            raw[off + k] += sign * v
-
     def class_of_pure(self, c, x, y):
         """Class of the elementary tensor x ⊗ y sitting at object c."""
-        raw = [0] * self.big.total_gens
-        self._accumulate(raw, c, self.tensors[c].pure(x, y), 1)
+        raw = self.big.embed(self.part_index[c], self.tensors[c].pure(x, y))
         return self.projection.apply(self.big.group.to_canonical(raw))
 
     def pure_map(self, c, a) -> AbHom:
@@ -527,22 +510,18 @@ class CatHomGroup:
         for f in cat.morphisms:
             if cat.is_identity(f):
                 continue
-            a, b = cat.dom[f], cat.cod[f]
+            # f acts from s to t; N(f)∘τ_s − τ_t∘M(f) : Hom(M(s), N(t)) when
+            # covariant, its negative when contravariant
+            s, t = _action_endpoints(source, f)
+            mixed = HomBasis(source.values[s], target.values[t])
+            post = self.bases[s].postcompose(mixed, target.actions[f]).compose(
+                self.big.project(cat.objects.index(s)))
+            pre = self.bases[t].precompose(mixed, source.actions[f]).compose(
+                self.big.project(cat.objects.index(t)))
             if source.variance == COVARIANT:
-                # N(f)∘τ_a - τ_b∘M(f) : Hom(M(a), N(b))
-                mixed = HomBasis(source.values[a], target.values[b])
-                m1 = self.bases[a].postcompose(mixed, target.actions[f])
-                m2 = self.bases[b].precompose(mixed, source.actions[f])
-                ia, ib = cat.objects.index(a), cat.objects.index(b)
+                constraints.append(post.add(pre.negate()))
             else:
-                # τ_a∘M(f) - N(f)∘τ_b : Hom(M(b), N(a))
-                mixed = HomBasis(source.values[b], target.values[a])
-                m1 = self.bases[a].precompose(mixed, source.actions[f])
-                m2 = self.bases[b].postcompose(mixed, target.actions[f])
-                ia, ib = cat.objects.index(a), cat.objects.index(b)
-            part = m1.compose(self.big.project(ia)).add(
-                m2.compose(self.big.project(ib)).negate())
-            constraints.append(part)
+                constraints.append(pre.add(post.negate()))
         tgt_sum = DirectSum([p.target for p in constraints])
         delta = tgt_sum.hom_into(self.big.group, constraints)
         self.group, self.kernel_basis, self.inclusion = hom_kernel(delta)
@@ -623,28 +602,6 @@ def restrict_module(func: CatFunctor, module: CatModule) -> CatModule:
     return CatModule(func.source, module.variance, values, actions)
 
 
-def _mor_free(func, d, variance):
-    """Module c ↦ Z[mor_D(d, F c)] (covariant) or c ↦ Z[mor_D(F c, d)]
-    (contravariant) over the functor's source, with its basis and index."""
-    cat_c, cat_d = func.source, func.target
-    co = variance == COVARIANT
-    basis = {c: cat_d.mor(d, func.obj_map[c]) if co else cat_d.mor(func.obj_map[c], d)
-             for c in cat_c.objects}
-    values = {c: FpAbGroup.free(len(basis[c])) for c in cat_c.objects}
-    index = {c: {m: k for k, m in enumerate(basis[c])} for c in cat_c.objects}
-    actions = {}
-    for f in cat_c.morphisms:
-        # covariant: alpha ↦ alpha then F(f); contravariant: beta ↦ F(f) then beta
-        a, b, g = cat_c.dom[f], cat_c.cod[f], func.mor_map[f]
-        src, tgt = (a, b) if co else (b, a)
-        moved = [cat_d.compose(m, g) if co else cat_d.compose(g, m) for m in basis[src]]
-        actions[f] = AbHom(values[src], values[tgt],
-                           IntMatrix.selection(len(basis[tgt]),
-                                               [index[tgt][m] for m in moved]),
-                           check=False)
-    return CatModule(cat_c, variance, values, actions), basis, index
-
-
 def induce_module(func: CatFunctor, module: CatModule) -> CatModule:
     """Left Kan extension of a module along a functor.
 
@@ -656,10 +613,13 @@ def induce_module(func: CatFunctor, module: CatModule) -> CatModule:
         raise ValueError("module does not live over the functor's source")
     cat_d = func.target
     contra = module.variance == CONTRAVARIANT
-    helpers = {d: _mor_free(func, d, COVARIANT if contra else CONTRAVARIANT)
-               for d in cat_d.objects}
-    tens = {d: CatTensor(module, helpers[d][0]) if contra
-            else CatTensor(helpers[d][0], module) for d in cat_d.objects}
+    # the free module on d over the target, c ↦ Z[mor(d, F c)] (covariant)
+    # or Z[mor(F c, d)] (contravariant), restricted to the source
+    frees = {d: free_module(cat_d, [d], COVARIANT if contra else CONTRAVARIANT)[0]
+             for d in cat_d.objects}
+    helpers = {d: restrict_module(func, frees[d]) for d in cat_d.objects}
+    tens = {d: CatTensor(module, helpers[d]) if contra
+            else CatTensor(helpers[d], module) for d in cat_d.objects}
     values = {d: tens[d].group for d in cat_d.objects}
     actions = {}
     for psi in cat_d.morphisms:
@@ -668,16 +628,17 @@ def induce_module(func: CatFunctor, module: CatModule) -> CatModule:
         # then alpha; covariant: value(d1) -> value(d2), beta ∈ mor(Fc, d1) ↦
         # beta then psi
         src_d, tgt_d = (d2, d1) if contra else (d1, d2)
-        w_src, basis_src, _ = helpers[src_d]
-        w_tgt, _, index_tgt = helpers[tgt_d]
         comps = {}
         for c in func.source.objects:
-            moved = [cat_d.compose(psi, m) if contra else cat_d.compose(m, psi)
-                     for m in basis_src[c]]
-            mat = IntMatrix.selection(w_tgt.values[c].ngens,
-                                      [index_tgt[c][m] for m in moved])
-            comps[c] = AbHom(w_src.values[c], w_tgt.values[c], mat, check=False)
-        mm = ModuleMap(w_src, w_tgt, comps)
+            basis_tgt = frees[tgt_d].free_basis[func.obj_map[c]]
+            index_tgt = {lab: k for k, lab in enumerate(basis_tgt)}
+            moved = [(0, cat_d.compose(psi, m) if contra else cat_d.compose(m, psi))
+                     for _, m in frees[src_d].free_basis[func.obj_map[c]]]
+            mat = IntMatrix.selection(len(basis_tgt),
+                                      [index_tgt[lab] for lab in moved])
+            comps[c] = AbHom(helpers[src_d].values[c], helpers[tgt_d].values[c],
+                             mat, check=False)
+        mm = ModuleMap(helpers[src_d], helpers[tgt_d], comps)
         actions[psi] = (tens[src_d].induced(tens[tgt_d], None, mm) if contra
                         else tens[src_d].induced(tens[tgt_d], mm, None))
     return CatModule(cat_d, module.variance, values, actions)
@@ -780,12 +741,9 @@ def product_module(modules) -> ProductData:
     values = {c: sums[c].group for c in cat.objects}
     actions = {}
     for f in cat.morphisms:
-        if variance == COVARIANT:
-            src_obj, tgt_obj = cat.dom[f], cat.cod[f]
-        else:
-            src_obj, tgt_obj = cat.cod[f], cat.dom[f]
+        s, t = _action_endpoints(modules[0], f)
         blocks = {(i, i): m.actions[f] for i, m in enumerate(modules)}
-        actions[f] = block_hom(sums[src_obj], sums[tgt_obj], blocks)
+        actions[f] = block_hom(sums[s], sums[t], blocks)
     return ProductData(CatModule(cat, variance, values, actions), sums)
 
 

@@ -396,6 +396,14 @@ def underlying_cells(x: GCWComplex, n: int) -> GSetAction:
 # ---------------------------------------------------------------------------
 
 
+# The bar complex has |G|^T generators in its top degree alone, and its
+# boundary and tensor totals grow with them (C_2 at T = 8: 256 tuples, about
+# 1 s for a Borel check of a point; T = 10: 1,024 tuples, about a minute);
+# refuse larger |G|^T, and T itself past the bound (the trivial group), before
+# any tuple is listed.
+BAR_TUPLE_BOUND = 256
+
+
 def _bar_data(group: FinGroup, truncation: int):
     """Truncated simplicial bar complex over the one-object category.
 
@@ -410,6 +418,10 @@ def _bar_data(group: FinGroup, truncation: int):
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
+    if truncation > BAR_TUPLE_BOUND or group.order ** truncation > BAR_TUPLE_BOUND:
+        raise ValueError(f"bar truncation {truncation} over a group of order "
+                         f"{group.order}: T and |G|^T must be at most "
+                         f"{BAR_TUPLE_BOUND}")
     ocat = one_object_category(group)
     obj = ocat.objects[0]
     tuples = {n: list(product(group.elements, repeat=n))

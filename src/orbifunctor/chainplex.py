@@ -33,6 +33,7 @@ from .catmod import (
     CatModule,
     CatTensor,
     ModuleMap,
+    _action_endpoints,
     zero_module,
 )
 
@@ -297,38 +298,35 @@ class BiFunctorComplex:
     def column_complex_at(self, j) -> CatChainComplex:
         """E(-, j): a contravariant complex of modules over the index base."""
         cat = self.index_base
-        modules = {}
-        diffs = {}
-        for q in range(self.lo, self.hi + 1):
-            values = {i: self.complexes[(i, j)].group(q) for i in cat.objects}
-            actions = {}
-            for phi in cat.morphisms:
-                actions[phi] = self.index_action[(phi, j)].component(q)
-            modules[q] = CatModule(cat, "contra", values, actions)
-        for q in range(self.lo + 1, self.hi + 1):
-            diffs[q] = ModuleMap(modules[q], modules[q - 1],
-                                 {i: self.complexes[(i, j)].differential(q)
-                                  for i in cat.objects})
-        return CatChainComplex(cat, "contra", self.lo, self.hi,
-                               modules, diffs, check=False)
+        return _glue(cat, "contra", {i: self.complexes[(i, j)] for i in cat.objects},
+                     lambda phi, _s, _t, q: self.index_action[(phi, j)].component(q),
+                     check=False)
 
     def row_complex_at(self, i) -> CatChainComplex:
         """E(i, -): a covariant complex of modules over the coefficient base."""
         cat = self.coeff_base
-        modules = {}
-        diffs = {}
-        for q in range(self.lo, self.hi + 1):
-            values = {j: self.complexes[(i, j)].group(q) for j in cat.objects}
-            actions = {}
-            for psi in cat.morphisms:
-                actions[psi] = self.coeff_action[(i, psi)].component(q)
-            modules[q] = CatModule(cat, "co", values, actions)
-        for q in range(self.lo + 1, self.hi + 1):
-            diffs[q] = ModuleMap(modules[q], modules[q - 1],
-                                 {j: self.complexes[(i, j)].differential(q)
-                                  for j in cat.objects})
-        return CatChainComplex(cat, "co", self.lo, self.hi,
-                               modules, diffs, check=False)
+        return _glue(cat, "co", {j: self.complexes[(i, j)] for j in cat.objects},
+                     lambda psi, _s, _t, q: self.coeff_action[(i, psi)].component(q),
+                     check=False)
+
+
+def _glue(cat, variance, plain, action, check=True) -> CatChainComplex:
+    """Glue plain complexes, one per object of cat and all on one degree
+    window, into a complex of modules.  action(f, s, t, q) is the degree-q
+    action of the morphism f from the complex at s to the complex at t."""
+    some = next(iter(plain.values()))
+    lo, hi = some.lo, some.hi
+    modules = {}
+    for q in range(lo, hi + 1):
+        # the module names the endpoints of each action, so they come second
+        modules[q] = m = CatModule(cat, variance,
+                                   {x: plain[x].group(q) for x in cat.objects}, {})
+        for f in cat.morphisms:
+            m.actions[f] = action(f, *_action_endpoints(m, f), q)
+    diffs = {q: ModuleMap(modules[q], modules[q - 1],
+                          {x: plain[x].differential(q) for x in cat.objects})
+             for q in range(lo + 1, hi + 1)}
+    return CatChainComplex(cat, variance, lo, hi, modules, diffs, check=check)
 
 
 def validate_bifunctor(e: BiFunctorComplex) -> list:
@@ -498,6 +496,15 @@ def hom_complex_over_cat(source: CatChainComplex,
     return TotalHomComplex(source, target).complex
 
 
+def _blockwise(src, tgt, n, piece) -> AbHom:
+    """Degree-n map between two totals, one block per summand key the two
+    share; piece(key) is the block of that key."""
+    keys = tgt.keys.get(n, ())
+    blocks = {(keys.index(key), jdx): piece(key)
+              for jdx, key in enumerate(src.keys[n]) if key in keys}
+    return block_hom(src.sums[n], tgt.sums[n], blocks)
+
+
 def tensor_total_induced(src: TotalTensorComplex, tgt: TotalTensorComplex,
                          left_maps=None, right_maps=None) -> ChainMap:
     """Blockwise map of tensor totals from degreewise maps of the factors.
@@ -506,20 +513,13 @@ def tensor_total_induced(src: TotalTensorComplex, tgt: TotalTensorComplex,
     Only valid when the given maps are degree-preserving chain maps; the
     ChainMap constructor verifies commutation.
     """
-    comps = {}
-    for n, keys in src.keys.items():
-        if n not in tgt.sums:
-            continue
-        blocks = {}
-        for jdx, key in enumerate(keys):
-            if key not in tgt.keys.get(n, ()):
-                continue
-            idx = tgt.keys[n].index(key)
-            lm = left_maps.get(key[0]) if left_maps else None
-            rm = right_maps.get(key[1]) if right_maps else None
-            blocks[(idx, jdx)] = src.tensors[key].induced(
-                tgt.tensors[key], lm, rm)
-        comps[n] = block_hom(src.sums[n], tgt.sums[n], blocks)
+    left_maps, right_maps = left_maps or {}, right_maps or {}
+
+    def piece(key):
+        return src.tensors[key].induced(tgt.tensors[key], left_maps.get(key[0]),
+                                        right_maps.get(key[1]))
+    comps = {n: _blockwise(src, tgt, n, piece)
+             for n in src.keys if n in tgt.sums}
     return ChainMap(src.complex, tgt.complex, comps)
 
 
@@ -527,17 +527,11 @@ def hom_total_induced(src: TotalHomComplex, tgt: TotalHomComplex,
                       target_maps) -> ChainMap:
     """Postcomposition map of hom totals from degreewise maps E_q -> F_q."""
     comps = {}
-    for n, keys in src.keys.items():
-        if n not in tgt.sums:
-            continue
-        blocks = {}
-        for jdx, p in enumerate(keys):
-            if p not in tgt.keys.get(n, ()):
-                continue
-            idx = tgt.keys[n].index(p)
-            blocks[(idx, jdx)] = src.homs[(p, n)].postcompose_map(
-                tgt.homs[(p, n)], target_maps[p + n])
-        comps[n] = block_hom(src.sums[n], tgt.sums[n], blocks)
+    for n in src.keys:
+        if n in tgt.sums:
+            comps[n] = _blockwise(src, tgt, n, lambda p: src.homs[(p, n)]
+                                  .postcompose_map(tgt.homs[(p, n)],
+                                                   target_maps[p + n]))
     return ChainMap(src.complex, tgt.complex, comps)
 
 
@@ -578,72 +572,42 @@ class ComparisonData:
         self.e = e
 
         # hom_I(D, E(-, j)) per coefficient object, glued into a covariant
-        # complex of modules over J
+        # complex of modules over J: ψ: j1 -> j2 postcomposes with E(-, ψ)
         self.hom_totals = {j: TotalHomComplex(d, e.column_complex_at(j))
                            for j in jcat.objects}
-        some = next(iter(self.hom_totals.values()))
-        hlo, hhi = some.complex.lo, some.complex.hi
-        hmodules = {}
-        hdiffs = {}
-        for n in range(hlo, hhi + 1):
-            values = {j: self.hom_totals[j].complex.group(n)
-                      for j in jcat.objects}
-            actions = {}
-            for psi in jcat.morphisms:
-                j1, j2 = jcat.dom[psi], jcat.cod[psi]
-                t1, t2 = self.hom_totals[j1], self.hom_totals[j2]
-                blocks = {}
-                for jdx, p in enumerate(t1.keys[n]):
-                    idx = t2.keys[n].index(p)
-                    move = ModuleMap(
-                        t1.homs[(p, n)].target, t2.homs[(p, n)].target,
-                        {i: e.coeff_action[(i, psi)].component(p + n)
-                         for i in icat.objects})
-                    blocks[(idx, jdx)] = t1.homs[(p, n)].postcompose_map(
-                        t2.homs[(p, n)], move)
-                actions[psi] = block_hom(t1.sums[n], t2.sums[n], blocks)
-            hmodules[n] = CatModule(jcat, "co", values, actions)
-        for n in range(hlo + 1, hhi + 1):
-            hdiffs[n] = ModuleMap(
-                hmodules[n], hmodules[n - 1],
-                {j: self.hom_totals[j].complex.differential(n)
-                 for j in jcat.objects})
-        self.hom_de = CatChainComplex(jcat, "co", hlo, hhi,
-                                      hmodules, hdiffs)
+        homs = self.hom_totals
+
+        def hom_action(psi, s, t, n):
+            def piece(p):
+                src, tgt = homs[s].homs[(p, n)], homs[t].homs[(p, n)]
+                move = ModuleMap(src.target, tgt.target,
+                                 {i: e.coeff_action[(i, psi)].component(p + n)
+                                  for i in icat.objects})
+                return src.postcompose_map(tgt, move)
+            return _blockwise(homs[s], homs[t], n, piece)
+
+        self.hom_de = _glue(jcat, "co",
+                            {j: homs[j].complex for j in jcat.objects},
+                            hom_action)
         self.source_total = TotalTensorComplex(c, self.hom_de)
 
         # C ⊗_J E(i, -) per index object, glued into a contravariant complex
-        # of modules over I
+        # of modules over I: φ: a -> b moves the right factors by E(φ, -)
         self.row_totals = {i: TotalTensorComplex(c, e.row_complex_at(i))
                            for i in icat.objects}
-        some = next(iter(self.row_totals.values()))
-        tlo, thi = some.complex.lo, some.complex.hi
-        cmodules = {}
-        cdiffs = {}
-        for r in range(tlo, thi + 1):
-            values = {i: self.row_totals[i].complex.group(r)
-                      for i in icat.objects}
-            actions = {}
-            for phi in icat.morphisms:
-                a, b = icat.dom[phi], icat.cod[phi]
-                tb, ta = self.row_totals[b], self.row_totals[a]
-                blocks = {}
-                for jdx, key in enumerate(tb.keys[r]):
-                    idx = ta.keys[r].index(key)
-                    move = ModuleMap(
-                        tb.tensors[key].right, ta.tensors[key].right,
-                        {j: e.index_action[(phi, j)].component(key[1])
-                         for j in jcat.objects})
-                    blocks[(idx, jdx)] = tb.tensors[key].induced(
-                        ta.tensors[key], None, move)
-                actions[phi] = block_hom(tb.sums[r], ta.sums[r], blocks)
-            cmodules[r] = CatModule(icat, "contra", values, actions)
-        for r in range(tlo + 1, thi + 1):
-            cdiffs[r] = ModuleMap(
-                cmodules[r], cmodules[r - 1],
-                {i: self.row_totals[i].complex.differential(r)
-                 for i in icat.objects})
-        self.ce = CatChainComplex(icat, "contra", tlo, thi, cmodules, cdiffs)
+        rows = self.row_totals
+
+        def row_action(phi, s, t, r):
+            def piece(key):
+                src, tgt = rows[s].tensors[key], rows[t].tensors[key]
+                move = ModuleMap(src.right, tgt.right,
+                                 {j: e.index_action[(phi, j)].component(key[1])
+                                  for j in jcat.objects})
+                return src.induced(tgt, None, move)
+            return _blockwise(rows[s], rows[t], r, piece)
+
+        self.ce = _glue(icat, "contra",
+                        {i: rows[i].complex for i in icat.objects}, row_action)
         self.target_total = TotalHomComplex(d, self.ce)
 
         comps = {}

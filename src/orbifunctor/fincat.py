@@ -16,8 +16,9 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 
-# group_analysis and the subgroup lattice walk every subset chain; keep the
-# exhaustive algorithms honest by refusing huge groups outright.
+# group_analysis and the subgroup lattice walk every subset chain, and every
+# group carries its full multiplication table; keep the exhaustive algorithms
+# honest by refusing huge groups outright, before any table is built.
 GROUP_ORDER_BOUND = 24
 # The truncated index categories grow cubically in their size and their
 # composition tables quadratically in that; refuse sizes past this outright.
@@ -83,6 +84,8 @@ class FinGroup:
     def cyclic(cls, n):
         if n < 1:
             raise ValueError("order must be >= 1")
+        if n > GROUP_ORDER_BOUND:
+            raise ValueError(f"order {n} exceeds the bound {GROUP_ORDER_BOUND}")
         els = list(range(n))
         table = {(a, b): (a + b) % n for a in els for b in els}
         inv = {a: (-a) % n for a in els}
@@ -108,6 +111,9 @@ class FinGroup:
                     if r not in elements:
                         elements.add(r)
                         nxt.append(r)
+                if len(elements) > GROUP_ORDER_BOUND:
+                    raise ValueError(f"generated group has more than "
+                                     f"{GROUP_ORDER_BOUND} elements")
             frontier = nxt
         els = sorted(elements)
         table = {(p, q): tuple(p[q[i]] for i in range(degree))
@@ -122,8 +128,9 @@ class FinGroup:
 
     @classmethod
     def symmetric(cls, n):
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        # n itself is bounded first: the generators alone take n^2 entries
+        if not 1 <= n <= GROUP_ORDER_BOUND:
+            raise ValueError(f"n must be in [1, {GROUP_ORDER_BOUND}]")
         if n == 1:
             return cls.from_permutations([(0,)])
         transpositions = []
@@ -136,6 +143,8 @@ class FinGroup:
     @classmethod
     def dihedral(cls, n):
         """Symmetries of the regular n-gon acting on vertices 0..n-1."""
+        if not 1 <= n <= GROUP_ORDER_BOUND:
+            raise ValueError(f"n must be in [1, {GROUP_ORDER_BOUND}]")
         rot = tuple((i + 1) % n for i in range(n))
         ref = tuple((-i) % n for i in range(n))
         return cls.from_permutations([rot, ref])
@@ -230,9 +239,6 @@ class FinGroup:
         subgroup = frozenset(subgroup)
         return frozenset(g for g in self.elements
                          if self.conjugate_subgroup(g, subgroup) == subgroup)
-
-    def center(self):
-        return self.centralizer(self.elements)
 
     def element_classes(self):
         """Conjugacy classes of elements, each a sorted tuple."""
@@ -471,9 +477,6 @@ class CatFunctor:
         self.target = target
         self.obj_map = dict(obj_map)
         self.mor_map = dict(mor_map)
-
-    def on_object(self, a):
-        return self.obj_map[a]
 
     def on_morphism(self, f):
         return self.mor_map[f]

@@ -567,7 +567,7 @@ def borel_vs_quotient_check(group: FinGroup, x: GCWComplex, truncation: int,
                 f"degrees <= {valid} are reliable")
         degrees = sorted(annihilators)
     else:
-        degrees = list(range(valid + 1))
+        degrees = range(valid + 1)     # not listed: the bar bound comes later
     bq = borel_and_quotient(x, truncation)
     order = len(group.elements)
     per_degree = {}

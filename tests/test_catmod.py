@@ -327,10 +327,8 @@ def test_tensor_components_round_trip():
     ct = CatTensor(left, right)
     for j in range(ct.group.ngens):
         comps = ct.components(unit(ct.group.ngens, j))
-        raw = [0] * ct.big.total_gens
-        for c in OR2.objects:
-            ct._accumulate(raw, c, comps[c], 1)
-        back = ct.projection.apply(ct.big.group.to_canonical(raw))
+        back = ct.projection.apply(
+            ct.big.assemble([comps[c] for c in OR2.objects]))
         assert back == unit(ct.group.ngens, j)
 
 

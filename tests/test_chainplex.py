@@ -7,6 +7,7 @@ fixed-point homology are computed by hand and frozen here.
 """
 
 import doctest
+import importlib.resources
 
 import pytest
 
@@ -50,6 +51,7 @@ from orbifunctor.exact_abelian import (
 )
 from orbifunctor.fincat import FinGroup, SubgroupFamily, orbit_category, \
     standard_category
+from orbifunctor.cli import parse_manifest
 
 Z1 = FpAbGroup.free(1)
 Z = FpAbGroup.cyclic
@@ -444,3 +446,98 @@ def test_comparison_requires_markers_and_bases():
         free_module(POINT, [0], "contra")[0], 0)
     with pytest.raises(ValueError):
         comparison_map_t(wrong_side, d, e)
+
+
+# ---------------------------------------------------------------------------
+# Glued slices and glued totals
+# ---------------------------------------------------------------------------
+
+
+def multi_degree_index_complex(icat):
+    top, _ = free_module(icat, [0], "contra")
+    bot, _ = free_module(icat, [1], "contra")
+    step = free_map_from_images(top, bot, [[1]])
+    return CatChainComplex(icat, "contra", 0, 1, {0: bot, 1: top}, {1: step})
+
+
+def comparison_inputs(which):
+    """(C, D, E) of a comparison: the constant-in-index tower over the chain
+    category, or the shipped manifest's instance."""
+    if which == "constant_in_index":
+        icat = standard_category("chain", 1)
+        return (reflection_circle_complex(), multi_degree_index_complex(icat),
+                BiFunctorComplex.constant_in_index(icat, coefficient_tower()))
+    ref = importlib.resources.files("orbifunctor") / "manifests" \
+        / "z2_reflection_sphere.json"
+    inst = parse_manifest(ref.read_text(encoding="utf-8")).get("instance")
+    return inst.space_chains(), inst.free_complex, inst.coefficients
+
+
+def assert_same_complex(glued, plain):
+    assert (glued.lo, glued.hi) == (plain.lo, plain.hi)
+    for q in plain.degrees():
+        assert glued.group(q) == plain.group(q)
+        assert glued.differential(q) == plain.differential(q)
+
+
+BIFUNCTORS = ["constant_in_index", "shipped"]
+
+
+@pytest.mark.parametrize("which", BIFUNCTORS)
+def test_slices_reproduce_the_pair_complexes_and_actions(which):
+    _, _, e = comparison_inputs(which)
+    icat, jcat = e.index_base, e.coeff_base
+    for j in jcat.objects:
+        col = e.column_complex_at(j)
+        assert (col.base, col.variance) == (icat, "contra")
+        for i in icat.objects:
+            assert_same_complex(col.evaluate_at(i), e.complex(i, j))
+        for phi in icat.morphisms:
+            for q in col.degrees():
+                assert col.module(q).action(phi) == \
+                    e.index_action[(phi, j)].component(q)
+    for i in icat.objects:
+        row = e.row_complex_at(i)
+        assert (row.base, row.variance) == (jcat, "co")
+        for j in jcat.objects:
+            assert_same_complex(row.evaluate_at(j), e.complex(i, j))
+        for psi in jcat.morphisms:
+            for q in row.degrees():
+                assert row.module(q).action(psi) == \
+                    e.coeff_action[(i, psi)].component(q)
+
+
+@pytest.mark.parametrize("which", BIFUNCTORS)
+def test_glued_totals_reproduce_the_per_object_totals(which):
+    data = ComparisonData(*comparison_inputs(which))
+    e = data.e
+    icat, jcat = e.index_base, e.coeff_base
+    for j in jcat.objects:
+        assert_same_complex(data.hom_de.evaluate_at(j),
+                            data.hom_totals[j].complex)
+    for i in icat.objects:
+        assert_same_complex(data.ce.evaluate_at(i),
+                            data.row_totals[i].complex)
+    # a morphism acts on the glued totals as the map of totals it induces:
+    # ψ: j1 -> j2 postcomposes hom_I(D, E(-, j1)) with E(-, ψ), and φ: a -> b
+    # sends C ⊗_J E(b, -) to C ⊗_J E(a, -)
+    for psi in jcat.morphisms:
+        j1, j2 = jcat.dom[psi], jcat.cod[psi]
+        t1, t2 = data.hom_totals[j1], data.hom_totals[j2]
+        moves = {q: ModuleMap(t1.target.module(q), t2.target.module(q),
+                              {i: e.coeff_action[(i, psi)].component(q)
+                               for i in icat.objects})
+                 for q in t1.target.degrees()}
+        induced = hom_total_induced(t1, t2, moves)
+        for n in data.hom_de.degrees():
+            assert data.hom_de.module(n).action(psi) == induced.component(n)
+    for phi in icat.morphisms:
+        a, b = icat.dom[phi], icat.cod[phi]
+        tb, ta = data.row_totals[b], data.row_totals[a]
+        moves = {q: ModuleMap(tb.right.module(q), ta.right.module(q),
+                              {j: e.index_action[(phi, j)].component(q)
+                               for j in jcat.objects})
+                 for q in tb.right.degrees()}
+        induced = tensor_total_induced(tb, ta, right_maps=moves)
+        for r in data.ce.degrees():
+            assert data.ce.module(r).action(phi) == induced.component(r)

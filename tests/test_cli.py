@@ -23,7 +23,11 @@ from orbifunctor.fincat import (
     orbit_category,
     standard_category,
 )
-from orbifunctor.cellspaces import classifying_model, reflection_circle
+from orbifunctor.cellspaces import (
+    bar_resolution_truncated,
+    classifying_model,
+    reflection_circle,
+)
 from orbifunctor.verify import GradedSeqSpec, transport_pi0_module
 from orbifunctor.cli import (
     ManifestError,
@@ -486,3 +490,63 @@ def test_every_single_field_mutation_ends_in_a_report_or_input_error():
         signal.signal(signal.SIGALRM, previous)
     assert cases == 561
     assert bad == []
+
+
+# ---------------------------------------------------------------------------
+# Work budgets: groups and bar resolutions past their bounds are refused
+# before anything is built
+# ---------------------------------------------------------------------------
+
+
+S5_GENERATORS = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
+
+
+def _within_a_second(call):
+    previous = signal.signal(signal.SIGALRM, _raise_overrun)
+    signal.alarm(1)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _group_manifest(group):
+    return json.dumps({"version": "1", "group": group})
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("group", [
+    {"kind": "cyclic", "n": "25"},
+    {"kind": "dihedral", "n": "13"},
+    {"kind": "dihedral", "n": "0"},
+    {"kind": "symmetric", "n": "5"},
+    {"kind": "permutations", "generators": S5_GENERATORS},
+], ids=["cyclic-25", "dihedral-13", "dihedral-0", "symmetric-5",
+        "permutations-s5"])
+def test_groups_past_the_bound_are_refused_at_once(group):
+    with pytest.raises(ManifestError):
+        _within_a_second(lambda: parse_manifest(_group_manifest(group)))
+
+
+@pytest.mark.parametrize("group", [{"kind": "cyclic", "n": "24"},
+                                   {"kind": "symmetric", "n": "4"},
+                                   {"kind": "dihedral", "n": "12"}])
+def test_groups_at_the_bound_still_build(group):
+    assert parse_manifest(_group_manifest(group)).get("group").order == 24
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_bar_past_the_bound_is_refused_at_once(tmp_path):
+    c2 = FinGroup.cyclic(2)
+    with pytest.raises(ValueError):
+        _within_a_second(lambda: bar_resolution_truncated(c2, 9))
+    with pytest.raises(ValueError):
+        _within_a_second(lambda: bar_resolution_truncated(FinGroup.trivial(),
+                                                          10 ** 20))
+    path = write_manifest(tmp_path, json.loads(shipped_text()))
+    assert _within_a_second(lambda: main(["borel-check", "--manifest", path,
+                                          "--truncation", "9"])) == 2
+    # the bound itself: C_2 at truncation 8 has 2^8 = 256 top tuples
+    bar = bar_resolution_truncated(c2, 8)
+    assert bar.module(8).total_rank() == 2 * 256

@@ -98,7 +98,9 @@ def test_subgroup_lattices():
 
 def test_group_analysis_bound():
     with pytest.raises(ValueError):
-        group_analysis(FinGroup.cyclic(GROUP_ORDER_BOUND + 1))
+        # C_5 x C_6: the product constructor has no bound of its own
+        group_analysis(FinGroup.direct_product(FinGroup.cyclic(5),
+                                               FinGroup.cyclic(6)))
 
 
 def test_quotient():
