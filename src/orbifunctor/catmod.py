@@ -431,10 +431,16 @@ class CatTensor:
 
     def _pairs_to_big(self, c, pairs: IntMatrix) -> IntMatrix:
         # columns on the generator pairs of the tensor at c -> canonical
-        # coordinates of the big sum (unreduced)
-        tb = self.tensors[c]
-        return (self.big.inject(self.part_index[c]).matrix
-                * (tb.group.to_can * pairs))
+        # coordinates of the big sum (unreduced): the part's rows placed at
+        # its offset (rows are never mutated, so the empty ones share one
+        # dict), then the sum's own witness when it has one
+        big = self.big
+        placed = [{}] * big.total_gens
+        lo = big.offsets[self.part_index[c]]
+        rows = (self.tensors[c].group.to_can * pairs).nonzeros
+        placed[lo:lo + len(rows)] = rows
+        m = IntMatrix(big.total_gens, pairs.ncols, nonzeros=placed)
+        return m if big.group._to_can is None else big.group._to_can * m
 
     def class_of_pure(self, c, x, y):
         """Class of the elementary tensor x ⊗ y sitting at object c."""

@@ -6,7 +6,9 @@ the sections group, family, category, module, complex, icw, gcw, bifunctor,
 instance, sequences.  Sections reference each other implicitly: the family
 belongs to the group section, modules live over the category section, the
 instance is assembled from all of them.  Integers are serialized as decimal
-strings of unbounded length; tuples become JSON arrays.
+strings of unbounded length; tuples become JSON arrays.  Labels (group
+elements, category objects and morphisms) must be distinct, hashable and
+mutually orderable once arrays become tuples.
 
 Section shapes (decimal strings everywhere an integer appears):
 
@@ -14,6 +16,7 @@ Section shapes (decimal strings everywhere an integer appears):
              {"kind": "trivial"}
              {"kind": "permutations", "generators": [[perm]...]}
              {"kind": "table", "elements": [...], "table": [[idx]...]}
+                         (a checked group of at most GROUP_ORDER_BOUND elements)
   family     {"kind": "all"|"trivial"}
              {"kind": "closure", "seeds": [[element]...]}
              {"kind": "members", "members": [[element]...]}
@@ -71,6 +74,7 @@ import json
 import sys
 import time
 from functools import partial
+from itertools import product
 
 from .exact_abelian import AbHom, FpAbGroup, IntMatrix, format_group
 from .fincat import (
@@ -84,7 +88,6 @@ from .fincat import (
     validate_category,
 )
 from .catmod import (
-    COVARIANT,
     CatHomGroup,
     CatModule,
     CatTensor,
@@ -126,10 +129,6 @@ from .verify import (
 SECTIONS = ("group", "family", "category", "module", "complex", "icw",
             "gcw", "bifunctor", "instance", "sequences")
 
-COMMANDS = ("validate", "homology", "bredon", "tor", "tensor", "hom",
-            "verify-theorem", "demo-interchange", "demo-tor-probe",
-            "demo-classifying", "borel-check")
-
 
 class ManifestError(Exception):
     """Input-side failure: syntax, dangling reference, or validation."""
@@ -137,6 +136,14 @@ class ManifestError(Exception):
 
 def _fail(path, message):
     raise ManifestError(f"{path}: {message}")
+
+
+def _call(path, make, *args):
+    """make(*args), a ValueError from it reported as an input error at path."""
+    try:
+        return make(*args)
+    except ValueError as err:
+        _fail(path, str(err))
 
 
 def _int_in(value, path):
@@ -162,11 +169,17 @@ def _listify(value):
     return value
 
 
-def _require(data, key, path, kind=None):
+_MISSING = object()
+
+
+def _field(data, key, path, kind=None, default=_MISSING):
+    """data[key] checked against `kind`; required unless given a default."""
     if not isinstance(data, dict):
         _fail(path, f"expected an object, got {type(data).__name__}")
     if key not in data:
-        _fail(path, f"missing field {key!r}")
+        if default is _MISSING:
+            _fail(path, f"missing field {key!r}")
+        return default
     value = data[key]
     if kind is not None and not isinstance(value, kind):
         _fail(f"{path}.{key}",
@@ -175,16 +188,60 @@ def _require(data, key, path, kind=None):
     return value
 
 
-def _list_in(value, path):
+def _int_field(data, key, path, default=_MISSING):
+    return _int_in(_field(data, key, path, default=default), f"{path}.{key}")
+
+
+def _list_in(value, path, length=None):
     if not isinstance(value, list):
         _fail(path, f"expected a list, got {value!r}")
+    if length is not None and len(value) != length:
+        _fail(path, f"expected {length} entries, got {len(value)}")
     return value
 
 
+def _each(data, key, path, labels):
+    """(label, path, spec) for the list field `key`: one spec per label."""
+    raw = _list_in(_field(data, key, path), f"{path}.{key}", len(labels))
+    return [(x, f"{path}.{key}[{k}]", spec)
+            for k, (x, spec) in enumerate(zip(labels, raw))]
+
+
+def _triples(value, path, shape):
+    """(path, entry) for each [a, b, c] entry of a JSON list."""
+    for k, entry in enumerate(_list_in(value, path)):
+        where = f"{path}[{k}]"
+        if not isinstance(entry, list) or len(entry) != 3:
+            _fail(where, f"expected {shape}, got {entry!r}")
+        yield where, entry
+
+
+def _labels(data, key, path, what):
+    """A list field of distinct, hashable, mutually orderable labels."""
+    labels = tuple(_tuplify(v) for v in _field(data, key, path, list))
+    try:
+        if len(set(sorted(labels))) == len(labels):
+            return labels
+    except TypeError:      # unorderable or unhashable: refused as below
+        pass
+    _fail(f"{path}.{key}",
+          f"{what}s must be distinct, hashable and mutually orderable")
+
+
+def _index(pool, value, path):
+    k = _int_in(value, path)
+    if not 0 <= k < len(pool):
+        _fail(path, f"index {k} out of range")
+    return pool[k]
+
+
 def _member(value, path, pool, what):
-    # `in` on a tuple compares with ==, so an unhashable value is refused too
     x = _tuplify(value)
-    if x not in pool:
+    try:
+        found = x in pool
+    except TypeError:          # unhashable, so no key of a dict pool
+        found = False
+    if not found:
         _fail(path, f"{value!r} is not a {what}")
     return x
 
@@ -193,6 +250,24 @@ def _elements(value, path, group):
     """A JSON list of elements of `group`, as a tuple."""
     return tuple(_member(x, path, group.elements, "group element")
                  for x in _list_in(value, path))
+
+
+def _needs(ctx, path, needs):
+    for need in needs:
+        if need not in ctx:
+            _fail(path, f"dangling reference, no {need} section")
+
+
+def _kind(data, path, ctx, kinds):
+    """Decode by the row of `kinds` that data["kind"] names.
+
+    A row is (sections the kind reads from ctx, builder(data, path, ctx)); a
+    ValueError from the builder is an input error at `path`.
+    """
+    needs, build = kinds[_member(_field(data, "kind", path), f"{path}.kind",
+                                 kinds, "known kind")]
+    _needs(ctx, path, needs)
+    return _call(path, build, data, path, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +280,10 @@ def encode_abelian(g: FpAbGroup):
 
 
 def decode_abelian(data, path):
-    rank = _int_in(_require(data, "rank", path), f"{path}.rank")
+    rank = _int_field(data, "rank", path)
     torsion = [_int_in(t, f"{path}.torsion[{k}]")
-               for k, t in enumerate(data.get("torsion", []))]
-    try:
-        return FpAbGroup(rank, torsion)
-    except ValueError as err:
-        _fail(path, str(err))
+               for k, t in enumerate(_field(data, "torsion", path, list, []))]
+    return _call(path, FpAbGroup, rank, torsion)
 
 
 def encode_matrix(m: IntMatrix):
@@ -220,18 +292,17 @@ def encode_matrix(m: IntMatrix):
 
 
 def decode_matrix(data, path):
-    nrows = _int_in(_require(data, "nrows", path), f"{path}.nrows")
-    ncols = _int_in(_require(data, "ncols", path), f"{path}.ncols")
-    rows = _require(data, "rows", path, list)
-    if len(rows) != nrows:
-        _fail(path, f"{nrows} rows declared, {len(rows)} given")
-    out = []
-    for r, row in enumerate(rows):
-        if len(row) != ncols:
-            _fail(f"{path}.rows[{r}]", f"{ncols} columns declared, {len(row)} given")
-        out.append([_int_in(x, f"{path}.rows[{r}][{c}]")
-                    for c, x in enumerate(row)])
-    return IntMatrix(nrows, ncols, out)
+    nrows = _int_field(data, "nrows", path)
+    ncols = _int_field(data, "ncols", path)
+    rows = _list_in(_field(data, "rows", path), f"{path}.rows", nrows)
+    return IntMatrix(nrows, ncols, [
+        [_int_in(x, f"{path}.rows[{r}][{c}]")
+         for c, x in enumerate(_list_in(row, f"{path}.rows[{r}]", ncols))]
+        for r, row in enumerate(rows)])
+
+
+def _decode_hom(data, path, source, target):
+    return _call(path, AbHom, source, target, decode_matrix(data, path))
 
 
 # ---------------------------------------------------------------------------
@@ -246,51 +317,39 @@ def encode_group(group: FinGroup):
     return {"kind": "table", "elements": _listify(elements), "table": table}
 
 
+def _table_group(data, path, ctx):
+    elements = _labels(data, "elements", path, "group element")
+    table = {}
+    for a, where, row in _each(data, "table", path, elements):
+        for b, k in zip(elements, _list_in(row, where, len(elements))):
+            table[(a, b)] = _index(elements, k, where)
+    return FinGroup.from_table(elements, table)
+
+
+def _permutation_group(data, path, ctx):
+    where = f"{path}.generators"
+    return FinGroup.from_permutations(
+        [[_int_in(x, where) for x in _list_in(g, where)]
+         for g in _field(data, "generators", path, list)])
+
+
+def _sized(make, field):
+    """A kind row built by make(the integer field `field`)."""
+    return (), lambda data, path, ctx: make(_int_field(data, field, path))
+
+
+_GROUP_KINDS = {
+    "cyclic": _sized(FinGroup.cyclic, "n"),
+    "symmetric": _sized(FinGroup.symmetric, "n"),
+    "dihedral": _sized(FinGroup.dihedral, "n"),
+    "trivial": ((), lambda data, path, ctx: FinGroup.trivial()),
+    "permutations": ((), _permutation_group),
+    "table": ((), _table_group),
+}
+
+
 def decode_group(data, path):
-    kind = _require(data, "kind", path)
-    if kind in ("cyclic", "symmetric", "dihedral"):
-        n = _int_in(_require(data, "n", path), f"{path}.n")
-        try:
-            maker = {"cyclic": FinGroup.cyclic, "symmetric": FinGroup.symmetric,
-                     "dihedral": FinGroup.dihedral}[kind]
-            return maker(n)
-        except ValueError as err:
-            _fail(path, str(err))
-    if kind == "trivial":
-        return FinGroup.trivial()
-    if kind == "permutations":
-        gens = _require(data, "generators", path, list)
-        try:
-            return FinGroup.from_permutations([_tuplify(g) for g in gens])
-        except (ValueError, KeyError, IndexError) as err:
-            _fail(path, str(err))
-    if kind == "table":
-        elements = [_tuplify(e) for e in _require(data, "elements", path, list)]
-        raw = _require(data, "table", path, list)
-        if len(raw) != len(elements):
-            _fail(f"{path}.table", "one row per element required")
-        table = {}
-        for a, row in zip(elements, raw):
-            if len(row) != len(elements):
-                _fail(f"{path}.table", "one column per element required")
-            for b, k in zip(elements, row):
-                k = _int_in(k, f"{path}.table")
-                if not 0 <= k < len(elements):
-                    _fail(f"{path}.table", f"element index {k} out of range")
-                table[(a, b)] = elements[k]
-        identity = next((e for e in elements
-                         if all(table[(e, x)] == x and table[(x, e)] == x
-                                for x in elements)), None)
-        if identity is None:
-            _fail(path, "table has no identity element")
-        inv = {}
-        for a in elements:
-            inv[a] = next((b for b in elements if table[(a, b)] == identity),
-                          None)
-            if inv[a] is None:
-                _fail(path, f"element {a!r} has no inverse")
-        return FinGroup(elements, table, identity, inv)
-    _fail(path, f"unknown group kind {kind!r}")
+    return _kind(data, path, {}, _GROUP_KINDS)
 
 
 def encode_family(family: SubgroupFamily):
@@ -298,24 +357,25 @@ def encode_family(family: SubgroupFamily):
     return {"kind": "members", "members": _listify(members)}
 
 
+def _listed_subgroups(field, make):
+    def build(data, path, ctx):
+        group = ctx["group"]
+        return make(group, [frozenset(_elements(m, f"{path}.{field}", group))
+                            for m in _field(data, field, path, list)])
+    return (), build
+
+
+_FAMILY_KINDS = {
+    "all": ((), lambda data, path, ctx: SubgroupFamily.all(ctx["group"])),
+    "trivial": ((), lambda data, path, ctx: SubgroupFamily.trivial(
+        ctx["group"])),
+    "members": _listed_subgroups("members", SubgroupFamily),
+    "closure": _listed_subgroups("seeds", family_closure),
+}
+
+
 def decode_family(data, path, group):
-    kind = _require(data, "kind", path)
-    try:
-        if kind == "all":
-            return SubgroupFamily.all(group)
-        if kind == "trivial":
-            return SubgroupFamily.trivial(group)
-        if kind in ("members", "closure"):
-            field = "members" if kind == "members" else "seeds"
-            raw = _require(data, field, path, list)
-            subs = [frozenset(_elements(m, f"{path}.{field}", group))
-                    for m in raw]
-            if kind == "closure":
-                return family_closure(group, subs)
-            return SubgroupFamily(group, subs)
-    except ValueError as err:
-        _fail(path, str(err))
-    _fail(path, f"unknown family kind {kind!r}")
+    return _kind(data, path, {"group": group}, _FAMILY_KINDS)
 
 
 def encode_category(cat: FinCategory):
@@ -334,52 +394,37 @@ def encode_category(cat: FinCategory):
             "identities": [midx[cat.identity(o)] for o in objects]}
 
 
+def _explicit_category(data, path, ctx):
+    objects = _labels(data, "objects", path, "object")
+    morphisms = _labels(data, "morphisms", path, "morphism")
+
+    def indices(key, pool, labels):
+        return {x: _index(pool, k, where)
+                for x, where, k in _each(data, key, path, labels)}
+
+    table = {}
+    for where, row in _triples(_field(data, "compose", path),
+                               f"{path}.compose", "[f, g, fg]"):
+        f, g, fg = (_index(morphisms, k, where) for k in row)
+        table[(f, g)] = fg
+    return FinCategory(objects, morphisms, indices("dom", objects, morphisms),
+                       indices("cod", objects, morphisms), table,
+                       indices("identities", morphisms, objects))
+
+
+_CATEGORY_KINDS = {
+    "chain": _sized(partial(standard_category, "chain"), "size"),
+    "grid": _sized(partial(standard_category, "grid"), "size"),
+    "orbit": (("group", "family"), lambda data, path, ctx: orbit_category(
+        ctx["group"], ctx["family"])),
+    "one-object": (("group",), lambda data, path, ctx: one_object_category(
+        ctx["group"])),
+    "explicit": ((), _explicit_category),
+}
+
+
 def decode_category(data, path, ctx):
-    kind = _require(data, "kind", path)
-    if kind in ("chain", "grid"):
-        size = _int_in(_require(data, "size", path), f"{path}.size")
-        try:
-            return standard_category(kind, size)
-        except ValueError as err:
-            _fail(path, str(err))
-    if kind == "orbit":
-        if "group" not in ctx or "family" not in ctx:
-            _fail(path, "orbit kind needs group and family sections")
-        return orbit_category(ctx["group"], ctx["family"])
-    if kind == "one-object":
-        if "group" not in ctx:
-            _fail(path, "one-object kind needs the group section")
-        return one_object_category(ctx["group"])
-    if kind == "explicit":
-        objects = [_tuplify(o) for o in _require(data, "objects", path, list)]
-        morphisms = [_tuplify(m)
-                     for m in _require(data, "morphisms", path, list)]
-
-        def pick(pool, idx, where):
-            k = _int_in(idx, where)
-            if not 0 <= k < len(pool):
-                _fail(where, f"index {k} out of range")
-            return pool[k]
-
-        dom = {m: pick(objects, i, f"{path}.dom")
-               for m, i in zip(morphisms, _require(data, "dom", path, list))}
-        cod = {m: pick(objects, i, f"{path}.cod")
-               for m, i in zip(morphisms, _require(data, "cod", path, list))}
-        table = {}
-        for row in _require(data, "compose", path, list):
-            if len(row) != 3:
-                _fail(f"{path}.compose", f"expected [f, g, fg], got {row!r}")
-            f = pick(morphisms, row[0], f"{path}.compose")
-            g = pick(morphisms, row[1], f"{path}.compose")
-            table[(f, g)] = pick(morphisms, row[2], f"{path}.compose")
-        ids = {o: pick(morphisms, i, f"{path}.identities")
-               for o, i in zip(objects,
-                               _require(data, "identities", path, list))}
-        try:
-            return FinCategory(objects, morphisms, dom, cod, table, ids)
-        except (ValueError, KeyError) as err:
-            _fail(path, str(err))
-    _fail(path, f"unknown category kind {kind!r}")
+    return _kind(data, path, ctx, _CATEGORY_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -396,29 +441,15 @@ def encode_module(module: CatModule):
 
 
 def decode_module(data, path, cat):
-    variance = _require(data, "variance", path)
-    if variance not in ("co", "contra"):
-        _fail(f"{path}.variance", f"must be 'co' or 'contra', got {variance!r}")
-    raw_values = _require(data, "values", path, list)
-    if len(raw_values) != len(cat.objects):
-        _fail(f"{path}.values", f"{len(cat.objects)} objects in the category, "
-              f"{len(raw_values)} values given")
-    values = {o: decode_abelian(v, f"{path}.values[{k}]")
-              for k, (o, v) in enumerate(zip(cat.objects, raw_values))}
-    raw_actions = _require(data, "actions", path, list)
-    if len(raw_actions) != len(cat.morphisms):
-        _fail(f"{path}.actions", f"{len(cat.morphisms)} morphisms in the "
-              f"category, {len(raw_actions)} actions given")
+    variance = _member(_field(data, "variance", path), f"{path}.variance",
+                       ("co", "contra"), "variance, 'co' or 'contra'")
+    values = {o: decode_abelian(spec, where)
+              for o, where, spec in _each(data, "values", path, cat.objects)}
     actions = {}
-    for k, (f, spec) in enumerate(zip(cat.morphisms, raw_actions)):
-        where = f"{path}.actions[{k}]"
+    for f, where, spec in _each(data, "actions", path, cat.morphisms):
         a, b = cat.dom[f], cat.cod[f]
         src, tgt = (a, b) if variance == "co" else (b, a)
-        try:
-            actions[f] = AbHom(values[src], values[tgt],
-                               decode_matrix(spec, where))
-        except ValueError as err:
-            _fail(where, str(err))
+        actions[f] = _decode_hom(spec, where, values[src], values[tgt])
     return CatModule(cat, variance, values, actions)
 
 
@@ -430,34 +461,28 @@ def encode_plain_complex(c: PlainChainComplex):
                       for p in c.degrees() if p > c.lo}}
 
 
-def _decode_window(data, path):
-    lo = _int_in(_require(data, "lo", path), f"{path}.lo")
-    hi = _int_in(_require(data, "hi", path), f"{path}.hi")
-    return lo, hi
+def _graded(data, path, key, decode, decode_diff):
+    """(lo, hi, objects, diffs) of a complex: decode(spec, path) reads the
+    object of each degree in [lo, hi] from `key`, decode_diff(spec, path,
+    source, target) each differential above lo from "diffs"."""
+    lo, hi = _int_field(data, "lo", path), _int_field(data, "hi", path)
+
+    def specs(field, first, default=_MISSING):
+        raw = _field(data, field, path, dict, default)
+        for p in range(first, hi + 1):
+            if str(p) not in raw:
+                _fail(f"{path}.{field}", f"missing degree {p}")
+            yield p, raw[str(p)], f"{path}.{field}.{p}"
+
+    objects = {p: decode(spec, where) for p, spec, where in specs(key, lo)}
+    diffs = {p: decode_diff(spec, where, objects[p], objects[p - 1])
+             for p, spec, where in specs("diffs", lo + 1, {})}
+    return lo, hi, objects, diffs
 
 
 def decode_plain_complex(data, path):
-    lo, hi = _decode_window(data, path)
-    raw_groups = _require(data, "groups", path, dict)
-    groups = {}
-    for p in range(lo, hi + 1):
-        if str(p) not in raw_groups:
-            _fail(f"{path}.groups", f"missing degree {p}")
-        groups[p] = decode_abelian(raw_groups[str(p)], f"{path}.groups.{p}")
-    diffs = {}
-    raw_diffs = data.get("diffs", {})
-    for p in range(lo + 1, hi + 1):
-        if str(p) not in raw_diffs:
-            _fail(f"{path}.diffs", f"missing degree {p}")
-        mat = decode_matrix(raw_diffs[str(p)], f"{path}.diffs.{p}")
-        try:
-            diffs[p] = AbHom(groups[p], groups[p - 1], mat)
-        except ValueError as err:
-            _fail(f"{path}.diffs.{p}", str(err))
-    try:
-        return PlainChainComplex(lo, hi, groups, diffs)
-    except ValueError as err:
-        _fail(path, str(err))
+    return _call(path, PlainChainComplex,
+                 *_graded(data, path, "groups", decode_abelian, _decode_hom))
 
 
 def encode_functor_complex(c: CatChainComplex):
@@ -477,51 +502,32 @@ def encode_functor_complex(c: CatChainComplex):
 
 
 def decode_functor_complex(data, path, cat):
-    variance = _require(data, "variance", path)
-    lo, hi = _decode_window(data, path)
-    raw_modules = _require(data, "modules", path, dict)
-    modules = {}
-    for p in range(lo, hi + 1):
-        if str(p) not in raw_modules:
-            _fail(f"{path}.modules", f"missing degree {p}")
-        spec = dict(raw_modules[str(p)])
-        spec.setdefault("variance", variance)
-        if spec["variance"] != variance:
-            _fail(f"{path}.modules.{p}", "variance differs from the complex")
-        modules[p] = decode_module(spec, f"{path}.modules.{p}", cat)
-    raw_diffs = data.get("diffs", {})
-    diffs = {}
-    for p in range(lo + 1, hi + 1):
-        if str(p) not in raw_diffs:
-            _fail(f"{path}.diffs", f"missing degree {p}")
-        mats = raw_diffs[str(p)]
-        if len(mats) != len(cat.objects):
-            _fail(f"{path}.diffs.{p}", "one matrix per object required")
-        components = {}
-        for o, spec in zip(cat.objects, mats):
-            where = f"{path}.diffs.{p}"
-            try:
-                components[o] = AbHom(modules[p].value(o),
-                                      modules[p - 1].value(o),
-                                      decode_matrix(spec, where))
-            except ValueError as err:
-                _fail(where, str(err))
-        diffs[p] = ModuleMap(modules[p], modules[p - 1], components)
-    try:
-        return CatChainComplex(cat, variance, lo, hi, modules, diffs)
-    except ValueError as err:
-        _fail(path, str(err))
+    variance = _field(data, "variance", path)
+
+    def module(spec, where):
+        if _field(spec, "variance", where, default=variance) != variance:
+            _fail(where, "variance differs from the complex")
+        return decode_module({**spec, "variance": variance}, where, cat)
+
+    def diff(mats, where, source, target):
+        mats = _list_in(mats, where, len(cat.objects))
+        return ModuleMap(source, target, {
+            o: _decode_hom(spec, where, source.value(o), target.value(o))
+            for o, spec in zip(cat.objects, mats)})
+
+    return _call(path, CatChainComplex, cat, variance,
+                 *_graded(data, path, "modules", module, diff))
+
+
+_COMPLEX_KINDS = {
+    "plain": ((), lambda data, path, ctx: decode_plain_complex(data, path)),
+    "functor": (("category",), lambda data, path, ctx: decode_functor_complex(
+        data, path, ctx["category"])),
+}
 
 
 def decode_complex(data, path, ctx):
-    kind = _require(data, "kind", path)
-    if kind == "plain":
-        return decode_plain_complex(data, path)
-    if kind == "functor":
-        if "category" not in ctx:
-            _fail(path, "functor kind needs the category section")
-        return decode_functor_complex(data, path, ctx["category"])
-    _fail(path, f"unknown complex kind {kind!r}")
+    return _kind(data, path, ctx, _COMPLEX_KINDS)
 
 
 def encode_chain_map(m: ChainMap):
@@ -530,19 +536,12 @@ def encode_chain_map(m: ChainMap):
 
 
 def decode_chain_map(data, path, source, target):
-    raw = _require(data, "components", path, dict)
     components = {}
-    for key, spec in raw.items():
+    for key, spec in _field(data, "components", path, dict).items():
         p = _int_in(key, f"{path}.components")
-        try:
-            components[p] = AbHom(source.group(p), target.group(p),
-                                  decode_matrix(spec, f"{path}.components.{key}"))
-        except ValueError as err:
-            _fail(f"{path}.components.{key}", str(err))
-    try:
-        return ChainMap(source, target, components)
-    except ValueError as err:
-        _fail(path, str(err))
+        components[p] = _decode_hom(spec, f"{path}.components.{key}",
+                                    source.group(p), target.group(p))
+    return _call(path, ChainMap, source, target, components)
 
 
 # ---------------------------------------------------------------------------
@@ -550,36 +549,23 @@ def decode_chain_map(data, path, source, target):
 # ---------------------------------------------------------------------------
 
 
-def _decode_cells(data, path, decode_label):
-    raw = _require(data, "cells", path, dict)
+def _decode_cell_data(data, path, decode_label, decode_attach):
+    """(cells, boundary) of a cell complex; decode_label reads each cell's
+    label, decode_attach each boundary term's attaching data."""
     cells = {}
-    for key, labs in raw.items():
-        n = _int_in(key, f"{path}.cells")
+    for key, labs in _field(data, "cells", path, dict).items():
         where = f"{path}.cells.{key}"
-        cells[n] = tuple(decode_label(lab, where)
-                         for lab in _list_in(labs, where))
-    return cells
-
-
-def _decode_boundary(data, path, decode_term):
-    out = {}
-    raw = _list_in(data.get("boundary", []), f"{path}.boundary")
-    for k, entry in enumerate(raw):
-        where = f"{path}.boundary[{k}]"
-        if not isinstance(entry, list) or len(entry) != 3:
-            _fail(where, f"expected [degree, cell, terms], got {entry!r}")
-        n = _int_in(entry[0], where)
-        i = _int_in(entry[1], where)
-        terms = []
-        for t, term in enumerate(_list_in(entry[2], f"{where}.terms")):
-            if not isinstance(term, list) or len(term) != 3:
-                _fail(f"{where}.terms[{t}]",
-                      f"expected [coeff, cell, attach], got {term!r}")
-            terms.append((_int_in(term[0], f"{where}.terms[{t}]"),
-                          _int_in(term[1], f"{where}.terms[{t}]"),
-                          decode_term(term[2], f"{where}.terms[{t}]")))
-        out[(n, i)] = tuple(terms)
-    return out
+        cells[_int_in(key, f"{path}.cells")] = tuple(
+            decode_label(lab, where) for lab in _list_in(labs, where))
+    boundary = {}
+    for where, (n, i, terms) in _triples(
+            _field(data, "boundary", path, default=[]), f"{path}.boundary",
+            "[degree, cell, terms]"):
+        boundary[(_int_in(n, where), _int_in(i, where))] = tuple(
+            (_int_in(c, at), _int_in(j, at), decode_attach(attach, at))
+            for at, (c, j, attach) in _triples(terms, f"{where}.terms",
+                                               "[coeff, cell, attach]"))
+    return cells, boundary
 
 
 def encode_icw(x: CatCWComplex):
@@ -595,33 +581,26 @@ def encode_icw(x: CatCWComplex):
     return out
 
 
+def _cells_icw(data, path, ctx):
+    cat = ctx["category"]
+    cells, boundary = _decode_cell_data(
+        data, path, partial(_member, pool=cat.objects, what="base object"),
+        partial(_member, pool=cat.morphisms, what="base morphism"))
+    valid = _field(data, "truncation_valid", path, default=None)
+    if valid is not None:
+        valid = _int_in(valid, f"{path}.truncation_valid")
+    return CatCWComplex(cat, cells, boundary, truncation_valid=valid)
+
+
+_ICW_KINDS = {
+    "classifying": ((), lambda data, path, ctx: classifying_model(
+        _field(data, "model", path), _int_field(data, "truncation", path))),
+    "cells": (("category",), _cells_icw),
+}
+
+
 def decode_icw(data, path, ctx):
-    kind = _require(data, "kind", path)
-    if kind == "classifying":
-        model = _require(data, "model", path)
-        truncation = _int_in(_require(data, "truncation", path),
-                             f"{path}.truncation")
-        try:
-            return classifying_model(model, truncation)
-        except ValueError as err:
-            _fail(path, str(err))
-    if kind == "cells":
-        if "category" not in ctx:
-            _fail(path, "cells kind needs the category section")
-        cat = ctx["category"]
-        cells = _decode_cells(data, path, partial(
-            _member, pool=cat.objects, what="base object"))
-        boundary = _decode_boundary(data, path, partial(
-            _member, pool=cat.morphisms, what="base morphism"))
-        valid = data.get("truncation_valid")
-        if valid is not None:
-            valid = _int_in(valid, f"{path}.truncation_valid")
-        try:
-            return CatCWComplex(ctx["category"], cells, boundary,
-                                truncation_valid=valid)
-        except ValueError as err:
-            _fail(path, str(err))
-    _fail(path, f"unknown icw kind {kind!r}")
+    return _kind(data, path, ctx, _ICW_KINDS)
 
 
 def encode_gcw(x: GCWComplex):
@@ -635,15 +614,9 @@ def encode_gcw(x: GCWComplex):
 
 
 def decode_gcw(data, path, ctx):
-    if "group" not in ctx:
-        _fail(path, "gcw section needs the group section")
     elements = partial(_elements, group=ctx["group"])
-    cells = _decode_cells(data, path, elements)
-    boundary = _decode_boundary(data, path, elements)
-    try:
-        return GCWComplex(ctx["group"], cells, boundary)
-    except ValueError as err:
-        _fail(path, str(err))
+    return _call(path, GCWComplex, ctx["group"],
+                 *_decode_cell_data(data, path, elements, elements))
 
 
 # ---------------------------------------------------------------------------
@@ -662,65 +635,64 @@ def encode_bifunctor(e: BiFunctorComplex):
             "index_action": index_action, "coeff_action": coeff_action}
 
 
+def _constant_in_index(module, data, path, ctx):
+    degree = _int_field(data, "degree", path, 0)
+    return BiFunctorComplex.constant_in_index(
+        ctx["category"], cat_complex_concentrated(module, degree))
+
+
+def _constant_module(data, path, ctx):
+    name = _member(_field(data, "module", path), f"{path}.module",
+                   ctx["module"], "module name in the module section")
+    return _constant_in_index(ctx["module"][name], data, path, ctx)
+
+
+def _explicit_bifunctor(data, path, ctx):
+    icat = ctx["category"]
+    jcat = orbit_category(ctx["group"], ctx["family"])
+
+    def entries(key, shape, pairs):
+        """(pair, path, spec) of [a, b, spec] entries, one for each pair."""
+        pool = dict.fromkeys(pairs)
+        out = {}
+        for where, (a, b, spec) in _triples(_field(data, key, path),
+                                            f"{path}.{key}", shape):
+            out[_member([a, b], where, pool, f"pair for {key}")] = where, spec
+        for pair in pool:
+            if pair not in out:
+                _fail(f"{path}.{key}", f"no entry for {pair!r}")
+        return [(pair, where, spec) for pair, (where, spec) in out.items()]
+
+    complexes = {pair: decode_plain_complex(spec, where)
+                 for pair, where, spec in entries(
+                     "complexes", "[i, j, PLAIN]",
+                     product(icat.objects, jcat.objects))}
+    index_action = {
+        (phi, j): decode_chain_map(spec, where, complexes[icat.cod[phi], j],
+                                   complexes[icat.dom[phi], j])
+        for (phi, j), where, spec in entries(
+            "index_action", "[morphism, j, CHAINMAP]",
+            product(icat.morphisms, jcat.objects))}
+    coeff_action = {
+        (i, psi): decode_chain_map(spec, where, complexes[i, jcat.dom[psi]],
+                                   complexes[i, jcat.cod[psi]])
+        for (i, psi), where, spec in entries(
+            "coeff_action", "[i, morphism, CHAINMAP]",
+            product(icat.objects, jcat.morphisms))}
+    return BiFunctorComplex(icat, jcat, complexes, index_action, coeff_action)
+
+
+_BIFUNCTOR_KINDS = {
+    "transport-pi0": (("group", "family", "category"), lambda data, path, ctx:
+                      _constant_in_index(transport_pi0_module(
+                          ctx["group"], ctx["family"]), data, path, ctx)),
+    "constant-module": (("category", "module"), _constant_module),
+    "explicit": (("group", "family", "category"), _explicit_bifunctor),
+}
+
+
 def decode_bifunctor(data, path, ctx):
-    kind = _require(data, "kind", path)
-    if kind == "transport-pi0":
-        for need in ("group", "family", "category"):
-            if need not in ctx:
-                _fail(path, f"transport-pi0 kind needs the {need} section")
-        degree = _int_in(data.get("degree", "0"), f"{path}.degree")
-        module = transport_pi0_module(ctx["group"], ctx["family"])
-        return BiFunctorComplex.constant_in_index(
-            ctx["category"], cat_complex_concentrated(module, degree))
-    if kind == "constant-module":
-        for need in ("category", "module"):
-            if need not in ctx:
-                _fail(path, f"constant-module kind needs the {need} section")
-        name = _require(data, "module", path)
-        if name not in ctx["module"]:
-            _fail(f"{path}.module", f"no module named {name!r} in the "
-                  "module section")
-        degree = _int_in(data.get("degree", "0"), f"{path}.degree")
-        module = ctx["module"][name]
-        if module.variance != COVARIANT:
-            _fail(f"{path}.module", "coefficient module must be covariant")
-        return BiFunctorComplex.constant_in_index(
-            ctx["category"], cat_complex_concentrated(module, degree))
-    if kind == "explicit":
-        for need in ("group", "family", "category"):
-            if need not in ctx:
-                _fail(path, f"explicit kind needs the {need} section")
-        icat = ctx["category"]
-        jcat = orbit_category(ctx["group"], ctx["family"])
-        complexes = {}
-        for k, entry in enumerate(_require(data, "complexes", path, list)):
-            where = f"{path}.complexes[{k}]"
-            i, j = _tuplify(entry[0]), _tuplify(entry[1])
-            complexes[(i, j)] = decode_plain_complex(entry[2], where)
-        index_action = {}
-        for k, entry in enumerate(_require(data, "index_action", path, list)):
-            where = f"{path}.index_action[{k}]"
-            phi, j = _tuplify(entry[0]), _tuplify(entry[1])
-            if phi not in icat.dom:
-                _fail(where, f"{phi!r} names no index morphism")
-            a, b = icat.dom[phi], icat.cod[phi]
-            index_action[(phi, j)] = decode_chain_map(
-                entry[2], where, complexes[(b, j)], complexes[(a, j)])
-        coeff_action = {}
-        for k, entry in enumerate(_require(data, "coeff_action", path, list)):
-            where = f"{path}.coeff_action[{k}]"
-            i, psi = _tuplify(entry[0]), _tuplify(entry[1])
-            if psi not in jcat.dom:
-                _fail(where, f"{psi!r} names no orbit-category morphism")
-            j1, j2 = jcat.dom[psi], jcat.cod[psi]
-            coeff_action[(i, psi)] = decode_chain_map(
-                entry[2], where, complexes[(i, j1)], complexes[(i, j2)])
-        try:
-            return BiFunctorComplex(icat, jcat, complexes,
-                                    index_action, coeff_action)
-        except ValueError as err:
-            _fail(path, str(err))
-    _fail(path, f"unknown bifunctor kind {kind!r}")
+    return _kind(data, path, ctx, _BIFUNCTOR_KINDS)
 
 
 def encode_seqspec(spec: GradedSeqSpec):
@@ -739,32 +711,24 @@ def encode_seqspec(spec: GradedSeqSpec):
 
 
 def decode_seqspec(data, path):
-    def tail(raw, where):
+    def prefix(key):
+        return [_int_in(v, f"{path}.{key}")
+                for v in _field(data, key, path, list)]
+
+    def tail(key):
+        raw = _field(data, key, path, (str, list))
         if isinstance(raw, str):
             return raw
-        if isinstance(raw, list) and len(raw) == 2:
-            return (raw[0], _int_in(raw[1], where))
-        _fail(where, f"unrecognized tail {raw!r}")
+        tag, bound = _list_in(raw, f"{path}.{key}", 2)
+        return tag, _int_in(bound, f"{path}.{key}")
 
-    profile = {}
-    for key, grp in data.get("profile", {}).items():
-        q = _int_in(key, f"{path}.profile")
-        profile[q] = decode_abelian(grp, f"{path}.profile.{key}")
-    try:
-        return GradedSeqSpec(
-            [_int_in(v, f"{path}.m_prefix")
-             for v in _require(data, "m_prefix", path, list)],
-            tail(_require(data, "m_tail", path, (str, list)),
-                 f"{path}.m_tail"),
-            [_int_in(v, f"{path}.n_prefix")
-             for v in _require(data, "n_prefix", path, list)],
-            tail(_require(data, "n_tail", path, (str, list)),
-                 f"{path}.n_tail"),
-            profile,
-            _int_in(data.get("profile_floor", "0"), f"{path}.profile_floor"),
-            _int_in(_require(data, "degree", path), f"{path}.degree"))
-    except ValueError as err:
-        _fail(path, str(err))
+    profile = {_int_in(q, f"{path}.profile"): decode_abelian(
+        g, f"{path}.profile.{q}")
+        for q, g in _field(data, "profile", path, dict, {}).items()}
+    return _call(path, GradedSeqSpec, prefix("m_prefix"), tail("m_tail"),
+                 prefix("n_prefix"), tail("n_tail"), profile,
+                 _int_field(data, "profile_floor", path, 0),
+                 _int_field(data, "degree", path))
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +764,57 @@ def _digest(raw):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _decode_instance(data, path, ctx):
+    source = _member(_field(data, "free_complex", path,
+                            default="icw" if "icw" in ctx else "complex"),
+                     f"{path}.free_complex", ("icw", "complex"),
+                     "free complex source, 'icw' or 'complex'")
+    _needs(ctx, f"{path}.free_complex", (source,))
+    free_complex = ctx[source]
+    if source == "icw":
+        free_complex = cellular_chain_complex(free_complex)
+    elif not isinstance(free_complex, CatChainComplex):
+        _fail(f"{path}.free_complex",
+              "the complex section must hold a functor complex")
+    return _call(
+        path, TheoremInstance, ctx["category"], free_complex, ctx["group"],
+        ctx["family"], ctx["gcw"], ctx["bifunctor"],
+        _int_field(data, "top_degree", path),
+        _int_field(data, "through_degree", path),
+        _int_field(data, "vanishing_floor", path, 0),
+        _field(data, "mode", path, default=STRICT),
+        _field(data, "coeff_truncated", path, bool, False))
+
+
+def _named(decode):
+    """Decoder of a named map; decode(spec, path, ctx) reads each spec."""
+    def decode_map(data, path, ctx):
+        if not isinstance(data, dict):
+            _fail(path, "expected a named map")
+        return {name: decode(spec, f"{path}.{name}", ctx)
+                for name, spec in data.items()}
+    return decode_map
+
+
+# (section, sections it reads, decoder(data, path, ctx)), in decode order
+_DECODERS = (
+    ("group", (), lambda data, path, ctx: decode_group(data, path)),
+    ("family", ("group",), lambda data, path, ctx: decode_family(
+        data, path, ctx["group"])),
+    ("category", (), decode_category),
+    ("module", ("category",), _named(lambda data, path, ctx: decode_module(
+        data, path, ctx["category"]))),
+    ("complex", (), decode_complex),
+    ("icw", (), decode_icw),
+    ("gcw", ("group",), decode_gcw),
+    ("bifunctor", (), decode_bifunctor),
+    ("sequences", (), _named(lambda data, path, ctx: decode_seqspec(
+        data, path))),
+    ("instance", ("category", "group", "family", "gcw", "bifunctor"),
+     _decode_instance),
+)
+
+
 def parse_manifest(text: str) -> Manifest:
     try:
         raw = json.loads(text)
@@ -812,83 +827,12 @@ def parse_manifest(text: str) -> Manifest:
     for key in raw:
         if key != "version" and key not in SECTIONS:
             raise ManifestError(f"unknown section {key!r}")
-    version = raw.get("version", "1")
     ctx = {}
-    if "group" in raw:
-        ctx["group"] = decode_group(raw["group"], "group")
-    if "family" in raw:
-        if "group" not in ctx:
-            raise ManifestError(
-                "family: dangling reference, no group section")
-        ctx["family"] = decode_family(raw["family"], "family", ctx["group"])
-    if "category" in raw:
-        ctx["category"] = decode_category(raw["category"], "category", ctx)
-    if "module" in raw:
-        if "category" not in ctx:
-            raise ManifestError(
-                "module: dangling reference, no category section")
-        if not isinstance(raw["module"], dict):
-            raise ManifestError("module: expected a named map of modules")
-        ctx["module"] = {
-            name: decode_module(spec, f"module.{name}", ctx["category"])
-            for name, spec in raw["module"].items()}
-    if "complex" in raw:
-        ctx["complex"] = decode_complex(raw["complex"], "complex", ctx)
-    if "icw" in raw:
-        ctx["icw"] = decode_icw(raw["icw"], "icw", ctx)
-    if "gcw" in raw:
-        ctx["gcw"] = decode_gcw(raw["gcw"], "gcw", ctx)
-    if "bifunctor" in raw:
-        ctx["bifunctor"] = decode_bifunctor(raw["bifunctor"], "bifunctor", ctx)
-    if "sequences" in raw:
-        if not isinstance(raw["sequences"], dict):
-            raise ManifestError("sequences: expected a named map of specs")
-        ctx["sequences"] = {
-            name: decode_seqspec(spec, f"sequences.{name}")
-            for name, spec in raw["sequences"].items()}
-    if "instance" in raw:
-        ctx["instance"] = _decode_instance(raw["instance"], "instance", ctx)
-    return Manifest(version, raw, _digest(raw), ctx)
-
-
-def _decode_instance(data, path, ctx):
-    if not isinstance(data, dict):
-        _fail(path, f"expected an object, got {type(data).__name__}")
-    for need in ("category", "group", "family", "gcw", "bifunctor"):
-        if need not in ctx:
-            _fail(path, f"dangling reference, no {need} section")
-    source = data.get("free_complex", "icw" if "icw" in ctx else "complex")
-    if source == "icw":
-        if "icw" not in ctx:
-            _fail(f"{path}.free_complex", "dangling reference, no icw section")
-        free_complex = cellular_chain_complex(ctx["icw"])
-    elif source == "complex":
-        if "complex" not in ctx:
-            _fail(f"{path}.free_complex",
-                  "dangling reference, no complex section")
-        free_complex = ctx["complex"]
-        if not isinstance(free_complex, CatChainComplex):
-            _fail(f"{path}.free_complex",
-                  "the complex section must hold a functor complex")
-    else:
-        _fail(f"{path}.free_complex",
-              f"must be 'icw' or 'complex', got {source!r}")
-    mode = data.get("mode", STRICT)
-    truncated = data.get("coeff_truncated", False)
-    if not isinstance(truncated, bool):
-        _fail(f"{path}.coeff_truncated", "must be a JSON boolean")
-    try:
-        return TheoremInstance(
-            ctx["category"], free_complex, ctx["group"], ctx["family"],
-            ctx["gcw"], ctx["bifunctor"],
-            _int_in(_require(data, "top_degree", path), f"{path}.top_degree"),
-            _int_in(_require(data, "through_degree", path),
-                    f"{path}.through_degree"),
-            _int_in(data.get("vanishing_floor", "0"),
-                    f"{path}.vanishing_floor"),
-            mode, truncated)
-    except ValueError as err:
-        _fail(path, str(err))
+    for section, needs, decode in _DECODERS:
+        if section in raw:
+            _needs(ctx, section, needs)
+            ctx[section] = decode(raw[section], section, ctx)
+    return Manifest(raw.get("version", "1"), raw, _digest(raw), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -953,28 +897,27 @@ _BUILTIN_DIGEST = "builtin"
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(manifest, args):
-    rep = Report("validate", manifest.digest)
+# section -> its problems; a section not listed validates by parsing
+_VALIDATORS = {
+    "category": validate_category,
+    "module": lambda modules: [f"{name}: {p}"
+                               for name, mod in sorted(modules.items())
+                               for p in validate_module(mod)],
+    "bifunctor": validate_bifunctor,
+}
+
+
+def _cmd_validate(manifest, args, rep):
     present = [s for s in SECTIONS if manifest.get(s) is not None]
     if not present:
         raise ManifestError("nothing to validate: no sections present")
     for name in present:
-        obj = manifest.get(name)
-        problems = []
-        if name == "category":
-            problems = validate_category(obj)
-        elif name == "module":
-            for mod_name, mod in sorted(obj.items()):
-                problems.extend(
-                    f"{mod_name}: {p}" for p in validate_module(mod))
-        elif name == "bifunctor":
-            problems = validate_bifunctor(obj)
+        problems = _VALIDATORS.get(name, lambda obj: [])(manifest.get(name))
         rep.verdict(f"section {name}", not problems,
                     "parses and validates" if not problems
                     else f"{len(problems)} violation(s)")
         for p in problems:
             rep.witness(f"{name}: {p}")
-    return rep
 
 
 def _degrees_arg(args, lo, hi):
@@ -983,8 +926,7 @@ def _degrees_arg(args, lo, hi):
     return [args.degree]
 
 
-def _cmd_homology(manifest, args):
-    rep = Report("homology", manifest.digest)
+def _cmd_homology(manifest, args, rep):
     cx = manifest.need("complex", "homology")
     if isinstance(cx, PlainChainComplex):
         for p in _degrees_arg(args, cx.lo, cx.hi):
@@ -995,11 +937,9 @@ def _cmd_homology(manifest, args):
                 rep.group(f"H_{p}({obj!r})", homology(cx.evaluate_at(obj), p))
     rep.verdict("homology computed", True,
                 f"{len(rep.groups)} group(s)")
-    return rep
 
 
-def _cmd_bredon(manifest, args):
-    rep = Report("bredon", manifest.digest)
+def _cmd_bredon(manifest, args, rep):
     x = manifest.need("gcw", "bredon")
     modules = manifest.need("module", "bredon")
     if "coefficients" not in modules:
@@ -1010,46 +950,36 @@ def _cmd_bredon(manifest, args):
         rep.group(f"H_{p}", bredon_homology(x, coeff, p))
     rep.verdict("Bredon homology computed", True,
                 f"{len(rep.groups)} group(s)")
-    return rep
 
 
 def _two_modules(manifest, command):
     modules = manifest.need("module", command)
-    for name in ("left", "right"):
-        if name not in modules:
-            raise ManifestError(
-                f"{command} needs modules named 'left' and 'right'")
+    if not modules.keys() >= {"left", "right"}:
+        raise ManifestError(f"{command} needs modules named 'left' and 'right'")
     return modules["left"], modules["right"]
 
 
-def _cmd_tensor(manifest, args):
-    rep = Report("tensor", manifest.digest)
+def _cmd_tensor(manifest, args, rep):
     left, right = _two_modules(manifest, "tensor")
     rep.group("left ⊗ right over the category", CatTensor(left, right).group)
     rep.verdict("tensor computed", True)
-    return rep
 
 
-def _cmd_hom(manifest, args):
-    rep = Report("hom", manifest.digest)
+def _cmd_hom(manifest, args, rep):
     left, right = _two_modules(manifest, "hom")
     rep.group("natural transformations left => right",
               CatHomGroup(left, right).group)
     rep.verdict("hom computed", True)
-    return rep
 
 
-def _cmd_tor(manifest, args):
-    rep = Report("tor", manifest.digest)
+def _cmd_tor(manifest, args, rep):
     left, right = _two_modules(manifest, "tor")
     p = 1 if args.degree is None else args.degree
     rep.group(f"Tor_{p}(left, right)", tor(left, right, p))
     rep.verdict("tor computed", True)
-    return rep
 
 
-def _cmd_verify_theorem(manifest, args):
-    rep = Report("verify-theorem", manifest.digest)
+def _cmd_verify_theorem(manifest, args, rep):
     inst = manifest.need("instance", "verify-theorem")
     mode = {None: None, "strict": STRICT, "almost": ALMOST}[args.mode]
     hyp = check_hypotheses(inst)
@@ -1087,7 +1017,6 @@ def _cmd_verify_theorem(manifest, args):
     else:
         rep.verdict("comparison map", False,
                     "not attempted: hypotheses failed")
-    return rep
 
 
 _CANONICAL_SPECS = (
@@ -1104,9 +1033,7 @@ _CANONICAL_SPECS = (
 )
 
 
-def _cmd_demo_interchange(manifest, args):
-    digest = manifest.digest if manifest else _BUILTIN_DIGEST
-    rep = Report("demo-interchange", digest)
+def _cmd_demo_interchange(manifest, args, rep):
     if manifest and manifest.get("sequences"):
         specs = sorted(manifest.get("sequences").items())
     else:
@@ -1120,12 +1047,9 @@ def _cmd_demo_interchange(manifest, args):
         rep.verdict(f"{name}: finite window {result.window} injective",
                     result.injective)
         rep.group(f"{name}: window source", result.source)
-    return rep
 
 
-def _cmd_demo_tor_probe(manifest, args):
-    digest = manifest.digest if manifest else _BUILTIN_DIGEST
-    rep = Report("demo-tor-probe", digest)
+def _cmd_demo_tor_probe(manifest, args, rep):
     for n_top in range(2, 9):
         result = tor_interchange_probe(2, 8, n_top)
         rep.verdict(f"diagonal witness order at N={n_top} is 2^{n_top}",
@@ -1139,17 +1063,11 @@ def _cmd_demo_tor_probe(manifest, args):
                 result.membership_boundary and result.window_iso,
                 "in the block image" if result.membership
                 else "blocked by the diagonal witness")
-    return rep
 
 
-def _cmd_demo_classifying(manifest, args):
-    digest = manifest.digest if manifest else _BUILTIN_DIGEST
-    rep = Report("demo-classifying", digest)
-    picks = []
-    if args.model in (None, "both", "N"):
-        picks.append(("N", args.truncation if args.truncation else 6))
-    if args.model in (None, "both", "RF"):
-        picks.append(("RF", args.truncation if args.truncation else 4))
+def _cmd_demo_classifying(manifest, args, rep):
+    picks = [(kind, args.truncation or k) for kind, k in (("N", 6), ("RF", 4))
+             if args.model in (None, "both", kind)]
     for kind, k in picks:
         model = classifying_model(kind, k)
         counts = ", ".join(f"{len(model.cells.get(n, ()))} in degree {n}"
@@ -1165,11 +1083,9 @@ def _cmd_demo_classifying(manifest, args):
             f"{check.checked_through}", check.passed)
         for obj, p, grp in check.failures:
             rep.witness(f"{kind}: H_{p} at {obj!r} = {format_group(grp)}")
-    return rep
 
 
-def _cmd_borel_check(manifest, args):
-    rep = Report("borel-check", manifest.digest)
+def _cmd_borel_check(manifest, args, rep):
     x = manifest.need("gcw", "borel-check")
     group = manifest.need("group", "borel-check")
     if args.truncation is None:
@@ -1180,7 +1096,6 @@ def _cmd_borel_check(manifest, args):
         rep.group(f"kernel in degree {p}", ker)
         rep.group(f"cokernel in degree {p}", coker)
     rep.verdict(f"reliable through degree {result.valid_through}", True)
-    return rep
 
 
 _DISPATCH = {
@@ -1197,6 +1112,7 @@ _DISPATCH = {
     "borel-check": _cmd_borel_check,
 }
 
+COMMANDS = tuple(_DISPATCH)
 _DEMO_COMMANDS = {"demo-interchange", "demo-tor-probe", "demo-classifying"}
 
 
@@ -1209,12 +1125,14 @@ def run(command: str, manifest, args=None) -> Report:
     if args is None:
         args = argparse.Namespace(degree=None, truncation=None, mode=None,
                                   model=None)
+    rep = Report(command, manifest.digest if manifest else _BUILTIN_DIGEST)
     try:
-        return _DISPATCH[command](manifest, args)
+        _DISPATCH[command](manifest, args, rep)
     except ManifestError:
         raise
     except ValueError as err:
         raise ManifestError(str(err)) from err
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -1258,8 +1176,7 @@ def main(argv=None) -> int:
                 with open(args.manifest, encoding="utf-8") as fh:
                     text = fh.read()
             except OSError as err:
-                print(f"error: cannot read manifest: {err}", file=sys.stderr)
-                return 2
+                raise ManifestError(f"cannot read manifest: {err}") from err
             manifest = parse_manifest(text)
         report = run(args.command, manifest, args)
     except ManifestError as err:

@@ -542,11 +542,11 @@ class FpAbGroup:
         torsion = tuple(int(t) for t in torsion)
         if rank < 0:
             raise ValueError("negative rank")
+        if any(t < 2 for t in torsion):
+            raise ValueError(f"invariant factors must be >= 2: {torsion}")
         for t, t2 in zip(torsion, torsion[1:]):
             if t2 % t:
                 raise ValueError(f"invariant factors must form a chain: {torsion}")
-        if any(t < 2 for t in torsion):
-            raise ValueError(f"invariant factors must be >= 2: {torsion}")
         self.rank = rank
         self.torsion = torsion
         n = rank + len(torsion)

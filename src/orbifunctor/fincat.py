@@ -47,6 +47,9 @@ class FinGroup:
     def from_table(cls, elements, table):
         """Build and fully validate a group from a multiplication table."""
         elements = tuple(elements)
+        if len(elements) > GROUP_ORDER_BOUND:
+            raise ValueError(f"order {len(elements)} exceeds the bound "
+                             f"{GROUP_ORDER_BOUND}")
         eset = set(elements)
         if len(eset) != len(elements):
             raise ValueError("duplicate elements")

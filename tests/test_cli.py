@@ -457,13 +457,11 @@ def _mutated(base, path, value):
     return json.dumps(data)
 
 
-@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
-def test_every_single_field_mutation_ends_in_a_report_or_input_error():
-    # Each field of the shipped manifest in turn is replaced by one of a few
-    # ill-typed or out-of-range values, or deleted.  verify-theorem must then
-    # give a report (exit 0 or 1) or a ManifestError (exit 2) within a
-    # bounded time: never another exception, never a hang.
-    base = json.loads(shipped_text())
+def _mutation_sweep(base, command):
+    """(cases, failures) of running `command` on every single-field mutation
+    of the manifest `base`: each field in turn is replaced by one of a few
+    ill-typed or out-of-range values, or deleted.  A case fails unless it
+    gives a report (exit 0 or 1) or a ManifestError (exit 2) within 10 s."""
     previous = signal.signal(signal.SIGALRM, _raise_overrun)
     bad = []
     cases = 0
@@ -474,7 +472,7 @@ def test_every_single_field_mutation_ends_in_a_report_or_input_error():
                 text = _mutated(base, path, value)
                 signal.alarm(10)
                 try:
-                    outcome = run("verify-theorem", parse_manifest(text))
+                    outcome = run(command, parse_manifest(text))
                 except ManifestError as err:
                     outcome = err
                 except _Overrun:
@@ -488,7 +486,100 @@ def test_every_single_field_mutation_ends_in_a_report_or_input_error():
                     bad.append(f"{path} = {shown}: {outcome}")
     finally:
         signal.signal(signal.SIGALRM, previous)
+    return cases, bad
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_every_single_field_mutation_ends_in_a_report_or_input_error():
+    # verify-theorem on the shipped manifest: never another exception, never
+    # a hang
+    cases, bad = _mutation_sweep(json.loads(shipped_text()), "verify-theorem")
     assert cases == 561
+    assert bad == []
+
+
+def _twisted_bifunctor_shape():
+    from orbifunctor.verify import twisted_coefficient_system
+    idx = standard_category("chain", 1)
+    group, family, e = twisted_coefficient_system(idx)
+    return {"version": "1", "group": encode_group(group),
+            "family": encode_family(family), "category": encode_category(idx),
+            "bifunctor": encode_bifunctor(e)}
+
+
+def _explicit_module_shape():
+    c2 = FinGroup.cyclic(2)
+    mod = transport_pi0_module(c2, SubgroupFamily.all(c2))
+    return {"version": "1", "category": encode_category(mod.cat),
+            "module": {"left": encode_module(mod)}}
+
+
+def _cells_icw_shape():
+    return {"version": "1", "category": {"kind": "grid", "size": "2"},
+            "icw": encode_icw(classifying_model("RF", 2))}
+
+
+def _functor_complex_shape():
+    from orbifunctor.cellspaces import fixed_point_chains
+    x = reflection_circle()
+    chains = fixed_point_chains(x, SubgroupFamily.all(x.group))
+    return {"version": "1", "group": {"kind": "cyclic", "n": "2"},
+            "family": {"kind": "all"}, "category": {"kind": "orbit"},
+            "complex": encode_functor_complex(chains)}
+
+
+def _sequence_shape():
+    spec = GradedSeqSpec((0, 1), "strictly-increasing-unbounded",
+                         (2,), ("bounded-by", 7),
+                         {3: FpAbGroup.cyclic(6)}, 1, 2)
+    return {"version": "1", "sequences": {"s": encode_seqspec(spec)}}
+
+
+def _table_group_shape():
+    return {"version": "1", "group": encode_group(FinGroup.symmetric(3)),
+            "family": {"kind": "all"}}
+
+
+def _permutation_closure_shape():
+    return {"version": "1",
+            "group": {"kind": "permutations",
+                      "generators": [[1, 2, 0], [1, 0, 2]]},
+            "family": {"kind": "closure",
+                       "seeds": [[[0, 1, 2]], [[0, 1, 2], [1, 0, 2]]]},
+            "category": {"kind": "orbit"}}
+
+
+def _plain_complex_shape():
+    z = {"rank": "1", "torsion": []}
+    return {"version": "1",
+            "complex": {"kind": "plain", "lo": "0", "hi": "1",
+                        "groups": {"0": z, "1": z},
+                        "diffs": {"1": {"nrows": "1", "ncols": "1",
+                                        "rows": [["2"]]}}}}
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize("shape, command, expected", [
+    (_twisted_bifunctor_shape, "validate", 2222),
+    (_explicit_module_shape, "validate", 1364),
+    (_cells_icw_shape, "validate", 1628),
+    (_functor_complex_shape, "homology", 1342),
+    (_sequence_shape, "demo-interchange", 209),
+    (_table_group_shape, "validate", 803),
+    (_permutation_closure_shape, "validate", 341),
+    (_plain_complex_shape, "homology", 209),
+], ids=["twisted-bifunctor", "explicit-module", "cells-icw", "functor-complex",
+        "sequence", "table-group", "permutation-closure", "plain-complex"])
+def test_single_field_mutations_of_other_shapes_end_in_a_report_or_input_error(
+        shape, command, expected):
+    # the same sweep over the other section kinds the shipped manifest does
+    # not use: table groups, member and closure families, explicit
+    # categories, modules, cell and functor complexes, explicit bifunctors
+    # and sequence specs
+    base = shape()
+    assert isinstance(run(command, parse_manifest(json.dumps(base))), Report)
+    cases, bad = _mutation_sweep(base, command)
+    assert cases == expected
     assert bad == []
 
 
@@ -527,6 +618,39 @@ def _group_manifest(group):
 def test_groups_past_the_bound_are_refused_at_once(group):
     with pytest.raises(ManifestError):
         _within_a_second(lambda: parse_manifest(_group_manifest(group)))
+
+
+def _cyclic_table(n):
+    return {"kind": "table", "elements": [str(k) for k in range(n)],
+            "table": [[(a + b) % n for b in range(n)] for a in range(n)]}
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_group_table_past_the_bound_is_refused_at_once():
+    with pytest.raises(ManifestError, match="exceeds the bound"):
+        _within_a_second(lambda: parse_manifest(
+            _group_manifest(_cyclic_table(25))))
+    assert parse_manifest(_group_manifest(_cyclic_table(24))).get(
+        "group").order == 24
+
+
+def test_non_associative_group_table_exits_2(tmp_path):
+    # identity 0 and every element its own inverse, but (1*1)*2 = 2 while
+    # 1*(1*2) = 4
+    rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    group = {"kind": "table", "elements": list(range(5)), "table": rows}
+    with pytest.raises(ManifestError, match="associativity fails"):
+        parse_manifest(_group_manifest(group))
+    path = write_manifest(tmp_path, {"version": "1", "group": group})
+    assert main(["validate", "--manifest", path]) == 2
+
+
+def test_torsion_must_be_a_list():
+    with pytest.raises(ManifestError, match="torsion"):
+        decode_abelian({"rank": "0", "torsion": "1000"}, "g")
+    with pytest.raises(ManifestError, match=">= 2"):
+        decode_abelian({"rank": "0", "torsion": ["0", "0"]}, "g")
 
 
 @pytest.mark.parametrize("group", [{"kind": "cyclic", "n": "24"},

@@ -213,6 +213,13 @@ def test_group_construction_and_display():
         FpAbGroup.from_invariants(0, [1])
 
 
+def test_invariant_factor_below_two_is_a_value_error():
+    # checked before the divisor chain, whose test would divide by zero
+    for torsion in ([0, 0], [0, 4], [1, 1], [-2, 4]):
+        with pytest.raises(ValueError, match=">= 2"):
+            FpAbGroup(0, torsion)
+
+
 def test_group_scalars():
     g = FpAbGroup.from_invariants(1, [2, 6])
     assert g.ngens == 3
