@@ -1,11 +1,12 @@
 """Modules over a finite category: functors into f.p. abelian groups.
 
 Covariant and contravariant modules, natural transformations, free modules
-with marked bases, tensor product over the category (a coequalizer), natural
-transformation groups (an equalizer), objectwise kernels/cokernels with
-induced actions, restriction and induction along a functor, free resolutions,
-Tor, and the finite-product interchange map for finitely generated free
-modules.
+with marked bases, tensor product over the category (a coequalizer, or an
+evaluation when the left factor is free-marked), natural transformation
+groups (an equalizer, or an evaluation out of a free-marked module),
+objectwise kernels/cokernels with induced actions, restriction and induction
+along a functor, free resolutions, Tor, and the finite-product interchange
+map for finitely generated free modules.
 
 Everything is presented over the exact integer layer, so all answers are
 canonical forms with witnesses, never up-to-iso guesses.
@@ -45,11 +46,16 @@ class CatModule:
     variance "contra": action(f) maps value(cod f) -> value(dom f).
 
     Free modules built by free_module additionally carry `free_gens` (the flat
-    tuple of base objects, one per generator) and `free_basis` (per object,
-    the ordered tuple of basis labels (generator index, morphism)).
+    tuple of base objects, one per generator), `free_basis` (per object, the
+    ordered tuple of basis labels (generator index, morphism)) and
+    `free_index` (per object, the position of each label).  Hom and tensor
+    trust these markers, so the constructor checks that they describe the
+    values and the actions; with markers, `actions` may be None, and the
+    actions are then the ones the markers determine.
     """
 
-    __slots__ = ("cat", "variance", "values", "actions", "free_gens", "free_basis")
+    __slots__ = ("cat", "variance", "values", "actions", "free_gens",
+                 "free_basis", "free_index", "_columns")
 
     def __init__(self, cat, variance, values, actions,
                  free_gens=None, free_basis=None):
@@ -58,15 +64,63 @@ class CatModule:
         self.cat = cat
         self.variance = variance
         self.values = dict(values)
-        self.actions = dict(actions)
+        self.actions = {} if actions is None else dict(actions)
         self.free_gens = free_gens
         self.free_basis = free_basis
+        self.free_index = None
+        self._columns = {}
+        if free_gens is not None or free_basis is not None:
+            self._check_markers(derive=actions is None)
+
+    def _check_markers(self, derive):
+        if self.free_gens is None or self.free_basis is None:
+            raise ValueError("free markers need both free_gens and free_basis")
+        cat = self.cat
+        self.free_gens = tuple(self.free_gens)
+        self.free_basis = basis = {w: tuple(basis) for w, basis in
+                                   dict(self.free_basis).items()}
+        expected = _free_basis(cat, self.free_gens, self.variance)
+        for w in cat.objects:
+            labels = basis.get(w, ())
+            if len(set(labels)) != len(labels) or \
+                    set(labels) != set(expected[w]):
+                raise ValueError(f"free basis at {w!r} does not list each "
+                                 f"morphism between {w!r} and a generator once")
+            value = self.values.get(w)
+            if value is None or value != FpAbGroup.free(len(labels)):
+                raise ValueError(f"value at {w!r} is not free on its "
+                                 f"{len(labels)} basis labels")
+        index = self.free_index = {
+            w: {lab: k for k, lab in enumerate(basis[w])} for w in cat.objects}
+        for f in cat.morphisms:
+            # the selection matrix moving each basis label along f
+            s, t = _endpoints(cat, self.variance, f)
+            if self.variance == CONTRAVARIANT:
+                moved = [(i, cat.compose(f, phi)) for i, phi in basis[s]]
+            else:
+                moved = [(i, cat.compose(phi, f)) for i, phi in basis[s]]
+            want = IntMatrix.selection(len(basis[t]),
+                                       [index[t][lab] for lab in moved])
+            if derive:
+                self.actions[f] = AbHom(self.values[s], self.values[t], want,
+                                        check=False)
+            elif f not in self.actions or self.actions[f].matrix != want:
+                raise ValueError(f"action of {f!r} does not move the free "
+                                 f"basis along the morphism")
 
     def value(self, obj) -> FpAbGroup:
         return self.values[obj]
 
     def action(self, f) -> AbHom:
         return self.actions[f]
+
+    def action_columns(self, f):
+        """The columns of the action of f as {row: entry} dicts, built once;
+        they are shared and must not be mutated."""
+        cols = self._columns.get(f)
+        if cols is None:
+            cols = self._columns[f] = self.actions[f].matrix.transpose().nonzeros
+        return cols
 
     def is_free_marked(self):
         return self.free_basis is not None
@@ -81,8 +135,13 @@ class CatModule:
 
 
 def _action_endpoints(module, f):
-    a, b = module.cat.dom[f], module.cat.cod[f]
-    if module.variance == COVARIANT:
+    return _endpoints(module.cat, module.variance, f)
+
+
+def _endpoints(cat, variance, f):
+    # (object acted from, object acted to) of the morphism f
+    a, b = cat.dom[f], cat.cod[f]
+    if variance == COVARIANT:
         return a, b
     return b, a
 
@@ -131,9 +190,14 @@ def zero_module(cat: FinCategory, variance=COVARIANT) -> CatModule:
 
 
 class ModuleMap:
-    """Natural transformation between same-base same-variance modules."""
+    """Natural transformation between same-base same-variance modules.
 
-    __slots__ = ("source", "target", "components")
+    Naturality is not checked on construction; `validate_module_map`,
+    `natural_from` and `defect` check it.  The last two remember their
+    answers, so a map that is reused (a differential) is checked once.
+    """
+
+    __slots__ = ("source", "target", "components", "_memo")
 
     def __init__(self, source: CatModule, target: CatModule, components):
         if source.cat is not target.cat and source.cat != target.cat:
@@ -143,6 +207,26 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.components = dict(components)
+        self._memo = {}
+
+    def natural_from(self, obj) -> bool:
+        """Whether the naturality square of every morphism acting from obj
+        commutes."""
+        key = ("from", obj)
+        if key not in self._memo:
+            self._memo[key] = all(
+                _square_commutes(self, f) for f in self.source.cat.morphisms
+                if _action_endpoints(self.source, f)[0] == obj)
+        return self._memo[key]
+
+    def defect(self):
+        """For a map out of a free-marked module: the triples (object w,
+        basis position j, difference in target(w)) at which the map differs
+        from the transformation that its values at the marked generators
+        determine.  Empty exactly when the map is natural."""
+        if "defect" not in self._memo:
+            self._memo["defect"] = _yoneda_defect(self)
+        return self._memo["defect"]
 
     @classmethod
     def identity(cls, module):
@@ -198,13 +282,44 @@ def validate_module_map(mm: ModuleMap) -> list:
     if problems:
         return problems
     for f in cat.morphisms:
-        s, t = _action_endpoints(mm.source, f)
-        lhs = mm.target.actions[f].compose(mm.components[s])
-        rhs = mm.components[t].compose(mm.source.actions[f])
-        if lhs != rhs:
+        if not _square_commutes(mm, f):
             problems.append(f"naturality fails at morphism {f!r}")
             return problems
+    mm._memo.update((("from", c), True) for c in cat.objects)
     return problems
+
+
+def _square_commutes(mm: ModuleMap, f) -> bool:
+    s, t = _action_endpoints(mm.source, f)
+    reduce = mm.target.values[t].reduce_matrix
+    return (reduce(mm.target.actions[f].matrix * mm.components[s].matrix)
+            == reduce(mm.components[t].matrix * mm.source.actions[f].matrix))
+
+
+def _yoneda_defect(mm: ModuleMap):
+    # compare each component with that of the transformation sending each
+    # generator i to the value of mm at (i, id_{c_i})
+    free, target = mm.source, mm.target
+    if not free.is_free_marked():
+        raise ValueError("source carries no free marker")
+    yoneda = free_map_from_images(free, target,
+                                  _generator_images(free, mm.components))
+    out = []
+    for w in free.cat.objects:
+        have, want = mm.components[w].matrix, yoneda.components[w].matrix
+        if have != want:
+            for j, col in enumerate((want - have).columns()):
+                diff = target.values[w].reduce(col)
+                if any(diff):
+                    out.append((w, j, diff))
+    return out
+
+
+def _generator_images(free: CatModule, components):
+    # the column of each component at the marked generator (i, id_{c_i})
+    ids = free.cat.ids
+    return [components[c].matrix.column(free.free_index[c][(i, ids[c])])
+            for i, c in enumerate(free.free_gens)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,33 +366,24 @@ def free_module(cat: FinCategory, gens, variance=CONTRAVARIANT):
     for c in gens:
         if c not in objset:
             raise ValueError(f"unknown object {c!r}")
+    basis = _free_basis(cat, gens, variance)
+    values = {w: FpAbGroup.free(len(basis[w])) for w in cat.objects}
+    module = CatModule(cat, variance, values, None,
+                       free_gens=gens, free_basis=basis)
+    return module, FreeMarker(gens)
+
+
+def _free_basis(cat, gens, variance):
+    # per object w, the labels (i, φ) with φ in mor(w, c_i) (contravariant)
+    # or mor(c_i, w) (covariant), generator index first
     basis = {}
     for w in cat.objects:
         entries = []
         for i, c in enumerate(gens):
-            if variance == CONTRAVARIANT:
-                entries.extend((i, phi) for phi in cat.mor(w, c))
-            else:
-                entries.extend((i, phi) for phi in cat.mor(c, w))
+            homs = cat.mor(w, c) if variance == CONTRAVARIANT else cat.mor(c, w)
+            entries.extend((i, phi) for phi in homs)
         basis[w] = tuple(entries)
-    values = {w: FpAbGroup.free(len(basis[w])) for w in cat.objects}
-    index = {w: {lab: k for k, lab in enumerate(basis[w])} for w in cat.objects}
-    actions = {}
-    for f in cat.morphisms:
-        a, b = cat.dom[f], cat.cod[f]
-        if variance == CONTRAVARIANT:
-            src_obj, tgt_obj = b, a
-            move = lambda phi, f=f: cat.compose(f, phi)
-        else:
-            src_obj, tgt_obj = a, b
-            move = lambda phi, f=f: cat.compose(phi, f)
-        mat = IntMatrix.selection(
-            len(basis[tgt_obj]),
-            [index[tgt_obj][(i, move(phi))] for (i, phi) in basis[src_obj]])
-        actions[f] = AbHom(values[src_obj], values[tgt_obj], mat, check=False)
-    module = CatModule(cat, variance, values, actions,
-                       free_gens=gens, free_basis=basis)
-    return module, FreeMarker(gens)
+    return basis
 
 
 def free_map_from_images(free: CatModule, target: CatModule,
@@ -288,16 +394,29 @@ def free_map_from_images(free: CatModule, target: CatModule,
         raise ValueError("source carries no free marker")
     if len(images) != len(free.free_gens):
         raise ValueError("one image per generator required")
-    return _free_map(free, target,
-                     lambda i, phi: target.actions[phi].apply(images[i]))
+    sparse = []
+    for img, c in zip(images, free.free_gens):
+        if len(img) != target.values[c].ngens:
+            raise ValueError(f"image of a generator at {c!r} has the wrong length")
+        sparse.append({b: x for b, x in enumerate(img) if x})
+
+    def image_column(i, phi):
+        cols, acc = target.action_columns(phi), {}
+        for b, x in sparse[i].items():
+            for r, y in cols[b].items():
+                acc[r] = acc.get(r, 0) + x * y
+        return {r: x for r, x in acc.items() if x}
+    return _free_map(free, target, image_column)
 
 
 def _free_map(free: CatModule, target: CatModule, image_column) -> ModuleMap:
-    # image_column(i, phi): target coordinates of basis element (i, phi)
+    # image_column(i, phi): target coordinates of basis element (i, phi), as
+    # a {row: nonzero entry} dict
     components = {}
     for w in free.cat.objects:
         cols = [image_column(i, phi) for (i, phi) in free.free_basis[w]]
-        mat = IntMatrix.from_columns(cols, nrows=target.values[w].ngens)
+        mat = IntMatrix(len(cols), target.values[w].ngens,
+                        nonzeros=cols).transpose()
         components[w] = AbHom(free.values[w], target.values[w], mat, check=False)
     return ModuleMap(free, target, components)
 
@@ -380,7 +499,15 @@ def map_kernel_cokernel(mm: ModuleMap) -> KernelCokernel:
 class CatTensor:
     """M ⊗ over the base category ⊗ N for M contravariant, N covariant.
 
-    Presented as the quotient of ⊕_c M(c) ⊗ N(c) by the relations
+    The group is a quotient of the big sum ⊕_c M(c) ⊗ N(c): `projection`
+    maps the big sum's canonical coordinates onto it, and the group's
+    witness pair translates between the two.
+
+    When M is free-marked on generators at c_0, ..., c_{r-1}, the co-Yoneda
+    lemma gives M ⊗ N = ⊕_k N(c_k), and the witness is written down: the
+    pair (k, φ) ⊗ y at c goes to N(φ)(y) in summand k, and generator y of
+    N(c_k) comes from the pair (k, id) ⊗ y at c_k.  Otherwise the group is
+    the coequalizer, the quotient of the big sum by the relations
     (x·φ) ⊗ y  =  x ⊗ (φ·y), one block per non-identity morphism φ: c → d,
     x in M(d), y in N(c).
     """
@@ -401,6 +528,11 @@ class CatTensor:
                         for c in cat.objects}
         self.part_index = {c: i for i, c in enumerate(cat.objects)}
         self.big = DirectSum([self.tensors[c].group for c in cat.objects])
+        if left.is_free_marked():
+            self.group = self._evaluated()
+            self.projection = AbHom(self.big.group, self.group,
+                                    self.group.to_can)
+            return
         rel_cols = []
         for f in cat.morphisms:
             if cat.is_identity(f):
@@ -441,6 +573,55 @@ class CatTensor:
         placed[lo:lo + len(rows)] = rows
         m = IntMatrix(big.total_gens, pairs.ncols, nonzeros=placed)
         return m if big.group._to_can is None else big.group._to_can * m
+
+    def _evaluated(self) -> FpAbGroup:
+        # ⊕_k N(c_k) for the free-marked left factor, with its witness pair
+        # on the canonical coordinates of the big sum
+        left, right, big = self.left, self.right, self.big
+        ev = DirectSum([right.values[c] for c in left.free_gens])
+        # to_can: the pair ((k, φ), y) at c goes to N(φ)(y) in summand k
+        rows = [{} for _ in range(ev.total_gens)]
+        for c in self.cat.objects:
+            tb = self.tensors[c]
+            at_c = [{} for _ in range(ev.total_gens)]
+            for e, (a, b, _) in enumerate(tb.entries):
+                k, phi = left.free_basis[c][a]
+                lo = ev.offsets[k]
+                for r, x in right.action_columns(phi)[b].items():
+                    at_c[lo + r][e] = x
+            pairs = IntMatrix(ev.total_gens, len(tb.entries), nonzeros=at_c)
+            if tb.group._reps is not None:
+                pairs = pairs * tb.group._reps
+            shift = big.offsets[self.part_index[c]]
+            for row, part in zip(rows, pairs.nonzeros):
+                row.update((j + shift, x) for j, x in part.items())
+        to_can = IntMatrix(ev.total_gens, big.total_gens, nonzeros=rows)
+        if big.group._reps is not None:
+            to_can = to_can * big.group._reps
+        if ev.group._to_can is not None:
+            to_can = ev.group._to_can * to_can
+        # reps: generator y of N(c_k) comes from the pair ((k, id), y) at c_k,
+        # one batch of pairs per base object
+        by_object = {}
+        for k, c in enumerate(left.free_gens):
+            a = left.free_index[c][(k, self.cat.ids[c])]
+            index = self.tensors[c].index
+            for b in range(right.values[c].ngens):
+                by_object.setdefault(c, []).append((ev.offsets[k] + b,
+                                                    index[(a, b)]))
+        reps_cols = [None] * ev.total_gens
+        for c, slots in by_object.items():
+            pairs = IntMatrix.selection(len(self.tensors[c].entries),
+                                        [e for _, e in slots])
+            placed = self._pairs_to_big(c, pairs).transpose().nonzeros
+            for (pos, _), col in zip(slots, placed):
+                reps_cols[pos] = col
+        reps = IntMatrix(ev.total_gens, big.group.ngens,
+                         nonzeros=reps_cols).transpose()
+        if ev.group._reps is not None:
+            reps = reps * ev.group._reps
+        return FpAbGroup(ev.group.rank, ev.group.torsion,
+                         to_can=to_can, reps=reps)
 
     def class_of_pure(self, c, x, y):
         """Class of the elementary tensor x ⊗ y sitting at object c."""
@@ -494,11 +675,20 @@ def tensor_over_cat(left: CatModule, right: CatModule) -> FpAbGroup:
 class CatHomGroup:
     """The group of natural transformations M => N (same variance).
 
-    Computed as the kernel, inside ⊕_c Hom(M(c), N(c)), of the stacked
-    naturality constraints over all non-identity morphisms.
+    When M is free-marked on generators at c_0, ..., c_{r-1}, the Yoneda
+    lemma makes a transformation the tuple of its values at the marked
+    generators (k, id_{c_k}), so the group is the canonical form of
+    ⊕_k N(c_k), held in `evals`, and nothing is solved.  Otherwise it is the
+    kernel, inside ⊕_c Hom(M(c), N(c)), of the stacked naturality
+    constraints over all non-identity morphisms.
+
+    Both paths refuse the same maps: `coords_of` raises ValueError on a
+    module map that is not natural, and `postcompose_map` and
+    `precompose_map` raise ValueError exactly when composing some
+    transformation with the given map is not natural.
     """
 
-    __slots__ = ("source", "target", "cat", "bases", "big", "group",
+    __slots__ = ("source", "target", "cat", "evals", "bases", "big", "group",
                  "kernel_basis", "inclusion")
 
     def __init__(self, source: CatModule, target: CatModule):
@@ -509,6 +699,12 @@ class CatHomGroup:
         self.source = source
         self.target = target
         cat = self.cat = source.cat
+        if source.is_free_marked():
+            self.evals = DirectSum([target.values[c] for c in source.free_gens])
+            self.group = self.evals.group
+            self.bases = self.big = self.kernel_basis = self.inclusion = None
+            return
+        self.evals = None
         self.bases = {c: HomBasis(source.values[c], target.values[c])
                       for c in cat.objects}
         self.big = DirectSum([self.bases[c].group for c in cat.objects])
@@ -533,6 +729,12 @@ class CatHomGroup:
         self.group, self.kernel_basis, self.inclusion = hom_kernel(delta)
 
     def to_module_map(self, can_vec) -> ModuleMap:
+        if self.evals is not None:
+            pres = self.group.representative(can_vec)
+            ev = self.evals
+            images = [pres[lo:lo + part.ngens]
+                      for lo, part in zip(ev.offsets, ev.parts)]
+            return free_map_from_images(self.source, self.target, images)
         v = self.inclusion.apply(can_vec)
         components = {}
         for i, c in enumerate(self.cat.objects):
@@ -541,33 +743,91 @@ class CatHomGroup:
         return ModuleMap(self.source, self.target, components)
 
     def coords_of(self, mm: ModuleMap):
-        vec = self.big.assemble([self.bases[c].coords_of(mm.components[c])
-                                 for c in self.cat.objects])
-        return express_in_kernel(self.group, self.kernel_basis,
-                                 self.big.group, vec)
+        if self.evals is None:
+            vec = self.big.assemble([self.bases[c].coords_of(mm.components[c])
+                                     for c in self.cat.objects])
+            return express_in_kernel(self.group, self.kernel_basis,
+                                     self.big.group, vec)
+        for c in self.cat.objects:
+            h = mm.components[c]
+            if h.source != self.source.values[c] or \
+                    h.target != self.target.values[c]:
+                raise ValueError("module map does not match this hom group")
+        if mm.source is not self.source:
+            mm = ModuleMap(self.source, self.target, mm.components)
+        if mm.defect():
+            raise ValueError("module map is not natural")
+        return self.evals.assemble(_generator_images(self.source,
+                                                     mm.components))
 
     def postcompose_map(self, other: "CatHomGroup", u: ModuleMap) -> AbHom:
         """Hom(M,N) -> Hom(M,N'), τ ↦ u∘τ, for a module map u: N -> N'."""
-        return self._objectwise_map(other, {
-            c: self.bases[c].postcompose(other.bases[c], u.components[c])
-            for c in self.cat.objects})
+        if not (self._evaluates(other)
+                and _same_marking(self.source, other.source)):
+            return self._generatorwise(other, u.compose)
+        # u∘τ is natural for every τ exactly when u is natural at each
+        # morphism acting from a generator's object
+        for c in set(self.source.free_gens):
+            h = u.components[c]
+            if h.source != self.target.values[c] or \
+                    h.target != other.target.values[c]:
+                raise ValueError("composition mismatch")
+            if not u.natural_from(c):
+                raise ValueError(f"module map is not natural at a morphism "
+                                 f"acting from {c!r}")
+        return block_hom(self.evals, other.evals,
+                         {(k, k): u.components[c]
+                          for k, c in enumerate(self.source.free_gens)})
 
     def precompose_map(self, other: "CatHomGroup", v: ModuleMap) -> AbHom:
         """Hom(M,N) -> Hom(M',N), τ ↦ τ∘v, for a module map v: M' -> M."""
-        return self._objectwise_map(other, {
-            c: self.bases[c].precompose(other.bases[c], v.components[c])
-            for c in self.cat.objects})
+        if not (self._evaluates(other) and _same_marking(v.source, other.source)
+                and _same_marking(v.target, self.source)):
+            return self._generatorwise(other, lambda tau: tau.compose(v))
+        # τ∘v differs from a natural map by τ applied to v's defect d, which
+        # vanishes for every τ exactly when Σ_φ d_(k,φ)·N(φ) = 0 for each k
+        for w, _, diff in v.defect():
+            reduce = self.target.values[w].reduce_matrix
+            if any(not reduce(m).is_zero()
+                   for m in self._through(w, diff).values()):
+                raise ValueError("composite with the module map is not "
+                                 "natural")
+        # block (k', k) = Σ_φ a_(k,φ)·N(φ), a the value of v at generator k'
+        values, gens = self.target.values, self.source.free_gens
+        blocks = {}
+        for k2, a in enumerate(_generator_images(v.source, v.components)):
+            c2 = v.source.free_gens[k2]
+            for k, m in self._through(c2, a).items():
+                blocks[(k2, k)] = AbHom(values[gens[k]], values[c2], m,
+                                        check=False)
+        return block_hom(self.evals, other.evals, blocks)
 
-    def _objectwise_map(self, other: "CatHomGroup", maps) -> AbHom:
-        # the map of transformation groups that acts on the component at
-        # each object c by maps[c]
-        blocks = {(i, i): maps[c] for i, c in enumerate(self.cat.objects)}
-        moved = block_hom(self.big, other.big, blocks).compose(self.inclusion)
-        cols = [express_in_kernel(other.group, other.kernel_basis,
-                                  other.big.group, col)
-                for col in moved.matrix.columns()]
-        mat = IntMatrix.from_columns(cols, nrows=other.group.ngens)
-        return AbHom(self.group, other.group, mat)
+    def _through(self, w, vec):
+        # τ ↦ τ_w(vec) for vec in M(w), by summand: {k: Σ_φ vec_(k,φ)·N(φ)}
+        out = {}
+        for (k, phi), x in zip(self.source.free_basis[w], vec):
+            if x:
+                term = self.target.actions[phi].matrix.scale(x)
+                out[k] = out[k] + term if k in out else term
+        return out
+
+    def _evaluates(self, other):
+        # both groups are evaluations at free generators
+        return self.evals is not None and other.evals is not None
+
+    def _generatorwise(self, other: "CatHomGroup", move) -> AbHom:
+        # column j: coordinates in `other` of move(τ_j), τ_j the j-th
+        # generator of this group
+        n = self.group.ngens
+        cols = [other.coords_of(move(self.to_module_map(
+                    [1 if i == j else 0 for i in range(n)])))
+                for j in range(n)]
+        return AbHom(self.group, other.group,
+                     IntMatrix.from_columns(cols, nrows=other.group.ngens))
+
+
+def _same_marking(a: CatModule, b: CatModule):
+    return a is b or (a.free_basis is not None and a.free_basis == b.free_basis)
 
 
 def hom_over_cat(source: CatModule, target: CatModule) -> FpAbGroup:
@@ -666,7 +926,7 @@ def generating_cover(module: CatModule):
             slots.append(j)
     free, marker = free_module(cat, gens, module.variance)
     epi = _free_map(free, module,
-                    lambda i, phi: module.actions[phi].matrix.column(slots[i]))
+                    lambda i, phi: module.action_columns(phi)[slots[i]])
     return free, epi, marker
 
 

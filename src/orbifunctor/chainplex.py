@@ -262,6 +262,16 @@ class BiFunctorComplex:
                     raise ValueError(f"no complex at pair ({i!r}, {j!r})")
         self.index_action = dict(index_action)
         self.coeff_action = dict(coeff_action)
+        # the validators and the comparison map index every action directly
+        for phi in index_base.morphisms:
+            for j in coeff_base.objects:
+                if (phi, j) not in self.index_action:
+                    raise ValueError(f"no index action at ({phi!r}, {j!r})")
+        for i in index_base.objects:
+            for psi in coeff_base.morphisms:
+                if (i, psi) not in self.coeff_action:
+                    raise ValueError(f"no coefficient action at "
+                                     f"({i!r}, {psi!r})")
 
     def complex(self, i, j) -> PlainChainComplex:
         return self.complexes[(i, j)]
@@ -576,14 +586,18 @@ class ComparisonData:
         self.hom_totals = {j: TotalHomComplex(d, e.column_complex_at(j))
                            for j in jcat.objects}
         homs = self.hom_totals
+        moves = {}      # (ψ, q) -> E(-, ψ) in degree q, checked once
 
         def hom_action(psi, s, t, n):
             def piece(p):
                 src, tgt = homs[s].homs[(p, n)], homs[t].homs[(p, n)]
-                move = ModuleMap(src.target, tgt.target,
-                                 {i: e.coeff_action[(i, psi)].component(p + n)
-                                  for i in icat.objects})
-                return src.postcompose_map(tgt, move)
+                q = p + n
+                if (psi, q) not in moves:
+                    moves[(psi, q)] = ModuleMap(
+                        src.target, tgt.target,
+                        {i: e.coeff_action[(i, psi)].component(q)
+                         for i in icat.objects})
+                return src.postcompose_map(tgt, moves[(psi, q)])
             return _blockwise(homs[s], homs[t], n, piece)
 
         self.hom_de = _glue(jcat, "co",

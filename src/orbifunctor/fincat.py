@@ -372,6 +372,16 @@ class FinCategory:
         self.table = dict(table)
         self.ids = dict(ids)
         self.mor_index = {f: i for i, f in enumerate(self.morphisms)}
+        # everything else indexes dom, cod and ids directly, so a missing
+        # entry is refused here rather than met later as a KeyError
+        objset = set(self.objects)
+        for f in self.morphisms:
+            if self.dom.get(f) not in objset or self.cod.get(f) not in objset:
+                raise ValueError(f"morphism {f!r} has no dom/cod in the "
+                                 f"object set")
+        for a in self.objects:
+            if self.ids.get(a) not in self.mor_index:
+                raise ValueError(f"object {a!r} has no identity morphism")
         self._hom = {}
         for f in self.morphisms:
             key = (self.dom[f], self.cod[f])
@@ -423,15 +433,10 @@ def validate_category(cat: FinCategory) -> list:
     reports all structural problems found before that.
     """
     problems = []
-    objset = set(cat.objects)
-    for f in cat.morphisms:
-        if cat.dom.get(f) not in objset or cat.cod.get(f) not in objset:
-            problems.append(f"morphism {f!r} has dom/cod outside the object set")
+    # the constructor has checked that dom, cod and ids are complete
     for a in cat.objects:
-        i = cat.ids.get(a)
-        if i is None or i not in cat.mor_index:
-            problems.append(f"object {a!r} has no identity morphism")
-        elif cat.dom[i] != a or cat.cod[i] != a:
+        i = cat.ids[a]
+        if cat.dom[i] != a or cat.cod[i] != a:
             problems.append(f"identity of {a!r} is not an endomorphism")
     if problems:
         return problems

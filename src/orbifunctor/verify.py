@@ -393,6 +393,14 @@ class GradedSeqSpec:
         return prefix[-1] + (i - len(prefix) + 1)
 
 
+# The finite window materializes one profile group per index pair and
+# reduces the reorder map between the two groupings as one matrix, whose
+# Smith reduction grows with the square of the window's generator count (936
+# generators took about 2 s on a 2-CPU machine).  Windows with more
+# generators, or more index pairs, than this are refused before anything is
+# built.
+INTERCHANGE_GEN_BOUND = 512
+
 InterchangeReport = namedtuple(
     "InterchangeReport",
     ["surjective_symbolic", "reason", "window", "injective", "window_iso",
@@ -458,6 +466,9 @@ def interchange_criterion(spec: GradedSeqSpec, window=(6, 6)) -> InterchangeRepo
     top_i, top_j = window
     if top_i < 1 or top_j < 1:
         raise ValueError("window must contain at least one index pair")
+    if top_i * top_j > INTERCHANGE_GEN_BOUND:
+        raise ValueError(f"interchange window {window} has more index pairs "
+                         f"than the bound {INTERCHANGE_GEN_BOUND}")
     symbolic, reason = _symbolic_surjectivity(spec)
     slot = {}
     for i in range(top_i):
@@ -465,6 +476,11 @@ def interchange_criterion(spec: GradedSeqSpec, window=(6, 6)) -> InterchangeRepo
             q = (spec.sequence_value("n", j) - spec.sequence_value("m", i)
                  + spec.degree)
             slot[(i, j)] = spec.profile_at(q)
+    total = sum(g.ngens for g in slot.values())
+    if total > INTERCHANGE_GEN_BOUND:
+        raise ValueError(f"interchange window {window} holds {total} "
+                         f"generators, more than the bound "
+                         f"{INTERCHANGE_GEN_BOUND}")
     src_order = [(i, j) for i in range(top_i) for j in range(top_j)]
     tgt_order = [(i, j) for j in range(top_j) for i in range(top_i)]
     ds_src = DirectSum([slot[k] for k in src_order])

@@ -43,6 +43,7 @@ from orbifunctor.catmod import (
 from orbifunctor.exact_abelian import (
     AbHom,
     FpAbGroup,
+    HomBasis,
     IntMatrix,
     group_invariants,
     hom_cokernel,
@@ -611,3 +612,266 @@ def test_interchange_random_free_over_sub_s3(data):
                                min_size=count, max_size=count))
     _, verdict = finite_product_interchange(free, [pool[i] for i in picks])
     assert verdict is True
+
+
+# ---------------------------------------------------------------------------
+# Free-marked fast paths against the general kernel and coequalizer paths
+# ---------------------------------------------------------------------------
+
+
+OR_S3 = orbit_category(_S3, SubgroupFamily.all(_S3))
+Z1 = FpAbGroup.free(1)
+
+
+def stripped(module):
+    """The same module without its free markers: the general paths."""
+    return CatModule(module.cat, module.variance, module.values,
+                     module.actions)
+
+
+def rebased(mm, source, target):
+    return ModuleMap(source, target, mm.components)
+
+
+def units(n):
+    return [unit(n, j) for j in range(n)]
+
+
+def comparison_iso(fast: CatHomGroup, slow: CatHomGroup) -> AbHom:
+    """fast.group -> slow.group through the module maps both describe."""
+    cols = [slow.coords_of(rebased(fast.to_module_map(e), slow.source,
+                                      slow.target))
+            for e in units(fast.group.ngens)]
+    return AbHom(fast.group, slow.group,
+                 IntMatrix.from_columns(cols, nrows=slow.group.ngens))
+
+
+CATS = st.sampled_from([OR2, OR_S3])
+
+
+@st.composite
+def free_on(draw, cat, variance="contra"):
+    """A free module over cat on 1-2 drawn generators."""
+    gens = draw(st.lists(st.sampled_from(cat.objects), min_size=1,
+                         max_size=2))
+    return free_module(cat, gens, variance)[0]
+
+
+def sign_module(variance):
+    """Over OR2: Z at the free orbit with the swap acting by -1, Z/2 at the
+    fixed point; the projection acts by reduction (covariant) or by zero
+    (contravariant).  Its -1 entries tell signs apart where constant and
+    free modules act by 0/1 matrices only."""
+    s = swap_endo(OR2, FREE_LAB)
+    p = OR2.mor(FREE_LAB, FULL_LAB)[0]
+    values = {FREE_LAB: Z1, FULL_LAB: Z(2)}
+    actions = {OR2.ids[c]: AbHom.identity(values[c]) for c in OR2.objects}
+    actions[s] = AbHom(Z1, Z1, IntMatrix.from_rows([[-1]]))
+    if variance == "co":
+        actions[p] = AbHom(Z1, Z(2), IntMatrix.from_rows([[1]]))
+    else:
+        actions[p] = AbHom.zero(Z(2), Z1)
+    return CatModule(OR2, variance, values, actions)
+
+
+SIGN = {v: sign_module(v) for v in ("co", "contra")}
+
+
+@pytest.mark.parametrize("variance", ["co", "contra"])
+def test_sign_module_functorial(variance):
+    assert validate_module(SIGN[variance]) == []
+
+
+def target_pool(cat, variance, data):
+    """A constant, a free or (over OR2) the sign module to map into."""
+    kinds = ["Z", "Z+Z/2", "Z/4", "free"] + (["sign"] if cat is OR2 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "sign":
+        return SIGN[variance]
+    if kind == "free":
+        return data.draw(free_on(cat, variance))
+    group = {"Z": Z1, "Z+Z/2": FpAbGroup.from_invariants(1, (2,)),
+             "Z/4": Z(4)}[kind]
+    return constant_module(cat, group, variance)
+
+
+def natural_map_to_constant(module, group, data):
+    """A natural map from a free or constant module into a constant one."""
+    cat = module.cat
+    tgt = constant_module(cat, group, module.variance)
+    if module.is_free_marked():
+        images = [[data.draw(st.integers(-3, 3)) for _ in range(group.ngens)]
+                  for _ in module.free_gens]
+        return free_map_from_images(module, tgt, images)
+    if module is SIGN[module.variance]:
+        # the generator at the free orbit goes to an element killed by 2;
+        # so does the one at the fixed point, unless the projection acts by
+        # zero there
+        half = group.order() // 2 * data.draw(st.integers(0, 1))
+        at_full = half if module.variance == "co" else 0
+        return ModuleMap(module, tgt, {
+            FREE_LAB: AbHom(Z1, group, IntMatrix.from_rows([[half]])),
+            FULL_LAB: AbHom(Z(2), group, IntMatrix.from_rows([[at_full]]))})
+    # constant to constant: one hom, repeated at every object
+    hb = HomBasis(module.values[cat.objects[0]], group)
+    h = hb.to_hom([data.draw(st.integers(-3, 3))
+                   for _ in range(hb.group.ngens)])
+    return ModuleMap(module, tgt, {c: h for c in cat.objects})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_free_hom_fast_path_matches_kernel_path(data):
+    cat = data.draw(CATS)
+    free = data.draw(free_on(cat))
+    target = target_pool(cat, "contra", data)
+    fast, slow = CatHomGroup(free, target), CatHomGroup(stripped(free), target)
+    assert fast.evals is not None and slow.evals is None
+    assert fast.group == slow.group
+    # round trip on both paths, and the two coordinate systems agree
+    # through an isomorphism
+    for e in units(fast.group.ngens):
+        mm = fast.to_module_map(e)
+        assert validate_module_map(mm) == []
+        assert fast.coords_of(mm) == e
+    iso = comparison_iso(fast, slow)
+    assert is_isomorphism(iso)
+    # postcomposition with a natural map into a constant module
+    u = natural_map_to_constant(target, Z(6), data)
+    assert validate_module_map(u) == []
+    fast2 = CatHomGroup(free, u.target)
+    slow2 = CatHomGroup(stripped(free), u.target)
+    iso2 = comparison_iso(fast2, slow2)
+    assert iso2.compose(fast.postcompose_map(fast2, u)) == \
+        slow.postcompose_map(slow2, u).compose(iso)
+    # precomposition with a natural map out of another free module
+    other = data.draw(free_on(cat))
+    images = [[data.draw(st.integers(-2, 2))
+               for _ in range(free.values[c].ngens)]
+              for c in other.free_gens]
+    v = free_map_from_images(other, free, images)
+    fast3 = CatHomGroup(other, target)
+    slow3 = CatHomGroup(stripped(other), target)
+    iso3 = comparison_iso(fast3, slow3)
+    slow_v = rebased(v, stripped(other), slow.source)
+    assert iso3.compose(fast.precompose_map(fast3, v)) == \
+        slow.precompose_map(slow3, slow_v).compose(iso)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_free_tensor_fast_path_matches_coequalizer(data):
+    cat = data.draw(CATS)
+    free = data.draw(free_on(cat))
+    right = target_pool(cat, "co", data)
+    fast, slow = CatTensor(free, right), CatTensor(stripped(free), right)
+    assert fast.group == slow.group
+    # the witness pair is a section up to torsion
+    n = fast.group.ngens
+    assert fast.group.reduce_matrix(fast.group.to_can * fast.group.reps) == \
+        IntMatrix.identity(n)
+    # the projection kills every coequalizer relation (x·f) ⊗ y = x ⊗ (f·y)
+    for f in cat.morphisms:
+        c, d = cat.dom[f], cat.cod[f]
+        for x in units(free.values[d].ngens):
+            for y in units(right.values[c].ngens):
+                assert fast.class_of_pure(c, free.actions[f].apply(x), y) == \
+                    fast.class_of_pure(d, x, right.actions[f].apply(y))
+    # both are quotients of one big sum, so the fast reps followed by the
+    # coequalizer projection is an isomorphism, and induced maps agree
+    # through it
+    iso = AbHom(fast.group, slow.group,
+                slow.projection.matrix * fast.group.reps)
+    assert is_isomorphism(iso)
+    u = natural_map_to_constant(right, Z(6), data)
+    assert validate_module_map(u) == []
+    fast2, slow2 = CatTensor(free, u.target), CatTensor(stripped(free), u.target)
+    iso2 = AbHom(fast2.group, slow2.group,
+                 slow2.projection.matrix * fast2.group.reps)
+    assert iso2.compose(fast.induced(fast2, None, u)) == \
+        slow.induced(slow2, None, u).compose(iso)
+
+
+def test_free_marked_paths_solve_nothing(monkeypatch):
+    import orbifunctor.catmod as catmod_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a free-marked module was solved for")
+    for name in ("hom_kernel", "quotient_group", "express_in_kernel"):
+        monkeypatch.setattr(catmod_mod, name, forbidden)
+    free, _ = free_module(OR_S3, [OR_S3.objects[0], OR_S3.objects[-1]],
+                          "contra")
+    target = constant_module(OR_S3, FpAbGroup.from_invariants(1, (2,)),
+                             "contra")
+    hg = CatHomGroup(free, target)
+    for e in units(hg.group.ngens):
+        assert hg.coords_of(hg.to_module_map(e)) == e
+    ident = ModuleMap.identity(target)
+    assert hg.postcompose_map(hg, ident) == AbHom.identity(hg.group)
+    assert hg.precompose_map(hg, ModuleMap.identity(free)) == \
+        AbHom.identity(hg.group)
+    CatTensor(free, constant_module(OR_S3, Z(4), "co"))
+
+
+def broken_swap_setup():
+    """F free on the free orbit, N constant Z, and the non-natural map that
+    hits only the basis vector (0, id)."""
+    free, _ = free_module(OR2, [FREE_LAB], "contra")
+    const = constant_module(OR2, Z1, "contra")
+    good = free_map_from_images(free, const, [[1]])
+    comps = dict(good.components)
+    comps[FREE_LAB] = AbHom(free.values[FREE_LAB], Z1,
+                            IntMatrix.from_rows([[1, 0]]))
+    return free, const, ModuleMap(free, const, comps)
+
+
+@pytest.mark.parametrize("path", ["fast", "general"])
+def test_non_natural_maps_refused_on_both_paths(path):
+    free, const, broken = broken_swap_setup()
+    src = free if path == "fast" else stripped(free)
+    hg = CatHomGroup(src, const)
+    with pytest.raises(ValueError):
+        hg.coords_of(rebased(broken, src, const))
+    # postcomposition: u: F -> Z is not natural at the swap, and composing
+    # it with the identity transformation of F shows it
+    ends = CatHomGroup(src, free)
+    with pytest.raises(ValueError):
+        ends.postcompose_map(hg, rebased(broken, free, const))
+    # precomposition: v sends both basis vectors of F(free orbit) to
+    # (0, id); τ∘v is natural for every τ into a constant module but not for
+    # the identity of F
+    comps = {FREE_LAB: AbHom(free.values[FREE_LAB], free.values[FREE_LAB],
+                             IntMatrix.from_rows([[1, 1], [0, 0]])),
+             FULL_LAB: AbHom.identity(free.values[FULL_LAB])}
+    v = ModuleMap(src, src, comps)
+    assert validate_module_map(v) != []
+    assert hg.precompose_map(hg, v) == AbHom.identity(hg.group)
+    with pytest.raises(ValueError):
+        ends.precompose_map(ends, v)
+
+
+def test_wrong_free_markers_refused():
+    free, _ = free_module(OR2, [FREE_LAB, FULL_LAB], "contra")
+    parts = (OR2, "contra", free.values, free.actions)
+    basis = dict(free.free_basis)
+    CatModule(*parts, free_gens=free.free_gens, free_basis=basis)
+    with pytest.raises(ValueError, match="both"):
+        CatModule(*parts, free_gens=free.free_gens)
+    short = dict(basis)
+    short[FREE_LAB] = basis[FREE_LAB][1:]
+    with pytest.raises(ValueError, match="free basis"):
+        CatModule(*parts, free_gens=free.free_gens, free_basis=short)
+    with pytest.raises(ValueError, match="free basis"):
+        CatModule(OR2, "co", free.values, free.actions,
+                  free_gens=free.free_gens, free_basis=basis)
+    values = dict(free.values)
+    values[FULL_LAB] = Z(2)
+    with pytest.raises(ValueError, match="not free"):
+        CatModule(OR2, "contra", values, free.actions,
+                  free_gens=free.free_gens, free_basis=basis)
+    actions = dict(free.actions)
+    s = swap_endo(OR2, FREE_LAB)
+    actions[s] = AbHom.identity(free.values[FREE_LAB])
+    with pytest.raises(ValueError, match="action"):
+        CatModule(OR2, "contra", free.values, actions,
+                  free_gens=free.free_gens, free_basis=basis)

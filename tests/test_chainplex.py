@@ -271,6 +271,23 @@ def test_bifunctor_window_mismatch_rejected():
         BiFunctorComplex(icat, OR2, complexes, {}, {})
 
 
+def test_bifunctor_missing_action_rejected():
+    # a missing action is refused on construction, not met later as a
+    # KeyError inside validate_bifunctor
+    e = BiFunctorComplex.constant_in_index(standard_category("chain", 1),
+                                           coefficient_tower())
+    index_action = dict(e.index_action)
+    del index_action[next(iter(index_action))]
+    with pytest.raises(ValueError, match="no index action"):
+        BiFunctorComplex(e.index_base, e.coeff_base, e.complexes,
+                         index_action, e.coeff_action)
+    coeff_action = dict(e.coeff_action)
+    del coeff_action[next(iter(coeff_action))]
+    with pytest.raises(ValueError, match="no coefficient action"):
+        BiFunctorComplex(e.index_base, e.coeff_base, e.complexes,
+                         e.index_action, coeff_action)
+
+
 # ---------------------------------------------------------------------------
 # Total complexes
 # ---------------------------------------------------------------------------

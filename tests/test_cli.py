@@ -674,3 +674,34 @@ def test_bar_past_the_bound_is_refused_at_once(tmp_path):
     # the bound itself: C_2 at truncation 8 has 2^8 = 256 top tuples
     bar = bar_resolution_truncated(c2, 8)
     assert bar.module(8).total_rank() == 2 * 256
+
+
+def _rank_1000_race():
+    # the canonical divergent-upper spec with a rank-1000 profile group in
+    # degree 3, which used to run past 15 s
+    return {"m_prefix": ["0", "1"], "m_tail": "strictly-increasing-unbounded",
+            "n_prefix": ["0", "2"], "n_tail": ["bounded-by", "5"],
+            "profile": {"0": {"rank": "1", "torsion": []},
+                        "3": {"rank": "1000", "torsion": []}},
+            "profile_floor": "0", "degree": "1"}
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_interchange_window_past_the_bound_is_refused_at_once(tmp_path):
+    m = parse_manifest(json.dumps({"version": "1",
+                                   "sequences": {"s": _rank_1000_race()}}))
+    with pytest.raises(ManifestError, match="more than the bound"):
+        _within_a_second(lambda: run("demo-interchange", m))
+    path = write_manifest(tmp_path, {"version": "1",
+                                     "sequences": {"s": _rank_1000_race()}})
+    assert _within_a_second(lambda: main(["demo-interchange", "--manifest",
+                                          path])) == 2
+
+
+def test_canonical_interchange_specs_are_unchanged_by_the_bound():
+    rep = run("demo-interchange", None)
+    assert rep.passed
+    assert {g["name"]: g["value"] for g in rep.groups} == {
+        "divergent-upper: window source": "Z^2 ⊕ Z/2 ⊕ Z/2 ⊕ Z/2 ⊕ Z/2 ⊕ Z/2",
+        "constant-upper: window source": "Z/4 ⊕ Z/4 ⊕ Z/4 ⊕ Z/4 ⊕ Z/4 ⊕ Z/4",
+        "both-divergent: window source": "Z/3"}

@@ -368,9 +368,29 @@ def test_validate_catches_broken_associativity():
 
 
 def test_validate_catches_missing_identity():
-    cat = FinCategory(["*"], ["f"], {"f": "*"}, {"f": "*"},
-                      {("f", "f"): "f"}, {})
+    # a missing identity is refused on construction, before a validator can
+    # index it; an identity that is not an endomorphism is left to
+    # validate_category
+    with pytest.raises(ValueError, match="identity"):
+        FinCategory(["*"], ["f"], {"f": "*"}, {"f": "*"},
+                    {("f", "f"): "f"}, {})
+    with pytest.raises(ValueError, match="identity"):
+        FinCategory(["*"], ["f"], {"f": "*"}, {"f": "*"},
+                    {("f", "f"): "f"}, {"*": "g"})
+    dom = {"1a": "a", "1b": "b", "f": "a"}
+    cod = {"1a": "a", "1b": "b", "f": "b"}
+    cat = FinCategory(["a", "b"], ["1a", "1b", "f"], dom, cod, {},
+                      {"a": "1a", "b": "f"})
     assert any("identity" in p for p in validate_category(cat))
+
+
+def test_category_refuses_morphism_without_endpoints():
+    with pytest.raises(ValueError, match="dom/cod"):
+        FinCategory(["*"], ["1", "f"], {"1": "*", "f": "*"}, {"1": "*"},
+                    {}, {"*": "1"})
+    with pytest.raises(ValueError, match="dom/cod"):
+        FinCategory(["*"], ["1", "f"], {"1": "*", "f": "*"},
+                    {"1": "*", "f": "elsewhere"}, {}, {"*": "1"})
 
 
 def test_validate_functor_catches_bad_map():

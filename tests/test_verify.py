@@ -367,6 +367,17 @@ class TestInterchange:
         assert rep.window_iso
         assert rep.source == rep.target
 
+    def test_window_past_the_bound_rejected(self):
+        spec = GradedSeqSpec((0,), ("bounded-by", 0), (0,),
+                             ("bounded-by", 0),
+                             {0: FpAbGroup.from_invariants(2, ())}, 0, 0)
+        with pytest.raises(ValueError, match="index pairs"):
+            interchange_criterion(spec, window=(10 ** 9, 10 ** 9))
+        # 16 x 17 pairs, each Z^2: 544 generators
+        with pytest.raises(ValueError, match="generators"):
+            interchange_criterion(spec, window=(16, 17))
+        assert interchange_criterion(spec, window=(10, 10)).window_iso
+
     def test_degenerate_window_rejected(self):
         spec = GradedSeqSpec((0,), ("bounded-by", 0), (0,),
                              ("bounded-by", 0), {}, 0, 0)
