@@ -475,22 +475,6 @@ def module_image(mm: ModuleMap):
     return image, mono, epi
 
 
-KernelCokernel = namedtuple("KernelCokernel", ["kernel", "cokernel", "image"])
-
-
-def map_kernel_cokernel(mm: ModuleMap) -> KernelCokernel:
-    """Objectwise kernel, cokernel, and image modules, functoriality checked."""
-    kernel, _ = module_kernel(mm)
-    cokernel, _ = module_cokernel(mm)
-    image, _, _ = module_image(mm)
-    for mod in (kernel, cokernel, image):
-        problems = validate_module(mod)
-        if problems:
-            raise AssertionError(f"induced module fails functoriality: "
-                                 f"{problems[0]}")
-    return KernelCokernel(kernel, cokernel, image)
-
-
 # ---------------------------------------------------------------------------
 # Tensor over the category (coequalizer)
 # ---------------------------------------------------------------------------
@@ -627,15 +611,6 @@ class CatTensor:
         """Class of the elementary tensor x ⊗ y sitting at object c."""
         raw = self.big.embed(self.part_index[c], self.tensors[c].pure(x, y))
         return self.projection.apply(self.big.group.to_canonical(raw))
-
-    def pure_map(self, c, a) -> AbHom:
-        """y ↦ class of e_a ⊗ y at object c, e_a the a-th generator of left(c)."""
-        tb = self.tensors[c]
-        pairs = IntMatrix(len(tb.entries), self.right.values[c].ngens,
-                          nonzeros=[{b: 1} if x == a else {}
-                                    for x, b, _ in tb.entries])
-        return AbHom(self.right.values[c], self.group,
-                     self.projection.matrix * self._pairs_to_big(c, pairs))
 
     def components(self, can_vec):
         """One representative of a class, as per-object tensor coordinates."""
@@ -928,14 +903,6 @@ def generating_cover(module: CatModule):
     epi = _free_map(free, module,
                     lambda i, phi: module.action_columns(phi)[slots[i]])
     return free, epi, marker
-
-
-def is_finitely_generated(module: CatModule):
-    """(verdict, marker witness).  Always true here: values are f.p. and the
-    category is finite, so objectwise canonical generators give a finite free
-    cover."""
-    _, _, marker = generating_cover(module)
-    return True, marker
 
 
 Resolution = namedtuple("Resolution", ["modules", "maps", "augmentation",

@@ -556,8 +556,11 @@ class ComparisonData:
     source = C ⊗_J hom_I(D, E) and target = hom_I(D, C ⊗_J E), where C is a
     contravariant complex over J, D a free-marked contravariant complex over
     I, and E a bifunctor complex on I^op × J.  The map sends x ⊗ φ to the
-    transformation y ↦ x ⊗ φ(y); it is verified to commute with the total
-    differentials on construction.
+    transformation y ↦ x ⊗ φ(y).  Hom out of the free D_p is evaluation at
+    its generators, so the map is assembled from blocks 1_C ⊗ π through
+    `CatTensor.induced`, π the evaluation of φ at one generator; nothing is
+    solved.  The map is verified to commute with the total differentials on
+    construction.
     """
 
     __slots__ = ("c", "d", "e", "hom_totals", "hom_de", "row_totals", "ce",
@@ -631,62 +634,31 @@ class ComparisonData:
                                   self.target_total.complex, comps)
 
     def _component(self, m) -> AbHom:
-        src = self.source_total
-        src_group = src.complex.group(m)
-        out_group = self.target_total.complex.group(m)
-        elementary = []     # columns: t of each pair entry that occurs
-        coeffs = []         # rows: that entry's coefficient per source generator
-        for kdx, (a, n) in enumerate(src.keys[m]):
+        # hom_I(D_p, X) is ⊕_k X(c_k) over the generators k (at c_k) of D_p,
+        # so the block from C_a ⊗ H_n (H the glued hom_I(D, E)) to generator k
+        # is 1_C ⊗ π into the summand (a, p+n) of (C ⊗_J E(c_k, -))_{p+m},
+        # where π evaluates the p-th summand of H_n at k
+        src, tt, e = self.source_total, self.target_total, self.e
+        blocks = {}
+        for jdx, (a, n) in enumerate(src.keys[m]):
             ct = src.tensors[(a, n)]
-            # the (a, n) summand of each source generator, on the canonical
-            # coordinates of ct's big sum
-            part = ct.group.reps * src.sums[m].project(kdx).matrix
-            for jdx, j in enumerate(self.e.coeff_base.objects):
-                tb = ct.tensors[j]
-                z = tb.group.reps * (ct.big.project(jdx).matrix * part)
-                for (alpha, beta, _), row in zip(tb.entries, z.nonzeros):
-                    if row:
-                        elementary.append(
-                            self._elementary(m, a, n, j, alpha, beta))
-                        coeffs.append(row)
-        mat = (IntMatrix.from_columns(elementary, nrows=out_group.ngens)
-               * IntMatrix(len(coeffs), src_group.ngens, nonzeros=coeffs))
-        return AbHom(src_group, out_group, mat)
-
-    def _elementary(self, m, a, n, j, alpha, beta):
-        """t of the elementary tensor e_alpha ⊗ e_beta sitting at object j,
-        where e_alpha generates C_a(j) and e_beta the degree-n hom total."""
-        icat = self.e.index_base
-        ht = self.hom_totals[j]
-        tt = self.target_total
-        out_group = tt.complex.group(m)
-        acc = [0] * out_group.ngens
-        for pdx, p in enumerate(ht.keys[n]):
-            if p not in tt.keys.get(m, ()):
-                continue
-            hvec = ht.sums[n].project(pdx).matrix.column(beta)
-            phi = ht.homs[(p, n)].to_module_map(hvec)
-            dmod = self.d.module(p)
-            cemod = self.ce.module(p + m)
-            comps = {}
-            for i in icat.objects:
-                rt = self.row_totals[i]
+            for idx, p in enumerate(tt.keys[m]):
+                if not e.lo <= p + n <= e.hi:
+                    continue        # H_n has no summand hom_I(D_p, E_{p+n})
                 key = (a, p + n)
-                if key in rt.tensors and p + m in rt.keys and \
-                        key in rt.keys[p + m]:
-                    # y ↦ e_alpha ⊗ phi_i(y) at j, in the summand of key
+                parts = []
+                for k, c in enumerate(self.d.module(p).free_gens):
+                    rt = self.row_totals[c]
+                    pi = ModuleMap(ct.right, rt.tensors[key].right, {
+                        j: ht.homs[(p, n)].evals.project(k).compose(
+                            ht.sums[n].project(ht.keys[n].index(p)))
+                        for j, ht in self.hom_totals.items()})
                     inject = rt.sums[p + m].inject(rt.keys[p + m].index(key))
-                    mat = (inject.matrix
-                           * rt.tensors[key].pure_map(j, alpha).matrix
-                           * phi.components[i].matrix)
-                    comps[i] = AbHom(dmod.values[i], cemod.values[i], mat)
-                else:
-                    comps[i] = AbHom.zero(dmod.values[i], cemod.values[i])
-            psi_map = ModuleMap(dmod, cemod, comps)
-            coords = tt.homs[(p, m)].coords_of(psi_map)
-            emb = tt.sums[m].inject(tt.keys[m].index(p)).apply(coords)
-            acc = [u + w for u, w in zip(acc, emb)]
-        return out_group.reduce(acc)
+                    parts.append(inject.compose(
+                        ct.induced(rt.tensors[key], None, pi)))
+                blocks[(idx, jdx)] = tt.homs[(p, m)].evals.hom_into(ct.group,
+                                                                   parts)
+        return block_hom(src.sums[m], tt.sums[m], blocks)
 
 
 def comparison_map_t(c: CatChainComplex, d: CatChainComplex,

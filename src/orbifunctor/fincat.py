@@ -205,10 +205,6 @@ class FinGroup:
             frontier = nxt
         return frozenset(current)
 
-    def subgroup_product(self, a_sub, b_sub):
-        """The subset {a*b}; a subgroup when one factor normalizes the other."""
-        return frozenset(self.mult(a, b) for a in a_sub for b in b_sub)
-
     def all_subgroups(self):
         """Complete subgroup lattice by iterative closure."""
         if self._subgroups is not None:
@@ -242,17 +238,6 @@ class FinGroup:
         subgroup = frozenset(subgroup)
         return frozenset(g for g in self.elements
                          if self.conjugate_subgroup(g, subgroup) == subgroup)
-
-    def element_classes(self):
-        """Conjugacy classes of elements, each a sorted tuple."""
-        seen = set()
-        classes = []
-        for a in self.elements:
-            if a not in seen:
-                cls_ = {self.conjugate(g, a) for g in self.elements}
-                seen |= cls_
-                classes.append(tuple(sorted(cls_)))
-        return tuple(classes)
 
     def quotient(self, normal_subgroup):
         """(quotient group, projection dict); requires a normal subgroup."""

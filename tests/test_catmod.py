@@ -27,8 +27,6 @@ from orbifunctor.catmod import (
     hom_into_module,
     hom_over_cat,
     induce_module,
-    is_finitely_generated,
-    map_kernel_cokernel,
     module_cokernel,
     module_image,
     module_kernel,
@@ -224,14 +222,6 @@ def test_module_image_with_witnesses():
     assert validate_module_map(mono) == [] and validate_module_map(epi) == []
     assert mm.components[FREE_LAB] == \
         mono.components[FREE_LAB].compose(epi.components[FREE_LAB])
-
-
-def test_map_kernel_cokernel_bundle():
-    _, _, mm = sign_kernel_setup()
-    bundle = map_kernel_cokernel(mm)
-    assert bundle.kernel.values[FREE_LAB] == FpAbGroup.free(1)
-    assert bundle.cokernel.values[FULL_LAB] == FpAbGroup.free(1)
-    assert bundle.image.values[FREE_LAB] == FpAbGroup.free(1)
 
 
 def test_doubling_cokernel_is_constant_mod_two():
@@ -506,12 +496,6 @@ def test_generating_cover_is_surjective():
             coker, _ = hom_cokernel(epi.components[c])
             assert coker.is_trivial()
         assert len(marker) == sum(g.ngens for g in mod.values.values())
-
-
-def test_is_finitely_generated_witness():
-    verdict, marker = is_finitely_generated(constant_module(OR2, Z(6), "contra"))
-    assert verdict is True
-    assert len(marker) == 2
 
 
 def test_free_resolution_structure():

@@ -433,24 +433,6 @@ def test_comparison_single_degree_free_is_degreewise_iso(gens):
         assert is_isomorphism(t.component(p))
 
 
-def test_comparison_multi_degree_instance():
-    x = reflection_circle_complex()
-    icat = standard_category("chain", 1)
-    top, _ = free_module(icat, [0], "contra")
-    bot, _ = free_module(icat, [1], "contra")
-    # the generator at object 0 hits the unique step morphism 0 -> 1
-    step = free_map_from_images(top, bot, [[1]])
-    d = CatChainComplex(icat, "contra", 0, 1,
-                        {0: bot, 1: top}, {1: step})
-    e = BiFunctorComplex.constant_in_index(icat, coefficient_tower())
-    data = ComparisonData(x, d, e)
-    t = data.chain_map
-    for p in t.source.degrees():
-        assert is_isomorphism(t.component(p))
-        hmap = induced_map_on_homology(t, p)
-        assert is_isomorphism(hmap)
-
-
 def test_comparison_requires_markers_and_bases():
     x = reflection_circle_complex()
     unmarked = cat_complex_concentrated(
@@ -558,3 +540,76 @@ def test_glued_totals_reproduce_the_per_object_totals(which):
         induced = tensor_total_induced(tb, ta, right_maps=moves)
         for r in data.ce.degrees():
             assert data.ce.module(r).action(phi) == induced.component(r)
+
+
+@pytest.mark.parametrize("which", BIFUNCTORS)
+def test_comparison_multi_degree_instance(which):
+    t = ComparisonData(*comparison_inputs(which)).chain_map
+    for p in t.source.degrees():
+        assert is_isomorphism(t.component(p))
+        assert is_isomorphism(induced_map_on_homology(t, p))
+
+
+def test_comparison_refuses_legs_that_do_not_commute():
+    c, d, e = comparison_inputs("constant_in_index")
+    step = next(f for f in e.index_base.morphisms
+                if not e.index_base.is_identity(f))
+    twisted = dict(e.index_action)
+    old = twisted[(step, FREE_LAB)]
+    twisted[(step, FREE_LAB)] = ChainMap(
+        old.source, old.target,
+        {p: old.component(p).negate() for p in old.source.degrees()},
+        check=False)
+    bad = BiFunctorComplex(e.index_base, e.coeff_base, e.complexes,
+                           twisted, e.coeff_action)
+    with pytest.raises(ValueError, match="not natural"):
+        ComparisonData(c, d, bad)
+
+
+def unit(i, size):
+    return [int(r == i) for r in range(size)]
+
+
+def image_by_definition(data, m, a, n, j, x, h):
+    """The image of x ⊗ h, x in C_a(j) and h in the degree-n hom total at j:
+    the transformation whose value at generator k (at c_k) of D_p is
+    x ⊗ (the p-th summand of h, as a module map, at that generator)."""
+    ht, tt = data.hom_totals[j], data.target_total
+    out = [0] * tt.complex.group(m).ngens
+    for pdx, p in enumerate(ht.keys[n]):
+        phi = ht.homs[(p, n)].to_module_map(ht.sums[n].project(pdx).apply(h))
+        dmod, key = data.d.module(p), (a, p + n)
+        values = []
+        for k, c in enumerate(dmod.free_gens):
+            y = phi.components[c].matrix.column(
+                dmod.free_index[c][(k, dmod.cat.ids[c])])
+            rt = data.row_totals[c]
+            inject = rt.sums[p + m].inject(rt.keys[p + m].index(key))
+            values.append(inject.apply(rt.tensors[key].class_of_pure(j, x, y)))
+        vec = tt.homs[(p, m)].evals.assemble(values)
+        emb = tt.sums[m].inject(tt.keys[m].index(p)).apply(vec)
+        out = [u + w for u, w in zip(out, emb)]
+    return tt.complex.group(m).reduce(out)
+
+
+@pytest.mark.parametrize("which", BIFUNCTORS)
+def test_comparison_matrix_is_x_tensor_phi_at_each_generator(which):
+    data = ComparisonData(*comparison_inputs(which))
+    src = data.source_total
+    moved = 0
+    for m in src.complex.degrees():
+        t = data.chain_map.component(m)
+        for kdx, (a, n) in enumerate(src.keys[m]):
+            ct = src.tensors[(a, n)]
+            for j in data.e.coeff_base.objects:
+                xs = data.c.module(a).values[j].ngens
+                hs = data.hom_totals[j].complex.group(n).ngens
+                for alpha in range(xs):
+                    for beta in range(hs):
+                        x, h = unit(alpha, xs), unit(beta, hs)
+                        pure = src.sums[m].inject(kdx).apply(
+                            ct.class_of_pure(j, x, h))
+                        want = image_by_definition(data, m, a, n, j, x, h)
+                        assert t.apply(pure) == want
+                        moved += any(want)
+    assert moved
