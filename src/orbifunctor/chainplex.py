@@ -33,7 +33,6 @@ from .catmod import (
     CatModule,
     CatTensor,
     ModuleMap,
-    _action_endpoints,
     zero_module,
 )
 
@@ -41,7 +40,7 @@ from .catmod import (
 class PlainChainComplex:
     """Bounded complex of f.p. abelian groups; d_p: C_p -> C_{p-1}."""
 
-    __slots__ = ("lo", "hi", "groups", "diffs")
+    __slots__ = ("lo", "hi", "groups", "diffs", "_homology")
 
     def __init__(self, lo, hi, groups, diffs):
         if lo > hi:
@@ -50,6 +49,7 @@ class PlainChainComplex:
         self.hi = hi
         self.groups = {p: groups[p] for p in range(lo, hi + 1)}
         self.diffs = {}
+        self._homology = {}  # degree -> HomologyData; complexes never change
         for p in range(lo + 1, hi + 1):
             d = diffs.get(p)
             if d is None:
@@ -84,8 +84,11 @@ def complex_concentrated(group: FpAbGroup, degree: int) -> PlainChainComplex:
 
 def homology_data(c: PlainChainComplex, p) -> HomologyData:
     """Cycle/boundary bookkeeping at degree p, zero-extended outside range."""
-    return HomologyData(c.differential(p + 1), c.differential(p),
-                        space=c.group(p))
+    hd = c._homology.get(p)
+    if hd is None:
+        hd = c._homology[p] = HomologyData(c.differential(p + 1),
+                                           c.differential(p), space=c.group(p))
+    return hd
 
 
 def homology(c: PlainChainComplex, p) -> FpAbGroup:
@@ -104,8 +107,9 @@ def homology(c: PlainChainComplex, p) -> FpAbGroup:
     return homology_data(c, p).group
 
 
-def euler_characteristic(c: PlainChainComplex):
-    return sum((-1) ** p * c.group(p).rank for p in c.degrees())
+def euler_characteristic(c: PlainChainComplex) -> int:
+    # p % 2 keeps the power an int for negative degrees
+    return sum((-1) ** (p % 2) * c.group(p).rank for p in c.degrees())
 
 
 class ChainMap:
@@ -121,7 +125,8 @@ class ChainMap:
             if h.source != source.group(p) or h.target != target.group(p):
                 raise ValueError(f"component at degree {p} has wrong endpoints")
         if check:
-            for p in range(min(source.lo, target.lo),
+            # in the lowest degree both sides map into zero groups
+            for p in range(min(source.lo, target.lo) + 1,
                            max(source.hi, target.hi) + 1):
                 lhs = target.differential(p).compose(self.component(p))
                 rhs = self.component(p - 1).compose(source.differential(p))
@@ -309,34 +314,31 @@ class BiFunctorComplex:
         """E(-, j): a contravariant complex of modules over the index base."""
         cat = self.index_base
         return _glue(cat, "contra", {i: self.complexes[(i, j)] for i in cat.objects},
-                     lambda phi, _s, _t, q: self.index_action[(phi, j)].component(q),
-                     check=False)
+                     {phi: self.index_action[(phi, j)] for phi in cat.morphisms})
 
     def row_complex_at(self, i) -> CatChainComplex:
         """E(i, -): a covariant complex of modules over the coefficient base."""
         cat = self.coeff_base
         return _glue(cat, "co", {j: self.complexes[(i, j)] for j in cat.objects},
-                     lambda psi, _s, _t, q: self.coeff_action[(i, psi)].component(q),
-                     check=False)
+                     {psi: self.coeff_action[(i, psi)] for psi in cat.morphisms})
 
 
-def _glue(cat, variance, plain, action, check=True) -> CatChainComplex:
+def _glue(cat, variance, plain, maps) -> CatChainComplex:
     """Glue plain complexes, one per object of cat and all on one degree
-    window, into a complex of modules.  action(f, s, t, q) is the degree-q
-    action of the morphism f from the complex at s to the complex at t."""
+    window, into a complex of modules.  maps[f] is the chain map by which the
+    morphism f acts.  Nothing is re-checked: the naturality of a differential
+    at f is the commutation of maps[f] with d, which a checked ChainMap has
+    verified, and d∘d = 0 holds in every plain complex."""
     some = next(iter(plain.values()))
     lo, hi = some.lo, some.hi
-    modules = {}
-    for q in range(lo, hi + 1):
-        # the module names the endpoints of each action, so they come second
-        modules[q] = m = CatModule(cat, variance,
-                                   {x: plain[x].group(q) for x in cat.objects}, {})
-        for f in cat.morphisms:
-            m.actions[f] = action(f, *_action_endpoints(m, f), q)
+    modules = {q: CatModule(cat, variance,
+                            {x: plain[x].group(q) for x in cat.objects},
+                            {f: maps[f].component(q) for f in cat.morphisms})
+               for q in range(lo, hi + 1)}
     diffs = {q: ModuleMap(modules[q], modules[q - 1],
                           {x: plain[x].differential(q) for x in cat.objects})
              for q in range(lo + 1, hi + 1)}
-    return CatChainComplex(cat, variance, lo, hi, modules, diffs, check=check)
+    return CatChainComplex(cat, variance, lo, hi, modules, diffs, check=False)
 
 
 def validate_bifunctor(e: BiFunctorComplex) -> list:
@@ -559,8 +561,12 @@ class ComparisonData:
     transformation y ↦ x ⊗ φ(y).  Hom out of the free D_p is evaluation at
     its generators, so the map is assembled from blocks 1_C ⊗ π through
     `CatTensor.induced`, π the evaluation of φ at one generator; nothing is
-    solved.  The map is verified to commute with the total differentials on
-    construction.
+    solved.  The two glued complexes hom_I(D, E) and C ⊗_J E act through the
+    chain maps of totals that one leg of E induces (`hom_total_induced`,
+    `tensor_total_induced`); a glued differential is natural at f exactly
+    when the chain map of f commutes with d, which `ChainMap` checks, so the
+    glue adds no check of its own.  The comparison map is verified to
+    commute with the total differentials on construction.
     """
 
     __slots__ = ("c", "d", "e", "hom_totals", "hom_de", "row_totals", "ce",
@@ -589,23 +595,17 @@ class ComparisonData:
         self.hom_totals = {j: TotalHomComplex(d, e.column_complex_at(j))
                            for j in jcat.objects}
         homs = self.hom_totals
-        moves = {}      # (ψ, q) -> E(-, ψ) in degree q, checked once
-
-        def hom_action(psi, s, t, n):
-            def piece(p):
-                src, tgt = homs[s].homs[(p, n)], homs[t].homs[(p, n)]
-                q = p + n
-                if (psi, q) not in moves:
-                    moves[(psi, q)] = ModuleMap(
-                        src.target, tgt.target,
-                        {i: e.coeff_action[(i, psi)].component(q)
-                         for i in icat.objects})
-                return src.postcompose_map(tgt, moves[(psi, q)])
-            return _blockwise(homs[s], homs[t], n, piece)
-
+        hom_maps = {}
+        for psi in jcat.morphisms:
+            h1, h2 = homs[jcat.dom[psi]], homs[jcat.cod[psi]]
+            hom_maps[psi] = hom_total_induced(h1, h2, {
+                q: ModuleMap(h1.target.module(q), h2.target.module(q),
+                             {i: e.coeff_action[(i, psi)].component(q)
+                              for i in icat.objects})
+                for q in h1.target.degrees()})
         self.hom_de = _glue(jcat, "co",
                             {j: homs[j].complex for j in jcat.objects},
-                            hom_action)
+                            hom_maps)
         self.source_total = TotalTensorComplex(c, self.hom_de)
 
         # C ⊗_J E(i, -) per index object, glued into a contravariant complex
@@ -613,18 +613,16 @@ class ComparisonData:
         self.row_totals = {i: TotalTensorComplex(c, e.row_complex_at(i))
                            for i in icat.objects}
         rows = self.row_totals
-
-        def row_action(phi, s, t, r):
-            def piece(key):
-                src, tgt = rows[s].tensors[key], rows[t].tensors[key]
-                move = ModuleMap(src.right, tgt.right,
-                                 {j: e.index_action[(phi, j)].component(key[1])
-                                  for j in jcat.objects})
-                return src.induced(tgt, None, move)
-            return _blockwise(rows[s], rows[t], r, piece)
-
+        row_maps = {}
+        for phi in icat.morphisms:
+            ra, rb = rows[icat.dom[phi]], rows[icat.cod[phi]]
+            row_maps[phi] = tensor_total_induced(rb, ra, right_maps={
+                q: ModuleMap(rb.right.module(q), ra.right.module(q),
+                             {j: e.index_action[(phi, j)].component(q)
+                              for j in jcat.objects})
+                for q in rb.right.degrees()})
         self.ce = _glue(icat, "contra",
-                        {i: rows[i].complex for i in icat.objects}, row_action)
+                        {i: rows[i].complex for i in icat.objects}, row_maps)
         self.target_total = TotalHomComplex(d, self.ce)
 
         comps = {}

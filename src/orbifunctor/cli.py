@@ -679,7 +679,11 @@ def _explicit_bifunctor(data, path, ctx):
         for (i, psi), where, spec in entries(
             "coeff_action", "[i, morphism, CHAINMAP]",
             product(icat.objects, jcat.morphisms))}
-    return BiFunctorComplex(icat, jcat, complexes, index_action, coeff_action)
+    e = BiFunctorComplex(icat, jcat, complexes, index_action, coeff_action)
+    problems = validate_bifunctor(e)
+    if problems:
+        _fail(path, problems[0])
+    return e
 
 
 _BIFUNCTOR_KINDS = {

@@ -888,24 +888,6 @@ def is_isomorphism(f: AbHom) -> bool:
     return ker.is_trivial() and coker.is_trivial()
 
 
-def is_almost_isomorphism(f: AbHom):
-    """(verdict, kernel exponent, cokernel exponent).
-
-    Verdict true iff kernel and cokernel both have rank 0 (finite for finitely
-    presented groups); the exponents are the annihilators a caller can test
-    against a prescribed bound.
-    """
-    ker, _, _ = hom_kernel(f)
-    coker, _ = hom_cokernel(f)
-    verdict = ker.rank == 0 and coker.rank == 0
-    return verdict, ker.exponent(), coker.exponent()
-
-
-def group_invariants(g: FpAbGroup):
-    """(rank, exponent, is_almost_trivial); almost trivial = finite = rank 0."""
-    return g.rank, g.exponent(), g.rank == 0
-
-
 def solve_image_membership(f: AbHom, y):
     """(preimage, residue): one of the two is None.
 

@@ -52,6 +52,7 @@ from orbifunctor.exact_abelian import (
 from orbifunctor.fincat import FinGroup, SubgroupFamily, orbit_category, \
     standard_category
 from orbifunctor.cli import parse_manifest
+from orbifunctor.verify import instance_s3_hexagon, instance_z2_reflection
 
 Z1 = FpAbGroup.free(1)
 Z = FpAbGroup.cyclic
@@ -131,6 +132,15 @@ def test_euler_characteristic_matches_homology():
         c = two_term(rows, n1, n0)
         hom_chi = sum((-1) ** p * homology(c, p).rank for p in (0, 1))
         assert euler_characteristic(c) == hom_chi
+
+
+def test_euler_characteristic_is_an_int_in_negative_degrees():
+    g = FpAbGroup.free(1)
+    c = PlainChainComplex(-2, 0, {-2: g, -1: FpAbGroup.free(2), 0: g}, {})
+    chi = euler_characteristic(c)
+    assert chi == 0 and type(chi) is int
+    chi = euler_characteristic(complex_concentrated(g, -1))
+    assert chi == -1 and type(chi) is int
 
 
 def test_induced_identity_and_doubling():
@@ -550,6 +560,40 @@ def test_comparison_multi_degree_instance(which):
         assert is_isomorphism(induced_map_on_homology(t, p))
 
 
+def comparison_rank_count(c, d, e):
+    """Rank of each degree of either comparison total, counted from the free
+    generators alone: C_a is free on generators at s_(a,l) and D_p on
+    generators at c_(p,k), so both totals are ⊕ E(c_(p,k), s_(a,l))_q over
+    a + q − p = m, with E read from its plain complexes only."""
+    ranks = {}
+    for a in c.degrees():
+        for s in c.module(a).free_gens:
+            for p in d.degrees():
+                for ck in d.module(p).free_gens:
+                    pair = e.complex(ck, s)
+                    for q in pair.degrees():
+                        m = a + q - p
+                        ranks[m] = ranks.get(m, 0) + pair.group(q).rank
+    return ranks
+
+
+@pytest.mark.parametrize("which", ["z2-w3", "s3-w3", "shipped"])
+def test_comparison_totals_have_the_counted_ranks(which):
+    if which == "shipped":
+        c, d, e = comparison_inputs("shipped")
+    else:
+        inst = {"z2-w3": instance_z2_reflection,
+                "s3-w3": instance_s3_hexagon}[which](3)
+        c, d, e = inst.space_chains(), inst.free_complex, inst.coefficients
+    want = comparison_rank_count(c, d, e)
+    data = ComparisonData(c, d, e)
+    for total in (data.source_total, data.target_total):
+        cx = total.complex
+        assert {m for m, r in want.items() if r} <= set(cx.degrees())
+        assert {m: cx.group(m).rank for m in cx.degrees()} == \
+            {m: want.get(m, 0) for m in cx.degrees()}
+
+
 def test_comparison_refuses_legs_that_do_not_commute():
     c, d, e = comparison_inputs("constant_in_index")
     step = next(f for f in e.index_base.morphisms
@@ -563,6 +607,32 @@ def test_comparison_refuses_legs_that_do_not_commute():
     bad = BiFunctorComplex(e.index_base, e.coeff_base, e.complexes,
                            twisted, e.coeff_action)
     with pytest.raises(ValueError, match="not natural"):
+        ComparisonData(c, d, bad)
+
+
+def doubled_in_degree_zero(m):
+    comps = {p: m.component(p) for p in m.source.degrees()}
+    comps[0] = comps[0].add(comps[0])
+    return ChainMap(m.source, m.target, comps, check=False)
+
+
+@pytest.mark.parametrize("leg", ["coeff_identity", "every_index_action"])
+def test_comparison_refuses_actions_that_do_not_commute_with_d(leg):
+    # the actions are built unchecked, so only the comparison's own chain
+    # maps of totals can notice that the glued differentials are not natural
+    c, d, e = comparison_inputs("constant_in_index")
+    index_action, coeff_action = dict(e.index_action), dict(e.coeff_action)
+    if leg == "coeff_identity":
+        ident = e.coeff_base.ids[FULL_LAB]
+        for i in e.index_base.objects:
+            coeff_action[(i, ident)] = doubled_in_degree_zero(
+                coeff_action[(i, ident)])
+    else:
+        index_action = {key: doubled_in_degree_zero(m)
+                        for key, m in index_action.items()}
+    bad = BiFunctorComplex(e.index_base, e.coeff_base, e.complexes,
+                           index_action, coeff_action)
+    with pytest.raises(ValueError):
         ComparisonData(c, d, bad)
 
 

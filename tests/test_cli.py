@@ -634,6 +634,38 @@ def test_group_table_past_the_bound_is_refused_at_once():
         "group").order == 24
 
 
+def _explicit_shipped(break_leg):
+    """The shipped manifest with its bifunctor section written out as an
+    explicit bifunctor; with break_leg, the self-map of the free orbit acts
+    by 0 in degree 0 at every index object, so the coefficient leg is not
+    functorial."""
+    data = json.loads(shipped_text())
+    inst = parse_manifest(shipped_text()).get("instance")
+    section = encode_bifunctor(inst.coefficients)
+    if break_leg:
+        for i, psi, chain_map in section["coeff_action"]:
+            if psi == [[0], [0], [1]]:
+                chain_map["components"]["0"] = encode_matrix(
+                    IntMatrix.from_rows([[0]]))
+    data["bifunctor"] = section
+    return data
+
+
+@pytest.mark.parametrize("command", ["verify-theorem", "validate"])
+def test_non_functorial_explicit_bifunctor_exits_2(tmp_path, capsys, command):
+    path = write_manifest(tmp_path, _explicit_shipped(break_leg=True))
+    assert main([command, "--manifest", path]) == 2
+    out = capsys.readouterr()
+    assert "coeff leg not functorial" in out.err
+    assert "isomorphism" not in out.out
+
+
+def test_explicit_round_trip_of_the_shipped_bifunctor(tmp_path):
+    path = write_manifest(tmp_path, _explicit_shipped(break_leg=False))
+    assert main(["verify-theorem", "--manifest", path]) == 0
+    assert main(["validate", "--manifest", path]) == 0
+
+
 def test_non_associative_group_table_exits_2(tmp_path):
     # identity 0 and every element its own inverse, but (1*1)*2 = 2 while
     # 1*(1*2) = 4

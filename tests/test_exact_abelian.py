@@ -23,14 +23,12 @@ from orbifunctor.exact_abelian import (
     TensorBasis,
     cokernel_presentation,
     format_group,
-    group_invariants,
     hom_cokernel,
     hom_from_presentation,
     hom_group,
     hom_image,
     hom_kernel,
     hom_kernel_cokernel,
-    is_almost_isomorphism,
     is_isomorphism,
     kernel_basis,
     presented_group,
@@ -40,6 +38,7 @@ from orbifunctor.exact_abelian import (
     solve_mod,
     tensor_group,
 )
+from orbifunctor.verify import ALMOST_ISO, ISO, NEITHER, classify_map
 from samplers import ab_homs, ab_homs_with_basis, fp_groups, int_matrices, square_matrices
 
 
@@ -228,8 +227,8 @@ def test_group_scalars():
     assert g.exponent() == 6
     h = FpAbGroup.from_invariants(0, [2, 6])
     assert h.order() == 12
-    assert group_invariants(g) == (1, 6, False)
-    assert group_invariants(h) == (0, 6, True)
+    assert (g.rank, g.exponent()) == (1, 6)
+    assert (h.rank, h.exponent()) == (0, 6)
 
 
 def test_element_orders():
@@ -338,13 +337,13 @@ def test_almost_isomorphism_oracle():
     src = DirectSum([FpAbGroup.free(1), FpAbGroup.cyclic(4)]).group
     assert src == FpAbGroup.from_invariants(1, [4])
     f = AbHom(src, FpAbGroup.free(1), IntMatrix.from_rows([[6, 0]]))
-    verdict, ker_exp, coker_exp = is_almost_isomorphism(f)
-    assert verdict is True
-    assert ker_exp == 4
-    assert coker_exp == 6
+    verdict = classify_map(f)
+    assert verdict.kind == ALMOST_ISO
+    assert verdict.kernel.exponent() == 4
+    assert verdict.cokernel.exponent() == 6
     g = AbHom(FpAbGroup.free(1), FpAbGroup.free(2),
               IntMatrix.from_rows([[1], [0]]))
-    assert is_almost_isomorphism(g)[0] is False
+    assert classify_map(g).kind == NEITHER
 
 
 def test_is_isomorphism():
@@ -397,13 +396,16 @@ def test_almost_iso_composite_bound(data):
     c = data.draw(fp_groups())
     f = data.draw(ab_homs(source=a, target=b))
     g = data.draw(ab_homs(source=b, target=c))
-    fv, fk, fc = is_almost_isomorphism(f)
-    gv, gk, gc = is_almost_isomorphism(g)
-    if fv and gv:
-        hv, hk, hc = is_almost_isomorphism(g.compose(f))
-        assert hv
-        assert (fk * gk) % hk == 0
-        assert (fc * gc) % hc == 0
+    # kernel and cokernel of rank 0: an isomorphism or almost-isomorphism
+    almost = (ISO, ALMOST_ISO)
+    fv, gv = classify_map(f), classify_map(g)
+    if fv.kind in almost and gv.kind in almost:
+        hv = classify_map(g.compose(f))
+        assert hv.kind in almost
+        assert (fv.kernel.exponent() * gv.kernel.exponent()) \
+            % hv.kernel.exponent() == 0
+        assert (fv.cokernel.exponent() * gv.cokernel.exponent()) \
+            % hv.cokernel.exponent() == 0
 
 
 @settings(max_examples=80, deadline=None)

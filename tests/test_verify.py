@@ -9,6 +9,7 @@ already pinned in the cell-structure tests.
 
 import pytest
 
+import orbifunctor.exact_abelian as ea
 from orbifunctor.exact_abelian import (
     AbHom,
     FpAbGroup,
@@ -243,6 +244,22 @@ class TestEngineeredDefects:
         rep = sub_factorization_check(inst.group, inst.family,
                                       inst.coefficients)
         assert rep.passed
+
+    def test_factorization_builds_homology_once_per_complex_and_degree(
+            self, monkeypatch):
+        inst = instance_s3_hexagon(4)
+        calls = []
+        init = ea.HomologyData.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(ea.HomologyData, "__init__", counted)
+        rep = sub_factorization_check(inst.group, inst.family,
+                                      inst.coefficients)
+        assert rep.passed
+        # 25 distinct (complex, degree) pairs; one Smith reduction for each
+        assert 0 < len(calls) <= 25
 
     def test_factorization_needs_matching_category(self):
         inst = instance_z2_reflection()
