@@ -497,7 +497,7 @@ class CatTensor:
     """
 
     __slots__ = ("left", "right", "cat", "tensors", "part_index", "big",
-                 "group", "projection")
+                 "evals", "group", "projection")
 
     def __init__(self, left: CatModule, right: CatModule):
         if left.cat != right.cat:
@@ -512,7 +512,9 @@ class CatTensor:
                         for c in cat.objects}
         self.part_index = {c: i for i, c in enumerate(cat.objects)}
         self.big = DirectSum([self.tensors[c].group for c in cat.objects])
+        self.evals = None
         if left.is_free_marked():
+            self.evals = DirectSum([right.values[c] for c in left.free_gens])
             self.group = self._evaluated()
             self.projection = AbHom(self.big.group, self.group,
                                     self.group.to_can)
@@ -561,8 +563,7 @@ class CatTensor:
     def _evaluated(self) -> FpAbGroup:
         # ⊕_k N(c_k) for the free-marked left factor, with its witness pair
         # on the canonical coordinates of the big sum
-        left, right, big = self.left, self.right, self.big
-        ev = DirectSum([right.values[c] for c in left.free_gens])
+        left, right, big, ev = self.left, self.right, self.big, self.evals
         # to_can: the pair ((k, φ), y) at c goes to N(φ)(y) in summand k
         rows = [{} for _ in range(ev.total_gens)]
         for c in self.cat.objects:
@@ -623,6 +624,11 @@ class CatTensor:
     def induced(self, other: "CatTensor", left_map: ModuleMap | None,
                 right_map: ModuleMap | None) -> AbHom:
         """The map of tensor groups induced by maps of both factors."""
+        if self.evals is not None and other.evals is not None and (
+                _same_marking(self.left, other.left) if left_map is None
+                else _same_marking(left_map.source, self.left)
+                and _same_marking(left_map.target, other.left)):
+            return self._blockwise(other, left_map, right_map)
         cat = self.cat
         blocks = {}
         for c in cat.objects:
@@ -635,6 +641,27 @@ class CatTensor:
         # both groups are presented on the canonical coordinates of their sums
         big_map = block_hom(self.big, other.big, blocks)
         return hom_from_presentation(self.group, other.group, big_map.matrix)
+
+    def _blockwise(self, other: "CatTensor", v, u) -> AbHom:
+        # in ⊕_k N(c_k) coordinates generator y of N(c_k) is (k, id) ⊗ y, sent
+        # to v(k, id) ⊗ u(y): block (k', k) = Σ_φ a_(k',φ)·N'(φ)·u_{c_k}, a
+        # the value of v at generator k (block (k, k) = u_{c_k} when v = 1)
+        values, gens = other.right.values, other.left.free_gens
+        images = (_generator_images(v.source, v.components) if v is not None
+                  else None)
+        blocks = {}
+        for k, c in enumerate(self.left.free_gens):
+            uc = (u.components[c] if u is not None
+                  else AbHom.identity(self.right.values[c]))
+            if v is None:
+                blocks[(k, k)] = uc
+                continue
+            for k2, m in _through(other.left, other.right, c,
+                                  images[k]).items():
+                blocks[(k2, k)] = AbHom(uc.source, values[gens[k2]],
+                                        m * uc.matrix, check=False)
+        h = block_hom(self.evals, other.evals, blocks)
+        return AbHom(self.group, other.group, h.matrix, check=False)
 
 
 def tensor_over_cat(left: CatModule, right: CatModule) -> FpAbGroup:
@@ -764,7 +791,8 @@ class CatHomGroup:
         for w, _, diff in v.defect():
             reduce = self.target.values[w].reduce_matrix
             if any(not reduce(m).is_zero()
-                   for m in self._through(w, diff).values()):
+                   for m in _through(self.source, self.target, w,
+                                     diff).values()):
                 raise ValueError("composite with the module map is not "
                                  "natural")
         # block (k', k) = Σ_φ a_(k,φ)·N(φ), a the value of v at generator k'
@@ -772,19 +800,10 @@ class CatHomGroup:
         blocks = {}
         for k2, a in enumerate(_generator_images(v.source, v.components)):
             c2 = v.source.free_gens[k2]
-            for k, m in self._through(c2, a).items():
+            for k, m in _through(self.source, self.target, c2, a).items():
                 blocks[(k2, k)] = AbHom(values[gens[k]], values[c2], m,
                                         check=False)
         return block_hom(self.evals, other.evals, blocks)
-
-    def _through(self, w, vec):
-        # τ ↦ τ_w(vec) for vec in M(w), by summand: {k: Σ_φ vec_(k,φ)·N(φ)}
-        out = {}
-        for (k, phi), x in zip(self.source.free_basis[w], vec):
-            if x:
-                term = self.target.actions[phi].matrix.scale(x)
-                out[k] = out[k] + term if k in out else term
-        return out
 
     def _evaluates(self, other):
         # both groups are evaluations at free generators
@@ -803,6 +822,17 @@ class CatHomGroup:
 
 def _same_marking(a: CatModule, b: CatModule):
     return a is b or (a.free_basis is not None and a.free_basis == b.free_basis)
+
+
+def _through(free: CatModule, module: CatModule, w, vec):
+    # vec in free(w), by summand of the evaluation: {k: Σ_φ vec_(k,φ)·N(φ)}
+    # with N = module, i.e. how τ ↦ τ_w(vec) and y ↦ vec ⊗ y act on ⊕_k N(c_k)
+    out = {}
+    for (k, phi), x in zip(free.free_basis[w], vec):
+        if x:
+            term = module.actions[phi].matrix.scale(x)
+            out[k] = out[k] + term if k in out else term
+    return out
 
 
 def hom_over_cat(source: CatModule, target: CatModule) -> FpAbGroup:

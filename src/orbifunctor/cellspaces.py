@@ -179,7 +179,7 @@ class GCWComplex:
     d.d = 0 is checked when chains are built.
     """
 
-    __slots__ = ("group", "cells", "boundary", "dimension")
+    __slots__ = ("group", "cells", "boundary", "dimension", "_fixed_chains")
 
     def __init__(self, group: FinGroup, cells, boundary=None):
         self.group = group
@@ -224,6 +224,7 @@ class GCWComplex:
             if out:
                 norm[(n, i)] = tuple(out)
         self.boundary = norm
+        self._fixed_chains = None
 
     def cell_count(self, n) -> int:
         return len(self.cells.get(n, ()))
@@ -305,8 +306,9 @@ def centralizer_quotient_chains(x: GCWComplex, h_label) -> PlainChainComplex:
     if h_sub not in fam:
         raise ValueError(
             f"subgroup {h_lab!r} is not in the isotropy family of the complex")
-    cat = orbit_category(group, fam)
-    chains = cellular_chain_complex(_orbit_cw(x, cat))
+    if x._fixed_chains is None:     # the same for every subgroup: built once
+        x._fixed_chains = fixed_point_chains(x, fam)
+    chains = x._fixed_chains
     moves = sorted({_coset(group, z, h_sub)
                     for z in group.centralizer(h_sub)})
     groups, diffs = {}, {}
@@ -400,7 +402,8 @@ def underlying_cells(x: GCWComplex, n: int) -> GSetAction:
 # boundary and tensor totals grow with them (C_2 at T = 8: 256 tuples, about
 # 1 s for a Borel check of a point; T = 10: 1,024 tuples, about a minute);
 # refuse larger |G|^T, and T itself past the bound (the trivial group), before
-# any tuple is listed.
+# any tuple is listed.  The periodic resolution, one generator per degree,
+# is refused past T itself (C_24 at T = 256: about 3 s for a point).
 BAR_TUPLE_BOUND = 256
 
 
@@ -448,6 +451,35 @@ def _bar_data(group: FinGroup, truncation: int):
             vec[index[(pos[tup[:-1]], group.identity)]] += sign
             images.append(vec)
         diffs[n] = free_map_from_images(modules[n], low, images)
+    return _augmented(ocat, truncation, modules, diffs)
+
+
+def _periodic_data(group: FinGroup, t, truncation: int):
+    """`_bar_data` for the periodic resolution of the cyclic group generated
+    by t (Brown, Cohomology of Groups, I.6): every degree is free on one
+    generator, and d_n multiplies by t - 1 for odd n, by the norm N = Σ_g g
+    for even n."""
+    if not 0 <= truncation <= BAR_TUPLE_BOUND:
+        raise ValueError(f"periodic truncation {truncation} must be in "
+                         f"[0, {BAR_TUPLE_BOUND}]")
+    ocat = one_object_category(group)
+    obj = ocat.objects[0]
+    free, _ = free_module(ocat, [obj], CONTRAVARIANT)
+    index = free.free_index[obj]
+    t_minus_1 = [0] * len(index)
+    t_minus_1[index[(0, t)]] += 1
+    t_minus_1[index[(0, group.identity)]] -= 1
+    d = [free_map_from_images(free, free, [[1] * len(index)]),
+         free_map_from_images(free, free, [t_minus_1])]
+    return _augmented(ocat, truncation,
+                      {n: free for n in range(truncation + 1)},
+                      {n: d[n % 2] for n in range(1, truncation + 1)})
+
+
+def _augmented(ocat, truncation, modules, diffs):
+    # (complex, augmentation, constant): the augmentation sends every basis
+    # element of degree 0 to 1 in the constant contravariant Z-module
+    obj = ocat.objects[0]
     complex_ = CatChainComplex(ocat, CONTRAVARIANT, 0, truncation,
                                modules, diffs)
     constant = constant_module(ocat, FpAbGroup.free(1), CONTRAVARIANT)
@@ -507,27 +539,36 @@ BorelQuotient = namedtuple("BorelQuotient", ["borel", "quotient", "projection"])
 
 
 def borel_valid_through(x: GCWComplex, truncation: int) -> int:
-    """Largest homological degree the Borel total of x certifies when the bar
-    resolution is cut at the given degree."""
+    """Largest homological degree the Borel total of x certifies when the
+    free resolution (periodic or bar) is cut at the given degree: the
+    resolution is exact below its top degree, so T - 1 - dim x."""
     return truncation - 1 - x.dimension
 
 
 def borel_and_quotient(x: GCWComplex, truncation: int) -> BorelQuotient:
     """Homotopy-quotient chains, strict-quotient chains, and the projection.
 
-    borel: total complex of (truncated bar) tensored over the group with the
-    underlying cellular chains; homology is reliable in degrees up to
-    ``borel_valid_through(x, truncation)``.  quotient: chains of the orbit
-    space, i.e. the coinvariants of the underlying chains.  projection: the
-    chain map induced by augmenting the bar resolution.
+    borel: total complex of a truncated free resolution of Z over the group,
+    tensored over the group with the underlying cellular chains; homology is
+    reliable in degrees up to ``borel_valid_through(x, truncation)``.  The
+    resolution is the periodic one (rank one in every degree) when the group
+    is cyclic and the bar resolution otherwise; the map on homology does not
+    depend on the choice.  quotient: chains of the orbit space, i.e. the
+    coinvariants of the underlying chains.  projection: the chain map
+    induced by augmenting the resolution.
     """
     if borel_valid_through(x, truncation) < 0:
         raise ValueError(
             f"bar truncation {truncation} is too small for a complex of "
             f"dimension {x.dimension}: no degree would be reliable")
-    bar, augmentation, constant = _bar_data(x.group, truncation)
+    group = x.group
+    t = next((g for g in group.elements
+              if len(group.subgroup_generated([g])) == group.order), None)
+    res, augmentation, constant = (
+        _bar_data(group, truncation) if t is None
+        else _periodic_data(group, t, truncation))
     cx = _underlying_complex(x)
-    borel_total = TotalTensorComplex(bar, cx)
+    borel_total = TotalTensorComplex(res, cx)
     quotient_total = TotalTensorComplex(cat_complex_concentrated(constant, 0), cx)
     projection = tensor_total_induced(borel_total, quotient_total,
                                       left_maps={0: augmentation})

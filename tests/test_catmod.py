@@ -43,7 +43,9 @@ from orbifunctor.exact_abelian import (
     FpAbGroup,
     HomBasis,
     IntMatrix,
+    block_hom,
     hom_cokernel,
+    hom_from_presentation,
     hom_group,
     is_isomorphism,
     tensor_group,
@@ -773,6 +775,38 @@ def test_free_tensor_fast_path_matches_coequalizer(data):
                  slow2.projection.matrix * fast2.group.reps)
     assert iso2.compose(fast.induced(fast2, None, u)) == \
         slow.induced(slow2, None, u).compose(iso)
+
+
+def big_sum_induced(src: CatTensor, tgt: CatTensor, v, u) -> AbHom:
+    """The map of tensors through the big sums ⊕_c M(c) ⊗ N(c): per-object
+    tensor maps, assembled and pushed through both witness pairs."""
+    blocks = {}
+    for c in src.cat.objects:
+        lm = v.components[c] if v else AbHom.identity(src.left.values[c])
+        rm = u.components[c] if u else AbHom.identity(src.right.values[c])
+        blocks[(tgt.part_index[c], src.part_index[c])] = \
+            src.tensors[c].induced(tgt.tensors[c], lm, rm)
+    big = block_hom(src.big, tgt.big, blocks)
+    return hom_from_presentation(src.group, tgt.group, big.matrix)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_free_tensor_induced_blocks_match_the_big_sum(data):
+    cat = data.draw(CATS)
+    free, other = data.draw(free_on(cat)), data.draw(free_on(cat))
+    right = target_pool(cat, "co", data)
+    u = natural_map_to_constant(right, Z(6), data)
+    v = free_map_from_images(free, other, [
+        [data.draw(st.integers(-2, 2)) for _ in range(other.values[c].ngens)]
+        for c in free.free_gens])
+    src = CatTensor(free, right)
+    for left_map, right_map in ((None, u), (v, None), (v, u)):
+        tgt = CatTensor(other if left_map else free,
+                        u.target if right_map else right)
+        assert src.evals is not None and tgt.evals is not None
+        assert src.induced(tgt, left_map, right_map) == \
+            big_sum_induced(src, tgt, left_map, right_map)
 
 
 def test_free_marked_paths_solve_nothing(monkeypatch):

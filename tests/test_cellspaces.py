@@ -5,7 +5,13 @@ interval homology by hand, classifying-space homology of Z/2 and Z/3 from
 the standard small resolutions, fixed-point counts by listing cells.
 """
 
+import argparse
+import json
+import signal
+
 import pytest
+
+import orbifunctor.cellspaces as cs
 
 from orbifunctor.exact_abelian import (
     FpAbGroup,
@@ -48,6 +54,13 @@ from orbifunctor.cellspaces import (
     reflection_circle,
     underlying_cells,
 )
+from orbifunctor.cli import (
+    decode_group,
+    encode_gcw,
+    parse_manifest,
+    run,
+)
+from orbifunctor.verify import borel_vs_quotient_check
 
 C2 = FinGroup.cyclic(2)
 FULL = (0, 1)
@@ -412,6 +425,125 @@ class TestBorel:
     def test_truncation_too_small_rejected(self):
         with pytest.raises(ValueError, match="too small"):
             borel_and_quotient(reflection_circle(), 1)
+
+
+# ---------------------------------------------------------------------------
+# The periodic resolution of a cyclic group against the bar resolution
+# ---------------------------------------------------------------------------
+
+
+def _within_a_second(call):
+    def overrun(signum, frame):
+        raise TimeoutError("took more than a second")
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(1)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def bar_group_homology(group, truncation):
+    bar = bar_resolution_truncated(group, truncation)
+    constz = constant_module(bar.base, Z, COVARIANT)
+    return tensor_complex_over_cat(bar, cat_complex_concentrated(constz, 0))
+
+
+def rotation_circle(group, t):
+    """The circle with the cyclic group rotating it freely: one free orbit
+    of vertices and one of edges, the generating edge running from the base
+    vertex to its translate by the generator t."""
+    triv = (group.identity,)
+    return GCWComplex(group, {0: (triv,), 1: (triv,)},
+                      {(1, 0): ((1, 0, (t,)), (-1, 0, triv))})
+
+
+def transported(x, group, phi):
+    """The G-CW complex x carried along the isomorphism phi onto group."""
+    def move(elements):
+        return tuple(sorted(phi[g] for g in elements))
+    return GCWComplex(
+        group, {n: tuple(move(lab) for lab in labs)
+                for n, labs in x.cells.items()},
+        {key: tuple((c, j, move(coset)) for c, j, coset in terms)
+         for key, terms in x.boundary.items()})
+
+
+class TestPeriodic:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_group_homology_matches_the_bar(self, n):
+        group = FinGroup.cyclic(n)
+        top = max(t for t in range(1, 9) if n ** t <= 256)
+        bq = borel_and_quotient(point_space(group), top)
+        # one generator per degree: the total over a point is Z in each
+        assert [bq.borel.group(p).ngens for p in range(top + 1)] == \
+            [1] * (top + 1)
+        assert groups_of(bq.borel, top - 1) == \
+            groups_of(bar_group_homology(group, top), top - 1)
+
+    @pytest.mark.parametrize("space", ["point", "reflection", "antipodal"])
+    def test_check_matches_the_bar_built_check(self, space, monkeypatch):
+        x = {"point": point_space(C2), "reflection": reflection_circle(),
+             "antipodal": antipodal_circle()}[space]
+        periodic = {t: borel_vs_quotient_check(C2, x, t) for t in range(3, 7)}
+        monkeypatch.setattr(cs, "_periodic_data",
+                            lambda group, t, truncation:
+                            cs._bar_data(group, truncation))
+        for t, rep in periodic.items():
+            bar = borel_vs_quotient_check(C2, x, t)
+            assert (rep.passed, rep.valid_through) == \
+                (bar.passed, bar.valid_through)
+            assert rep.per_degree == bar.per_degree
+
+    @pytest.mark.parametrize("kind", ["permutations", "table"])
+    def test_relabelled_cyclic_group_gives_the_same_report(self, kind):
+        # C_4 twice: by a 4-cycle, and by a table in which the element
+        # labelled 1 has order 2 and the generator is labelled 2
+        if kind == "permutations":
+            section = {"kind": kind, "generators": [["1", "2", "3", "0"]]}
+            phi = {0: (0, 1, 2, 3), 1: (1, 2, 3, 0), 2: (2, 3, 0, 1),
+                   3: (3, 0, 1, 2)}
+        else:
+            power = [0, 2, 1, 3]        # the label of each power of r
+            log = {lab: k for k, lab in enumerate(power)}
+            section = {"kind": kind, "elements": [0, 1, 2, 3],
+                       "table": [[power[(log[a] + log[b]) % 4]
+                                  for b in range(4)] for a in range(4)]}
+            phi = dict(enumerate(power))
+        c4 = FinGroup.cyclic(4)
+        other = decode_group(section, "group")
+        args = argparse.Namespace(degree=None, truncation=6, mode=None,
+                                  model=None)
+        for x in (point_space(c4), rotation_circle(c4, 1)):
+            reports = []
+            for group, y in (({"kind": "cyclic", "n": "4"}, x),
+                             (section, transported(x, other, phi))):
+                manifest = parse_manifest(json.dumps({
+                    "version": "1", "group": group, "gcw": encode_gcw(y)}))
+                rep = run("borel-check", manifest, args)
+                rep.digest = None          # the manifests differ
+                reports.append(rep.to_json())
+            assert reports[0] == reports[1]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    @pytest.mark.parametrize("n,truncation", [(3, 8), (5, 6)])
+    def test_deep_truncations_answer_at_once(self, n, truncation):
+        group = FinGroup.cyclic(n)
+        rep = _within_a_second(lambda: borel_vs_quotient_check(
+            group, point_space(group), truncation))
+        assert rep.passed and rep.valid_through == truncation - 1
+        for p, (ker, coker, _, _) in rep.per_degree.items():
+            assert ker.torsion == ((n,) if p % 2 else ())
+            assert ker.rank == 0 and coker.is_trivial()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_past_the_bound_is_refused_before_building(self):
+        # C_24 at the bound itself takes seconds
+        group = FinGroup.cyclic(24)
+        with pytest.raises(ValueError, match="at most|must be in"):
+            _within_a_second(lambda: borel_and_quotient(point_space(group),
+                                                        257))
 
 
 # ---------------------------------------------------------------------------

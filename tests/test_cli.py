@@ -28,6 +28,7 @@ from orbifunctor.cellspaces import (
     classifying_model,
     reflection_circle,
 )
+from orbifunctor.chainplex import validate_bifunctor
 from orbifunctor.verify import GradedSeqSpec, transport_pi0_module
 from orbifunctor.cli import (
     ManifestError,
@@ -666,6 +667,34 @@ def test_explicit_round_trip_of_the_shipped_bifunctor(tmp_path):
     assert main(["validate", "--manifest", path]) == 0
 
 
+@pytest.mark.parametrize("explicit", [False, True],
+                         ids=["transport-pi0", "explicit"])
+def test_validate_checks_the_bifunctor_once(tmp_path, monkeypatch, explicit):
+    import orbifunctor.cli as cli_mod
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return validate_bifunctor(e)
+    monkeypatch.setattr(cli_mod, "validate_bifunctor", counting)
+    monkeypatch.setitem(cli_mod._VALIDATORS, "bifunctor", counting)
+    data = (_explicit_shipped(break_leg=False) if explicit
+            else json.loads(shipped_text()))
+    path = write_manifest(tmp_path, data)
+    report = tmp_path / "r.json"
+    assert main(["validate", "--manifest", path, "--report", str(report)]) == 0
+    # an explicit bifunctor is checked while it is decoded, transport-pi0
+    # only by validate
+    assert len(calls) == 1
+    out = json.loads(report.read_text(encoding="utf-8"))
+    assert out["verdicts"] == [
+        {"detail": "parses and validates", "name": f"section {name}",
+         "passed": True}
+        for name in ("group", "family", "category", "icw", "gcw",
+                     "bifunctor", "instance")]
+    assert out["witnesses"] == [] and out["groups"] == []
+
+
 def test_non_associative_group_table_exits_2(tmp_path):
     # identity 0 and every element its own inverse, but (1*1)*2 = 2 while
     # 1*(1*2) = 4
@@ -701,8 +730,11 @@ def test_bar_past_the_bound_is_refused_at_once(tmp_path):
         _within_a_second(lambda: bar_resolution_truncated(FinGroup.trivial(),
                                                           10 ** 20))
     path = write_manifest(tmp_path, json.loads(shipped_text()))
+    # the shipped group is C_2, so borel-check builds the periodic
+    # resolution, one generator per degree: 9 is within the bound, 257 not
     assert _within_a_second(lambda: main(["borel-check", "--manifest", path,
-                                          "--truncation", "9"])) == 2
+                                          "--truncation", "257"])) == 2
+    assert main(["borel-check", "--manifest", path, "--truncation", "9"]) == 0
     # the bound itself: C_2 at truncation 8 has 2^8 = 256 top tuples
     bar = bar_resolution_truncated(c2, 8)
     assert bar.module(8).total_rank() == 2 * 256

@@ -17,10 +17,11 @@ from orbifunctor.exact_abelian import (
 )
 from orbifunctor.fincat import FinGroup, SubgroupFamily, standard_category
 from orbifunctor.catmod import constant_module
-from orbifunctor.chainplex import cat_complex_concentrated
+from orbifunctor.chainplex import cat_complex_concentrated, homology
 from orbifunctor.cellspaces import (
     classifying_model,
     cellular_chain_complex,
+    centralizer_quotient_chains,
     fixed_point_chains,
     free_orbit_points,
     point_space,
@@ -154,6 +155,24 @@ class TestHypotheses:
         empties = [lab for lab, p, note in rep.d.witnesses if p is None]
         assert len(empties) == 2
         assert all(len(lab) in (3, 6) for lab in empties)
+
+    def test_fixed_point_chains_built_once_per_check(self, monkeypatch):
+        import orbifunctor.cellspaces as cs
+        inst = instance_s3_hexagon(4)
+        calls = []
+        build = cs.cellular_chain_complex
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+        monkeypatch.setattr(cs, "cellular_chain_complex", counted)
+        rep = check_hypotheses(inst)
+        assert len(calls) == 1
+        # the same witnesses as one centralizer quotient per member
+        for lab, p, grp in rep.d.witnesses:
+            if p is not None:
+                cq = centralizer_quotient_chains(inst.space, lab)
+                assert homology(cq, p) == grp
 
     def test_almost_mode_reports_annihilator(self):
         inst = instance_z2_reflection()
