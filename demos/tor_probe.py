@@ -2,7 +2,8 @@
 # the graded probe that tracks how a diagonal element obstructs interchange.
 
 from orbifunctor.fincat import FinGroup, one_object_category
-from orbifunctor.catmod import constant_module, tor, COVARIANT, CONTRAVARIANT
+from orbifunctor.catmod import constant_module, COVARIANT, CONTRAVARIANT
+from orbifunctor.chainplex import tor
 from orbifunctor.exact_abelian import format_group
 from orbifunctor.verify import tor_interchange_probe
 

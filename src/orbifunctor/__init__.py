@@ -9,11 +9,11 @@ The layers build on each other and can be used independently:
   abelian groups, hom/tensor/kernel/cokernel with exact bignum arithmetic.
 - ``fincat``: finite groups and finite categories, orbit and subgroup
   categories, subgroup families, transport groupoids.
-- ``catmod``: functor-valued modules over a finite category, the coend tensor
-  and equalizer hom, resolutions and Tor.
-- ``chainplex``: chain complexes of those modules, bifunctor coefficient
-  systems, and the comparison chain map between tensor-of-hom and
-  hom-of-tensor.
+- ``catmod``: functor-valued modules over a finite category, free modules,
+  the coend tensor and equalizer hom.
+- ``chainplex``: chain complexes of those modules, free resolutions and Tor,
+  bifunctor coefficient systems, and the comparison chain map between
+  tensor-of-hom and hom-of-tensor.
 - ``cellspaces``: equivariant cell complexes, fixed points, Bredon homology,
   bar resolutions, homotopy quotients, truncated classifying models.
 - ``verify``: runnable hypothesis checks, comparison verification, defect
@@ -49,7 +49,6 @@ from .catmod import (
     free_module,
     hom_over_cat,
     tensor_over_cat,
-    tor,
 )
 from .chainplex import (
     BiFunctorComplex,
@@ -59,6 +58,7 @@ from .chainplex import (
     comparison_map_t,
     homology,
     induced_map_on_homology,
+    tor,
 )
 from .cellspaces import (
     GCWComplex,

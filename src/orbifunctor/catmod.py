@@ -5,8 +5,10 @@ with marked bases, tensor product over the category (a coequalizer, or an
 evaluation when the left factor is free-marked), natural transformation
 groups (an equalizer, or an evaluation out of a free-marked module),
 objectwise kernels/cokernels with induced actions, restriction and induction
-along a functor, free resolutions, Tor, and the finite-product interchange
-map for finitely generated free modules.
+along a functor, generating covers, and the finite-product interchange map
+for finitely generated free modules.  A free module's basis is held by the
+module itself (`free_gens`, `free_basis`); free resolutions and Tor, which
+are chain complexes of such modules, live in `chainplex`.
 
 Everything is presented over the exact integer layer, so all answers are
 canonical forms with witnesses, never up-to-iso guesses.
@@ -21,7 +23,6 @@ from .exact_abelian import (
     DirectSum,
     FpAbGroup,
     HomBasis,
-    HomologyData,
     IntMatrix,
     TensorBasis,
     block_hom,
@@ -94,7 +95,7 @@ class CatModule:
             w: {lab: k for k, lab in enumerate(basis[w])} for w in cat.objects}
         for f in cat.morphisms:
             # the selection matrix moving each basis label along f
-            s, t = _endpoints(cat, self.variance, f)
+            s, t = _action_endpoints(self, f)
             if self.variance == CONTRAVARIANT:
                 moved = [(i, cat.compose(f, phi)) for i, phi in basis[s]]
             else:
@@ -135,13 +136,9 @@ class CatModule:
 
 
 def _action_endpoints(module, f):
-    return _endpoints(module.cat, module.variance, f)
-
-
-def _endpoints(cat, variance, f):
     # (object acted from, object acted to) of the morphism f
-    a, b = cat.dom[f], cat.cod[f]
-    if variance == COVARIANT:
+    a, b = module.cat.dom[f], module.cat.cod[f]
+    if module.variance == COVARIANT:
         return a, b
     return b, a
 
@@ -327,39 +324,14 @@ def _generator_images(free: CatModule, components):
 # ---------------------------------------------------------------------------
 
 
-class FreeMarker:
-    """Distinguished basis of a free module: base objects with multiplicity."""
-
-    __slots__ = ("objects",)
-
-    def __init__(self, objects):
-        self.objects = tuple(objects)
-
-    @property
-    def generators(self):
-        """Run-length view as (object, multiplicity) pairs."""
-        out = []
-        for c in self.objects:
-            if out and out[-1][0] == c:
-                out[-1] = (c, out[-1][1] + 1)
-            else:
-                out.append((c, 1))
-        return [tuple(p) for p in out]
-
-    def __len__(self):
-        return len(self.objects)
-
-    def __repr__(self):
-        return f"FreeMarker({self.generators})"
-
-
-def free_module(cat: FinCategory, gens, variance=CONTRAVARIANT):
-    """(module, marker) for the free module on one generator per listed object.
+def free_module(cat: FinCategory, gens, variance=CONTRAVARIANT) -> CatModule:
+    """The free module on one generator per listed object, marked free.
 
     Contravariant: value at w is free on the disjoint union of mor(w, c_i),
     with morphisms acting by precomposition.  Covariant: mor(c_i, w) and
     postcomposition.  Basis order is generator index first, then the stable
-    morphism order of the category.
+    morphism order of the category; `free_gens` of the result lists the
+    generators' objects.
     """
     gens = tuple(gens)
     objset = set(cat.objects)
@@ -368,9 +340,8 @@ def free_module(cat: FinCategory, gens, variance=CONTRAVARIANT):
             raise ValueError(f"unknown object {c!r}")
     basis = _free_basis(cat, gens, variance)
     values = {w: FpAbGroup.free(len(basis[w])) for w in cat.objects}
-    module = CatModule(cat, variance, values, None,
-                       free_gens=gens, free_basis=basis)
-    return module, FreeMarker(gens)
+    return CatModule(cat, variance, values, None,
+                     free_gens=gens, free_basis=basis)
 
 
 def _free_basis(cat, gens, variance):
@@ -886,7 +857,7 @@ def induce_module(func: CatFunctor, module: CatModule) -> CatModule:
     contra = module.variance == CONTRAVARIANT
     # the free module on d over the target, c ↦ Z[mor(d, F c)] (covariant)
     # or Z[mor(F c, d)] (contravariant), restricted to the source
-    frees = {d: free_module(cat_d, [d], COVARIANT if contra else CONTRAVARIANT)[0]
+    frees = {d: free_module(cat_d, [d], COVARIANT if contra else CONTRAVARIANT)
              for d in cat_d.objects}
     helpers = {d: restrict_module(func, frees[d]) for d in cat_d.objects}
     tens = {d: CatTensor(module, helpers[d]) if contra
@@ -901,11 +872,10 @@ def induce_module(func: CatFunctor, module: CatModule) -> CatModule:
         src_d, tgt_d = (d2, d1) if contra else (d1, d2)
         comps = {}
         for c in func.source.objects:
-            basis_tgt = frees[tgt_d].free_basis[func.obj_map[c]]
-            index_tgt = {lab: k for k, lab in enumerate(basis_tgt)}
+            index_tgt = frees[tgt_d].free_index[func.obj_map[c]]
             moved = [(0, cat_d.compose(psi, m) if contra else cat_d.compose(m, psi))
                      for _, m in frees[src_d].free_basis[func.obj_map[c]]]
-            mat = IntMatrix.selection(len(basis_tgt),
+            mat = IntMatrix.selection(len(index_tgt),
                                       [index_tgt[lab] for lab in moved])
             comps[c] = AbHom(helpers[src_d].values[c], helpers[tgt_d].values[c],
                              mat, check=False)
@@ -916,12 +886,12 @@ def induce_module(func: CatFunctor, module: CatModule) -> CatModule:
 
 
 # ---------------------------------------------------------------------------
-# Generation, resolutions, Tor
+# Generation
 # ---------------------------------------------------------------------------
 
 
 def generating_cover(module: CatModule):
-    """(free module, epi, marker): the objectwise-canonical-generator cover."""
+    """(free module, epi): the objectwise-canonical-generator cover."""
     cat = module.cat
     gens = []
     slots = []      # generator i is canonical generator slots[i] of its value
@@ -929,58 +899,10 @@ def generating_cover(module: CatModule):
         for j in range(module.values[c].ngens):
             gens.append(c)
             slots.append(j)
-    free, marker = free_module(cat, gens, module.variance)
+    free = free_module(cat, gens, module.variance)
     epi = _free_map(free, module,
                     lambda i, phi: module.action_columns(phi)[slots[i]])
-    return free, epi, marker
-
-
-Resolution = namedtuple("Resolution", ["modules", "maps", "augmentation",
-                                       "markers"])
-
-
-def free_resolution(module: CatModule, length: int) -> Resolution:
-    """F_L -> ... -> F_0 -> M -> 0 with each F_i finitely generated free.
-
-    maps[i] is the differential F_{i+1} -> F_i; exactness of the augmented
-    complex is verified objectwise through degree L-1 and failure aborts.
-    """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    f0, eps, marker0 = generating_cover(module)
-    modules = [f0]
-    markers = [marker0]
-    maps = []
-    current = eps
-    for _ in range(length):
-        ker, inc = module_kernel(current)
-        fi, epi, marker = generating_cover(ker)
-        d = inc.compose(epi)
-        modules.append(fi)
-        markers.append(marker)
-        maps.append(d)
-        current = d
-    for c in module.cat.objects:
-        chain = [eps.components[c]] + [d.components[c] for d in maps]
-        for i in range(len(chain) - 1):
-            h = HomologyData(chain[i + 1], chain[i])
-            if not h.group.is_trivial():
-                raise AssertionError(
-                    f"resolution not exact at step {i}, object {c!r}")
-    return Resolution(tuple(modules), tuple(maps), eps, tuple(markers))
-
-
-def tor(left: CatModule, right: CatModule, p: int) -> FpAbGroup:
-    """Tor_p over the base category, resolving the contravariant argument."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    res = free_resolution(left, p + 1)
-    tens = [CatTensor(f, right) for f in res.modules]
-    diffs = [tens[i + 1].induced(tens[i], res.maps[i], None)
-             for i in range(len(res.maps))]
-    d_in = diffs[p]
-    d_out = diffs[p - 1] if p >= 1 else None
-    return HomologyData(d_in, d_out, space=tens[p].group).group
+    return free, epi
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,11 @@ Two flavours of cell data feed the rest of the workbench:
   G/H per entry, with boundaries given by coefficients on equivariant maps
   between orbits.  Fixed-point chains convert these into CatCWComplex data
   over an orbit category; a separate conversion forgets the group action and
-  produces honest cellular chains with a group action, which is what the
-  Borel construction consumes.
+  produces honest cellular chains with a group action (the n-cells as a
+  G-set, the (elements, action) pair of ``coset_g_set``).  The Borel
+  construction tensors these with a free resolution of Z over the group, the
+  periodic one for cyclic groups and the bar resolution otherwise, each a
+  (complex, augmentation) pair.
 
 Truncation bookkeeping is explicit throughout.  A model built from a window
 of size K only certifies homology in an advertised range; checks refuse
@@ -36,12 +39,12 @@ from .fincat import (
     FinCategory,
     FinGroup,
     SubgroupFamily,
+    _coset_label,
     coset_g_set,
     family_closure,
     one_object_category,
     orbit_category,
     standard_category,
-    transport_groupoid,
 )
 from .catmod import (
     CONTRAVARIANT,
@@ -61,10 +64,6 @@ from .chainplex import (
     homology,
     tensor_total_induced,
 )
-
-
-def _coset(group, g, subgroup):
-    return tuple(sorted(group.mult(g, k) for k in subgroup))
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +143,13 @@ def cellular_chain_complex(x: CatCWComplex) -> CatChainComplex:
     """
     modules = {}
     for n in range(x.dimension + 1):
-        modules[n], _ = free_module(x.base, x.cells[n], CONTRAVARIANT)
+        modules[n] = free_module(x.base, x.cells[n], CONTRAVARIANT)
     diffs = {}
     for n in range(1, x.dimension + 1):
         low = modules[n - 1]
         images = []
         for i, tag in enumerate(x.cells[n]):
-            index = {lab: k for k, lab in enumerate(low.free_basis[tag])}
+            index = low.free_index[tag]
             vec = [0] * low.value(tag).ngens
             for (coeff, j, phi) in x.boundary.get((n, i), ()):
                 vec[index[(j, phi)]] += coeff
@@ -212,7 +211,7 @@ class GCWComplex:
                 k_sub = frozenset(k_lab)
                 coset = tuple(coset)
                 r = min(coset)
-                if _coset(group, r, k_sub) != coset:
+                if _coset_label(group, r, k_sub) != coset:
                     raise ValueError(
                         f"{coset!r} is not a coset of {k_lab!r}")
                 if any(group.conjugate(r, h) not in k_sub for h in h_sub):
@@ -309,7 +308,7 @@ def centralizer_quotient_chains(x: GCWComplex, h_label) -> PlainChainComplex:
     if x._fixed_chains is None:     # the same for every subgroup: built once
         x._fixed_chains = fixed_point_chains(x, fam)
     chains = x._fixed_chains
-    moves = sorted({_coset(group, z, h_sub)
+    moves = sorted({_coset_label(group, z, h_sub)
                     for z in group.centralizer(h_sub)})
     groups, diffs = {}, {}
     for n in range(x.dimension + 1):
@@ -334,54 +333,9 @@ def centralizer_quotient_chains(x: GCWComplex, h_label) -> PlainChainComplex:
 # ---------------------------------------------------------------------------
 
 
-class GSetAction:
-    """A finite left G-set: underlying elements plus the full action table."""
-
-    __slots__ = ("group", "elements", "action")
-
-    def __init__(self, group: FinGroup, elements, action):
-        self.group = group
-        self.elements = tuple(elements)
-        self.action = dict(action)
-        elset = set(self.elements)
-        for s in self.elements:
-            if self.action.get((group.identity, s)) != s:
-                raise ValueError(f"identity must fix {s!r}")
-        for g in group.elements:
-            for s in self.elements:
-                t = self.action.get((g, s))
-                if t not in elset:
-                    raise ValueError(f"action incomplete at ({g!r}, {s!r})")
-        for g in group.elements:
-            for h in group.elements:
-                gh = group.mult(g, h)
-                for s in self.elements:
-                    if self.action[(gh, s)] != self.action[(g, self.action[(h, s)])]:
-                        raise ValueError(
-                            f"action not associative at ({g!r}, {h!r}, {s!r})")
-
-    @classmethod
-    def cosets(cls, group: FinGroup, subgroup) -> "GSetAction":
-        elements, action = coset_g_set(group, frozenset(subgroup))
-        return cls(group, elements, action)
-
-    def orbits(self):
-        remaining = set(self.elements)
-        out = []
-        for s in self.elements:
-            if s not in remaining:
-                continue
-            orb = {self.action[(g, s)] for g in self.group.elements}
-            remaining -= orb
-            out.append(tuple(sorted(orb)))
-        return tuple(out)
-
-    def transport(self) -> FinCategory:
-        return transport_groupoid(self.group, self.elements, self.action)
-
-
-def underlying_cells(x: GCWComplex, n: int) -> GSetAction:
-    """The G-set of individual n-cells: pairs (orbit index, coset)."""
+def underlying_cells(x: GCWComplex, n: int):
+    """(elements, action) of the G-set of individual n-cells, pairs (orbit
+    index, coset), in the shape of `coset_g_set`."""
     group = x.group
     cells, action = [], {}
     for i, lab in enumerate(x.cells.get(n, ())):
@@ -390,7 +344,7 @@ def underlying_cells(x: GCWComplex, n: int) -> GSetAction:
         for g in group.elements:
             for c in elements:
                 action[(g, (i, c))] = (i, act[(g, c)])
-    return GSetAction(group, cells, action)
+    return cells, action
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +357,7 @@ def underlying_cells(x: GCWComplex, n: int) -> GSetAction:
 # 1 s for a Borel check of a point; T = 10: 1,024 tuples, about a minute);
 # refuse larger |G|^T, and T itself past the bound (the trivial group), before
 # any tuple is listed.  The periodic resolution, one generator per degree,
-# is refused past T itself (C_24 at T = 256: about 3 s for a point).
+# is refused past T itself (C_24 at T = 256: about 0.2 s for a point).
 BAR_TUPLE_BOUND = 256
 
 
@@ -416,8 +370,8 @@ def _bar_data(group: FinGroup, truncation: int):
     drops one slot at a time, so it squares to zero for simplicial reasons;
     the constructor re-checks it anyway.
 
-    Returns (complex, augmentation, constant) with the augmentation a module
-    map from degree 0 onto the constant contravariant Z-module.
+    Returns (complex, augmentation) with the augmentation a module map from
+    degree 0 onto the constant contravariant Z-module.
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
@@ -431,11 +385,11 @@ def _bar_data(group: FinGroup, truncation: int):
               for n in range(truncation + 1)}
     modules = {}
     for n in range(truncation + 1):
-        modules[n], _ = free_module(ocat, [obj] * len(tuples[n]), CONTRAVARIANT)
+        modules[n] = free_module(ocat, [obj] * len(tuples[n]), CONTRAVARIANT)
     diffs = {}
     for n in range(1, truncation + 1):
         low = modules[n - 1]
-        index = {lab: k for k, lab in enumerate(low.free_basis[obj])}
+        index = low.free_index[obj]
         pos = {tup: k for k, tup in enumerate(tuples[n - 1])}
         images = []
         for tup in tuples[n]:
@@ -464,7 +418,7 @@ def _periodic_data(group: FinGroup, t, truncation: int):
                          f"[0, {BAR_TUPLE_BOUND}]")
     ocat = one_object_category(group)
     obj = ocat.objects[0]
-    free, _ = free_module(ocat, [obj], CONTRAVARIANT)
+    free = free_module(ocat, [obj], CONTRAVARIANT)
     index = free.free_index[obj]
     t_minus_1 = [0] * len(index)
     t_minus_1[index[(0, t)]] += 1
@@ -477,8 +431,8 @@ def _periodic_data(group: FinGroup, t, truncation: int):
 
 
 def _augmented(ocat, truncation, modules, diffs):
-    # (complex, augmentation, constant): the augmentation sends every basis
-    # element of degree 0 to 1 in the constant contravariant Z-module
+    # (complex, augmentation): the augmentation sends every basis element of
+    # degree 0 to 1 in the constant contravariant Z-module
     obj = ocat.objects[0]
     complex_ = CatChainComplex(ocat, CONTRAVARIANT, 0, truncation,
                                modules, diffs)
@@ -487,14 +441,14 @@ def _augmented(ocat, truncation, modules, diffs):
     augmentation = ModuleMap(modules[0], constant,
                              {obj: AbHom(modules[0].value(obj),
                                          FpAbGroup.free(1), ones)})
-    return complex_, augmentation, constant
+    return complex_, augmentation
 
 
 def bar_resolution_truncated(group: FinGroup, truncation: int) -> CatChainComplex:
     """Free resolution of the constants over the group ring, cut at the given
     degree.  Homology computed from it is reliable in degrees up to
     truncation - 1 only."""
-    complex_, _, _ = _bar_data(group, truncation)
+    complex_, _ = _bar_data(group, truncation)
     return complex_
 
 
@@ -506,29 +460,29 @@ def _underlying_complex(x: GCWComplex) -> CatChainComplex:
     obj = ocat.objects[0]
     gsets = {n: underlying_cells(x, n) for n in range(x.dimension + 1)}
     modules = {}
-    for n, gs in gsets.items():
-        value = FpAbGroup.free(len(gs.elements))
-        index = {c: k for k, c in enumerate(gs.elements)}
+    for n, (elements, action) in gsets.items():
+        value = FpAbGroup.free(len(elements))
+        index = {c: k for k, c in enumerate(elements)}
         actions = {}
         for g in group.elements:
             mat = IntMatrix.selection(
-                len(gs.elements), [index[gs.action[(g, c)]] for c in gs.elements])
+                len(elements), [index[action[(g, c)]] for c in elements])
             actions[g] = AbHom(value, value, mat, check=False)
         modules[n] = CatModule(ocat, COVARIANT, {obj: value}, actions)
     diffs = {}
     for n in range(1, x.dimension + 1):
-        low = gsets[n - 1]
-        index = {c: k for k, c in enumerate(low.elements)}
+        low = gsets[n - 1][0]
+        index = {c: k for k, c in enumerate(low)}
         cols = []
-        for (i, coset) in gsets[n].elements:
+        for (i, coset) in gsets[n][0]:
             g0 = min(coset)
-            col = [0] * len(low.elements)
+            col = [0] * len(low)
             for (coeff, j, rcos) in x.boundary.get((n, i), ()):
-                dest = _coset(group, group.mult(g0, min(rcos)),
-                              frozenset(x.cells[n - 1][j]))
+                dest = _coset_label(group, group.mult(g0, min(rcos)),
+                                    frozenset(x.cells[n - 1][j]))
                 col[index[(j, dest)]] += coeff
             cols.append(col)
-        mat = IntMatrix.from_columns(cols, nrows=len(low.elements))
+        mat = IntMatrix.from_columns(cols, nrows=len(low))
         diffs[n] = ModuleMap(modules[n], modules[n - 1],
                              {obj: AbHom(modules[n].value(obj),
                                          modules[n - 1].value(obj), mat)})
@@ -564,12 +518,12 @@ def borel_and_quotient(x: GCWComplex, truncation: int) -> BorelQuotient:
     group = x.group
     t = next((g for g in group.elements
               if len(group.subgroup_generated([g])) == group.order), None)
-    res, augmentation, constant = (
-        _bar_data(group, truncation) if t is None
-        else _periodic_data(group, t, truncation))
+    res, augmentation = (_bar_data(group, truncation) if t is None
+                         else _periodic_data(group, t, truncation))
     cx = _underlying_complex(x)
     borel_total = TotalTensorComplex(res, cx)
-    quotient_total = TotalTensorComplex(cat_complex_concentrated(constant, 0), cx)
+    quotient_total = TotalTensorComplex(
+        cat_complex_concentrated(augmentation.target, 0), cx)
     projection = tensor_total_induced(borel_total, quotient_total,
                                       left_maps={0: augmentation})
     return BorelQuotient(borel_total.complex, quotient_total.complex, projection)
@@ -718,8 +672,8 @@ def hexagon_s3() -> GCWComplex:
     triv = (group.identity,)
     stab0 = tuple(sorted(group.subgroup_generated([flip0])))
     stab1 = tuple(sorted(group.subgroup_generated([flip1])))
-    e0 = _coset(group, group.identity, frozenset(stab0))
-    e1 = _coset(group, group.identity, frozenset(stab1))
+    e0 = _coset_label(group, group.identity, frozenset(stab0))
+    e1 = _coset_label(group, group.identity, frozenset(stab1))
     return GCWComplex(
         group,
         {0: (stab0, stab1), 1: (triv,)},

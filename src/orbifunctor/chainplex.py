@@ -1,10 +1,10 @@
 """Bounded chain complexes: plain, over a category, and two-legged.
 
 Plain complexes of f.p. abelian groups with homology and induced maps; chain
-complexes of category modules; bifunctor complexes with a contravariant index
-leg and a covariant coefficient leg; total tensor and hom complexes over the
-base category; and the comparison chain map from tensor-of-hom to
-hom-of-tensor.
+complexes of category modules, free resolutions among them, and Tor;
+bifunctor complexes with a contravariant index leg and a covariant
+coefficient leg; total tensor and hom complexes over the base category; and
+the comparison chain map from tensor-of-hom to hom-of-tensor.
 
 Sign conventions (frozen; homology is insensitive to the choice but maps are
 not, so one set is fixed and stated):
@@ -33,6 +33,9 @@ from .catmod import (
     CatModule,
     CatTensor,
     ModuleMap,
+    generating_cover,
+    module_kernel,
+    validate_module_map,
     zero_module,
 )
 
@@ -193,18 +196,25 @@ class CatChainComplex:
                 d = ModuleMap.zero(self.modules[p], self.modules[p - 1])
             self.diffs[p] = d
         if check:
-            from .catmod import validate_module_map
+            # one map object may serve many degrees (a periodic resolution):
+            # each map, and each composable pair of maps, is checked once
+            seen = set()
             for p, d in self.diffs.items():
                 if d.source is not self.modules[p] and \
                         d.source.values != self.modules[p].values:
                     raise ValueError(f"differential at {p} has wrong source")
-                problems = validate_module_map(d)
-                if problems:
-                    raise ValueError(f"differential at {p} not natural: "
-                                     f"{problems[0]}")
+                if id(d) not in seen:
+                    seen.add(id(d))
+                    problems = validate_module_map(d)
+                    if problems:
+                        raise ValueError(f"differential at {p} not natural: "
+                                         f"{problems[0]}")
             for p in range(lo + 2, hi + 1):
-                if not self.diffs[p - 1].compose(self.diffs[p]).is_zero():
-                    raise ValueError(f"d∘d is nonzero out of degree {p}")
+                pair = (id(self.diffs[p - 1]), id(self.diffs[p]))
+                if pair not in seen:
+                    seen.add(pair)
+                    if not self.diffs[p - 1].compose(self.diffs[p]).is_zero():
+                        raise ValueError(f"d∘d is nonzero out of degree {p}")
 
     def module(self, p) -> CatModule:
         m = self.modules.get(p)
@@ -234,6 +244,49 @@ class CatChainComplex:
 def cat_complex_concentrated(module: CatModule, degree: int) -> CatChainComplex:
     return CatChainComplex(module.cat, module.variance, degree, degree,
                            {degree: module}, {}, check=False)
+
+
+# ---------------------------------------------------------------------------
+# Free resolutions and Tor
+# ---------------------------------------------------------------------------
+
+
+def free_resolution(module: CatModule, length: int):
+    """(complex, augmentation) for F_L -> ... -> F_0 -> M -> 0, each F_i
+    finitely generated free: the complex of the F_i in degrees 0..L and the
+    epi F_0 -> M.
+
+    Exactness of the augmented complex is verified objectwise through degree
+    L-1 and failure aborts.
+    """
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    f0, eps = generating_cover(module)
+    modules, maps = {0: f0}, [eps]      # maps[n]: F_n -> F_{n-1}, or -> M
+    for n in range(1, length + 1):
+        ker, inc = module_kernel(maps[-1])
+        modules[n], epi = generating_cover(ker)
+        maps.append(inc.compose(epi))
+    for c in module.cat.objects:
+        for n in range(length):
+            if not HomologyData(maps[n + 1].components[c],
+                                maps[n].components[c]).group.is_trivial():
+                raise AssertionError(
+                    f"resolution not exact at step {n}, object {c!r}")
+    # composites of natural maps are natural, and exactness gives d∘d = 0
+    return CatChainComplex(module.cat, module.variance, 0, length, modules,
+                           {n: maps[n] for n in range(1, length + 1)},
+                           check=False), eps
+
+
+def tor(left: CatModule, right: CatModule, p: int) -> FpAbGroup:
+    """Tor_p over the base category, resolving the contravariant argument:
+    H_p of its free resolution tensored with the covariant one."""
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    res, _ = free_resolution(left, p + 1)
+    return homology(tensor_complex_over_cat(
+        res, cat_complex_concentrated(right, 0)), p)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,6 @@ from .catmod import (
     CatModule,
     CatTensor,
     ModuleMap,
-    tor,
     validate_module,
 )
 from .chainplex import (
@@ -102,6 +101,7 @@ from .chainplex import (
     PlainChainComplex,
     cat_complex_concentrated,
     homology,
+    tor,
     validate_bifunctor,
 )
 from .cellspaces import (

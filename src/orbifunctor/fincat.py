@@ -648,13 +648,17 @@ def transport_groupoid(group: FinGroup, elements, action) -> FinCategory:
     of (g: s1 -> s2) then (g': s2 -> s3) is g'g.
     """
     elements = tuple(elements)
+    elset = set(elements)
     for s in elements:
         if action.get((group.identity, s)) != s:
             raise ValueError(f"identity does not fix {s!r}")
         for g in group.elements:
-            t = action.get((g, s))
-            if t is None or t not in set(elements):
+            if (g, s) not in action or action[(g, s)] not in elset:
                 raise ValueError(f"action incomplete at ({g!r}, {s!r})")
+    # the whole table is known to be complete before it is composed
+    for s in elements:
+        for g in group.elements:
+            t = action[(g, s)]
             for g2 in group.elements:
                 if action[(g2, t)] != action[(group.mult(g2, g), s)]:
                     raise ValueError(

@@ -682,8 +682,8 @@ def with_padded_degree(inst: TheoremInstance) -> TheoremInstance:
     extra_deg = inst.top_degree + 1
     modules = {p: base.module(p) for p in base.degrees()}
     diffs = {p: base.diff(p) for p in base.degrees() if p > base.lo}
-    pad, _ = free_module(inst.index_cat, [inst.index_cat.objects[0]],
-                         CONTRAVARIANT)
+    pad = free_module(inst.index_cat, [inst.index_cat.objects[0]],
+                      CONTRAVARIANT)
     modules[extra_deg] = pad
     diffs[extra_deg] = ModuleMap.zero(pad, modules.get(
         extra_deg - 1, base.module(extra_deg - 1)))

@@ -166,10 +166,10 @@ def _random_module(rng, cat, variance):
         return constant_module(cat, _random_group(rng), variance)
     if kind in (1, 2):
         gens = [rng.choice(cat.objects) for _ in range(rng.randint(1, 2))]
-        return free_module(cat, gens, variance)[0]
+        return free_module(cat, gens, variance)
     return product_module([
         constant_module(cat, _random_group(rng), variance),
-        free_module(cat, [rng.choice(cat.objects)], variance)[0]]).module
+        free_module(cat, [rng.choice(cat.objects)], variance)]).module
 
 
 @criterion(3, "representable evaluation and tensor-hom currying, 200 draws")
@@ -183,18 +183,18 @@ def test_criterion_03_representables_and_adjunction():
         c = rng.choice(cat.objects)
         variance = rng.choice(("co", "contra"))
         m = _random_module(rng, cat, variance)
-        rep, _ = free_module(cat, [c], variance)
+        rep = free_module(cat, [c], variance)
         # maps out of a one-generator free module are the value at the
         # generating object
         assert hom_over_cat(rep, m) == m.values[c]
         # tensoring against that free module also evaluates there
         if variance == "co":
-            probe, _ = free_module(cat, [c], "contra")
+            probe = free_module(cat, [c], "contra")
             assert tensor_over_cat(probe, m) == m.values[c]
             left = _random_module(rng, cat, "contra")
             right = m
         else:
-            probe, _ = free_module(cat, [c], "co")
+            probe = free_module(cat, [c], "co")
             assert tensor_over_cat(m, probe) == m.values[c]
             left = m
             right = constant_module(cat, _random_group(rng), "co")
@@ -217,10 +217,10 @@ def test_criterion_04_product_interchange():
     pool = [constant_module(sub, FpAbGroup.free(1), "co"),
             constant_module(sub, FpAbGroup.cyclic(4), "co"),
             constant_module(sub, FpAbGroup.from_invariants(1, (6,)), "co")]
-    pool += [free_module(sub, [c], "co")[0] for c in sub.objects]
+    pool += [free_module(sub, [c], "co") for c in sub.objects]
     for _ in range(100):
         gens = [rng.choice(sub.objects) for _ in range(rng.randint(1, 3))]
-        free, _ = free_module(sub, gens, "contra")
+        free = free_module(sub, gens, "contra")
         family = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
         _, verdict = finite_product_interchange(free, family)
         assert verdict is True
@@ -343,7 +343,7 @@ def test_criterion_11_bredon_oracles():
     # a point only sees the value at the one-point orbit
     g = FinGroup.cyclic(2)
     or2 = orbit_category(g, SubgroupFamily.all(g))
-    m = free_module(or2, [(0,)], "co")[0]
+    m = free_module(or2, [(0,)], "co")
     assert m.values[(0,)] == FpAbGroup.free(2)
     assert bredon_homology(point_space(g), m, 0) == m.values[(0, 1)]
     fives = constant_module(or2, FpAbGroup.cyclic(5), "co")

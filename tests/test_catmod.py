@@ -16,13 +16,11 @@ from orbifunctor.catmod import (
     CatHomGroup,
     CatModule,
     CatTensor,
-    FreeMarker,
     ModuleMap,
     constant_module,
     finite_product_interchange,
     free_map_from_images,
     free_module,
-    free_resolution,
     generating_cover,
     hom_into_module,
     hom_over_cat,
@@ -33,10 +31,16 @@ from orbifunctor.catmod import (
     product_module,
     restrict_module,
     tensor_over_cat,
-    tor,
     validate_module,
     validate_module_map,
     zero_module,
+)
+from orbifunctor.chainplex import (
+    cat_complex_concentrated,
+    free_resolution,
+    homology,
+    tensor_complex_over_cat,
+    tor,
 )
 from orbifunctor.exact_abelian import (
     AbHom,
@@ -54,6 +58,7 @@ from orbifunctor.fincat import (
     CatFunctor,
     FinGroup,
     SubgroupFamily,
+    one_object_category,
     orbit_category,
     standard_category,
     sub_category_and_projection,
@@ -109,22 +114,22 @@ def test_bad_variance_rejected():
 
 def test_free_module_values_over_orbit_z2():
     # one generator at the fixed orbit: a single morphism from each object
-    m_full, marker = free_module(OR2, [FULL_LAB], "contra")
-    assert marker.generators == [(FULL_LAB, 1)]
+    m_full = free_module(OR2, [FULL_LAB], "contra")
+    assert m_full.free_gens == (FULL_LAB,)
     assert m_full.values[FREE_LAB] == FpAbGroup.free(1)
     assert m_full.values[FULL_LAB] == FpAbGroup.free(1)
     # one generator at the free orbit: two self-maps, nothing from the fixed one
-    m_free, _ = free_module(OR2, [FREE_LAB], "contra")
+    m_free = free_module(OR2, [FREE_LAB], "contra")
     assert m_free.values[FREE_LAB] == FpAbGroup.free(2)
     assert m_free.values[FULL_LAB].is_trivial()
     # covariant flavor reverses the roles
-    m_co, _ = free_module(OR2, [FREE_LAB], "co")
+    m_co = free_module(OR2, [FREE_LAB], "co")
     assert m_co.values[FREE_LAB] == FpAbGroup.free(2)
     assert m_co.values[FULL_LAB] == FpAbGroup.free(1)
 
 
 def test_free_module_swap_action_is_permutation():
-    m_free, _ = free_module(OR2, [FREE_LAB], "contra")
+    m_free = free_module(OR2, [FREE_LAB], "contra")
     s = swap_endo(OR2, FREE_LAB)
     mat = m_free.actions[s].matrix
     assert sorted(mat.rows) == [(0, 1), (1, 0)]
@@ -136,9 +141,9 @@ def test_free_modules_functorial(variance):
     for cat, gens in [(OR2, [FREE_LAB, FULL_LAB]),
                       (standard_category("chain", 2), [0, 2]),
                       (SUBS3, [SUBS3.objects[0], SUBS3.objects[-1]])]:
-        mod, marker = free_module(cat, gens, variance)
+        mod = free_module(cat, gens, variance)
         assert validate_module(mod) == []
-        assert len(marker) == len(gens)
+        assert mod.free_gens == tuple(gens)
 
 
 def test_free_module_unknown_object():
@@ -146,13 +151,8 @@ def test_free_module_unknown_object():
         free_module(OR2, [(7,)], "contra")
 
 
-def test_free_marker_aggregation():
-    marker = FreeMarker([FREE_LAB, FREE_LAB, FULL_LAB, FREE_LAB])
-    assert marker.generators == [(FREE_LAB, 2), (FULL_LAB, 1), (FREE_LAB, 1)]
-
-
 def test_free_map_from_images_natural():
-    m_free, _ = free_module(OR2, [FREE_LAB], "contra")
+    m_free = free_module(OR2, [FREE_LAB], "contra")
     const = constant_module(OR2, FpAbGroup.free(1), "contra")
     mm = free_map_from_images(m_free, const, [[1]])
     assert validate_module_map(mm) == []
@@ -160,7 +160,7 @@ def test_free_map_from_images_natural():
 
 
 def test_validate_module_map_catches_non_natural():
-    m_free, _ = free_module(OR2, [FREE_LAB], "contra")
+    m_free = free_module(OR2, [FREE_LAB], "contra")
     const = constant_module(OR2, FpAbGroup.free(1), "contra")
     mm = free_map_from_images(m_free, const, [[1]])
     broken = dict(mm.components)
@@ -186,8 +186,8 @@ def test_module_map_algebra():
 
 def sign_kernel_setup():
     """Collapse the rank-2 free-orbit module onto the fixed-orbit one."""
-    p_free, _ = free_module(OR2, [FREE_LAB], "contra")
-    p_full, _ = free_module(OR2, [FULL_LAB], "contra")
+    p_free = free_module(OR2, [FREE_LAB], "contra")
+    p_full = free_module(OR2, [FULL_LAB], "contra")
     mm = free_map_from_images(p_free, p_full, [[1]])
     return p_free, p_full, mm
 
@@ -256,8 +256,8 @@ def test_tensor_variance_requirements():
 
 
 def right_test_modules():
-    return [free_module(OR2, [FREE_LAB], "co")[0],
-            free_module(OR2, [FULL_LAB], "co")[0],
+    return [free_module(OR2, [FREE_LAB], "co"),
+            free_module(OR2, [FULL_LAB], "co"),
             constant_module(OR2, FpAbGroup.free(1), "co"),
             constant_module(OR2, Z(4), "co")]
 
@@ -267,7 +267,7 @@ def test_tensor_with_representable_evaluates():
     # elementary tensors of the marked generator give the isomorphism
     for right in right_test_modules():
         for c in OR2.objects:
-            left, _ = free_module(OR2, [c], "contra")
+            left = free_module(OR2, [c], "contra")
             ct = CatTensor(left, right)
             assert ct.group == right.values[c]
             idx = left.free_basis[c].index((0, OR2.ids[c]))
@@ -280,10 +280,10 @@ def test_tensor_with_representable_evaluates():
 
 
 def test_tensor_against_representable_evaluates():
-    for left in [free_module(OR2, [FREE_LAB], "contra")[0],
+    for left in [free_module(OR2, [FREE_LAB], "contra"),
                  constant_module(OR2, Z(6), "contra")]:
         for c in OR2.objects:
-            right, _ = free_module(OR2, [c], "co")
+            right = free_module(OR2, [c], "co")
             ct = CatTensor(left, right)
             assert ct.group == left.values[c]
             idx = right.free_basis[c].index((0, OR2.ids[c]))
@@ -314,7 +314,7 @@ def test_tensor_induced_map_doubles():
 
 
 def test_tensor_components_round_trip():
-    left, _ = free_module(OR2, [FREE_LAB], "contra")
+    left = free_module(OR2, [FREE_LAB], "contra")
     right = constant_module(OR2, Z(4), "co")
     ct = CatTensor(left, right)
     for j in range(ct.group.ngens):
@@ -338,26 +338,26 @@ def test_hom_point_category_matches_plain_hom():
 
 
 def test_hom_out_of_representable_evaluates_contra():
-    targets = [free_module(OR2, [FREE_LAB], "contra")[0],
-               free_module(OR2, [FULL_LAB, FREE_LAB], "contra")[0],
+    targets = [free_module(OR2, [FREE_LAB], "contra"),
+               free_module(OR2, [FULL_LAB, FREE_LAB], "contra"),
                constant_module(OR2, Z(6), "contra")]
     for tgt in targets:
         for c in OR2.objects:
-            src, _ = free_module(OR2, [c], "contra")
+            src = free_module(OR2, [c], "contra")
             assert hom_over_cat(src, tgt) == tgt.values[c]
 
 
 def test_hom_out_of_representable_evaluates_co():
-    targets = [free_module(OR2, [FREE_LAB], "co")[0],
+    targets = [free_module(OR2, [FREE_LAB], "co"),
                constant_module(OR2, Z(4), "co")]
     for tgt in targets:
         for c in OR2.objects:
-            src, _ = free_module(OR2, [c], "co")
+            src = free_module(OR2, [c], "co")
             assert hom_over_cat(src, tgt) == tgt.values[c]
 
 
 def test_hom_contains_identity():
-    mod, _ = free_module(OR2, [FREE_LAB, FULL_LAB], "contra")
+    mod = free_module(OR2, [FREE_LAB, FULL_LAB], "contra")
     hg = CatHomGroup(mod, mod)
     assert not hg.group.is_trivial()
     coords = hg.coords_of(ModuleMap.identity(mod))
@@ -365,7 +365,7 @@ def test_hom_contains_identity():
 
 
 def test_hom_generators_round_trip():
-    pairs = [(free_module(OR2, [FREE_LAB], "contra")[0],
+    pairs = [(free_module(OR2, [FREE_LAB], "contra"),
               constant_module(OR2, Z(8), "contra")),
              (constant_module(OR2, Z(4), "co"),
               constant_module(OR2, Z(6), "co"))]
@@ -385,9 +385,9 @@ def test_hom_variance_mismatch():
 
 
 def test_tensor_hom_adjunction_over_orbit_category():
-    lefts = [free_module(OR2, [FREE_LAB], "contra")[0],
+    lefts = [free_module(OR2, [FREE_LAB], "contra"),
              constant_module(OR2, Z(9), "contra")]
-    rights = [free_module(OR2, [FULL_LAB], "co")[0],
+    rights = [free_module(OR2, [FULL_LAB], "co"),
               constant_module(OR2, Z(6), "co")]
     coeffs = [Z(12), FpAbGroup.from_invariants(1, (2,))]
     for left in lefts:
@@ -418,7 +418,7 @@ def pr_z2():
 
 def test_restrict_along_projection():
     projection, orbit, sub = pr_z2()
-    over_sub, _ = free_module(sub, [FREE_LAB], "contra")
+    over_sub = free_module(sub, [FREE_LAB], "contra")
     pulled = restrict_module(projection, over_sub)
     assert pulled.cat == orbit
     assert validate_module(pulled) == []
@@ -431,11 +431,11 @@ def test_restrict_along_projection():
 
 def test_induce_representable_stays_representable():
     projection, orbit, sub = pr_z2()
-    over_orbit, _ = free_module(orbit, [FREE_LAB], "contra")
+    over_orbit = free_module(orbit, [FREE_LAB], "contra")
     pushed = induce_module(projection, over_orbit)
     assert pushed.cat == sub
     assert validate_module(pushed) == []
-    expected, _ = free_module(sub, [FREE_LAB], "contra")
+    expected = free_module(sub, [FREE_LAB], "contra")
     for c in sub.objects:
         assert pushed.values[c] == expected.values[c]
 
@@ -444,7 +444,7 @@ def test_induce_along_identity_is_isomorphic():
     ident = CatFunctor(OR2, OR2, {c: c for c in OR2.objects},
                        {f: f for f in OR2.morphisms})
     for variance in ("contra", "co"):
-        mod, _ = free_module(OR2, [FREE_LAB, FULL_LAB], variance)
+        mod = free_module(OR2, [FREE_LAB, FULL_LAB], variance)
         pushed = induce_module(ident, mod)
         assert validate_module(pushed) == []
         for c in OR2.objects:
@@ -453,9 +453,9 @@ def test_induce_along_identity_is_isomorphic():
 
 def test_induction_restriction_adjunction():
     projection, orbit, sub = pr_z2()
-    overs = [free_module(orbit, [FREE_LAB], "contra")[0],
+    overs = [free_module(orbit, [FREE_LAB], "contra"),
              constant_module(orbit, Z(4), "contra")]
-    unders = [free_module(sub, [FULL_LAB], "contra")[0],
+    unders = [free_module(sub, [FULL_LAB], "contra"),
               constant_module(sub, Z(6), "contra")]
     for m in overs:
         for n in unders:
@@ -466,7 +466,7 @@ def test_induction_restriction_adjunction():
 
 def test_induction_restriction_adjunction_covariant():
     projection, orbit, sub = pr_z2()
-    m, _ = free_module(orbit, [FREE_LAB], "co")
+    m = free_module(orbit, [FREE_LAB], "co")
     n = constant_module(sub, Z(4), "co")
     lhs = hom_over_cat(induce_module(projection, m), n)
     rhs = hom_over_cat(m, restrict_module(projection, n))
@@ -490,22 +490,22 @@ def test_functor_endpoint_checks():
 def test_generating_cover_is_surjective():
     kernel, _ = module_kernel(sign_kernel_setup()[2])
     for mod in [constant_module(OR2, Z(4), "co"), kernel]:
-        free, epi, marker = generating_cover(mod)
+        free, epi = generating_cover(mod)
         assert free.is_free_marked()
         assert validate_module_map(epi) == []
         for c in OR2.objects:
             coker, _ = hom_cokernel(epi.components[c])
             assert coker.is_trivial()
-        assert len(marker) == sum(g.ngens for g in mod.values.values())
+        assert len(free.free_gens) == sum(g.ngens for g in mod.values.values())
 
 
 def test_free_resolution_structure():
-    res = free_resolution(constant_module(OR2, FpAbGroup.free(1), "contra"), 2)
-    assert len(res.modules) == 3 and len(res.maps) == 2
-    for mod in res.modules:
-        assert mod.is_free_marked()
-    assert res.augmentation.compose(res.maps[0]).is_zero()
-    assert res.maps[0].compose(res.maps[1]).is_zero()
+    res, augmentation = free_resolution(
+        constant_module(OR2, FpAbGroup.free(1), "contra"), 2)
+    assert (res.lo, res.hi) == (0, 2) and res.is_degreewise_free()
+    assert augmentation.source is res.module(0)
+    assert augmentation.compose(res.diff(1)).is_zero()
+    assert res.diff(1).compose(res.diff(2)).is_zero()
     with pytest.raises(ValueError):
         free_resolution(constant_module(OR2, Z(2), "contra"), -1)
 
@@ -521,7 +521,7 @@ def test_tor_point_category_matches_classical():
 
 
 def test_tor_of_free_module_vanishes():
-    free, _ = free_module(OR2, [FREE_LAB], "contra")
+    free = free_module(OR2, [FREE_LAB], "contra")
     right = constant_module(OR2, FpAbGroup.free(1), "co")
     assert tor(free, right, 1).is_trivial()
     assert tor(free, right, 2).is_trivial()
@@ -529,7 +529,7 @@ def test_tor_of_free_module_vanishes():
 
 def test_tor_zero_recovers_tensor():
     left = constant_module(OR2, Z(4), "contra")
-    right, _ = free_module(OR2, [FREE_LAB], "co")
+    right = free_module(OR2, [FREE_LAB], "co")
     assert tensor_over_cat(left, right) == Z(4)
     assert tor(left, right, 0) == Z(4)
 
@@ -541,6 +541,35 @@ def test_tor_balance_on_point_category():
         two = tor(constant_module(POINT, Z(b), "contra"),
                   constant_module(POINT, Z(a), "co"), 1)
         assert one == two == Z(math.gcd(a, b))
+
+
+TOR_BASES = {"or2": OR2, "chain": standard_category("chain", 2),
+             "c2": one_object_category(FinGroup.cyclic(2)),
+             "c3": one_object_category(FinGroup.cyclic(3))}
+
+
+@pytest.mark.parametrize("base", sorted(TOR_BASES))
+def test_tor_balance_resolving_the_covariant_argument(base):
+    # Tor is balanced: the resolution of the covariant argument, tensored
+    # with the contravariant one, gives the same groups as `tor`, which
+    # resolves the contravariant argument
+    cat = TOR_BASES[base]
+    group = {0: FpAbGroup.free(1), 2: Z(2), 4: Z(4), 6: Z(6)}
+    for b in (0, 6):
+        right = constant_module(cat, group[b], "co")
+        res, _ = free_resolution(right, 3)
+        for a in (0, 2, 4):
+            left = constant_module(cat, group[a], "contra")
+            total = tensor_complex_over_cat(cat_complex_concentrated(left, 0),
+                                            res)
+            for p in range(3):
+                assert homology(total, p) == tor(left, right, p)
+    if base in ("c2", "c3"):
+        # Tor_1 over the group ring of Z with Z is H_1(C_n) = Z/n
+        z = FpAbGroup.free(1)
+        n = int(base[1])
+        assert tor(constant_module(cat, z, "contra"),
+                   constant_module(cat, z, "co"), 1) == Z(n)
 
 
 def test_tor_rejects_negative_degree():
@@ -556,7 +585,7 @@ def test_tor_rejects_negative_degree():
 
 def test_product_module_blocks():
     prod = product_module([constant_module(OR2, Z(4), "co"),
-                           free_module(OR2, [FREE_LAB], "co")[0]])
+                           free_module(OR2, [FREE_LAB], "co")])
     assert validate_module(prod.module) == []
     assert prod.module.values[FREE_LAB] == \
         FpAbGroup.from_invariants(2, (4,))
@@ -568,9 +597,9 @@ def test_product_module_blocks():
 
 
 def test_interchange_frozen_instance():
-    free, _ = free_module(OR2, [FREE_LAB, FULL_LAB], "contra")
+    free = free_module(OR2, [FREE_LAB, FULL_LAB], "contra")
     factors = [constant_module(OR2, FpAbGroup.free(1), "co"),
-               free_module(OR2, [FREE_LAB], "co")[0],
+               free_module(OR2, [FREE_LAB], "co"),
                constant_module(OR2, Z(4), "co")]
     the_map, verdict = finite_product_interchange(free, factors)
     assert verdict is True
@@ -588,10 +617,10 @@ def test_interchange_requires_marker():
 def test_interchange_random_free_over_sub_s3(data):
     objs = list(SUBS3.objects)
     gens = data.draw(st.lists(st.sampled_from(objs), min_size=1, max_size=2))
-    free, _ = free_module(SUBS3, gens, "contra")
+    free = free_module(SUBS3, gens, "contra")
     pool = [constant_module(SUBS3, Z(4), "co"),
             constant_module(SUBS3, FpAbGroup.free(1), "co"),
-            free_module(SUBS3, [objs[0]], "co")[0]]
+            free_module(SUBS3, [objs[0]], "co")]
     count = data.draw(st.integers(min_value=1, max_value=2))
     picks = data.draw(st.lists(st.sampled_from(range(len(pool))),
                                min_size=count, max_size=count))
@@ -639,7 +668,7 @@ def free_on(draw, cat, variance="contra"):
     """A free module over cat on 1-2 drawn generators."""
     gens = draw(st.lists(st.sampled_from(cat.objects), min_size=1,
                          max_size=2))
-    return free_module(cat, gens, variance)[0]
+    return free_module(cat, gens, variance)
 
 
 def sign_module(variance):
@@ -816,7 +845,7 @@ def test_free_marked_paths_solve_nothing(monkeypatch):
         raise AssertionError("a free-marked module was solved for")
     for name in ("hom_kernel", "quotient_group", "express_in_kernel"):
         monkeypatch.setattr(catmod_mod, name, forbidden)
-    free, _ = free_module(OR_S3, [OR_S3.objects[0], OR_S3.objects[-1]],
+    free = free_module(OR_S3, [OR_S3.objects[0], OR_S3.objects[-1]],
                           "contra")
     target = constant_module(OR_S3, FpAbGroup.from_invariants(1, (2,)),
                              "contra")
@@ -833,7 +862,7 @@ def test_free_marked_paths_solve_nothing(monkeypatch):
 def broken_swap_setup():
     """F free on the free orbit, N constant Z, and the non-natural map that
     hits only the basis vector (0, id)."""
-    free, _ = free_module(OR2, [FREE_LAB], "contra")
+    free = free_module(OR2, [FREE_LAB], "contra")
     const = constant_module(OR2, Z1, "contra")
     good = free_map_from_images(free, const, [[1]])
     comps = dict(good.components)
@@ -868,7 +897,7 @@ def test_non_natural_maps_refused_on_both_paths(path):
 
 
 def test_wrong_free_markers_refused():
-    free, _ = free_module(OR2, [FREE_LAB, FULL_LAB], "contra")
+    free = free_module(OR2, [FREE_LAB, FULL_LAB], "contra")
     parts = (OR2, "contra", free.values, free.actions)
     basis = dict(free.free_basis)
     CatModule(*parts, free_gens=free.free_gens, free_basis=basis)

@@ -12,13 +12,21 @@ import signal
 import pytest
 
 import orbifunctor.cellspaces as cs
+import orbifunctor.chainplex as chainplex
 
 from orbifunctor.exact_abelian import (
     FpAbGroup,
     hom_kernel_cokernel,
     is_isomorphism,
 )
-from orbifunctor.fincat import FinGroup, SubgroupFamily, standard_category
+from orbifunctor.fincat import (
+    FinGroup,
+    SubgroupFamily,
+    coset_g_set,
+    pi0,
+    standard_category,
+    transport_groupoid,
+)
 from orbifunctor.catmod import (
     CONTRAVARIANT,
     COVARIANT,
@@ -36,7 +44,6 @@ from orbifunctor.cellspaces import (
     BorelQuotient,
     CatCWComplex,
     GCWComplex,
-    GSetAction,
     antipodal_circle,
     bar_resolution_truncated,
     borel_and_quotient,
@@ -225,7 +232,7 @@ class TestBredon:
     def test_point_gives_value_at_fixed_orbit(self):
         cat = orbit_cat(C2)
         # a non-constant coefficient module: free covariant on the free orbit
-        mod, _ = free_module(cat, [TRIV], COVARIANT)
+        mod = free_module(cat, [TRIV], COVARIANT)
         assert mod.value(FULL) != mod.value(TRIV)
         x = point_space(C2)
         assert bredon_homology(x, mod, 0) == mod.value(FULL)
@@ -318,37 +325,24 @@ class TestCentralizerQuotient:
 
 class TestGSets:
     def test_coset_construction(self):
-        gs = GSetAction.cosets(C2, frozenset(TRIV))
-        assert len(gs.elements) == 2
-        assert gs.orbits() == (((0,), (1,)),)
+        elements, action = coset_g_set(C2, TRIV)
+        assert len(elements) == 2
+        assert pi0(transport_groupoid(C2, elements, action)) == \
+            (((0,), (1,)),)
 
     def test_underlying_cells_of_hexagon(self):
         hexa = hexagon_s3()
         verts = underlying_cells(hexa, 0)
         edges = underlying_cells(hexa, 1)
-        assert len(verts.elements) == 6 and len(edges.elements) == 6
-        assert sorted(len(o) for o in verts.orbits()) == [3, 3]
-        assert [len(o) for o in edges.orbits()] == [6]
+        assert len(verts[0]) == 6 and len(edges[0]) == 6
+        orbits = {n: pi0(transport_groupoid(hexa.group, *cells))
+                  for n, cells in ((0, verts), (1, edges))}
+        assert sorted(len(o) for o in orbits[0]) == [3, 3]
+        assert [len(o) for o in orbits[1]] == [6]
 
     def test_transport_groupoid_roundtrip(self):
-        gs = GSetAction.cosets(C2, frozenset(FULL))
-        cat = gs.transport()
+        cat = transport_groupoid(C2, *coset_g_set(C2, FULL))
         assert len(cat.objects) == 1 and len(cat.morphisms) == 2
-
-    def test_identity_must_fix(self):
-        with pytest.raises(ValueError, match="identity"):
-            GSetAction(C2, [0], {(0, 0): 1, (1, 0): 0})
-
-    def test_incomplete_action_rejected(self):
-        with pytest.raises(ValueError, match="incomplete"):
-            GSetAction(C2, [0, 1], {(0, 0): 0, (0, 1): 1, (1, 0): 1})
-
-    def test_non_associative_action_rejected(self):
-        # the generator shifts by one on three points, so acting twice is not
-        # the identity even though the group element squares to it
-        action = {(g, s): (s + g) % 3 for g in C2.elements for s in (0, 1, 2)}
-        with pytest.raises(ValueError, match="associative"):
-            GSetAction(C2, [0, 1, 2], action)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +530,19 @@ class TestPeriodic:
         for p, (ker, coker, _, _) in rep.per_degree.items():
             assert ker.torsion == ((n,) if p % 2 else ())
             assert ker.rank == 0 and coker.is_trivial()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_each_differential_is_checked_once(self, monkeypatch):
+        # the periodic resolution of C_24 at T = 256 passes the same two maps
+        # (t - 1 and N) in every degree; each is validated once
+        calls = []
+        real = chainplex.validate_module_map
+        monkeypatch.setattr(chainplex, "validate_module_map",
+                            lambda mm: calls.append(mm) or real(mm))
+        group = FinGroup.cyclic(24)
+        rep = _within_a_second(lambda: borel_vs_quotient_check(
+            group, point_space(group), 256))
+        assert rep.passed and len(calls) == 2
 
     @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
     def test_past_the_bound_is_refused_before_building(self):

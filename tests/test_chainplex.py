@@ -77,8 +77,8 @@ def reflection_circle_complex():
     Degree 1: one free orbit of edges (one generator at the free orbit);
     the edge runs from vertex 0 to vertex 1.
     """
-    c1, _ = free_module(OR2, [FREE_LAB], "contra")
-    c0, _ = free_module(OR2, [FULL_LAB, FULL_LAB], "contra")
+    c1 = free_module(OR2, [FREE_LAB], "contra")
+    c0 = free_module(OR2, [FULL_LAB, FULL_LAB], "contra")
     d = free_map_from_images(c1, c0, [[-1, 1]])
     return CatChainComplex(OR2, "contra", 0, 1, {0: c0, 1: c1}, {1: d})
 
@@ -204,8 +204,8 @@ def test_reflection_circle_evaluations():
 
 
 def test_cat_complex_validation():
-    c1, _ = free_module(OR2, [FREE_LAB], "contra")
-    c0, _ = free_module(OR2, [FULL_LAB], "contra")
+    c1 = free_module(OR2, [FREE_LAB], "contra")
+    c0 = free_module(OR2, [FULL_LAB], "contra")
     broken = ModuleMap(c1, c0, {
         FREE_LAB: AbHom(c1.values[FREE_LAB], c0.values[FREE_LAB],
                         IntMatrix.from_rows([[1, 0]])),
@@ -237,8 +237,8 @@ def test_concentrated_builders():
 
 def coefficient_tower():
     """Covariant two-term complex over Or(Z/2) with a nonzero differential."""
-    w1, _ = free_module(OR2, [FULL_LAB], "co")
-    w0, _ = free_module(OR2, [FREE_LAB], "co")
+    w1 = free_module(OR2, [FULL_LAB], "co")
+    w0 = free_module(OR2, [FREE_LAB], "co")
     d = free_map_from_images(w1, w0, [[1]])
     return CatChainComplex(OR2, "co", 0, 1, {0: w0, 1: w1}, {1: d})
 
@@ -362,7 +362,7 @@ def test_tensor_total_induced_doubling():
 def test_hom_total_yoneda_degreewise():
     x = reflection_circle_complex()
     for c in OR2.objects:
-        d0, _ = free_module(OR2, [c], "contra")
+        d0 = free_module(OR2, [c], "contra")
         dcat = cat_complex_concentrated(d0, 0)
         total = hom_complex_over_cat(dcat, x)
         for n in (0, 1):
@@ -372,7 +372,7 @@ def test_hom_total_yoneda_degreewise():
 
 
 def test_hom_total_zero_target():
-    d = cat_complex_concentrated(free_module(OR2, [FREE_LAB], "contra")[0], 0)
+    d = cat_complex_concentrated(free_module(OR2, [FREE_LAB], "contra"), 0)
     zero = cat_complex_concentrated(zero_module(OR2, "contra"), 0)
     total = hom_complex_over_cat(d, zero)
     for n in total.degrees():
@@ -421,7 +421,7 @@ def degree_zero_bifunctor(icat, module):
 
 def test_comparison_trivial_index_is_iso():
     x = reflection_circle_complex()
-    d = cat_complex_concentrated(free_module(POINT, [0], "contra")[0], 0)
+    d = cat_complex_concentrated(free_module(POINT, [0], "contra"), 0)
     e = degree_zero_bifunctor(POINT, constant_module(OR2, Z1, "co"))
     t = comparison_map_t(x, d, e)
     for p in t.source.degrees():
@@ -436,7 +436,7 @@ def test_comparison_trivial_index_is_iso():
 def test_comparison_single_degree_free_is_degreewise_iso(gens):
     icat = standard_category("chain", 1)
     x = reflection_circle_complex()
-    d = cat_complex_concentrated(free_module(icat, gens, "contra")[0], 0)
+    d = cat_complex_concentrated(free_module(icat, gens, "contra"), 0)
     e = BiFunctorComplex.constant_in_index(icat, coefficient_tower())
     t = comparison_map_t(x, d, e)
     for p in t.source.degrees():
@@ -450,9 +450,9 @@ def test_comparison_requires_markers_and_bases():
     e = degree_zero_bifunctor(POINT, constant_module(OR2, Z1, "co"))
     with pytest.raises(ValueError):
         comparison_map_t(x, unmarked, e)
-    d = cat_complex_concentrated(free_module(POINT, [0], "contra")[0], 0)
+    d = cat_complex_concentrated(free_module(POINT, [0], "contra"), 0)
     wrong_side = cat_complex_concentrated(
-        free_module(POINT, [0], "contra")[0], 0)
+        free_module(POINT, [0], "contra"), 0)
     with pytest.raises(ValueError):
         comparison_map_t(wrong_side, d, e)
 
@@ -463,22 +463,29 @@ def test_comparison_requires_markers_and_bases():
 
 
 def multi_degree_index_complex(icat):
-    top, _ = free_module(icat, [0], "contra")
-    bot, _ = free_module(icat, [1], "contra")
+    top = free_module(icat, [0], "contra")
+    bot = free_module(icat, [1], "contra")
     step = free_map_from_images(top, bot, [[1]])
     return CatChainComplex(icat, "contra", 0, 1, {0: bot, 1: top}, {1: step})
 
 
+DESK = {"z2-w3": instance_z2_reflection, "s3-w3": instance_s3_hexagon}
+
+
 def comparison_inputs(which):
     """(C, D, E) of a comparison: the constant-in-index tower over the chain
-    category, or the shipped manifest's instance."""
+    category, the shipped manifest's instance, or a desk instance at window
+    3."""
     if which == "constant_in_index":
         icat = standard_category("chain", 1)
         return (reflection_circle_complex(), multi_degree_index_complex(icat),
                 BiFunctorComplex.constant_in_index(icat, coefficient_tower()))
-    ref = importlib.resources.files("orbifunctor") / "manifests" \
-        / "z2_reflection_sphere.json"
-    inst = parse_manifest(ref.read_text(encoding="utf-8")).get("instance")
+    if which in DESK:
+        inst = DESK[which](3)
+    else:
+        ref = importlib.resources.files("orbifunctor") / "manifests" \
+            / "z2_reflection_sphere.json"
+        inst = parse_manifest(ref.read_text(encoding="utf-8")).get("instance")
     return inst.space_chains(), inst.free_complex, inst.coefficients
 
 
@@ -579,12 +586,7 @@ def comparison_rank_count(c, d, e):
 
 @pytest.mark.parametrize("which", ["z2-w3", "s3-w3", "shipped"])
 def test_comparison_totals_have_the_counted_ranks(which):
-    if which == "shipped":
-        c, d, e = comparison_inputs("shipped")
-    else:
-        inst = {"z2-w3": instance_z2_reflection,
-                "s3-w3": instance_s3_hexagon}[which](3)
-        c, d, e = inst.space_chains(), inst.free_complex, inst.coefficients
+    c, d, e = comparison_inputs(which)
     want = comparison_rank_count(c, d, e)
     data = ComparisonData(c, d, e)
     for total in (data.source_total, data.target_total):
@@ -592,6 +594,20 @@ def test_comparison_totals_have_the_counted_ranks(which):
         assert {m for m, r in want.items() if r} <= set(cx.degrees())
         assert {m: cx.group(m).rank for m in cx.degrees()} == \
             {m: want.get(m, 0) for m in cx.degrees()}
+
+
+@pytest.mark.parametrize("which", BIFUNCTORS + sorted(DESK))
+def test_comparison_totals_share_one_euler_characteristic(which):
+    # χ of a total from its ranks equals Σ_m (−1)^m rank H_m from its
+    # homology, and the two totals agree on it
+    data = ComparisonData(*comparison_inputs(which))
+    chis = []
+    for total in (data.source_total, data.target_total):
+        cx = total.complex
+        chis.append(euler_characteristic(cx))
+        assert chis[-1] == sum((-1) ** (m % 2) * homology(cx, m).rank
+                               for m in cx.degrees())
+    assert chis[0] == chis[1]
 
 
 def test_comparison_refuses_legs_that_do_not_commute():

@@ -846,7 +846,7 @@ def test_hom_coordinates_run_no_further_smith_reduction(monkeypatch):
     from orbifunctor.fincat import FinGroup, SubgroupFamily, orbit_category
     g = FinGroup.cyclic(2)
     cat = orbit_category(g, SubgroupFamily.all(g))
-    mod, _ = free_module(cat, list(cat.objects), "contra")
+    mod = free_module(cat, list(cat.objects), "contra")
     hg = CatHomGroup(mod, mod)
     other = CatHomGroup(mod, mod)
     ident = ModuleMap.identity(mod)

@@ -300,6 +300,27 @@ def test_transport_invalid_action():
         transport_groupoid(z2, ["a"], action)
 
 
+def test_transport_identity_must_fix():
+    with pytest.raises(ValueError, match="identity"):
+        transport_groupoid(FinGroup.cyclic(2), [0], {(0, 0): 1, (1, 0): 0})
+
+
+def test_transport_incomplete_action_rejected():
+    # (1, 1) is missing, and the compatibility check would read it
+    with pytest.raises(ValueError, match="incomplete"):
+        transport_groupoid(FinGroup.cyclic(2), [0, 1],
+                           {(0, 0): 0, (0, 1): 1, (1, 0): 1})
+
+
+def test_transport_incompatible_action_rejected():
+    # the generator shifts by one on three points, so acting twice is not
+    # the identity even though the group element squares to it
+    z2 = FinGroup.cyclic(2)
+    action = {(g, s): (s + g) % 3 for g in z2.elements for s in (0, 1, 2)}
+    with pytest.raises(ValueError, match="not compatible"):
+        transport_groupoid(z2, [0, 1, 2], action)
+
+
 # -- index categories and one-object categories -----------------------------
 
 
