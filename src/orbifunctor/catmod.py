@@ -211,9 +211,9 @@ class ModuleMap:
         commutes."""
         key = ("from", obj)
         if key not in self._memo:
-            self._memo[key] = all(
-                _square_commutes(self, f) for f in self.source.cat.morphisms
-                if _action_endpoints(self.source, f)[0] == obj)
+            cat = self.source.cat
+            mors = cat.mor_from if self.source.variance == COVARIANT else cat.mor_to
+            self._memo[key] = all(_square_commutes(self, f) for f in mors(obj))
         return self._memo[key]
 
     def defect(self):
@@ -288,9 +288,13 @@ def validate_module_map(mm: ModuleMap) -> list:
 
 def _square_commutes(mm: ModuleMap, f) -> bool:
     s, t = _action_endpoints(mm.source, f)
+    a, b = mm.target.actions[f].matrix, mm.source.actions[f].matrix
+    if mm.components[s] is mm.components[t] and a.is_identity() \
+            and b.is_identity():
+        return True     # one component between two identity actions
     reduce = mm.target.values[t].reduce_matrix
-    return (reduce(mm.target.actions[f].matrix * mm.components[s].matrix)
-            == reduce(mm.components[t].matrix * mm.source.actions[f].matrix))
+    return (reduce(a * mm.components[s].matrix)
+            == reduce(mm.components[t].matrix * b))
 
 
 def _yoneda_defect(mm: ModuleMap):
@@ -522,14 +526,14 @@ class CatTensor:
         # columns on the generator pairs of the tensor at c -> canonical
         # coordinates of the big sum (unreduced): the part's rows placed at
         # its offset (rows are never mutated, so the empty ones share one
-        # dict), then the sum's own witness when it has one
+        # dict), then the sum's own witness
         big = self.big
         placed = [{}] * big.total_gens
         lo = big.offsets[self.part_index[c]]
         rows = (self.tensors[c].group.to_can * pairs).nonzeros
         placed[lo:lo + len(rows)] = rows
-        m = IntMatrix(big.total_gens, pairs.ncols, nonzeros=placed)
-        return m if big.group._to_can is None else big.group._to_can * m
+        return big.group.to_can * IntMatrix(big.total_gens, pairs.ncols,
+                                            nonzeros=placed)
 
     def _evaluated(self) -> FpAbGroup:
         # ⊕_k N(c_k) for the free-marked left factor, with its witness pair
@@ -545,17 +549,13 @@ class CatTensor:
                 lo = ev.offsets[k]
                 for r, x in right.action_columns(phi)[b].items():
                     at_c[lo + r][e] = x
-            pairs = IntMatrix(ev.total_gens, len(tb.entries), nonzeros=at_c)
-            if tb.group._reps is not None:
-                pairs = pairs * tb.group._reps
+            pairs = IntMatrix(ev.total_gens, len(tb.entries),
+                              nonzeros=at_c) * tb.group.reps
             shift = big.offsets[self.part_index[c]]
             for row, part in zip(rows, pairs.nonzeros):
                 row.update((j + shift, x) for j, x in part.items())
-        to_can = IntMatrix(ev.total_gens, big.total_gens, nonzeros=rows)
-        if big.group._reps is not None:
-            to_can = to_can * big.group._reps
-        if ev.group._to_can is not None:
-            to_can = ev.group._to_can * to_can
+        to_can = ev.group.to_can * (IntMatrix(ev.total_gens, big.total_gens,
+                                              nonzeros=rows) * big.group.reps)
         # reps: generator y of N(c_k) comes from the pair ((k, id), y) at c_k,
         # one batch of pairs per base object
         by_object = {}
@@ -573,9 +573,7 @@ class CatTensor:
             for (pos, _), col in zip(slots, placed):
                 reps_cols[pos] = col
         reps = IntMatrix(ev.total_gens, big.group.ngens,
-                         nonzeros=reps_cols).transpose()
-        if ev.group._reps is not None:
-            reps = reps * ev.group._reps
+                         nonzeros=reps_cols).transpose() * ev.group.reps
         return FpAbGroup(ev.group.rank, ev.group.torsion,
                          to_can=to_can, reps=reps)
 

@@ -178,7 +178,8 @@ class GCWComplex:
     d.d = 0 is checked when chains are built.
     """
 
-    __slots__ = ("group", "cells", "boundary", "dimension", "_fixed_chains")
+    __slots__ = ("group", "cells", "boundary", "dimension", "_fixed_chains",
+                 "_isotropy_family")
 
     def __init__(self, group: FinGroup, cells, boundary=None):
         self.group = group
@@ -223,7 +224,8 @@ class GCWComplex:
             if out:
                 norm[(n, i)] = tuple(out)
         self.boundary = norm
-        self._fixed_chains = None
+        # complexes never change: both are built on first use
+        self._fixed_chains = self._isotropy_family = None
 
     def cell_count(self, n) -> int:
         return len(self.cells.get(n, ()))
@@ -233,7 +235,9 @@ class GCWComplex:
         return {frozenset(lab) for labs in self.cells.values() for lab in labs}
 
     def isotropy_family(self) -> SubgroupFamily:
-        return family_closure(self.group, self.isotropy())
+        if self._isotropy_family is None:
+            self._isotropy_family = family_closure(self.group, self.isotropy())
+        return self._isotropy_family
 
     def __repr__(self):
         counts = ", ".join(
@@ -305,7 +309,7 @@ def centralizer_quotient_chains(x: GCWComplex, h_label) -> PlainChainComplex:
     if h_sub not in fam:
         raise ValueError(
             f"subgroup {h_lab!r} is not in the isotropy family of the complex")
-    if x._fixed_chains is None:     # the same for every subgroup: built once
+    if x._fixed_chains is None:     # the same for every subgroup
         x._fixed_chains = fixed_point_chains(x, fam)
     chains = x._fixed_chains
     moves = sorted({_coset_label(group, z, h_sub)

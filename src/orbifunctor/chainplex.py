@@ -147,6 +147,11 @@ class ChainMap:
             h = AbHom.zero(self.source.group(p), self.target.group(p))
         return h
 
+    def is_identity(self):
+        """Whether every component is the shared identity matrix."""
+        return self.source is self.target and all(
+            self.component(p).matrix.is_identity() for p in self.source.degrees())
+
     def compose(self, first: "ChainMap") -> "ChainMap":
         degs = set(self.components) | set(first.components)
         return ChainMap(first.source, self.target,
@@ -336,31 +341,25 @@ class BiFunctorComplex:
 
     @classmethod
     def constant_in_index(cls, index_base, coeff_complex: CatChainComplex):
-        """Every index object sees the same covariant coefficient complex."""
+        """Every index object sees the same covariant coefficient complex:
+        one evaluation and one identity per object, one chain map per
+        morphism of the coefficient base, all shared across the index."""
         if coeff_complex.variance != "co":
             raise ValueError("coefficient leg must be covariant")
         jcat = coeff_complex.base
-        complexes = {}
-        for i in index_base.objects:
-            for j in jcat.objects:
-                complexes[(i, j)] = coeff_complex.evaluate_at(j)
-        index_action = {}
-        for phi in index_base.morphisms:
-            for j in jcat.objects:
-                a, b = index_base.dom[phi], index_base.cod[phi]
-                comps = {p: AbHom.identity(complexes[(a, j)].group(p))
-                         for p in complexes[(a, j)].degrees()}
-                index_action[(phi, j)] = ChainMap(
-                    complexes[(b, j)], complexes[(a, j)], comps, check=False)
-        coeff_action = {}
-        for i in index_base.objects:
-            for psi in jcat.morphisms:
-                j1 = jcat.dom[psi]
-                comps = {p: coeff_complex.module(p).action(psi)
-                         for p in coeff_complex.degrees()}
-                coeff_action[(i, psi)] = ChainMap(
-                    complexes[(i, j1)],
-                    complexes[(i, jcat.cod[psi])], comps, check=False)
+        plain = {j: coeff_complex.evaluate_at(j) for j in jcat.objects}
+        identities = {j: ChainMap.identity(c) for j, c in plain.items()}
+        moves = {psi: ChainMap(plain[jcat.dom[psi]], plain[jcat.cod[psi]],
+                               {p: coeff_complex.module(p).action(psi)
+                                for p in coeff_complex.degrees()},
+                               check=False)
+                 for psi in jcat.morphisms}
+        complexes = {(i, j): plain[j] for i in index_base.objects
+                     for j in jcat.objects}
+        index_action = {(phi, j): identities[j] for phi in index_base.morphisms
+                        for j in jcat.objects}
+        coeff_action = {(i, psi): moves[psi] for i in index_base.objects
+                        for psi in jcat.morphisms}
         return cls(index_base, jcat, complexes, index_action, coeff_action)
 
     def column_complex_at(self, j) -> CatChainComplex:
@@ -400,13 +399,11 @@ def validate_bifunctor(e: BiFunctorComplex) -> list:
     icat, jcat = e.index_base, e.coeff_base
     for i in icat.objects:
         for j in jcat.objects:
-            idm = e.index_action.get((icat.ids[i], j))
-            if idm is None or not _chain_maps_equal(
-                    idm, ChainMap.identity(e.complexes[(i, j)])):
+            # the constructor has checked that every action is present
+            ident = ChainMap.identity(e.complexes[(i, j)])
+            if not _chain_maps_equal(e.index_action[(icat.ids[i], j)], ident):
                 problems.append(f"index identity action wrong at ({i!r},{j!r})")
-            cdm = e.coeff_action.get((i, jcat.ids[j]))
-            if cdm is None or not _chain_maps_equal(
-                    cdm, ChainMap.identity(e.complexes[(i, j)])):
+            if not _chain_maps_equal(e.coeff_action[(i, jcat.ids[j])], ident):
                 problems.append(f"coeff identity action wrong at ({i!r},{j!r})")
     if problems:
         return problems
@@ -662,13 +659,25 @@ class ComparisonData:
         self.source_total = TotalTensorComplex(c, self.hom_de)
 
         # C ⊗_J E(i, -) per index object, glued into a contravariant complex
-        # of modules over I: φ: a -> b moves the right factors by E(φ, -)
-        self.row_totals = {i: TotalTensorComplex(c, e.row_complex_at(i))
-                           for i in icat.objects}
-        rows = self.row_totals
+        # of modules over I: φ: a -> b moves the right factors by E(φ, -).
+        # Index objects whose rows are the same complexes under the same
+        # coefficient actions share one total, on which a φ acting by
+        # identities acts by the identity
+        shared, rows = {}, {}
+        for i in icat.objects:
+            key = tuple(id(e.complexes[(i, j)]) for j in jcat.objects) + \
+                tuple(id(e.coeff_action[(i, psi)]) for psi in jcat.morphisms)
+            if key not in shared:
+                shared[key] = TotalTensorComplex(c, e.row_complex_at(i))
+            rows[i] = shared[key]
+        self.row_totals = rows
         row_maps = {}
         for phi in icat.morphisms:
             ra, rb = rows[icat.dom[phi]], rows[icat.cod[phi]]
+            if ra is rb and all(e.index_action[(phi, j)].is_identity()
+                                for j in jcat.objects):
+                row_maps[phi] = ChainMap.identity(ra.complex)
+                continue
             row_maps[phi] = tensor_total_induced(rb, ra, right_maps={
                 q: ModuleMap(rb.right.module(q), ra.right.module(q),
                              {j: e.index_action[(phi, j)].component(q)

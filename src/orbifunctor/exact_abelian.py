@@ -18,6 +18,7 @@ All arithmetic is exact over Python's unbounded integers.  No floats anywhere.
 from __future__ import annotations
 
 from math import gcd, lcm, prod
+from types import MappingProxyType
 
 
 def _xgcd(a, b):
@@ -47,6 +48,7 @@ class IntMatrix:
     """
 
     __slots__ = ("nrows", "ncols", "nonzeros")
+    _identities = {}    # n -> the shared identity(n)
 
     def __init__(self, nrows, ncols, rows=None, *, nonzeros=None):
         """Build from dense `rows`, or from per-row `nonzeros` dicts (whose
@@ -91,7 +93,15 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, nonzeros=[{i: 1} for i in range(n)])
+        """The n×n identity: one shared instance per n, with read-only rows;
+        a product with it returns the other factor."""
+        if n not in cls._identities:
+            cls._identities[n] = cls(n, n, nonzeros=[MappingProxyType({i: 1})
+                                                     for i in range(n)])
+        return cls._identities[n]
+
+    def is_identity(self):
+        return self._identities.get(self.nrows) is self     # the shared one
 
     @classmethod
     def zeros(cls, nrows, ncols):
@@ -148,6 +158,8 @@ class IntMatrix:
             if self.ncols != other.nrows:
                 raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by "
                                  f"{other.nrows}x{other.ncols}")
+            if self.is_identity() or other.is_identity():
+                return other if self.is_identity() else self
             orows = other.nonzeros
             out = []
             for nz in self.nonzeros:
@@ -802,8 +814,7 @@ def hom_from_presentation(source: FpAbGroup, target: FpAbGroup,
     if (pres_matrix.nrows != target.pres_gens
             or pres_matrix.ncols != source.pres_gens):
         raise ValueError("presentation-level matrix has the wrong shape")
-    m = pres_matrix if target._to_can is None else target._to_can * pres_matrix
-    return AbHom(source, target, m if source._reps is None else m * source._reps)
+    return AbHom(source, target, target.to_can * pres_matrix * source.reps)
 
 
 def _relation_columns(moduli) -> IntMatrix:
@@ -1236,8 +1247,7 @@ class DirectSum:
 
     def _from_presentation(self, source: FpAbGroup, pres: IntMatrix) -> AbHom:
         # pres: source canonical coords -> presentation coords of the sum
-        to_can = self.group._to_can
-        return AbHom(source, self.group, pres if to_can is None else to_can * pres)
+        return AbHom(source, self.group, self.group.to_can * pres)
 
 
 def block_hom(ds_src: DirectSum, ds_tgt: DirectSum, blocks) -> AbHom:

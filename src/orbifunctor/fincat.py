@@ -246,12 +246,8 @@ class FinGroup:
             raise ValueError("not a subgroup")
         if any(self.conjugate_subgroup(g, n_sub) != n_sub for g in self.elements):
             raise ValueError("subgroup is not normal")
-        proj = {}
-        cosets = {}
-        for g in self.elements:
-            coset = tuple(sorted(self.mult(g, h) for h in n_sub))
-            proj[g] = coset
-            cosets.setdefault(coset, g)
+        proj = _coset_labels(self, n_sub)
+        cosets = {c: min(c) for c in proj.values()}     # any representative
         els = sorted(cosets)
         table = {(c1, c2): proj[self.mult(cosets[c1], cosets[c2])]
                  for c1 in els for c2 in els}
@@ -282,7 +278,7 @@ class SubgroupFamily:
     """A set of subgroups closed under conjugation and under passing to
     subgroups."""
 
-    __slots__ = ("group", "members")
+    __slots__ = ("group", "members", "_member_set", "_orbit_cat")
 
     def __init__(self, group: FinGroup, members):
         self.group = group
@@ -301,6 +297,8 @@ class SubgroupFamily:
                     raise ValueError(f"family not closed under subgroups: "
                                      f"{sorted(sub)} <= {sorted(m)}")
         self.members = tuple(sorted(members, key=lambda s: (len(s), sorted(s))))
+        self._member_set = frozenset(members)
+        self._orbit_cat = None      # Or(G, family), built on first request
 
     @classmethod
     def all(cls, group):
@@ -311,7 +309,7 @@ class SubgroupFamily:
         return cls(group, [frozenset([group.identity])])
 
     def __contains__(self, subgroup):
-        return frozenset(subgroup) in set(self.members)
+        return frozenset(subgroup) in self._member_set
 
     def __len__(self):
         return len(self.members)
@@ -347,7 +345,7 @@ class FinCategory:
     """
 
     __slots__ = ("objects", "morphisms", "dom", "cod", "table", "ids",
-                 "mor_index", "_hom")
+                 "mor_index", "_index")
 
     def __init__(self, objects, morphisms, dom, cod, table, ids):
         self.objects = tuple(objects)
@@ -360,21 +358,22 @@ class FinCategory:
         # everything else indexes dom, cod and ids directly, so a missing
         # entry is refused here rather than met later as a KeyError
         objset = set(self.objects)
+        index = {}      # the morphisms by (dom, cod), by dom and by cod
         for f in self.morphisms:
-            if self.dom.get(f) not in objset or self.cod.get(f) not in objset:
+            a, b = self.dom.get(f), self.cod.get(f)
+            if a not in objset or b not in objset:
                 raise ValueError(f"morphism {f!r} has no dom/cod in the "
                                  f"object set")
+            for key in (("hom", a, b), ("from", a), ("to", b)):
+                index.setdefault(key, []).append(f)
+        self._index = {key: tuple(fs) for key, fs in index.items()}
         for a in self.objects:
             if self.ids.get(a) not in self.mor_index:
                 raise ValueError(f"object {a!r} has no identity morphism")
-        self._hom = {}
-        for f in self.morphisms:
-            key = (self.dom[f], self.cod[f])
-            self._hom.setdefault(key, []).append(f)
 
     def mor(self, a, b):
         """All morphisms a -> b, in stable declaration order."""
-        return tuple(self._hom.get((a, b), ()))
+        return self._index.get(("hom", a, b), ())
 
     def identity(self, obj):
         return self.ids[obj]
@@ -393,15 +392,20 @@ class FinCategory:
         return self.mor(obj, obj)
 
     def mor_from(self, obj):
-        """All morphisms out of obj."""
-        return [f for f in self.morphisms if self.dom[f] == obj]
+        """All morphisms out of obj, in declaration order."""
+        return self._index.get(("from", obj), ())
+
+    def mor_to(self, obj):
+        """All morphisms into obj, in declaration order."""
+        return self._index.get(("to", obj), ())
 
     def __eq__(self, other):
-        return (isinstance(other, FinCategory)
-                and self.objects == other.objects
-                and self.morphisms == other.morphisms
-                and self.dom == other.dom and self.cod == other.cod
-                and self.table == other.table and self.ids == other.ids)
+        return self is other or (
+            isinstance(other, FinCategory)
+            and self.objects == other.objects
+            and self.morphisms == other.morphisms
+            and self.dom == other.dom and self.cod == other.cod
+            and self.table == other.table and self.ids == other.ids)
 
     def __hash__(self):
         return hash((self.objects, self.morphisms))
@@ -535,46 +539,59 @@ def _coset_label(group, g, subgroup):
     return tuple(sorted(group.mult(g, k) for k in subgroup))
 
 
+def _coset_labels(group, subgroup):
+    """{g: label of gH} for every element g, one sort per coset; the cosets
+    appear in the order of their first element."""
+    labels = {}
+    for g in group.elements:
+        if g not in labels:
+            lab = _coset_label(group, g, subgroup)
+            labels.update(dict.fromkeys(lab, lab))
+    return labels
+
+
+def _composable(morphisms, dom, cod):
+    """The composable pairs (f, g), f-major in the order of `morphisms`: g
+    runs over the morphisms out of cod f only."""
+    out = {}
+    for g in morphisms:
+        out.setdefault(dom[g], []).append(g)
+    return [(f, g) for f in morphisms for g in out.get(cod[f], ())]
+
+
 def orbit_category(group: FinGroup, family: SubgroupFamily) -> FinCategory:
     """Category of homogeneous spaces G/H for H in the family.
 
     Objects are subgroup labels; mor(G/H, G/K) is the set of cosets gK with
     g^-1 H g <= K, acting by xH |-> x(gK); composition multiplies coset
-    representatives.
+    representatives.  The family holds the category once built; a group
+    other than the family's own gets a fresh build.
     """
+    own = group is family.group
+    if own and family._orbit_cat is not None:
+        return family._orbit_cat
     objects = [_subgroup_label(m) for m in family.members]
-    subsets = {o: frozenset(o) for o in objects}
-    morphisms = []
-    dom, cod, ids = {}, {}, {}
-    reps = {}
+    labels = {o: _coset_labels(group, o) for o in objects}
+    reps = {}       # each morphism, with the least element of its coset
     for h_lab in objects:
-        h_sub = subsets[h_lab]
         for k_lab in objects:
-            k_sub = subsets[k_lab]
-            seen = set()
-            for g in group.elements:
-                if any(group.conjugate(g, h) not in k_sub for h in h_sub):
-                    continue
-                coset = _coset_label(group, g, k_sub)
-                if coset in seen:
-                    continue
-                seen.add(coset)
-                f = (h_lab, k_lab, coset)
-                morphisms.append(f)
-                dom[f] = h_lab
-                cod[f] = k_lab
-                reps[f] = min(coset)
-                if h_lab == k_lab and coset == k_lab:
-                    ids[h_lab] = f
-    morphisms.sort()
-    table = {}
-    for f in morphisms:
-        for g in morphisms:
-            if cod[f] != dom[g]:
-                continue
-            r = group.mult(reps[f], reps[g])
-            table[(f, g)] = (dom[f], cod[g], _coset_label(group, r, subsets[cod[g]]))
-    return FinCategory(objects, morphisms, dom, cod, table, ids)
+            k_sub = frozenset(k_lab)
+            # the fixed set (G/K)^H: whether g^-1 H g <= K depends on gK only
+            for coset in dict.fromkeys(labels[k_lab].values()):
+                r = min(coset)
+                if all(group.conjugate(r, h) in k_sub for h in h_lab):
+                    reps[(h_lab, k_lab, coset)] = r
+    dom = {f: f[0] for f in reps}
+    cod = {f: f[1] for f in reps}
+    ids = {o: (o, o, o) for o in objects}
+    morphisms = sorted(reps)
+    mult = group.table
+    table = {(f, g): (dom[f], cod[g], labels[cod[g]][mult[(reps[f], reps[g])]])
+             for f, g in _composable(morphisms, dom, cod)}
+    cat = FinCategory(objects, morphisms, dom, cod, table, ids)
+    if own:
+        family._orbit_cat = cat
+    return cat
 
 
 SubCatData = namedtuple("SubCatData", ["sub", "projection", "orbit"])
@@ -591,39 +608,20 @@ def sub_category_and_projection(group: FinGroup,
     quotients.
     """
     orb = orbit_category(group, family)
-    subsets = {o: frozenset(o) for o in orb.objects}
-    mor_map = {}
-    morphisms = []
-    dom, cod, ids = {}, {}, {}
-    class_rep = {}
-    for f in orb.morphisms:
-        h_lab, k_lab, coset = f
-        centralizer = group.centralizer(subsets[h_lab])
-        orbit = set()
-        for z in group.elements:
-            if z in centralizer:
-                moved = _coset_label(group, group.mult(z, min(coset)),
-                                     subsets[k_lab])
-                orbit.add(moved)
-        key = (h_lab, k_lab, min(orbit))
-        mor_map[f] = key
-        if key not in dom:
-            morphisms.append(key)
-            dom[key] = h_lab
-            cod[key] = k_lab
-            class_rep[key] = min(min(orbit))
-        if orb.is_identity(f):
-            ids[h_lab] = key
-    morphisms.sort()
-    table = {}
-    for f in morphisms:
-        for g in morphisms:
-            if cod[f] != dom[g]:
-                continue
-            # compose through orbit-category representatives
-            r = group.mult(class_rep[f], class_rep[g])
-            orb_comp = (dom[f], cod[g], _coset_label(group, r, subsets[cod[g]]))
-            table[(f, g)] = mor_map[orb_comp]
+    labels = {o: _coset_labels(group, o) for o in orb.objects}
+    centralizers = {o: group.centralizer(o) for o in orb.objects}
+    # a class is named by its least coset, itself an orbit-category morphism
+    # (its representative, the least element of the class, leads the label),
+    # so composites of classes are the classes of composites
+    mor_map = {f: (f[0], f[1], min(labels[f[1]][group.mult(z, min(f[2]))]
+                                   for z in centralizers[f[0]]))
+               for f in orb.morphisms}
+    dom = {f: f[0] for f in dict.fromkeys(mor_map.values())}
+    cod = {f: f[1] for f in dom}
+    ids = {o: mor_map[orb.ids[o]] for o in orb.objects}
+    morphisms = sorted(dom)
+    table = {(f, g): mor_map[orb.table[(f, g)]]
+             for f, g in _composable(morphisms, dom, cod)}
     sub = FinCategory(orb.objects, morphisms, dom, cod, table, ids)
     projection = CatFunctor(orb, sub, {o: o for o in orb.objects}, mor_map)
     return SubCatData(sub, projection, orb)
@@ -631,14 +629,21 @@ def sub_category_and_projection(group: FinGroup,
 
 def coset_g_set(group: FinGroup, subgroup):
     """(elements, action) of the left G-set G/H: action[(g, xH)] = (gx)H."""
-    subgroup = frozenset(subgroup)
-    elements = sorted({_coset_label(group, g, subgroup) for g in group.elements})
-    action = {}
-    for coset in elements:
-        x = min(coset)
-        for g in group.elements:
-            action[(g, coset)] = _coset_label(group, group.mult(g, x), subgroup)
+    labels = _coset_labels(group, frozenset(subgroup))
+    elements = sorted(set(labels.values()))
+    action = {(g, coset): labels[group.mult(g, min(coset))]
+              for coset in elements for g in group.elements}
     return elements, action
+
+
+def _generating_set(group: FinGroup):
+    # greedy over the element order: each element outside the span so far
+    gens, span = [], {group.identity}
+    for g in group.elements:
+        if g not in span:
+            gens.append(g)
+            span = group.subgroup_generated(gens)
+    return gens
 
 
 def transport_groupoid(group: FinGroup, elements, action) -> FinCategory:
@@ -655,31 +660,25 @@ def transport_groupoid(group: FinGroup, elements, action) -> FinCategory:
         for g in group.elements:
             if (g, s) not in action or action[(g, s)] not in elset:
                 raise ValueError(f"action incomplete at ({g!r}, {s!r})")
-    # the whole table is known to be complete before it is composed
+    # the table is complete; g'·(g·s) = (g'g)·s holds for every g' once it
+    # does for generators: from a and b, (ab)·(g·s) = a·(b·(g·s)) = (abg)·s
+    gens = _generating_set(group)
     for s in elements:
         for g in group.elements:
             t = action[(g, s)]
-            for g2 in group.elements:
+            for g2 in gens:
                 if action[(g2, t)] != action[(group.mult(g2, g), s)]:
                     raise ValueError(
                         f"action not compatible at ({g2!r}, {g!r}, {s!r})")
-    morphisms = []
-    dom, cod, ids = {}, {}, {}
-    for s in elements:
-        for g in group.elements:
-            f = (s, action[(g, s)], g)
-            morphisms.append(f)
-            dom[f] = s
-            cod[f] = f[1]
-            if g == group.identity:
-                ids[s] = f
+    morphisms = [(s, action[(g, s)], g)
+                 for s in elements for g in group.elements]
+    dom = {f: f[0] for f in morphisms}
+    cod = {f: f[1] for f in morphisms}
+    ids = {s: (s, s, group.identity) for s in elements}
     morphisms.sort()
-    table = {}
-    for f in morphisms:
-        for g in morphisms:
-            if cod[f] != dom[g]:
-                continue
-            table[(f, g)] = (f[0], g[1], group.mult(g[2], f[2]))
+    mult = group.table
+    table = {(f, g): (f[0], g[1], mult[(g[2], f[2])])
+             for f, g in _composable(morphisms, dom, cod)}
     return FinCategory(elements, morphisms, dom, cod, table, ids)
 
 
@@ -710,11 +709,8 @@ def standard_category(kind: str, truncation: int) -> FinCategory:
         morphisms = [(i, j) for i in objects for j in objects if i <= j]
         dom = {f: f[0] for f in morphisms}
         cod = {f: f[1] for f in morphisms}
-        table = {}
-        for f in morphisms:
-            for g in morphisms:
-                if f[1] == g[0]:
-                    table[(f, g)] = (f[0], g[1])
+        table = {(f, g): (f[0], g[1])
+                 for f, g in _composable(morphisms, dom, cod)}
         ids = {i: (i, i) for i in objects}
         return FinCategory(objects, morphisms, dom, cod, table, ids)
     if kind == "grid":
@@ -725,12 +721,8 @@ def standard_category(kind: str, truncation: int) -> FinCategory:
                     morphisms.extend((m, n, (i, n - m - i)) for i in range(n - m + 1))
         dom = {f: f[0] for f in morphisms}
         cod = {f: f[1] for f in morphisms}
-        table = {}
-        for f in morphisms:
-            for g in morphisms:
-                if f[1] == g[0]:
-                    steps = (f[2][0] + g[2][0], f[2][1] + g[2][1])
-                    table[(f, g)] = (f[0], g[1], steps)
+        table = {(f, g): (f[0], g[1], (f[2][0] + g[2][0], f[2][1] + g[2][1]))
+                 for f, g in _composable(morphisms, dom, cod)}
         ids = {i: (i, i, (0, 0)) for i in objects}
         return FinCategory(objects, morphisms, dom, cod, table, ids)
     raise ValueError(f"unknown kind {kind!r} (expected 'chain' or 'grid')")

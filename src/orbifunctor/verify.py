@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
+from functools import cache
 from math import lcm
 
 from .exact_abelian import (
@@ -32,6 +33,7 @@ from .fincat import (
     FinCategory,
     FinGroup,
     SubgroupFamily,
+    _coset_label,
     coset_g_set,
     orbit_category,
     pi0,
@@ -299,6 +301,8 @@ def sub_factorization_check(group: FinGroup, family: SubgroupFamily,
     buckets = {}
     for f in data.orbit.morphisms:
         buckets.setdefault(data.projection.on_morphism(f), []).append(f)
+    # one induced map per distinct chain map (hashed by identity) and degree
+    induced = cache(induced_map_on_homology)
     violations = []
     classes = 0
     for bucket in buckets.values():
@@ -307,12 +311,10 @@ def sub_factorization_check(group: FinGroup, family: SubgroupFamily,
         classes += 1
         ref = bucket[0]
         for i in e.index_base.objects:
-            base_maps = {q: induced_map_on_homology(e.coeff_action[(i, ref)], q)
-                         for q in range(e.lo, e.hi + 1)}
             for other in bucket[1:]:
                 for q in range(e.lo, e.hi + 1):
-                    m2 = induced_map_on_homology(e.coeff_action[(i, other)], q)
-                    if base_maps[q] != m2:
+                    if induced(e.coeff_action[(i, ref)], q) != \
+                            induced(e.coeff_action[(i, other)], q):
                         violations.append((i, ref, other, q))
     return FactorizationReport(not violations, tuple(violations), classes)
 
@@ -612,38 +614,23 @@ def transport_pi0_module(group: FinGroup, family: SubgroupFamily) -> CatModule:
     the construction still walks the groupoids rather than hard-coding that.
     """
     cat = orbit_category(group, family)
-    comp_index = {}
-    values = {}
+    comp, values = {}, {}       # per object: the component of each coset
     for obj in cat.objects:
-        elements, action = coset_g_set(group, frozenset(obj))
-        gpd = transport_groupoid(group, elements, action)
-        parts = pi0(gpd)
-        index = {}
-        for k, part in enumerate(parts):
-            for coset in part:
-                index[coset] = k
-        comp_index[obj] = (len(parts), index, elements)
+        parts = pi0(transport_groupoid(group, *coset_g_set(group, obj)))
+        comp[obj] = {c: k for k, part in enumerate(parts) for c in part}
         values[obj] = FpAbGroup.free(len(parts))
     actions = {}
     for f in cat.morphisms:
         h_lab, k_lab, coset = f
-        r = min(coset)
-        nh, ih, cosets_h = comp_index[h_lab]
-        nk, ik, _ = comp_index[k_lab]
-        cols = [[0] * nk for _ in range(nh)]
-        seen = [None] * nh
-        for c in cosets_h:
-            image = tuple(sorted(group.mult(group.mult(min(c), r), k)
-                                 for k in frozenset(k_lab)))
-            src, tgt = ih[c], ik[image]
-            if seen[src] is None:
-                seen[src] = tgt
-                cols[src][tgt] = 1
-            elif seen[src] != tgt:
+        move = {}       # xH |-> x r K, component by component
+        for c, k in sorted(comp[h_lab].items()):
+            image = comp[k_lab][_coset_label(
+                group, group.mult(min(c), min(coset)), k_lab)]
+            if move.setdefault(k, image) != image:
                 raise AssertionError("translation map not constant on a "
                                      "component; groupoid data inconsistent")
-        actions[f] = AbHom(values[h_lab], values[k_lab],
-                           IntMatrix.from_columns(cols, nrows=nk))
+        actions[f] = AbHom(values[h_lab], values[k_lab], IntMatrix.selection(
+            values[k_lab].ngens, [move[k] for k in range(len(move))]))
     return CatModule(cat, COVARIANT, values, actions)
 
 

@@ -51,7 +51,7 @@ from orbifunctor.exact_abelian import (
 )
 from orbifunctor.fincat import FinGroup, SubgroupFamily, orbit_category, \
     standard_category
-from orbifunctor.cli import parse_manifest
+from orbifunctor.cli import decode_bifunctor, encode_bifunctor, parse_manifest
 from orbifunctor.verify import instance_s3_hexagon, instance_z2_reflection
 
 Z1 = FpAbGroup.free(1)
@@ -608,6 +608,30 @@ def test_comparison_totals_share_one_euler_characteristic(which):
         assert chis[-1] == sum((-1) ** (m % 2) * homology(cx, m).rank
                                for m in cx.degrees())
     assert chis[0] == chis[1]
+
+
+@pytest.mark.parametrize("which", sorted(DESK))
+def test_comparison_map_equals_that_of_the_explicit_round_trip(which):
+    # constant-in-index coefficients share one row total, on which the index
+    # leg acts by implicit identities; written out as an explicit bifunctor,
+    # which shares nothing, they must give the same map in every degree
+    inst = DESK[which](3)
+    ctx = {"group": inst.group, "family": inst.family,
+           "category": inst.index_cat}
+    explicit = decode_bifunctor(encode_bifunctor(inst.coefficients),
+                                "bifunctor", ctx)
+    chains = inst.space_chains()
+    shared = ComparisonData(chains, inst.free_complex, inst.coefficients)
+    apart = ComparisonData(chains, inst.free_complex, explicit)
+    assert len({id(t) for t in shared.row_totals.values()}) == 1
+    assert len({id(t) for t in apart.row_totals.values()}) == \
+        len(inst.index_cat.objects)
+    for mine, theirs in ((shared.source_total, apart.source_total),
+                         (shared.target_total, apart.target_total)):
+        assert_same_complex(mine.complex, theirs.complex)
+    for m in shared.source_total.complex.degrees():
+        assert shared.chain_map.component(m).matrix == \
+            apart.chain_map.component(m).matrix
 
 
 def test_comparison_refuses_legs_that_do_not_commute():

@@ -26,6 +26,7 @@ from orbifunctor.fincat import (
 from orbifunctor.cellspaces import (
     bar_resolution_truncated,
     classifying_model,
+    hexagon_s3,
     reflection_circle,
 )
 from orbifunctor.chainplex import validate_bifunctor
@@ -73,6 +74,14 @@ def write_manifest(tmp_path, data, name="m.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
+
+
+def hexagon_desk_manifest():
+    """The shipped manifest's instance with the hexagon and its six
+    symmetries in place of the reflection circle."""
+    x = hexagon_s3()
+    return {**json.loads(shipped_text()), "group": encode_group(x.group),
+            "gcw": encode_gcw(x)}
 
 
 TRIVIAL_BASE = {"version": "1", "group": {"kind": "trivial"},
@@ -392,6 +401,35 @@ class TestReports:
             env=env, capture_output=True, timeout=120)
         assert proc.returncode == code == 0
         assert optimized.read_bytes() == plain.read_bytes()
+
+    def test_hexagon_desk_run_builds_each_orbit_category_once(
+            self, monkeypatch):
+        import orbifunctor.fincat as fincat
+        built = []
+        init = fincat.FinCategory.__init__
+
+        def counted(self, *args):
+            init(self, *args)
+            built.append(self)
+        monkeypatch.setattr(fincat.FinCategory, "__init__", counted)
+        manifest = parse_manifest(json.dumps(hexagon_desk_manifest()))
+        assert run("verify-theorem", manifest).passed
+        full = orbit_category(manifest.get("group"), manifest.get("family"))
+        iso = manifest.get("gcw").isotropy_family()
+        assert len(full.objects) == 6 and len(iso) == 4
+        for cat in (full, orbit_category(iso.group, iso)):
+            assert sum(c == cat for c in built) == 1
+
+    def test_desk_runs_leave_the_shared_identities_intact(self):
+        for data in (hexagon_desk_manifest(), json.loads(shipped_text())):
+            assert run("verify-theorem", parse_manifest(json.dumps(data))
+                       ).passed
+        for n in range(8):
+            ident = IntMatrix.identity(n)
+            assert (ident.nrows, ident.ncols) == (n, n)
+            assert ident.nonzeros == tuple({i: 1} for i in range(n))
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2).nonzeros[0][1] = 1
 
     def test_report_shape(self, tmp_path):
         path = write_manifest(tmp_path, json.loads(shipped_text()))

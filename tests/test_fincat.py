@@ -13,6 +13,7 @@ from orbifunctor.fincat import (
     CATEGORY_SIZE_BOUND,
     GROUP_ORDER_BOUND,
     SubgroupFamily,
+    _generating_set,
     coset_g_set,
     family_closure,
     group_analysis,
@@ -417,3 +418,140 @@ def test_validate_functor_catches_bad_map():
     assert validate_functor(bad) == []      # collapsing Z/2 is a real functor
     worse = CatFunctor(bg, bg, {"*": "*"}, {0: 1, 1: 0})
     assert any("identity" in p for p in validate_functor(worse))
+
+
+# -- the builders against the all-pairs builders they replaced ---------------
+
+
+def _old_coset_label(group, g, subgroup):
+    return tuple(sorted(group.mult(g, k) for k in subgroup))
+
+
+def _old_orbit_category(group, family):
+    """The all-elements, all-pairs builder of Or(G, family)."""
+    objects = [tuple(sorted(m)) for m in family.members]
+    subsets = {o: frozenset(o) for o in objects}
+    morphisms = []
+    dom, cod, ids, reps = {}, {}, {}, {}
+    for h_lab in objects:
+        for k_lab in objects:
+            k_sub = subsets[k_lab]
+            seen = set()
+            for g in group.elements:
+                if any(group.conjugate(g, h) not in k_sub
+                       for h in subsets[h_lab]):
+                    continue
+                coset = _old_coset_label(group, g, k_sub)
+                if coset in seen:
+                    continue
+                seen.add(coset)
+                f = (h_lab, k_lab, coset)
+                morphisms.append(f)
+                dom[f], cod[f], reps[f] = h_lab, k_lab, min(coset)
+                if h_lab == k_lab and coset == k_lab:
+                    ids[h_lab] = f
+    morphisms.sort()
+    table = {}
+    for f in morphisms:
+        for g in morphisms:
+            if cod[f] == dom[g]:
+                r = group.mult(reps[f], reps[g])
+                table[(f, g)] = (dom[f], cod[g],
+                                 _old_coset_label(group, r, subsets[cod[g]]))
+    return FinCategory(objects, morphisms, dom, cod, table, ids)
+
+
+def _old_sub_category(group, orb):
+    """(quotient category, projection map) by composing class
+    representatives over all pairs."""
+    mor_map, morphisms = {}, []
+    dom, cod, ids, class_rep = {}, {}, {}, {}
+    for f in orb.morphisms:
+        h_lab, k_lab, coset = f
+        centralizer = group.centralizer(frozenset(h_lab))
+        orbit = {_old_coset_label(group, group.mult(z, min(coset)), k_lab)
+                 for z in group.elements if z in centralizer}
+        key = (h_lab, k_lab, min(orbit))
+        mor_map[f] = key
+        if key not in dom:
+            morphisms.append(key)
+            dom[key], cod[key] = h_lab, k_lab
+            class_rep[key] = min(min(orbit))
+        if orb.is_identity(f):
+            ids[h_lab] = key
+    morphisms.sort()
+    table = {}
+    for f in morphisms:
+        for g in morphisms:
+            if cod[f] == dom[g]:
+                r = group.mult(class_rep[f], class_rep[g])
+                table[(f, g)] = mor_map[(dom[f], cod[g],
+                                         _old_coset_label(group, r, cod[g]))]
+    return FinCategory(orb.objects, morphisms, dom, cod, table, ids), mor_map
+
+
+def _same_category(new, old):
+    # the table is compared as a list too: its f-major order decides which
+    # failing pair the validators report first
+    return (new.objects == old.objects and new.morphisms == old.morphisms
+            and new.dom == old.dom and new.cod == old.cod
+            and new.ids == old.ids
+            and list(new.table.items()) == list(old.table.items()))
+
+
+def _oracle_cases():
+    hexagon = FinGroup.from_permutations([(2, 3, 4, 5, 0, 1),
+                                          (0, 5, 4, 3, 2, 1)])
+    relabelled = FinGroup.from_table([0, 7], {(0, 0): 0, (0, 7): 7,
+                                              (7, 0): 7, (7, 7): 0})
+    groups = [FinGroup.trivial(), FinGroup.cyclic(2), FinGroup.cyclic(3),
+              FinGroup.cyclic(4), FinGroup.cyclic(6), FinGroup.cyclic(7),
+              FinGroup.cyclic(12), relabelled,
+              FinGroup.direct_product(FinGroup.cyclic(2), FinGroup.cyclic(2)),
+              S3, FinGroup.from_permutations([SWAP01]), FinGroup.dihedral(4),
+              hexagon]
+    for group in groups:
+        fams = [SubgroupFamily.all(group), SubgroupFamily.trivial(group),
+                SubgroupFamily(group, []),
+                family_closure(group, [group.subgroup_generated([g])
+                                       for g in group.elements
+                                       if group.mult(g, g) == group.identity])]
+        for fam in fams:
+            yield group, fam
+
+
+def test_orbit_and_sub_category_match_the_all_pairs_builders():
+    for group, fam in _oracle_cases():
+        orb = orbit_category(group, fam)
+        assert _same_category(orb, _old_orbit_category(group, fam))
+        data = sub_category_and_projection(group, fam)
+        old_sub, old_map = _old_sub_category(group, orb)
+        assert _same_category(data.sub, old_sub)
+        assert data.projection.mor_map == old_map
+
+
+def test_orbit_category_is_built_once_per_family():
+    fam = SubgroupFamily.all(S3)
+    cat = orbit_category(S3, fam)
+    assert orbit_category(S3, fam) is cat
+    assert sub_category_and_projection(S3, fam).orbit is cat
+    # an equal family, or another copy of the group, gets its own build
+    assert orbit_category(S3, SubgroupFamily.all(S3)) is not cat
+    other = FinGroup.symmetric(3)
+    assert orbit_category(other, fam) is not cat
+    assert orbit_category(other, fam) == cat
+
+
+def test_transport_refuses_a_table_wrong_only_at_one_element():
+    # the regular action of S_3 with one entry moved, at every element in
+    # turn: three of them lie outside the generating set the law is checked on
+    assert len(_generating_set(S3)) == 2
+    elements, action = coset_g_set(S3, [S3.identity])
+    for g in S3.elements:
+        if g == S3.identity:
+            continue
+        s = elements[0]
+        bad = dict(action)
+        bad[(g, s)] = next(t for t in elements if t != action[(g, s)])
+        with pytest.raises(ValueError, match="not compatible"):
+            transport_groupoid(S3, elements, bad)

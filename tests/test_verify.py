@@ -10,14 +10,24 @@ already pinned in the cell-structure tests.
 import pytest
 
 import orbifunctor.exact_abelian as ea
+import orbifunctor.verify as verify_mod
 from orbifunctor.exact_abelian import (
     AbHom,
     FpAbGroup,
     IntMatrix,
 )
-from orbifunctor.fincat import FinGroup, SubgroupFamily, standard_category
-from orbifunctor.catmod import constant_module
-from orbifunctor.chainplex import cat_complex_concentrated, homology
+from orbifunctor.fincat import (
+    FinGroup,
+    SubgroupFamily,
+    orbit_category,
+    standard_category,
+)
+from orbifunctor.catmod import CatModule, constant_module
+from orbifunctor.chainplex import (
+    BiFunctorComplex,
+    cat_complex_concentrated,
+    homology,
+)
 from orbifunctor.cellspaces import (
     classifying_model,
     cellular_chain_complex,
@@ -286,6 +296,37 @@ class TestEngineeredDefects:
             sub_factorization_check(FinGroup.cyclic(3),
                                     SubgroupFamily.all(FinGroup.cyclic(3)),
                                     inst.coefficients)
+        # the same group with another family is refused too; an equal family
+        # built apart holds an equal category, which is accepted
+        with pytest.raises(ValueError, match="does not match"):
+            sub_factorization_check(inst.group,
+                                    SubgroupFamily.trivial(inst.group),
+                                    inst.coefficients)
+        assert sub_factorization_check(inst.group,
+                                       SubgroupFamily.all(inst.group),
+                                       inst.coefficients).passed
+
+    def test_factorization_induces_each_shared_chain_map_once(
+            self, monkeypatch):
+        # Z/2 acting by a sign on Z over Or(Z/2, trivial), constant in the
+        # index: the two self-maps of the free orbit collapse in the subgroup
+        # category but act by +1 and -1, at every one of three index objects
+        group = FinGroup.cyclic(2)
+        family = SubgroupFamily.trivial(group)
+        cat = orbit_category(group, family)
+        sign = CatModule(cat, "co", {o: Z for o in cat.objects}, {
+            f: AbHom.identity(Z) if cat.is_identity(f)
+            else AbHom.identity(Z).negate() for f in cat.morphisms})
+        idx = standard_category("chain", 2)
+        e = BiFunctorComplex.constant_in_index(
+            idx, cat_complex_concentrated(sign, 0))
+        calls = []
+        real = verify_mod.induced_map_on_homology
+        monkeypatch.setattr(verify_mod, "induced_map_on_homology",
+                            lambda f, p: calls.append(f) or real(f, p))
+        rep = sub_factorization_check(group, family, e)
+        assert {i for i, _, _, _ in rep.violations} == set(idx.objects)
+        assert len(calls) == 2      # two distinct chain maps, one degree
 
 
 class TestTransportModule:
