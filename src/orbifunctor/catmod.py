@@ -50,64 +50,22 @@ class CatModule:
     tuple of base objects, one per generator), `free_basis` (per object, the
     ordered tuple of basis labels (generator index, morphism)) and
     `free_index` (per object, the position of each label).  Hom and tensor
-    trust these markers, so the constructor checks that they describe the
-    values and the actions; with markers, `actions` may be None, and the
-    actions are then the ones the markers determine.
+    trust these markers; free_module is the only place that sets them, and it
+    derives the values and actions from them.
     """
 
     __slots__ = ("cat", "variance", "values", "actions", "free_gens",
                  "free_basis", "free_index", "_columns")
 
-    def __init__(self, cat, variance, values, actions,
-                 free_gens=None, free_basis=None):
+    def __init__(self, cat, variance, values, actions):
         if variance not in (COVARIANT, CONTRAVARIANT):
             raise ValueError(f"variance must be 'co' or 'contra', got {variance!r}")
         self.cat = cat
         self.variance = variance
         self.values = dict(values)
-        self.actions = {} if actions is None else dict(actions)
-        self.free_gens = free_gens
-        self.free_basis = free_basis
-        self.free_index = None
+        self.actions = dict(actions)
+        self.free_gens = self.free_basis = self.free_index = None
         self._columns = {}
-        if free_gens is not None or free_basis is not None:
-            self._check_markers(derive=actions is None)
-
-    def _check_markers(self, derive):
-        if self.free_gens is None or self.free_basis is None:
-            raise ValueError("free markers need both free_gens and free_basis")
-        cat = self.cat
-        self.free_gens = tuple(self.free_gens)
-        self.free_basis = basis = {w: tuple(basis) for w, basis in
-                                   dict(self.free_basis).items()}
-        expected = _free_basis(cat, self.free_gens, self.variance)
-        for w in cat.objects:
-            labels = basis.get(w, ())
-            if len(set(labels)) != len(labels) or \
-                    set(labels) != set(expected[w]):
-                raise ValueError(f"free basis at {w!r} does not list each "
-                                 f"morphism between {w!r} and a generator once")
-            value = self.values.get(w)
-            if value is None or value != FpAbGroup.free(len(labels)):
-                raise ValueError(f"value at {w!r} is not free on its "
-                                 f"{len(labels)} basis labels")
-        index = self.free_index = {
-            w: {lab: k for k, lab in enumerate(basis[w])} for w in cat.objects}
-        for f in cat.morphisms:
-            # the selection matrix moving each basis label along f
-            s, t = _action_endpoints(self, f)
-            if self.variance == CONTRAVARIANT:
-                moved = [(i, cat.compose(f, phi)) for i, phi in basis[s]]
-            else:
-                moved = [(i, cat.compose(phi, f)) for i, phi in basis[s]]
-            want = IntMatrix.selection(len(basis[t]),
-                                       [index[t][lab] for lab in moved])
-            if derive:
-                self.actions[f] = AbHom(self.values[s], self.values[t], want,
-                                        check=False)
-            elif f not in self.actions or self.actions[f].matrix != want:
-                raise ValueError(f"action of {f!r} does not move the free "
-                                 f"basis along the morphism")
 
     def value(self, obj) -> FpAbGroup:
         return self.values[obj]
@@ -342,23 +300,25 @@ def free_module(cat: FinCategory, gens, variance=CONTRAVARIANT) -> CatModule:
     for c in gens:
         if c not in objset:
             raise ValueError(f"unknown object {c!r}")
-    basis = _free_basis(cat, gens, variance)
-    values = {w: FpAbGroup.free(len(basis[w])) for w in cat.objects}
-    return CatModule(cat, variance, values, None,
-                     free_gens=gens, free_basis=basis)
-
-
-def _free_basis(cat, gens, variance):
-    # per object w, the labels (i, φ) with φ in mor(w, c_i) (contravariant)
+    contra = variance == CONTRAVARIANT
+    # the basis at w: the labels (i, φ) with φ in mor(w, c_i) (contravariant)
     # or mor(c_i, w) (covariant), generator index first
-    basis = {}
-    for w in cat.objects:
-        entries = []
-        for i, c in enumerate(gens):
-            homs = cat.mor(w, c) if variance == CONTRAVARIANT else cat.mor(c, w)
-            entries.extend((i, phi) for phi in homs)
-        basis[w] = tuple(entries)
-    return basis
+    basis = {w: tuple((i, phi) for i, c in enumerate(gens)
+                      for phi in (cat.mor(w, c) if contra else cat.mor(c, w)))
+             for w in cat.objects}
+    index = {w: {lab: k for k, lab in enumerate(basis[w])} for w in cat.objects}
+    module = CatModule(cat, variance, {w: FpAbGroup.free(len(basis[w]))
+                                       for w in cat.objects}, {})
+    for f in cat.morphisms:
+        # the selection matrix moving each basis label along f
+        s, t = _action_endpoints(module, f)
+        moved = [(i, cat.compose(f, phi) if contra else cat.compose(phi, f))
+                 for i, phi in basis[s]]
+        module.actions[f] = AbHom(
+            module.values[s], module.values[t], IntMatrix.selection(
+                len(basis[t]), [index[t][lab] for lab in moved]), check=False)
+    module.free_gens, module.free_basis, module.free_index = gens, basis, index
+    return module
 
 
 def free_map_from_images(free: CatModule, target: CatModule,
@@ -866,18 +826,15 @@ def induce_module(func: CatFunctor, module: CatModule) -> CatModule:
         d1, d2 = cat_d.dom[psi], cat_d.cod[psi]
         # contravariant: value(d2) -> value(d1), alpha ∈ mor(d2, Fc) ↦ psi
         # then alpha; covariant: value(d1) -> value(d2), beta ∈ mor(Fc, d1) ↦
-        # beta then psi
+        # beta then psi; the map of representables sending the generator to
+        # psi, restricted along the functor
         src_d, tgt_d = (d2, d1) if contra else (d1, d2)
-        comps = {}
-        for c in func.source.objects:
-            index_tgt = frees[tgt_d].free_index[func.obj_map[c]]
-            moved = [(0, cat_d.compose(psi, m) if contra else cat_d.compose(m, psi))
-                     for _, m in frees[src_d].free_basis[func.obj_map[c]]]
-            mat = IntMatrix.selection(len(index_tgt),
-                                      [index_tgt[lab] for lab in moved])
-            comps[c] = AbHom(helpers[src_d].values[c], helpers[tgt_d].values[c],
-                             mat, check=False)
-        mm = ModuleMap(helpers[src_d], helpers[tgt_d], comps)
+        image = [0] * frees[tgt_d].values[src_d].ngens
+        image[frees[tgt_d].free_index[src_d][(0, psi)]] = 1
+        rep = free_map_from_images(frees[src_d], frees[tgt_d], [image])
+        mm = ModuleMap(helpers[src_d], helpers[tgt_d],
+                       {c: rep.components[func.obj_map[c]]
+                        for c in func.source.objects})
         actions[psi] = (tens[src_d].induced(tens[tgt_d], None, mm) if contra
                         else tens[src_d].induced(tens[tgt_d], mm, None))
     return CatModule(cat_d, module.variance, values, actions)

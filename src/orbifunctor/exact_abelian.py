@@ -176,6 +176,8 @@ class IntMatrix:
         vec = list(vec)
         if len(vec) != self.ncols:
             raise ValueError(f"vector length {len(vec)} != {self.ncols}")
+        if self.is_identity():
+            return vec
         return [sum([a * vec[j] for j, a in nz.items()]) for nz in self.nonzeros]
 
     def __add__(self, other):
@@ -542,13 +544,14 @@ class FpAbGroup:
     torsion factor.  Groups coming out of a presentation carry a witness pair
     (to_can, reps) translating between presentation coordinates and canonical
     coordinates; equality deliberately ignores the witness.  An identity
-    witness is implicit (stored as None) and built only when asked for.
+    witness is the shared `IntMatrix.identity(n)`, so products with it and
+    `apply` of it do no arithmetic.
 
     >>> FpAbGroup.from_invariants(1, [2, 6])
     FpAbGroup(Z ⊕ Z/2 ⊕ Z/6)
     """
 
-    __slots__ = ("rank", "torsion", "_to_can", "_reps")
+    __slots__ = ("rank", "torsion", "to_can", "reps")
 
     def __init__(self, rank, torsion, to_can=None, reps=None):
         torsion = tuple(int(t) for t in torsion)
@@ -562,12 +565,13 @@ class FpAbGroup:
         self.rank = rank
         self.torsion = torsion
         n = rank + len(torsion)
-        if to_can is not None and to_can.nrows != n:
-            raise ValueError(f"to_can has {to_can.nrows} rows, not {n}")
-        if reps is not None and reps.ncols != n:
-            raise ValueError(f"reps has {reps.ncols} columns, not {n}")
-        self._to_can = to_can
-        self._reps = reps
+        one = IntMatrix.identity(n)
+        self.to_can = one if to_can is None else to_can   # pres -> canonical
+        self.reps = one if reps is None else reps   # canonical -> pres reps
+        if self.to_can.nrows != n:
+            raise ValueError(f"to_can has {self.to_can.nrows} rows, not {n}")
+        if self.reps.ncols != n:
+            raise ValueError(f"reps has {self.reps.ncols} columns, not {n}")
 
     @classmethod
     def free(cls, n):
@@ -596,17 +600,7 @@ class FpAbGroup:
 
     @property
     def pres_gens(self):
-        return self.ngens if self._to_can is None else self._to_can.ncols
-
-    @property
-    def to_can(self) -> IntMatrix:
-        """Presentation coordinates -> canonical coordinates (unreduced)."""
-        return IntMatrix.identity(self.ngens) if self._to_can is None else self._to_can
-
-    @property
-    def reps(self) -> IntMatrix:
-        """Canonical coordinates -> presentation-coordinate representatives."""
-        return IntMatrix.identity(self.ngens) if self._reps is None else self._reps
+        return self.to_can.ncols
 
     def moduli(self):
         """Per-canonical-generator annihilator: 0 for free, t_i for torsion."""
@@ -646,17 +640,11 @@ class FpAbGroup:
 
     def to_canonical(self, pres_vec):
         """Canonical coordinates of an element given in presentation coordinates."""
-        return self.reduce(pres_vec if self._to_can is None
-                           else self._to_can.apply(pres_vec))
+        return self.reduce(self.to_can.apply(pres_vec))
 
     def representative(self, can_vec):
         """A presentation-coordinate representative of a canonical element."""
-        if self._reps is None:
-            vec = list(can_vec)
-            if len(vec) != self.ngens:
-                raise ValueError(f"vector length {len(vec)} != {self.ngens}")
-            return vec
-        return self._reps.apply(can_vec)
+        return self.reps.apply(can_vec)
 
     def order_of(self, can_vec):
         """Order of the element, or None when infinite."""

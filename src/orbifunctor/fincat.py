@@ -355,6 +355,8 @@ class FinCategory:
         self.table = dict(table)
         self.ids = dict(ids)
         self.mor_index = {f: i for i, f in enumerate(self.morphisms)}
+        if len(self.mor_index) != len(self.morphisms):
+            raise ValueError("morphism labels are not distinct")
         # everything else indexes dom, cod and ids directly, so a missing
         # entry is refused here rather than met later as a KeyError
         objset = set(self.objects)
@@ -429,21 +431,22 @@ def validate_category(cat: FinCategory) -> list:
             problems.append(f"identity of {a!r} is not an endomorphism")
     if problems:
         return problems
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            composable = cat.cod[f] == cat.dom[g]
-            present = (f, g) in cat.table
-            if composable and not present:
-                problems.append(f"missing composite {f!r} then {g!r}")
-            elif not composable and present:
-                problems.append(f"table defined on non-composable {f!r}, {g!r}")
-            elif present:
-                h = cat.table[(f, g)]
-                if h not in cat.mor_index:
-                    problems.append(f"composite {f!r} then {g!r} is not a morphism")
-                elif cat.dom[h] != cat.dom[f] or cat.cod[h] != cat.cod[g]:
-                    problems.append(
-                        f"composite {f!r} then {g!r} has wrong dom/cod")
+    # a pair can be faulty only if it is composable or in the table: visit
+    # those, in declaration order
+    idx = cat.mor_index
+    pairs = _composable(cat.morphisms, cat.dom, cat.cod) + [
+        (f, g) for f, g in cat.table
+        if f in idx and g in idx and cat.cod[f] != cat.dom[g]]
+    pairs.sort(key=lambda fg: (idx[fg[0]], idx[fg[1]]))
+    for f, g in pairs:
+        if cat.cod[f] != cat.dom[g]:
+            problems.append(f"table defined on non-composable {f!r}, {g!r}")
+        elif (f, g) not in cat.table:
+            problems.append(f"missing composite {f!r} then {g!r}")
+        elif (h := cat.table[(f, g)]) not in idx:
+            problems.append(f"composite {f!r} then {g!r} is not a morphism")
+        elif cat.dom[h] != cat.dom[f] or cat.cod[h] != cat.cod[g]:
+            problems.append(f"composite {f!r} then {g!r} has wrong dom/cod")
     if problems:
         return problems
     for f in cat.morphisms:
@@ -453,11 +456,17 @@ def validate_category(cat: FinCategory) -> list:
             problems.append(f"right identity fails at {f!r}")
     if problems:
         return problems
-    for f in cat.morphisms:
-        for g in cat.mor_from(cat.cod[f]):
-            fg = cat.table[(f, g)]
-            for h in cat.mor_from(cat.cod[g]):
-                if cat.table[(fg, h)] != cat.table[(f, cat.table[(g, h)])]:
+    # associativity on positions, which hash faster than labels; the pairs
+    # are now the composable ones, in declaration order
+    then = {}       # position of f -> {position of g: position of f then g}
+    for f, g in pairs:
+        then.setdefault(idx[f], {})[idx[g]] = idx[cat.table[(f, g)]]
+    for i, fi in then.items():
+        for j, ij in fi.items():
+            fij, fj = then[ij], then[j]
+            for k, jk in fj.items():
+                if fij[k] != fi[jk]:
+                    f, g, h = (cat.morphisms[x] for x in (i, j, k))
                     problems.append(
                         f"associativity fails on triple ({f!r}, {g!r}, {h!r})")
                     return problems

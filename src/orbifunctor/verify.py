@@ -33,14 +33,17 @@ from .fincat import (
     FinCategory,
     FinGroup,
     SubgroupFamily,
-    _coset_label,
-    coset_g_set,
     orbit_category,
-    pi0,
     sub_category_and_projection,
-    transport_groupoid,
 )
-from .catmod import COVARIANT, CONTRAVARIANT, CatModule, ModuleMap, free_module
+from .catmod import (
+    COVARIANT,
+    CONTRAVARIANT,
+    CatModule,
+    ModuleMap,
+    constant_module,
+    free_module,
+)
 from .chainplex import (
     BiFunctorComplex,
     CatChainComplex,
@@ -610,28 +613,11 @@ def transport_pi0_module(group: FinGroup, family: SubgroupFamily) -> CatModule:
     """Covariant module on the orbit category: free on the components of the
     transport groupoid of each coset space, with translation-induced maps.
 
-    Coset spaces of a group are transitive, so every value is one copy of Z;
-    the construction still walks the groupoids rather than hard-coding that.
+    A coset space G/H is a single orbit, so its groupoid has one component:
+    the module is the constant Z, and every translation map is the identity.
     """
-    cat = orbit_category(group, family)
-    comp, values = {}, {}       # per object: the component of each coset
-    for obj in cat.objects:
-        parts = pi0(transport_groupoid(group, *coset_g_set(group, obj)))
-        comp[obj] = {c: k for k, part in enumerate(parts) for c in part}
-        values[obj] = FpAbGroup.free(len(parts))
-    actions = {}
-    for f in cat.morphisms:
-        h_lab, k_lab, coset = f
-        move = {}       # xH |-> x r K, component by component
-        for c, k in sorted(comp[h_lab].items()):
-            image = comp[k_lab][_coset_label(
-                group, group.mult(min(c), min(coset)), k_lab)]
-            if move.setdefault(k, image) != image:
-                raise AssertionError("translation map not constant on a "
-                                     "component; groupoid data inconsistent")
-        actions[f] = AbHom(values[h_lab], values[k_lab], IntMatrix.selection(
-            values[k_lab].ngens, [move[k] for k in range(len(move))]))
-    return CatModule(cat, COVARIANT, values, actions)
+    return constant_module(orbit_category(group, family), FpAbGroup.free(1),
+                           COVARIANT)
 
 
 def _desk_instance(group: FinGroup, space: GCWComplex,

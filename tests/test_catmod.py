@@ -896,28 +896,81 @@ def test_non_natural_maps_refused_on_both_paths(path):
         ends.precompose_map(ends, v)
 
 
-def test_wrong_free_markers_refused():
-    free = free_module(OR2, [FREE_LAB, FULL_LAB], "contra")
-    parts = (OR2, "contra", free.values, free.actions)
-    basis = dict(free.free_basis)
-    CatModule(*parts, free_gens=free.free_gens, free_basis=basis)
-    with pytest.raises(ValueError, match="both"):
-        CatModule(*parts, free_gens=free.free_gens)
-    short = dict(basis)
-    short[FREE_LAB] = basis[FREE_LAB][1:]
-    with pytest.raises(ValueError, match="free basis"):
-        CatModule(*parts, free_gens=free.free_gens, free_basis=short)
-    with pytest.raises(ValueError, match="free basis"):
-        CatModule(OR2, "co", free.values, free.actions,
-                  free_gens=free.free_gens, free_basis=basis)
-    values = dict(free.values)
-    values[FULL_LAB] = Z(2)
-    with pytest.raises(ValueError, match="not free"):
-        CatModule(OR2, "contra", values, free.actions,
-                  free_gens=free.free_gens, free_basis=basis)
-    actions = dict(free.actions)
+# ---------------------------------------------------------------------------
+# Free markers: free_module is their only source, so they are checked here
+# ---------------------------------------------------------------------------
+
+
+def marker_problems(module):
+    """What a free marker must satisfy: the basis at each object lists each
+    morphism between it and a generator once, in generator order; the value
+    is free on the basis and the index numbers it; each action moves the
+    basis labels along its morphism.  [] when all hold."""
+    cat, contra = module.cat, module.variance == "contra"
+    basis, index = module.free_basis, module.free_index
+    problems = []
+    for w in cat.objects:
+        labels = basis.get(w, ())
+        expected = [(i, phi) for i, c in enumerate(module.free_gens)
+                    for phi in (cat.mor(w, c) if contra else cat.mor(c, w))]
+        if len(set(labels)) != len(labels) or set(labels) != set(expected):
+            problems.append(f"free basis at {w!r}")
+        elif module.values.get(w) != FpAbGroup.free(len(labels)):
+            problems.append(f"value at {w!r}")
+        elif index.get(w) != {lab: k for k, lab in enumerate(labels)}:
+            problems.append(f"free index at {w!r}")
+    if problems:
+        return problems
+    for f in cat.morphisms:
+        s, t = (cat.cod[f], cat.dom[f]) if contra else (cat.dom[f], cat.cod[f])
+        moved = [(i, cat.compose(f, phi) if contra else cat.compose(phi, f))
+                 for i, phi in basis[s]]
+        want = AbHom(module.values[s], module.values[t], IntMatrix.selection(
+            len(basis[t]), [index[t][lab] for lab in moved]))
+        if module.actions.get(f) != want:
+            problems.append(f"action of {f!r}")
+    return problems
+
+
+MARKER_CATS = [OR2, OR_S3, SUBS3, POINT, standard_category("chain", 2),
+               standard_category("grid", 2),
+               one_object_category(FinGroup.cyclic(3))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MARKER_CATS), st.sampled_from(["co", "contra"]),
+       st.data())
+def test_free_module_markers_describe_the_module(cat, variance, data):
+    gens = data.draw(st.lists(st.sampled_from(cat.objects), max_size=3))
+    free = free_module(cat, gens, variance)
+    assert free.is_free_marked() and free.free_gens == tuple(gens)
+    assert marker_problems(free) == []
+    assert validate_module(free) == []
+
+
+def test_marker_checks_catch_wrong_markers():
+    def fresh():
+        return free_module(OR2, [FREE_LAB, FULL_LAB], "contra")
+    assert marker_problems(fresh()) == []
+    short = fresh()
+    short.free_basis = dict(short.free_basis)
+    short.free_basis[FREE_LAB] = short.free_basis[FREE_LAB][1:]
+    assert marker_problems(short) == [f"free basis at {FREE_LAB!r}"]
+    flipped = fresh()
+    flipped.variance = "co"
+    assert f"free basis at {FREE_LAB!r}" in marker_problems(flipped)
+    torsion = fresh()
+    torsion.values[FULL_LAB] = Z(2)
+    assert marker_problems(torsion) == [f"value at {FULL_LAB!r}"]
+    unindexed = fresh()
+    unindexed.free_index = {**unindexed.free_index, FULL_LAB: {}}
+    assert marker_problems(unindexed) == [f"free index at {FULL_LAB!r}"]
+    unmoved = fresh()
     s = swap_endo(OR2, FREE_LAB)
-    actions[s] = AbHom.identity(free.values[FREE_LAB])
-    with pytest.raises(ValueError, match="action"):
-        CatModule(OR2, "contra", free.values, actions,
-                  free_gens=free.free_gens, free_basis=basis)
+    unmoved.actions[s] = AbHom.identity(unmoved.values[FREE_LAB])
+    assert marker_problems(unmoved) == [f"action of {s!r}"]
+    # the constructor takes no markers: only free_module sets them
+    with pytest.raises(TypeError):
+        CatModule(OR2, "contra", unmoved.values, unmoved.actions,
+                  free_gens=unmoved.free_gens)
+    assert not stripped(fresh()).is_free_marked()

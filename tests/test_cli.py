@@ -4,6 +4,7 @@ The shipped scenario file doubles as a fixture: parsing it, verifying it,
 and checking the report bytes do not drift between runs.
 """
 
+import ast
 import copy
 import importlib.resources
 import json
@@ -401,6 +402,19 @@ class TestReports:
             env=env, capture_output=True, timeout=120)
         assert proc.returncode == code == 0
         assert optimized.read_bytes() == plain.read_bytes()
+
+    def test_no_assert_statement_in_the_package(self):
+        # the guard above compares one manifest; this one covers every module
+        pkg = os.path.dirname(orbifunctor.__file__)
+        found = []
+        for name in sorted(os.listdir(pkg)):
+            if name.endswith(".py"):
+                with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=name)
+                found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Assert)]
+        assert len([n for n in os.listdir(pkg) if n.endswith(".py")]) >= 8
+        assert found == []
 
     def test_hexagon_desk_run_builds_each_orbit_category_once(
             self, monkeypatch):

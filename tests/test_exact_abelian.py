@@ -647,13 +647,26 @@ def test_identity_witnesses_are_implicit():
     for g in (FpAbGroup.free(4), FpAbGroup.from_invariants(1, [2, 4]),
               cokernel_presentation(IntMatrix.zeros(3, 0)),
               cokernel_presentation(IntMatrix.diagonal([2, 4]))):
-        assert g._to_can is None and g._reps is None
-        assert g.to_can == g.reps == IntMatrix.identity(g.ngens)
+        one = IntMatrix.identity(g.ngens)
+        assert g.to_can is one and g.reps is one
+        assert g.pres_gens == g.ngens
+    # apply of the shared identity returns the vector as it came
+    assert IntMatrix.identity(3).apply((4, -1, 7)) == [4, -1, 7]
+    with pytest.raises(ValueError, match="vector length"):
+        FpAbGroup.free(2).representative([1, 2, 3])
+
+
+def fresh(m):
+    """A copy of m that is never the shared identity instance."""
+    return IntMatrix(m.nrows, m.ncols, nonzeros=[dict(nz) for nz in m.nonzeros])
 
 
 def explicit_copy(g):
-    """The same group, carrying its witnesses as explicit matrices."""
-    return FpAbGroup(g.rank, g.torsion, to_can=g.to_can, reps=g.reps)
+    """The same group, its witnesses carried as fresh matrices, so that an
+    identity witness goes through the products the shared one skips."""
+    ex = FpAbGroup(g.rank, g.torsion, to_can=fresh(g.to_can), reps=fresh(g.reps))
+    assert not ex.to_can.is_identity() and not ex.reps.is_identity()
+    return ex
 
 
 @settings(max_examples=100, deadline=None)
@@ -661,7 +674,7 @@ def explicit_copy(g):
 def test_implicit_witnesses_match_explicit(a, data):
     g = cokernel_presentation(a)
     ex = explicit_copy(g)
-    assert g == ex and hash(g) == hash(ex) and ex._to_can is not None
+    assert g == ex and hash(g) == hash(ex) and ex.to_can == g.to_can
     pres = data.draw(st.lists(small, min_size=a.nrows, max_size=a.nrows))
     assert g.to_canonical(pres) == ex.to_canonical(pres)
     can = data.draw(st.lists(small, min_size=g.ngens, max_size=g.ngens))
@@ -673,7 +686,8 @@ def test_implicit_witnesses_match_explicit(a, data):
 def test_implicit_witness_homs_match_explicit(src, tgt, data):
     f = data.draw(ab_homs(source=src, target=tgt))
     ex_src, ex_tgt = explicit_copy(src), explicit_copy(tgt)
-    assert src._reps is None and tgt._to_can is None
+    assert src.reps is IntMatrix.identity(src.ngens)
+    assert tgt.to_can is IntMatrix.identity(tgt.ngens)
     assert (hom_from_presentation(src, tgt, f.matrix)
             == hom_from_presentation(ex_src, ex_tgt, f.matrix) == f)
 

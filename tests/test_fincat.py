@@ -4,6 +4,8 @@ Counting oracles (subgroup counts, hom-set sizes, Weyl groups) were worked out
 by hand for Z/2, Z/4, Klein four, and S_3 before implementation.
 """
 
+import signal
+
 import pytest
 
 from orbifunctor.fincat import (
@@ -555,3 +557,155 @@ def test_transport_refuses_a_table_wrong_only_at_one_element():
         bad[(g, s)] = next(t for t in elements if t != action[(g, s)])
         with pytest.raises(ValueError, match="not compatible"):
             transport_groupoid(S3, elements, bad)
+
+
+# -- validate_category against the all-pairs check it replaced ---------------
+
+
+def _old_validate_category(cat):
+    """The check that tests composability on all |mor|² ordered pairs."""
+    problems = []
+    for a in cat.objects:
+        i = cat.ids[a]
+        if cat.dom[i] != a or cat.cod[i] != a:
+            problems.append(f"identity of {a!r} is not an endomorphism")
+    if problems:
+        return problems
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            composable = cat.cod[f] == cat.dom[g]
+            present = (f, g) in cat.table
+            if composable and not present:
+                problems.append(f"missing composite {f!r} then {g!r}")
+            elif not composable and present:
+                problems.append(f"table defined on non-composable {f!r}, {g!r}")
+            elif present:
+                h = cat.table[(f, g)]
+                if h not in cat.mor_index:
+                    problems.append(f"composite {f!r} then {g!r} is not a morphism")
+                elif cat.dom[h] != cat.dom[f] or cat.cod[h] != cat.cod[g]:
+                    problems.append(
+                        f"composite {f!r} then {g!r} has wrong dom/cod")
+    if problems:
+        return problems
+    for f in cat.morphisms:
+        if cat.table[(cat.ids[cat.dom[f]], f)] != f:
+            problems.append(f"left identity fails at {f!r}")
+        if cat.table[(f, cat.ids[cat.cod[f]])] != f:
+            problems.append(f"right identity fails at {f!r}")
+    if problems:
+        return problems
+    for f in cat.morphisms:
+        for g in cat.mor_from(cat.cod[f]):
+            fg = cat.table[(f, g)]
+            for h in cat.mor_from(cat.cod[g]):
+                if cat.table[(fg, h)] != cat.table[(f, cat.table[(g, h)])]:
+                    problems.append(
+                        f"associativity fails on triple ({f!r}, {g!r}, {h!r})")
+                    return problems
+    return problems
+
+
+def _with_table(cat, table):
+    return FinCategory(cat.objects, cat.morphisms, cat.dom, cat.cod, table,
+                       cat.ids)
+
+
+def _mutants(cat):
+    """(name, category) for each kind of broken table, at a few places."""
+    pairs = sorted(cat.table, key=lambda fg: (cat.mor_index[fg[0]],
+                                              cat.mor_index[fg[1]]))
+    picks = sorted({0, len(pairs) // 2, len(pairs) - 1})
+    strays = [(f, g) for f in cat.morphisms for g in cat.morphisms
+              if cat.cod[f] != cat.dom[g]]
+    for n in picks:
+        f, g = pairs[n]
+        dropped = dict(cat.table)
+        del dropped[(f, g)]
+        yield f"dropped-{n}", _with_table(cat, dropped)
+        yield f"ghost-{n}", _with_table(cat, {**cat.table, (f, g): "ghost"})
+        h = cat.table[(f, g)]
+        wrong = [m for m in cat.morphisms
+                 if (cat.dom[m], cat.cod[m]) != (cat.dom[h], cat.cod[h])]
+        if wrong:
+            yield f"dom-cod-{n}", _with_table(cat, {**cat.table,
+                                                     (f, g): wrong[0]})
+        other = [m for m in cat.mor(cat.dom[h], cat.cod[h]) if m != h]
+        if other:
+            yield f"reassociated-{n}", _with_table(cat, {**cat.table,
+                                                         (f, g): other[0]})
+    if strays:
+        for n in sorted({0, len(strays) - 1}):
+            yield f"stray-{n}", _with_table(
+                cat, {**cat.table, strays[n]: cat.morphisms[0]})
+    both = dict(cat.table)
+    del both[pairs[-1]]
+    if strays:
+        both[strays[0]] = cat.morphisms[-1]
+    yield "dropped-and-stray", _with_table(cat, both)
+
+
+def _broken_associativity():
+    morphisms = ["1", "a", "b"]
+    dom = {f: "*" for f in morphisms}
+    table = {("1", f): f for f in morphisms}
+    table.update({(f, "1"): f for f in morphisms})
+    table.update({("a", "a"): "b", ("a", "b"): "a",
+                  ("b", "a"): "1", ("b", "b"): "1"})
+    return FinCategory(["*"], morphisms, dom, dict(dom), table, {"*": "1"})
+
+
+_Z2 = FinGroup.cyclic(2)
+VALIDATED = {
+    **{f"orbit-{name}": orbit_category(g, SubgroupFamily.all(g))
+       for name, g in [
+           ("Z2", _Z2), ("Z4", FinGroup.cyclic(4)),
+           ("V4", FinGroup.direct_product(_Z2, _Z2)), ("S3", S3),
+           ("Z6", FinGroup.cyclic(6)), ("D4", FinGroup.dihedral(4)),
+           ("Z12", FinGroup.cyclic(12))]},
+    "orbit-Z2-trivial": orbit_category(_Z2, SubgroupFamily.trivial(_Z2)),
+    "sub-Z2": sub_category_and_projection(_Z2, SubgroupFamily.all(_Z2)).sub,
+    "sub-S3": sub_category_and_projection(S3, SubgroupFamily.all(S3)).sub,
+    "transport-Z2": transport_groupoid(_Z2, *coset_g_set(_Z2, [0])),
+    "chain-2": standard_category("chain", 2),
+    "grid-3": standard_category("grid", 3),
+    "one-object-Z3": one_object_category(FinGroup.cyclic(3)),
+    "broken-associativity": _broken_associativity(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATED))
+def test_validate_category_matches_the_all_pairs_check(name):
+    cat = VALIDATED[name]
+    assert validate_category(cat) == _old_validate_category(cat)
+    kinds = set()
+    for kind, mutant in _mutants(cat):
+        problems = validate_category(mutant)
+        assert problems == _old_validate_category(mutant), kind
+        kinds.add(kind.split("-")[0])
+        # another morphism as a composite may still make a category
+        assert problems or kind.startswith("reassociated"), kind
+    assert {"dropped", "ghost"} <= kinds
+
+
+def test_validate_category_on_a_large_orbit_category():
+    # Or(D_12, all): 862 morphisms, 20,738 composable pairs; the all-pairs
+    # check took several seconds here
+    group = FinGroup.dihedral(12)
+    cat = orbit_category(group, SubgroupFamily.all(group))
+    signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(4)
+    try:
+        assert validate_category(cat) == []
+    finally:
+        signal.alarm(0)
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("validate_category over its time budget")
+
+
+def test_category_refuses_repeated_morphism_labels():
+    with pytest.raises(ValueError, match="not distinct"):
+        FinCategory(["*"], ["1", "1"], {"1": "*"}, {"1": "*"},
+                    {("1", "1"): "1"}, {"*": "1"})

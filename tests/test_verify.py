@@ -19,8 +19,12 @@ from orbifunctor.exact_abelian import (
 from orbifunctor.fincat import (
     FinGroup,
     SubgroupFamily,
+    _coset_label,
+    coset_g_set,
     orbit_category,
+    pi0,
     standard_category,
+    transport_groupoid,
 )
 from orbifunctor.catmod import CatModule, constant_module
 from orbifunctor.chainplex import (
@@ -34,6 +38,7 @@ from orbifunctor.cellspaces import (
     centralizer_quotient_chains,
     fixed_point_chains,
     free_orbit_points,
+    hexagon_s3,
     point_space,
     reflection_circle,
 )
@@ -343,6 +348,42 @@ class TestTransportModule:
         mod = transport_pi0_module(group, SubgroupFamily.all(group))
         for f in mod.cat.morphisms:
             assert mod.action(f).matrix.rows == ((1,),)
+
+    @pytest.mark.parametrize("family", ["all", "trivial"])
+    @pytest.mark.parametrize("group", [
+        FinGroup.cyclic(2), FinGroup.cyclic(3), hexagon_s3().group,
+        FinGroup.dihedral(4), FinGroup.dihedral(6)],
+        ids=["c2", "c3", "hexagon-s3", "d4", "d6"])
+    def test_constant_module_matches_the_groupoid_walk(self, group, family):
+        family = getattr(SubgroupFamily, family)(group)
+        mod = transport_pi0_module(group, family)
+        walked = walked_pi0_module(group, family)
+        assert mod.cat is walked.cat is orbit_category(group, family)
+        assert mod.values == walked.values
+        assert mod.actions == walked.actions
+
+
+def walked_pi0_module(group, family):
+    """The transport-π0 module built the long way: free on the components of
+    the transport groupoid of each coset space, each morphism xH -> x r K
+    mapping components to components."""
+    cat = orbit_category(group, family)
+    comp, values = {}, {}       # per object: the component of each coset
+    for obj in cat.objects:
+        parts = pi0(transport_groupoid(group, *coset_g_set(group, obj)))
+        comp[obj] = {c: k for k, part in enumerate(parts) for c in part}
+        values[obj] = FpAbGroup.free(len(parts))
+    actions = {}
+    for f in cat.morphisms:
+        h_lab, k_lab, coset = f
+        move = {}
+        for c, k in sorted(comp[h_lab].items()):
+            image = comp[k_lab][_coset_label(
+                group, group.mult(min(c), min(coset)), k_lab)]
+            assert move.setdefault(k, image) == image   # constant on parts
+        actions[f] = AbHom(values[h_lab], values[k_lab], IntMatrix.selection(
+            values[k_lab].ngens, [move[k] for k in range(len(move))]))
+    return CatModule(cat, "co", values, actions)
 
 
 class TestSeqSpecValidation:
