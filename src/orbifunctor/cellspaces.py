@@ -11,12 +11,17 @@ Two flavours of cell data feed the rest of the workbench:
 * ``GCWComplex``: equivariant cells for a finite group, one orbit of cells
   G/H per entry, with boundaries given by coefficients on equivariant maps
   between orbits.  Fixed-point chains convert these into CatCWComplex data
-  over an orbit category; a separate conversion forgets the group action and
-  produces honest cellular chains with a group action (the n-cells as a
-  G-set, the (elements, action) pair of ``coset_g_set``).  The Borel
-  construction tensors these with a free resolution of Z over the group, the
-  periodic one for cyclic groups and the bar resolution otherwise, each a
-  (complex, augmentation) pair.
+  over an orbit category, G/K |-> C_*(X^K); every other construction on the
+  cells reads from them.  Their value at G/1 is the cellular chain complex
+  of the underlying space, with the group acting through the automorphisms
+  of G/1 (left translation of cosets).  The Borel construction tensors it
+  with a free resolution of Z over the group, the periodic one for cyclic
+  groups and the bar resolution otherwise, each a (complex, augmentation)
+  pair.
+
+Both flavours share one normaliser of the cell data (dimension, boundary
+keys, cell indices, zero terms); each checks only its own labels and
+attaching data.
 
 Truncation bookkeeping is explicit throughout.  A model built from a window
 of size K only certifies homology in an advertised range; checks refuse
@@ -40,7 +45,6 @@ from .fincat import (
     FinGroup,
     SubgroupFamily,
     _coset_label,
-    coset_g_set,
     family_closure,
     one_object_category,
     orbit_category,
@@ -57,7 +61,6 @@ from .catmod import (
 )
 from .chainplex import (
     CatChainComplex,
-    ChainMap,
     PlainChainComplex,
     TotalTensorComplex,
     cat_complex_concentrated,
@@ -69,6 +72,41 @@ from .chainplex import (
 # ---------------------------------------------------------------------------
 # Cells over a base category
 # ---------------------------------------------------------------------------
+
+
+def _cell_data(cells, boundary, label, attach):
+    """(dimension, cells, boundary) of cell data, in normal form.
+
+    cells: dict dimension -> sequence of cell labels; label(n, lab) checks one
+    label and returns its normal form.  boundary: dict (n, i) -> sequence of
+    (coeff, j, data) terms; attach(label of cell (n, i), label of cell
+    (n-1, j), data) checks one term's attaching data and returns its normal
+    form.  Zero terms are dropped, and so are keys left with none.
+    """
+    cells = {int(n): tuple(labs) for n, labs in dict(cells).items()}
+    if any(n < 0 for n in cells):
+        raise ValueError("cell dimensions must be >= 0")
+    filled = [n for n, labs in cells.items() if labs]
+    if not filled:
+        raise ValueError("complex has no cells")
+    dimension = max(filled)
+    cells = {n: tuple(label(n, lab) for lab in cells.get(n, ()))
+             for n in range(dimension + 1)}
+    norm = {}
+    for (n, i), terms in dict(boundary or {}).items():
+        if not (1 <= n <= dimension and 0 <= i < len(cells[n])):
+            raise ValueError(f"boundary key ({n}, {i}) names no cell")
+        out = []
+        for (coeff, j, data) in terms:
+            if not 0 <= j < len(cells[n - 1]):
+                raise ValueError(
+                    f"boundary of cell ({n}, {i}) hits missing cell index {j}")
+            data = attach(cells[n][i], cells[n - 1][j], data)
+            if coeff:
+                out.append((int(coeff), j, data))
+        if out:
+            norm[(n, i)] = tuple(out)
+    return dimension, cells, norm
 
 
 class CatCWComplex:
@@ -91,40 +129,21 @@ class CatCWComplex:
     def __init__(self, base: FinCategory, cells, boundary=None,
                  truncation_valid=None):
         self.base = base
-        cells = {int(n): tuple(v) for n, v in dict(cells).items()}
-        if any(n < 0 for n in cells):
-            raise ValueError("cell dimensions must be >= 0")
-        filled = [n for n, tags in cells.items() if tags]
-        if not filled:
-            raise ValueError("complex has no cells")
-        self.dimension = max(filled)
-        self.cells = {n: cells.get(n, ()) for n in range(self.dimension + 1)}
-        objset = set(base.objects)
-        for n, tags in self.cells.items():
-            for c in tags:
-                if c not in objset:
-                    raise ValueError(
-                        f"cell tag {c!r} in dimension {n} is not a base object")
-        norm = {}
-        for (n, i), terms in dict(boundary or {}).items():
-            if not (1 <= n <= self.dimension and 0 <= i < len(self.cells[n])):
-                raise ValueError(f"boundary key ({n}, {i}) names no cell")
-            src = self.cells[n][i]
-            out = []
-            for (coeff, j, phi) in terms:
-                if not 0 <= j < len(self.cells[n - 1]):
-                    raise ValueError(
-                        f"boundary of cell ({n}, {i}) hits missing cell index {j}")
-                tgt = self.cells[n - 1][j]
-                if base.dom.get(phi) != src or base.cod.get(phi) != tgt:
-                    raise ValueError(
-                        f"attaching morphism {phi!r} is not {src!r} -> {tgt!r}")
-                if coeff:
-                    out.append((int(coeff), j, phi))
-            if out:
-                norm[(n, i)] = tuple(out)
-        self.boundary = norm
+        self.dimension, self.cells, self.boundary = _cell_data(
+            cells, boundary, self._label, self._attach)
         self.truncation_valid = truncation_valid
+
+    def _label(self, n, c):
+        if c not in self.base.ids:      # keyed by the objects
+            raise ValueError(
+                f"cell tag {c!r} in dimension {n} is not a base object")
+        return c
+
+    def _attach(self, src, tgt, phi):
+        if self.base.dom.get(phi) != src or self.base.cod.get(phi) != tgt:
+            raise ValueError(
+                f"attaching morphism {phi!r} is not {src!r} -> {tgt!r}")
+        return phi
 
     def cell_count(self, n) -> int:
         return len(self.cells.get(n, ()))
@@ -183,49 +202,31 @@ class GCWComplex:
 
     def __init__(self, group: FinGroup, cells, boundary=None):
         self.group = group
-        cells = {int(n): tuple(tuple(lab) for lab in v)
-                 for n, v in dict(cells).items()}
-        if any(n < 0 for n in cells):
-            raise ValueError("cell dimensions must be >= 0")
-        filled = [n for n, labs in cells.items() if labs]
-        if not filled:
-            raise ValueError("complex has no cells")
-        self.dimension = max(filled)
-        self.cells = {n: cells.get(n, ()) for n in range(self.dimension + 1)}
-        for n, labs in self.cells.items():
-            for lab in labs:
-                sub = frozenset(lab)
-                if tuple(sorted(sub)) != lab or not group.is_subgroup(sub):
-                    raise ValueError(
-                        f"cell label {lab!r} is not a sorted subgroup label")
-        norm = {}
-        for (n, i), terms in dict(boundary or {}).items():
-            if not (1 <= n <= self.dimension and 0 <= i < len(self.cells[n])):
-                raise ValueError(f"boundary key ({n}, {i}) names no cell")
-            h_sub = frozenset(self.cells[n][i])
-            out = []
-            for (coeff, j, coset) in terms:
-                if not 0 <= j < len(self.cells[n - 1]):
-                    raise ValueError(
-                        f"boundary of cell ({n}, {i}) hits missing cell index {j}")
-                k_lab = self.cells[n - 1][j]
-                k_sub = frozenset(k_lab)
-                coset = tuple(coset)
-                r = min(coset)
-                if _coset_label(group, r, k_sub) != coset:
-                    raise ValueError(
-                        f"{coset!r} is not a coset of {k_lab!r}")
-                if any(group.conjugate(r, h) not in k_sub for h in h_sub):
-                    raise ValueError(
-                        f"coset {coset!r} gives no equivariant map "
-                        f"G/{self.cells[n][i]!r} -> G/{k_lab!r}")
-                if coeff:
-                    out.append((int(coeff), j, coset))
-            if out:
-                norm[(n, i)] = tuple(out)
-        self.boundary = norm
+        self.dimension, self.cells, self.boundary = _cell_data(
+            cells, boundary, self._label, self._attach)
         # complexes never change: both are built on first use
         self._fixed_chains = self._isotropy_family = None
+
+    def _label(self, n, lab):
+        lab = tuple(lab)
+        sub = frozenset(lab)
+        if tuple(sorted(sub)) != lab or not self.group.is_subgroup(sub):
+            raise ValueError(
+                f"cell label {lab!r} is not a sorted subgroup label")
+        return lab
+
+    def _attach(self, h_lab, k_lab, coset):
+        group = self.group
+        k_sub = frozenset(k_lab)
+        coset = tuple(coset)
+        r = min(coset)
+        if _coset_label(group, r, k_sub) != coset:
+            raise ValueError(f"{coset!r} is not a coset of {k_lab!r}")
+        if any(group.conjugate(r, h) not in k_sub for h in h_lab):
+            raise ValueError(
+                f"coset {coset!r} gives no equivariant map "
+                f"G/{h_lab!r} -> G/{k_lab!r}")
+        return coset
 
     def cell_count(self, n) -> int:
         return len(self.cells.get(n, ()))
@@ -279,6 +280,13 @@ def fixed_point_chains(x: GCWComplex, family: SubgroupFamily) -> CatChainComplex
     return cellular_chain_complex(_orbit_cw(x, cat))
 
 
+def _fixed_chains(x: GCWComplex) -> CatChainComplex:
+    """Fixed-point chains of x over Or(G, isotropy family), built once."""
+    if x._fixed_chains is None:
+        x._fixed_chains = fixed_point_chains(x, x.isotropy_family())
+    return x._fixed_chains
+
+
 def bredon_complex(x: GCWComplex, module: CatModule) -> PlainChainComplex:
     """Coefficient chains: fixed-point chains tensored over the orbit
     category with a covariant coefficient module."""
@@ -305,13 +313,10 @@ def centralizer_quotient_chains(x: GCWComplex, h_label) -> PlainChainComplex:
     h_sub = frozenset(h_lab)
     if tuple(sorted(h_sub)) != h_lab or not group.is_subgroup(h_sub):
         raise ValueError(f"{h_label!r} is not a subgroup label")
-    fam = x.isotropy_family()
-    if h_sub not in fam:
+    if h_sub not in x.isotropy_family():
         raise ValueError(
             f"subgroup {h_lab!r} is not in the isotropy family of the complex")
-    if x._fixed_chains is None:     # the same for every subgroup
-        x._fixed_chains = fixed_point_chains(x, fam)
-    chains = x._fixed_chains
+    chains = _fixed_chains(x)
     moves = sorted({_coset_label(group, z, h_sub)
                     for z in group.centralizer(h_sub)})
     groups, diffs = {}, {}
@@ -330,25 +335,6 @@ def centralizer_quotient_chains(x: GCWComplex, h_label) -> PlainChainComplex:
         diffs[n] = hom_from_presentation(
             groups[n], groups[n - 1], chains.diff(n).component(h_lab).matrix)
     return PlainChainComplex(0, x.dimension, groups, diffs)
-
-
-# ---------------------------------------------------------------------------
-# G-sets
-# ---------------------------------------------------------------------------
-
-
-def underlying_cells(x: GCWComplex, n: int):
-    """(elements, action) of the G-set of individual n-cells, pairs (orbit
-    index, coset), in the shape of `coset_g_set`."""
-    group = x.group
-    cells, action = [], {}
-    for i, lab in enumerate(x.cells.get(n, ())):
-        elements, act = coset_g_set(group, frozenset(lab))
-        cells.extend((i, c) for c in elements)
-        for g in group.elements:
-            for c in elements:
-                action[(g, (i, c))] = (i, act[(g, c)])
-    return cells, action
 
 
 # ---------------------------------------------------------------------------
@@ -458,38 +444,21 @@ def bar_resolution_truncated(group: FinGroup, truncation: int) -> CatChainComple
 
 def _underlying_complex(x: GCWComplex) -> CatChainComplex:
     """Cellular chains of the underlying space, as covariant modules over the
-    one-object category of the group (left translation action)."""
+    one-object category of the group: the fixed-point chains at G/1, which is
+    free on the cosets of the orbit cells, with g acting through the
+    automorphism x |-> xg of G/1, that is, by left translation of cosets."""
     group = x.group
     ocat = one_object_category(group)
     obj = ocat.objects[0]
-    gsets = {n: underlying_cells(x, n) for n in range(x.dimension + 1)}
-    modules = {}
-    for n, (elements, action) in gsets.items():
-        value = FpAbGroup.free(len(elements))
-        index = {c: k for k, c in enumerate(elements)}
-        actions = {}
-        for g in group.elements:
-            mat = IntMatrix.selection(
-                len(elements), [index[action[(g, c)]] for c in elements])
-            actions[g] = AbHom(value, value, mat, check=False)
-        modules[n] = CatModule(ocat, COVARIANT, {obj: value}, actions)
-    diffs = {}
-    for n in range(1, x.dimension + 1):
-        low = gsets[n - 1][0]
-        index = {c: k for k, c in enumerate(low)}
-        cols = []
-        for (i, coset) in gsets[n][0]:
-            g0 = min(coset)
-            col = [0] * len(low)
-            for (coeff, j, rcos) in x.boundary.get((n, i), ()):
-                dest = _coset_label(group, group.mult(g0, min(rcos)),
-                                    frozenset(x.cells[n - 1][j]))
-                col[index[(j, dest)]] += coeff
-            cols.append(col)
-        mat = IntMatrix.from_columns(cols, nrows=len(low))
-        diffs[n] = ModuleMap(modules[n], modules[n - 1],
-                             {obj: AbHom(modules[n].value(obj),
-                                         modules[n - 1].value(obj), mat)})
+    chains = _fixed_chains(x)
+    one = (group.identity,)
+    modules = {n: CatModule(ocat, COVARIANT, {obj: chains.module(n).value(one)},
+                            {g: chains.module(n).action((one, one, (g,)))
+                             for g in group.elements})
+               for n in range(x.dimension + 1)}
+    diffs = {n: ModuleMap(modules[n], modules[n - 1],
+                          {obj: chains.diff(n).component(one)})
+             for n in range(1, x.dimension + 1)}
     return CatChainComplex(ocat, COVARIANT, 0, x.dimension, modules, diffs)
 
 

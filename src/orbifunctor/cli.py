@@ -568,14 +568,19 @@ def _decode_cell_data(data, path, decode_label, decode_attach):
     return cells, boundary
 
 
+def _encode_cell_data(x):
+    """The cells and boundary of either kind of cell complex, as
+    `_decode_cell_data` reads them."""
+    return {"cells": {str(n): _listify(labs)
+                      for n, labs in sorted(x.cells.items())},
+            "boundary": [[str(n), str(i),
+                          [[str(c), str(j), _listify(attach)]
+                           for c, j, attach in terms]]
+                         for (n, i), terms in sorted(x.boundary.items())]}
+
+
 def encode_icw(x: CatCWComplex):
-    boundary = [[str(n), str(i),
-                 [[str(c), str(j), _listify(phi)] for c, j, phi in terms]]
-                for (n, i), terms in sorted(x.boundary.items())]
-    out = {"kind": "cells",
-           "cells": {str(n): _listify(list(labs))
-                     for n, labs in sorted(x.cells.items())},
-           "boundary": boundary}
+    out = {"kind": "cells", **_encode_cell_data(x)}
     if x.truncation_valid is not None:
         out["truncation_valid"] = str(x.truncation_valid)
     return out
@@ -604,13 +609,7 @@ def decode_icw(data, path, ctx):
 
 
 def encode_gcw(x: GCWComplex):
-    boundary = [[str(n), str(i),
-                 [[str(c), str(j), _listify(list(coset))]
-                  for c, j, coset in terms]]
-                for (n, i), terms in sorted(x.boundary.items())]
-    return {"cells": {str(n): _listify([list(lab) for lab in labs])
-                      for n, labs in sorted(x.cells.items())},
-            "boundary": boundary}
+    return _encode_cell_data(x)
 
 
 def decode_gcw(data, path, ctx):

@@ -857,9 +857,9 @@ def hom_cokernel(f: AbHom):
     return grp, projection
 
 
-def _image_of(f: AbHom, lattice: LatticeBasis):
-    """(image group, mono into target, epi from source), given the kernel
-    lattice of f."""
+def hom_image(f: AbHom):
+    """(image group, mono into target, epi from source)."""
+    _, lattice, _ = hom_kernel(f)
     # image = Z^{source gens} / (preimage lattice of 0)
     grp = cokernel_presentation(lattice.matrix)
     epi = AbHom(f.source, grp, grp.to_can)
@@ -867,23 +867,15 @@ def _image_of(f: AbHom, lattice: LatticeBasis):
     return grp, mono, epi
 
 
-def hom_image(f: AbHom):
-    """(image group, mono into target, epi from source)."""
-    _, lattice, _ = hom_kernel(f)
-    return _image_of(f, lattice)
-
-
 def hom_kernel_cokernel(f: AbHom):
-    """(kernel, cokernel, image) canonical forms; 0→ker→A→B→coker→0 is exact."""
-    ker, lattice, _ = hom_kernel(f)
+    """(kernel, cokernel) canonical forms; `hom_image` gives the image."""
+    ker, _, _ = hom_kernel(f)
     coker, _ = hom_cokernel(f)
-    image, _, _ = _image_of(f, lattice)
-    return ker, coker, image
+    return ker, coker
 
 
 def is_isomorphism(f: AbHom) -> bool:
-    ker, _, _ = hom_kernel(f)
-    coker, _ = hom_cokernel(f)
+    ker, coker = hom_kernel_cokernel(f)
     return ker.is_trivial() and coker.is_trivial()
 
 

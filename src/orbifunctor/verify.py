@@ -241,7 +241,7 @@ ComparisonReport = namedtuple(
 
 
 def classify_map(f: AbHom) -> MapClass:
-    ker, coker, _ = hom_kernel_cokernel(f)
+    ker, coker = hom_kernel_cokernel(f)
     if ker.is_trivial() and coker.is_trivial():
         return MapClass(ISO, ker, coker, 1)
     if ker.rank == 0 and coker.rank == 0:
@@ -486,19 +486,26 @@ def interchange_criterion(spec: GradedSeqSpec, window=(6, 6)) -> InterchangeRepo
         raise ValueError(f"interchange window {window} holds {total} "
                          f"generators, more than the bound "
                          f"{INTERCHANGE_GEN_BOUND}")
-    src_order = [(i, j) for i in range(top_i) for j in range(top_j)]
-    tgt_order = [(i, j) for j in range(top_j) for i in range(top_i)]
-    ds_src = DirectSum([slot[k] for k in src_order])
-    ds_tgt = DirectSum([slot[k] for k in tgt_order])
-    blocks = {}
-    for jdx, key in enumerate(src_order):
-        blocks[(tgt_order.index(key), jdx)] = AbHom.identity(slot[key])
-    f = block_hom(ds_src, ds_tgt, blocks)
-    ker, coker, _ = hom_kernel_cokernel(f)
+    f, _ = _regrouping(slot, range(top_i), range(top_j))
+    ker, coker = hom_kernel_cokernel(f)
     return InterchangeReport(symbolic, reason, window,
                              ker.is_trivial(),
                              ker.is_trivial() and coker.is_trivial(),
-                             ds_src.group, ds_tgt.group)
+                             f.source, f.target)
+
+
+def _regrouping(parts, rows, cols):
+    """(map, source sum): the sum of parts[(i, j)] over the grid rows x cols,
+    listed row by row, onto the same sum listed column by column; every
+    block is an identity."""
+    src_order = [(i, j) for i in rows for j in cols]
+    tgt_index = {key: k for k, key in
+                 enumerate((i, j) for j in cols for i in rows)}
+    ds_src = DirectSum([parts[key] for key in src_order])
+    ds_tgt = DirectSum([parts[key] for key in tgt_index])
+    blocks = {(tgt_index[key], jdx): AbHom.identity(parts[key])
+              for jdx, key in enumerate(src_order)}
+    return block_hom(ds_src, ds_tgt, blocks), ds_src
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +539,8 @@ def tor_interchange_probe(prime: int, m_top: int, n_top: int) -> TorProbeReport:
     ms = range(2, m_top + 1)
     ns = range(2, n_top + 1)
     cyc = {(m, n): FpAbGroup.cyclic(prime ** min(m, n)) for m in ms for n in ns}
-    src_order = [(m, n) for m in ms for n in ns]
-    tgt_order = [(m, n) for n in ns for m in ms]
-    ds_src = DirectSum([cyc[k] for k in src_order])
-    ds_tgt = DirectSum([cyc[k] for k in tgt_order])
-    blocks = {(tgt_order.index(k), jdx): AbHom.identity(cyc[k])
-              for jdx, k in enumerate(src_order)}
-    window_iso = is_isomorphism(block_hom(ds_src, ds_tgt, blocks))
+    regroup, ds_src = _regrouping(cyc, ms, ns)
+    window_iso = is_isomorphism(regroup)
 
     diagonal_parts = [FpAbGroup.cyclic(prime ** n) for n in ns]
     ds_diag = DirectSum(diagonal_parts)
@@ -548,7 +550,7 @@ def tor_interchange_probe(prime: int, m_top: int, n_top: int) -> TorProbeReport:
     # the m <= M block maps into the diagonal product by the canonical
     # inclusions Z/p^min(m,n) -> Z/p^n (multiplication by p^(n - min))
     inc_blocks = {}
-    for jdx, (m, n) in enumerate(src_order):
+    for jdx, (m, n) in enumerate(cyc):     # row by row, as in ds_src
         i = n - 2
         factor = prime ** (n - min(m, n))
         inc_blocks[(i, jdx)] = AbHom(
@@ -595,10 +597,9 @@ def borel_vs_quotient_check(group: FinGroup, x: GCWComplex, truncation: int,
     passed = True
     for p in degrees:
         ann = annihilators[p] if annihilators else (order ** p if p else 1)
-        ker, coker, _ = hom_kernel_cokernel(
+        kind, ker, coker, annihilator = classify_map(
             induced_map_on_homology(bq.projection, p))
-        ok = (ker.rank == 0 and coker.rank == 0
-              and ann % ker.exponent() == 0 and ann % coker.exponent() == 0)
+        ok = kind != NEITHER and ann % annihilator == 0
         passed = passed and ok
         per_degree[p] = (ker, coker, ann, ok)
     return BorelCheckReport(per_degree, passed, valid)
@@ -662,19 +663,21 @@ def with_padded_degree(inst: TheoremInstance) -> TheoremInstance:
         extra_deg - 1, base.module(extra_deg - 1)))
     padded = CatChainComplex(inst.index_cat, CONTRAVARIANT, base.lo,
                              extra_deg, modules, diffs)
-    return TheoremInstance(inst.index_cat, padded, inst.group, inst.family,
-                           inst.space, inst.coefficients, inst.top_degree,
-                           inst.through_degree, inst.vanishing_floor,
-                           inst.mode)
+    return _variant(inst, free_complex=padded)
 
 
 def with_inflated_floor(inst: TheoremInstance) -> TheoremInstance:
     """Engineered defect: claim coefficient homology vanishes one degree
     higher than it does.  The vanishing check must fail with a witness."""
-    return TheoremInstance(inst.index_cat, inst.free_complex, inst.group,
-                           inst.family, inst.space, inst.coefficients,
-                           inst.top_degree, inst.through_degree,
-                           inst.vanishing_floor + 1, inst.mode)
+    return _variant(inst, vanishing_floor=inst.vanishing_floor + 1)
+
+
+def _variant(inst: TheoremInstance, **changes) -> TheoremInstance:
+    """inst rebuilt with every constructor field copied except `changes`;
+    each slot but the derived orbit category is a constructor field."""
+    fields = {name: getattr(inst, name) for name in TheoremInstance.__slots__
+              if name != "orbit_cat"}
+    return TheoremInstance(**{**fields, **changes})
 
 
 def twisted_coefficient_system(index_cat: FinCategory):

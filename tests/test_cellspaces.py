@@ -8,6 +8,7 @@ the standard small resolutions, fixed-point counts by listing cells.
 import argparse
 import json
 import signal
+from functools import partial
 
 import pytest
 
@@ -15,14 +16,18 @@ import orbifunctor.cellspaces as cs
 import orbifunctor.chainplex as chainplex
 
 from orbifunctor.exact_abelian import (
+    AbHom,
     FpAbGroup,
+    IntMatrix,
     hom_kernel_cokernel,
     is_isomorphism,
 )
 from orbifunctor.fincat import (
     FinGroup,
     SubgroupFamily,
+    _coset_label,
     coset_g_set,
+    one_object_category,
     pi0,
     standard_category,
     transport_groupoid,
@@ -30,10 +35,13 @@ from orbifunctor.fincat import (
 from orbifunctor.catmod import (
     CONTRAVARIANT,
     COVARIANT,
+    CatModule,
+    ModuleMap,
     constant_module,
     free_module,
 )
 from orbifunctor.chainplex import (
+    CatChainComplex,
     cat_complex_concentrated,
     euler_characteristic,
     homology,
@@ -59,7 +67,6 @@ from orbifunctor.cellspaces import (
     hexagon_s3,
     point_space,
     reflection_circle,
-    underlying_cells,
 )
 from orbifunctor.cli import (
     decode_group,
@@ -83,6 +90,22 @@ def groups_of(c, top):
 # ---------------------------------------------------------------------------
 # CatCWComplex construction and the chain functor
 # ---------------------------------------------------------------------------
+
+
+def on_both_constructors(counts, boundary=None):
+    """The same cell data as a CatCWComplex (each cell at object 0 of a chain
+    category, attached along the identity) and as a GCWComplex (free C_2
+    orbits, attached along the identity coset); one builder each.  counts:
+    dimension -> number of cells; boundary: (n, i) -> (coeff, j) terms."""
+    builds = []
+    for make, label, attach in (
+            (partial(CatCWComplex, standard_category("chain", 1)), 0, (0, 0)),
+            (partial(GCWComplex, C2), TRIV, TRIV)):
+        cells = {n: (label,) * k for n, k in counts.items()}
+        terms = {key: tuple((c, j, attach) for c, j in ts)
+                 for key, ts in dict(boundary or {}).items()}
+        builds.append(partial(make, cells, terms))
+    return builds
 
 
 class TestCatCW:
@@ -110,21 +133,35 @@ class TestCatCW:
             CatCWComplex(cat, {0: (0, 1), 1: (0,)},
                          {(1, 0): ((1, 1, (0, 2)),)})
 
+    # the structural checks are shared, so each runs on both constructors
+
     def test_bad_cell_index_rejected(self):
-        cat = standard_category("chain", 1)
-        with pytest.raises(ValueError, match="missing cell index"):
-            CatCWComplex(cat, {0: (0,), 1: (0,)},
-                         {(1, 0): ((1, 5, (0, 0)),)})
+        for build in on_both_constructors({0: 1, 1: 1}, {(1, 0): ((1, 5),)}):
+            with pytest.raises(ValueError, match="missing cell index"):
+                build()
 
     def test_boundary_key_must_name_a_cell(self):
-        cat = standard_category("chain", 1)
-        with pytest.raises(ValueError, match="names no cell"):
-            CatCWComplex(cat, {0: (0,)}, {(1, 0): ()})
+        for build in on_both_constructors({0: 1}, {(1, 0): ()}):
+            with pytest.raises(ValueError, match="names no cell"):
+                build()
 
     def test_empty_complex_rejected(self):
-        cat = standard_category("chain", 1)
-        with pytest.raises(ValueError, match="no cells"):
-            CatCWComplex(cat, {0: ()})
+        for build in on_both_constructors({0: 0}):
+            with pytest.raises(ValueError, match="no cells"):
+                build()
+
+    def test_negative_dimension_rejected(self):
+        for build in on_both_constructors({-1: 1, 0: 1}):
+            with pytest.raises(ValueError, match="dimensions must be >= 0"):
+                build()
+
+    def test_zero_terms_and_empty_keys_dropped(self):
+        for build in on_both_constructors(
+                {0: 2, 1: 2}, {(1, 0): ((0, 1), (1, 0)), (1, 1): ((0, 0),)}):
+            x = build()
+            assert x.dimension == 1 and x.cell_count(1) == 2
+            assert list(x.boundary) == [(1, 0)]
+            assert [t[:2] for t in x.boundary[(1, 0)]] == [(1, 0)]
 
     def test_boundary_not_squaring_to_zero_rejected(self):
         # a 2-cell whose boundary is a single 1-cell with nonzero boundary
@@ -319,8 +356,81 @@ class TestCentralizerQuotient:
 
 
 # ---------------------------------------------------------------------------
-# G-sets
+# G-sets and the underlying chains
 # ---------------------------------------------------------------------------
+
+
+def underlying_cells(x, n):
+    """(elements, action) of the G-set of individual n-cells, pairs (orbit
+    index, coset), in the shape of `coset_g_set`."""
+    group = x.group
+    cells, action = [], {}
+    for i, lab in enumerate(x.cells.get(n, ())):
+        elements, act = coset_g_set(group, frozenset(lab))
+        cells.extend((i, c) for c in elements)
+        for g in group.elements:
+            for c in elements:
+                action[(g, (i, c))] = (i, act[(g, c)])
+    return cells, action
+
+
+def coset_underlying_complex(x):
+    """Underlying cellular chains built cell by cell from `underlying_cells`
+    and coset arithmetic, without the orbit category: the oracle for the
+    route through the fixed-point chains at G/1."""
+    group = x.group
+    ocat = one_object_category(group)
+    obj = ocat.objects[0]
+    gsets = {n: underlying_cells(x, n) for n in range(x.dimension + 1)}
+    modules = {}
+    for n, (elements, action) in gsets.items():
+        value = FpAbGroup.free(len(elements))
+        index = {c: k for k, c in enumerate(elements)}
+        actions = {}
+        for g in group.elements:
+            mat = IntMatrix.selection(
+                len(elements), [index[action[(g, c)]] for c in elements])
+            actions[g] = AbHom(value, value, mat, check=False)
+        modules[n] = CatModule(ocat, COVARIANT, {obj: value}, actions)
+    diffs = {}
+    for n in range(1, x.dimension + 1):
+        low = gsets[n - 1][0]
+        index = {c: k for k, c in enumerate(low)}
+        cols = []
+        for (i, coset) in gsets[n][0]:
+            g0 = min(coset)
+            col = [0] * len(low)
+            for (coeff, j, rcos) in x.boundary.get((n, i), ()):
+                dest = _coset_label(group, group.mult(g0, min(rcos)),
+                                    frozenset(x.cells[n - 1][j]))
+                col[index[(j, dest)]] += coeff
+            cols.append(col)
+        mat = IntMatrix.from_columns(cols, nrows=len(low))
+        diffs[n] = ModuleMap(modules[n], modules[n - 1],
+                             {obj: AbHom(modules[n].value(obj),
+                                         modules[n - 1].value(obj), mat)})
+    return CatChainComplex(ocat, COVARIANT, 0, x.dimension, modules, diffs)
+
+
+def trivial_circle():
+    e = FinGroup.trivial()
+    lab = (e.identity,)
+    return GCWComplex(e, {0: (lab,), 1: (lab,)})
+
+
+# every kind of G-CW space the suite builds: points with full stabilizer,
+# free orbits, circles with fixed and with free cells, the hexagon
+GCW_SPACES = {
+    "c2-point": lambda: point_space(C2),
+    "c3-point": lambda: point_space(FinGroup.cyclic(3)),
+    "d4-point": lambda: point_space(FinGroup.dihedral(4)),
+    "s3-free-orbit": lambda: free_orbit_points(FinGroup.symmetric(3)),
+    "reflection-circle": reflection_circle,
+    "antipodal-circle": antipodal_circle,
+    "hexagon": hexagon_s3,
+    "c4-rotation-circle": lambda: rotation_circle(FinGroup.cyclic(4), 1),
+    "trivial-circle": trivial_circle,
+}
 
 
 class TestGSets:
@@ -330,15 +440,25 @@ class TestGSets:
         assert pi0(transport_groupoid(C2, elements, action)) == \
             (((0,), (1,)),)
 
-    def test_underlying_cells_of_hexagon(self):
-        hexa = hexagon_s3()
-        verts = underlying_cells(hexa, 0)
-        edges = underlying_cells(hexa, 1)
-        assert len(verts[0]) == 6 and len(edges[0]) == 6
-        orbits = {n: pi0(transport_groupoid(hexa.group, *cells))
-                  for n, cells in ((0, verts), (1, edges))}
-        assert sorted(len(o) for o in orbits[0]) == [3, 3]
-        assert [len(o) for o in orbits[1]] == [6]
+    @pytest.mark.parametrize("name", sorted(GCW_SPACES))
+    def test_underlying_chains_match_the_coset_builder(self, name):
+        x = GCW_SPACES[name]()
+        new, old = cs._underlying_complex(x), coset_underlying_complex(x)
+        assert (new.lo, new.hi, new.variance) == (old.lo, old.hi, COVARIANT)
+        for n in new.degrees():
+            fresh, kept = new.module(n), old.module(n)
+            assert fresh.value("*") == kept.value("*")
+            for g in x.group.elements:
+                assert fresh.action(g).matrix == kept.action(g).matrix
+            if n > new.lo:
+                assert (new.diff(n).component("*").matrix
+                        == old.diff(n).component("*").matrix)
+        if name == "hexagon":
+            assert [new.module(n).value("*").ngens for n in (0, 1)] == [6, 6]
+            orbits = {n: pi0(transport_groupoid(
+                x.group, *underlying_cells(x, n))) for n in (0, 1)}
+            assert sorted(len(o) for o in orbits[0]) == [3, 3]
+            assert [len(o) for o in orbits[1]] == [6]
 
     def test_transport_groupoid_roundtrip(self):
         cat = transport_groupoid(C2, *coset_g_set(C2, FULL))
@@ -390,7 +510,7 @@ class TestBorel:
         assert groups_of(bq.quotient, 0) == ["Z"]
         kernels = []
         for p in range(top + 1):
-            ker, coker, _ = hom_kernel_cokernel(
+            ker, coker = hom_kernel_cokernel(
                 induced_map_on_homology(bq.projection, p))
             assert coker.is_trivial()
             kernels.append(ker)
@@ -412,7 +532,7 @@ class TestBorel:
     def test_projection_onto_h0_is_surjective(self):
         for x in (point_space(C2), reflection_circle(), antipodal_circle()):
             bq = borel_and_quotient(x, 3)
-            _, coker, _ = hom_kernel_cokernel(
+            _, coker = hom_kernel_cokernel(
                 induced_map_on_homology(bq.projection, 0))
             assert coker.is_trivial()
 

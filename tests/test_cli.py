@@ -6,6 +6,7 @@ and checking the report bytes do not drift between runs.
 
 import ast
 import copy
+import hashlib
 import importlib.resources
 import json
 import os
@@ -28,6 +29,7 @@ from orbifunctor.cellspaces import (
     bar_resolution_truncated,
     classifying_model,
     hexagon_s3,
+    point_space,
     reflection_circle,
 )
 from orbifunctor.chainplex import validate_bifunctor
@@ -373,7 +375,38 @@ class TestCommands:
                      "--truncation", "4"]) == 0
 
 
+def borel_manifest(space):
+    return {"version": "1", "group": {"kind": "cyclic", "n": "2"},
+            "gcw": encode_gcw(space)}
+
+
+# SHA-256 of the report each command line writes: (manifest, arguments,
+# digest).  Reports are the same bytes on every run, so a refactor that keeps
+# them keeps these digests.
+PINNED_REPORTS = {
+    "verify-theorem-shipped": (
+        lambda: json.loads(shipped_text()), ["verify-theorem"],
+        "30578e0593254cdfa30f86f1080bbca322cd67c2d783ec94c0f6f873a4b2f0a6"),
+    "borel-check-c2-point-t6": (
+        lambda: borel_manifest(point_space(FinGroup.cyclic(2))),
+        ["borel-check", "--truncation", "6"],
+        "6d7c0ab1c4574a82d3132015634b0a0849345690cf5d4f174b91e41c7b143af7"),
+    "borel-check-c2-reflection-t5": (
+        lambda: borel_manifest(reflection_circle()),
+        ["borel-check", "--truncation", "5"],
+        "604d60dc96f39ed3d1d70c920aceb257fc604419b1bef826573ef719d46bb679"),
+}
+
+
 class TestReports:
+    @pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+    def test_report_bytes_match_the_pinned_digest(self, tmp_path, case):
+        manifest, argv, digest = PINNED_REPORTS[case]
+        out = tmp_path / "r.json"
+        assert main(argv + ["--manifest", write_manifest(tmp_path, manifest()),
+                            "--report", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_report_bytes_stable(self, tmp_path):
         path = write_manifest(tmp_path, json.loads(shipped_text()))
         out1 = tmp_path / "r1.json"

@@ -255,6 +255,20 @@ class TestEngineeredDefects:
         groups = {grp for _, _, _, grp in rep.b.witnesses}
         assert groups == {Z}
 
+    @pytest.mark.parametrize("variant", [with_padded_degree,
+                                         with_inflated_floor])
+    def test_variants_keep_the_truncation_flag(self, variant):
+        inst = instance_z2_reflection(3)
+        marked = TheoremInstance(inst.index_cat, inst.free_complex,
+                                 inst.group, inst.family, inst.space,
+                                 inst.coefficients, inst.top_degree,
+                                 inst.through_degree, inst.vanishing_floor,
+                                 inst.mode, coeff_truncated=True)
+        moved = variant(marked)
+        assert moved.coeff_truncated
+        with pytest.raises(ValueError, match="unreliable"):
+            verify_comparison(moved)
+
     def test_twisted_system_fails_factorization(self):
         idx = standard_category("chain", 1)
         group, family, e = twisted_coefficient_system(idx)
