@@ -20,6 +20,8 @@ index-complex dimension plus one.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .exact_abelian import (
     AbHom,
     DirectSum,
@@ -43,7 +45,7 @@ from .catmod import (
 class PlainChainComplex:
     """Bounded complex of f.p. abelian groups; d_p: C_p -> C_{p-1}."""
 
-    __slots__ = ("lo", "hi", "groups", "diffs", "_homology")
+    __slots__ = ("lo", "hi", "groups", "diffs", "_homology", "_identity")
 
     def __init__(self, lo, hi, groups, diffs):
         if lo > hi:
@@ -53,6 +55,7 @@ class PlainChainComplex:
         self.groups = {p: groups[p] for p in range(lo, hi + 1)}
         self.diffs = {}
         self._homology = {}  # degree -> HomologyData; complexes never change
+        self._identity = None  # the shared ChainMap.identity of this complex
         for p in range(lo + 1, hi + 1):
             d = diffs.get(p)
             if d is None:
@@ -138,8 +141,14 @@ class ChainMap:
 
     @classmethod
     def identity(cls, c: PlainChainComplex):
-        return cls(c, c, {p: AbHom.identity(c.group(p)) for p in c.degrees()},
-                   check=False)
+        """The identity of c: one shared instance per complex, with read-only
+        components."""
+        if c._identity is None:
+            ident = cls(c, c, {p: AbHom.identity(c.group(p))
+                               for p in c.degrees()}, check=False)
+            ident.components = MappingProxyType(ident.components)
+            c._identity = ident
+        return c._identity
 
     def component(self, p) -> AbHom:
         h = self.components.get(p)
@@ -299,6 +308,18 @@ def tor(left: CatModule, right: CatModule, p: int) -> FpAbGroup:
 # ---------------------------------------------------------------------------
 
 
+def _shared(objects, parts, build) -> dict:
+    """{x: build(x)} for x in objects, built once per distinct parts(x):
+    objects whose parts are the same objects share one result."""
+    built, out = {}, {}
+    for x in objects:
+        key = tuple(map(id, parts(x)))
+        if key not in built:
+            built[key] = build(x)
+        out[x] = built[key]
+    return out
+
+
 class BiFunctorComplex:
     """A complex-valued functor of two variables on I^op × J.
 
@@ -342,12 +363,17 @@ class BiFunctorComplex:
     @classmethod
     def constant_in_index(cls, index_base, coeff_complex: CatChainComplex):
         """Every index object sees the same covariant coefficient complex:
-        one evaluation and one identity per object, one chain map per
-        morphism of the coefficient base, all shared across the index."""
+        one evaluation and one identity per distinct coefficient object (the
+        same values and differential components; a constant module has one),
+        one chain map per morphism of the coefficient base, all shared across
+        the index."""
         if coeff_complex.variance != "co":
             raise ValueError("coefficient leg must be covariant")
         jcat = coeff_complex.base
-        plain = {j: coeff_complex.evaluate_at(j) for j in jcat.objects}
+        plain = _shared(jcat.objects, lambda j: (
+            [coeff_complex.modules[p].values[j] for p in coeff_complex.degrees()]
+            + [d.components[j] for d in coeff_complex.diffs.values()]),
+            coeff_complex.evaluate_at)
         identities = {j: ChainMap.identity(c) for j, c in plain.items()}
         moves = {psi: ChainMap(plain[jcat.dom[psi]], plain[jcat.cod[psi]],
                                {p: coeff_complex.module(p).action(psi)
@@ -641,13 +667,21 @@ class ComparisonData:
         self.e = e
 
         # hom_I(D, E(-, j)) per coefficient object, glued into a covariant
-        # complex of modules over J: ψ: j1 -> j2 postcomposes with E(-, ψ)
-        self.hom_totals = {j: TotalHomComplex(d, e.column_complex_at(j))
-                           for j in jcat.objects}
-        homs = self.hom_totals
+        # complex of modules over J: ψ: j1 -> j2 postcomposes with E(-, ψ).
+        # Coefficient objects whose columns are the same complexes under the
+        # same index actions share one total, on which a ψ acting by
+        # identities acts by the identity
+        self.hom_totals = homs = _shared(jcat.objects, lambda j: (
+            [e.complexes[(i, j)] for i in icat.objects]
+            + [e.index_action[(phi, j)] for phi in icat.morphisms]),
+            lambda j: TotalHomComplex(d, e.column_complex_at(j)))
         hom_maps = {}
         for psi in jcat.morphisms:
             h1, h2 = homs[jcat.dom[psi]], homs[jcat.cod[psi]]
+            if h1 is h2 and all(e.coeff_action[(i, psi)].is_identity()
+                                for i in icat.objects):
+                hom_maps[psi] = ChainMap.identity(h1.complex)
+                continue
             hom_maps[psi] = hom_total_induced(h1, h2, {
                 q: ModuleMap(h1.target.module(q), h2.target.module(q),
                              {i: e.coeff_action[(i, psi)].component(q)
@@ -660,17 +694,11 @@ class ComparisonData:
 
         # C ⊗_J E(i, -) per index object, glued into a contravariant complex
         # of modules over I: φ: a -> b moves the right factors by E(φ, -).
-        # Index objects whose rows are the same complexes under the same
-        # coefficient actions share one total, on which a φ acting by
-        # identities acts by the identity
-        shared, rows = {}, {}
-        for i in icat.objects:
-            key = tuple(id(e.complexes[(i, j)]) for j in jcat.objects) + \
-                tuple(id(e.coeff_action[(i, psi)]) for psi in jcat.morphisms)
-            if key not in shared:
-                shared[key] = TotalTensorComplex(c, e.row_complex_at(i))
-            rows[i] = shared[key]
-        self.row_totals = rows
+        # Rows are shared as the columns are above
+        self.row_totals = rows = _shared(icat.objects, lambda i: (
+            [e.complexes[(i, j)] for j in jcat.objects]
+            + [e.coeff_action[(i, psi)] for psi in jcat.morphisms]),
+            lambda i: TotalTensorComplex(c, e.row_complex_at(i)))
         row_maps = {}
         for phi in icat.morphisms:
             ra, rb = rows[icat.dom[phi]], rows[icat.cod[phi]]
@@ -687,18 +715,21 @@ class ComparisonData:
                         {i: rows[i].complex for i in icat.objects}, row_maps)
         self.target_total = TotalHomComplex(d, self.ce)
 
+        projections = {}    # (p, n, k) -> the components of π over J
         comps = {}
         for m in self.source_total.complex.degrees():
-            comps[m] = self._component(m)
+            comps[m] = self._component(m, projections)
         self.chain_map = ChainMap(self.source_total.complex,
                                   self.target_total.complex, comps)
 
-    def _component(self, m) -> AbHom:
+    def _component(self, m, projections) -> AbHom:
         # hom_I(D_p, X) is ⊕_k X(c_k) over the generators k (at c_k) of D_p,
         # so the block from C_a ⊗ H_n (H the glued hom_I(D, E)) to generator k
         # is 1_C ⊗ π into the summand (a, p+n) of (C ⊗_J E(c_k, -))_{p+m},
-        # where π evaluates the p-th summand of H_n at k
+        # where π evaluates the p-th summand of H_n at k; projections keeps
+        # π's components across degrees, one per distinct hom total
         src, tt, e = self.source_total, self.target_total, self.e
+        homs = self.hom_totals
         blocks = {}
         for jdx, (a, n) in enumerate(src.keys[m]):
             ct = src.tensors[(a, n)]
@@ -709,10 +740,14 @@ class ComparisonData:
                 parts = []
                 for k, c in enumerate(self.d.module(p).free_gens):
                     rt = self.row_totals[c]
-                    pi = ModuleMap(ct.right, rt.tensors[key].right, {
-                        j: ht.homs[(p, n)].evals.project(k).compose(
-                            ht.sums[n].project(ht.keys[n].index(p)))
-                        for j, ht in self.hom_totals.items()})
+                    if (p, n, k) not in projections:
+                        projections[(p, n, k)] = _shared(
+                            homs, lambda j: (homs[j],),
+                            lambda j: homs[j].homs[(p, n)].evals.project(k)
+                            .compose(homs[j].sums[n].project(
+                                homs[j].keys[n].index(p))))
+                    pi = ModuleMap(ct.right, rt.tensors[key].right,
+                                   projections[(p, n, k)])
                     inject = rt.sums[p + m].inject(rt.keys[p + m].index(key))
                     parts.append(inject.compose(
                         ct.induced(rt.tensors[key], None, pi)))

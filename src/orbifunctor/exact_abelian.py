@@ -630,6 +630,8 @@ class FpAbGroup:
         """mat with torsion rows reduced; mat itself when nothing changes."""
         if mat.nrows != self.ngens:
             raise ValueError("row count must match ngens")
+        if not self.torsion:
+            return mat
         nonzeros = list(mat.nonzeros)
         for j, t in enumerate(self.torsion, self.rank):
             if any(not 0 <= x < t for x in nonzeros[j].values()):

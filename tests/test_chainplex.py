@@ -613,8 +613,10 @@ def test_comparison_totals_share_one_euler_characteristic(which):
 @pytest.mark.parametrize("which", sorted(DESK))
 def test_comparison_map_equals_that_of_the_explicit_round_trip(which):
     # constant-in-index coefficients share one row total, on which the index
-    # leg acts by implicit identities; written out as an explicit bifunctor,
-    # which shares nothing, they must give the same map in every degree
+    # leg acts by implicit identities, and the constant Z shares one hom
+    # total, on which the coefficient leg does; written out as an explicit
+    # bifunctor, which shares nothing, they must give the same map in every
+    # degree
     inst = DESK[which](3)
     ctx = {"group": inst.group, "family": inst.family,
            "category": inst.index_cat}
@@ -626,6 +628,9 @@ def test_comparison_map_equals_that_of_the_explicit_round_trip(which):
     assert len({id(t) for t in shared.row_totals.values()}) == 1
     assert len({id(t) for t in apart.row_totals.values()}) == \
         len(inst.index_cat.objects)
+    assert len({id(t) for t in shared.hom_totals.values()}) == 1
+    assert len({id(t) for t in apart.hom_totals.values()}) == \
+        len(inst.coefficients.coeff_base.objects)
     for mine, theirs in ((shared.source_total, apart.source_total),
                          (shared.target_total, apart.target_total)):
         assert_same_complex(mine.complex, theirs.complex)

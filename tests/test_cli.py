@@ -18,7 +18,7 @@ import time
 import pytest
 
 import orbifunctor
-from orbifunctor.exact_abelian import FpAbGroup, IntMatrix
+from orbifunctor.exact_abelian import AbHom, FpAbGroup, IntMatrix
 from orbifunctor.fincat import (
     FinGroup,
     SubgroupFamily,
@@ -32,7 +32,7 @@ from orbifunctor.cellspaces import (
     point_space,
     reflection_circle,
 )
-from orbifunctor.chainplex import validate_bifunctor
+from orbifunctor.chainplex import ChainMap, validate_bifunctor
 from orbifunctor.verify import GradedSeqSpec, transport_pi0_module
 from orbifunctor.cli import (
     ManifestError,
@@ -387,6 +387,9 @@ PINNED_REPORTS = {
     "verify-theorem-shipped": (
         lambda: json.loads(shipped_text()), ["verify-theorem"],
         "30578e0593254cdfa30f86f1080bbca322cd67c2d783ec94c0f6f873a4b2f0a6"),
+    "verify-theorem-hexagon": (
+        hexagon_desk_manifest, ["verify-theorem"],
+        "c08ceabc8ce832a60d490487c9fc3ee7df4e1cf088f828161e4b45febf7560e6"),
     "borel-check-c2-point-t6": (
         lambda: borel_manifest(point_space(FinGroup.cyclic(2))),
         ["borel-check", "--truncation", "6"],
@@ -467,16 +470,51 @@ class TestReports:
         for cat in (full, orbit_category(iso.group, iso)):
             assert sum(c == cat for c in built) == 1
 
+    def test_hexagon_desk_run_shares_the_hom_side(self, monkeypatch):
+        import orbifunctor.chainplex as chainplex
+        counts = {"totals": 0, "induced": 0}
+        init = chainplex.TotalHomComplex.__init__
+        induced = chainplex.hom_total_induced
+
+        def counted_init(self, *args):
+            counts["totals"] += 1
+            init(self, *args)
+
+        def counted_induced(*args):
+            counts["induced"] += 1
+            return induced(*args)
+        monkeypatch.setattr(chainplex.TotalHomComplex, "__init__", counted_init)
+        monkeypatch.setattr(chainplex, "hom_total_induced", counted_induced)
+        manifest = parse_manifest(json.dumps(hexagon_desk_manifest()))
+        assert run("verify-theorem", manifest).passed
+        # the constant Z has one column, so one hom total beside the target
+        # total, and every morphism of Or(S_3) acts on it by the identity
+        assert counts == {"totals": 2, "induced": 0}
+
     def test_desk_runs_leave_the_shared_identities_intact(self):
-        for data in (hexagon_desk_manifest(), json.loads(shipped_text())):
-            assert run("verify-theorem", parse_manifest(json.dumps(data))
-                       ).passed
+        manifests = [parse_manifest(json.dumps(data)) for data in
+                     (hexagon_desk_manifest(), json.loads(shipped_text()))]
+        for manifest in manifests:
+            assert run("verify-theorem", manifest).passed
         for n in range(8):
             ident = IntMatrix.identity(n)
             assert (ident.nrows, ident.ncols) == (n, n)
             assert ident.nonzeros == tuple({i: 1} for i in range(n))
         with pytest.raises(TypeError):
             IntMatrix.identity(2).nonzeros[0][1] = 1
+        # the index leg of the transport-pi0 coefficients acts by the
+        # shared identity chain maps
+        for manifest in manifests:
+            for ident in manifest.get("bifunctor").index_action.values():
+                c = ident.source
+                assert ident is ChainMap.identity(c) is ChainMap.identity(c)
+                assert set(ident.components) == set(c.degrees())
+                for p in c.degrees():
+                    assert ident.component(p) == AbHom.identity(c.group(p))
+                    assert ident.component(p).matrix.is_identity()
+                with pytest.raises(TypeError):
+                    ident.components[c.lo] = AbHom.zero(c.group(c.lo),
+                                                        c.group(c.lo))
 
     def test_report_shape(self, tmp_path):
         path = write_manifest(tmp_path, json.loads(shipped_text()))

@@ -231,6 +231,16 @@ def test_group_scalars():
     assert (h.rank, h.exponent()) == (0, 6)
 
 
+def test_reduce_matrix_returns_the_matrix_of_a_free_group():
+    # a torsion-free group reduces nothing, so it hands back mat itself
+    mat = IntMatrix.from_rows([[7, -3], [0, 12]])
+    assert FpAbGroup.free(2).reduce_matrix(mat) is mat
+    with pytest.raises(ValueError, match="row count"):
+        FpAbGroup.free(3).reduce_matrix(mat)
+    reduced = FpAbGroup.from_invariants(1, [4]).reduce_matrix(mat)
+    assert reduced.rows == ((7, -3), (0, 0))
+
+
 def test_element_orders():
     g = FpAbGroup.from_invariants(0, [4])
     assert g.order_of([2]) == 2
