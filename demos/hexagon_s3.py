@@ -46,7 +46,7 @@ print("Bredon H_1:", format_group(bredon_homology(x, coeffs, 1)))
 for h in sorted(x.isotropy_family().members, key=lambda m: (len(m), sorted(m))):
     if len(h) != 2:
         continue
-    cq = centralizer_quotient_chains(x, tuple(sorted(h)))
+    cq = centralizer_quotient_chains(chains, s3, tuple(sorted(h)))
     print("fixed/centralizer for an order-2 stabilizer:",
           [format_group(homology(cq, p)) for p in cq.degrees()])
 

@@ -225,9 +225,12 @@ class ModuleMap:
 
 
 def validate_module_map(mm: ModuleMap) -> list:
-    """Naturality check over every morphism; returns problems, [] when valid."""
-    problems = []
+    """Naturality check over every morphism; returns problems, [] when valid
+    or already known natural."""
     cat = mm.source.cat
+    if all(mm._memo.get(("from", c)) for c in cat.objects):
+        return []
+    problems = []
     for c in cat.objects:
         comp = mm.components.get(c)
         if comp is None:
@@ -353,7 +356,11 @@ def _free_map(free: CatModule, target: CatModule, image_column) -> ModuleMap:
         mat = IntMatrix(len(cols), target.values[w].ngens,
                         nonzeros=cols).transpose()
         components[w] = AbHom(free.values[w], target.values[w], mat, check=False)
-    return ModuleMap(free, target, components)
+    mm = ModuleMap(free, target, components)
+    if target.is_free_marked():
+        # Yoneda: natural into a functor, which a free-marked module is
+        mm._memo.update((("from", c), True) for c in free.cat.objects)
+    return mm
 
 
 # ---------------------------------------------------------------------------

@@ -197,15 +197,14 @@ class GCWComplex:
     d.d = 0 is checked when chains are built.
     """
 
-    __slots__ = ("group", "cells", "boundary", "dimension", "_fixed_chains",
-                 "_isotropy_family")
+    __slots__ = ("group", "cells", "boundary", "dimension", "_isotropy_family")
 
     def __init__(self, group: FinGroup, cells, boundary=None):
         self.group = group
         self.dimension, self.cells, self.boundary = _cell_data(
             cells, boundary, self._label, self._attach)
-        # complexes never change: both are built on first use
-        self._fixed_chains = self._isotropy_family = None
+        # complexes never change: the family is built on first use
+        self._isotropy_family = None
 
     def _label(self, n, lab):
         lab = tuple(lab)
@@ -280,13 +279,6 @@ def fixed_point_chains(x: GCWComplex, family: SubgroupFamily) -> CatChainComplex
     return cellular_chain_complex(_orbit_cw(x, cat))
 
 
-def _fixed_chains(x: GCWComplex) -> CatChainComplex:
-    """Fixed-point chains of x over Or(G, isotropy family), built once."""
-    if x._fixed_chains is None:
-        x._fixed_chains = fixed_point_chains(x, x.isotropy_family())
-    return x._fixed_chains
-
-
 def bredon_complex(x: GCWComplex, module: CatModule) -> PlainChainComplex:
     """Coefficient chains: fixed-point chains tensored over the orbit
     category with a covariant coefficient module."""
@@ -301,26 +293,25 @@ def bredon_homology(x: GCWComplex, module: CatModule, p: int) -> FpAbGroup:
     return homology(bredon_complex(x, module), p)
 
 
-def centralizer_quotient_chains(x: GCWComplex, h_label) -> PlainChainComplex:
+def centralizer_quotient_chains(chains: CatChainComplex, group: FinGroup,
+                                h_label) -> PlainChainComplex:
     """Chains of the H-fixed points modulo the centralizer of H.
 
-    Degreewise the coinvariants of C_*(X^H) under the action of Z_G(H) by
-    translation, with the induced differential.  H must occur in the isotropy
-    family of the complex.
+    chains: fixed-point chains of a space over an orbit category of the
+    group (``fixed_point_chains``), which must have G/H as an object; the
+    value there is C_*(X^H).  Degreewise the coinvariants of C_*(X^H) under
+    the action of Z_G(H) by translation, with the induced differential.
     """
-    group = x.group
     h_lab = tuple(h_label)
     h_sub = frozenset(h_lab)
     if tuple(sorted(h_sub)) != h_lab or not group.is_subgroup(h_sub):
         raise ValueError(f"{h_label!r} is not a subgroup label")
-    if h_sub not in x.isotropy_family():
-        raise ValueError(
-            f"subgroup {h_lab!r} is not in the isotropy family of the complex")
-    chains = _fixed_chains(x)
+    if h_lab not in chains.base.ids:
+        raise ValueError(f"G/{h_lab!r} is not an object under the chains")
     moves = sorted({_coset_label(group, z, h_sub)
                     for z in group.centralizer(h_sub)})
     groups, diffs = {}, {}
-    for n in range(x.dimension + 1):
+    for n in chains.degrees():
         value = chains.module(n).value(h_lab)
         rels = []
         for coset in moves:
@@ -330,11 +321,11 @@ def centralizer_quotient_chains(x: GCWComplex, h_label) -> PlainChainComplex:
                 col[k] -= 1
                 rels.append(col)
         groups[n], _ = quotient_group(value, rels)
-    for n in range(1, x.dimension + 1):
+    for n in range(chains.lo + 1, chains.hi + 1):
         # the quotients are presented on the canonical chain coordinates
         diffs[n] = hom_from_presentation(
             groups[n], groups[n - 1], chains.diff(n).component(h_lab).matrix)
-    return PlainChainComplex(0, x.dimension, groups, diffs)
+    return PlainChainComplex(chains.lo, chains.hi, groups, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +441,7 @@ def _underlying_complex(x: GCWComplex) -> CatChainComplex:
     group = x.group
     ocat = one_object_category(group)
     obj = ocat.objects[0]
-    chains = _fixed_chains(x)
+    chains = fixed_point_chains(x, x.isotropy_family())
     one = (group.identity,)
     modules = {n: CatModule(ocat, COVARIANT, {obj: chains.module(n).value(one)},
                             {g: chains.module(n).action((one, one, (g,)))

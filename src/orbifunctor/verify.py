@@ -81,8 +81,9 @@ class TheoremInstance:
 
     index_cat: the finite index category.  free_complex: a bounded
     degreewise free-marked contravariant complex over it.  group/family fix
-    an orbit category; space is either equivariant cell data or directly a
-    free-marked contravariant complex over that orbit category.
+    an orbit category; space is either equivariant cell data with isotropy
+    in the family or directly a free-marked contravariant complex over that
+    orbit category, and ``chains``, built once, is its fixed-point chains.
     coefficients: a bifunctor complex, contravariant in the index leg and
     covariant in the orbit leg.  top_degree bounds the support of
     free_complex; through_degree is how far conclusions are requested;
@@ -92,7 +93,8 @@ class TheoremInstance:
 
     __slots__ = ("index_cat", "free_complex", "group", "family", "space",
                  "coefficients", "top_degree", "through_degree",
-                 "vanishing_floor", "mode", "coeff_truncated", "orbit_cat")
+                 "vanishing_floor", "mode", "coeff_truncated", "orbit_cat",
+                 "chains")
 
     def __init__(self, index_cat: FinCategory, free_complex: CatChainComplex,
                  group: FinGroup, family: SubgroupFamily, space,
@@ -118,19 +120,20 @@ class TheoremInstance:
             if space.group is not group and (space.group.elements != group.elements
                                              or space.group.table != group.table):
                 raise ValueError("space belongs to a different group")
+            self.chains = fixed_point_chains(space, family)
         elif isinstance(space, CatChainComplex):
             if space.base != self.orbit_cat or space.variance != CONTRAVARIANT:
                 raise ValueError(
                     "space chains must be contravariant over Or(G, family)")
             if not space.is_degreewise_free():
                 raise ValueError("space chains must carry free markers")
+            self.chains = space
         else:
             raise ValueError("space must be cell data or a chain complex")
         # Both comparison totals end in degree (top of the space chains) +
         # (top of the coefficient window) - (bottom of the free complex);
         # homology above the next degree is zero by construction.
-        space_hi = space.dimension if isinstance(space, GCWComplex) else space.hi
-        last = space_hi + coefficients.hi - free_complex.lo + 1
+        last = self.chains.hi + coefficients.hi - free_complex.lo + 1
         if not 0 <= through_degree <= last:
             raise ValueError(
                 f"through degree {through_degree} is outside [0, {last}]: the "
@@ -146,11 +149,6 @@ class TheoremInstance:
         self.vanishing_floor = vanishing_floor
         self.mode = mode
         self.coeff_truncated = coeff_truncated
-
-    def space_chains(self) -> CatChainComplex:
-        if isinstance(self.space, GCWComplex):
-            return fixed_point_chains(self.space, self.family)
-        return self.space
 
 
 # ---------------------------------------------------------------------------
@@ -199,28 +197,26 @@ def check_hypotheses(inst: TheoremInstance) -> HypothesisReport:
 
     d_witnesses = []
     annihilator = 1
-    if isinstance(inst.space, GCWComplex):
-        top_p = n + d - floor
-        fam_of_space = inst.space.isotropy_family()
-        for member in inst.family.members:
-            label = tuple(sorted(member))
-            if member not in fam_of_space:
-                d_witnesses.append((label, None, "no fixed cells: zero complex"))
-                continue
-            cq = centralizer_quotient_chains(inst.space, label)
-            for p in range(0, min(top_p, cq.hi) + 1):
-                hp = homology(cq, p)
-                d_witnesses.append((label, p, hp))
-                if hp.torsion:
-                    annihilator = lcm(annihilator, hp.exponent())
-        note_d = (f"all values finitely presented, hence finitely generated; "
-                  f"degrees checked up to {top_p}")
-        if inst.mode == ALMOST:
-            note_d += (f"; uniform torsion annihilator candidate {annihilator} "
-                       "(strict and almost coincide at finite scale)")
-    else:
-        note_d = ("space given as chains, not cells: values are finitely "
-                  "presented by construction, fixed-set quotients not sampled")
+    top_p = n + d - floor
+    chains = inst.chains
+    for member in inst.family.members:
+        label = tuple(sorted(member))
+        # X^H is empty exactly when H is outside the isotropy family
+        if all(chains.module(q).value(label).is_trivial()
+               for q in chains.degrees()):
+            d_witnesses.append((label, None, "no fixed cells: zero complex"))
+            continue
+        cq = centralizer_quotient_chains(chains, inst.group, label)
+        for p in range(0, min(top_p, cq.hi) + 1):
+            hp = homology(cq, p)
+            d_witnesses.append((label, p, hp))
+            if hp.torsion:
+                annihilator = lcm(annihilator, hp.exponent())
+    note_d = (f"all values finitely presented, hence finitely generated; "
+              f"degrees checked up to {top_p}")
+    if inst.mode == ALMOST:
+        note_d += (f"; uniform torsion annihilator candidate {annihilator} "
+                   "(strict and almost coincide at finite scale)")
     dd = Verdict(True, tuple(d_witnesses), note_d)
 
     return HypothesisReport(a, b, c_verdict, dd, inst.mode,
@@ -267,8 +263,7 @@ def verify_comparison(inst: TheoremInstance, mode=None) -> ComparisonReport:
                 f"conclusions through {inst.through_degree} were requested; "
                 f"extend the window to degree "
                 f"{inst.through_degree + inst.top_degree + 1}")
-    chains = inst.space_chains()
-    t = comparison_map_t(chains, inst.free_complex, inst.coefficients)
+    t = comparison_map_t(inst.chains, inst.free_complex, inst.coefficients)
     per_degree = {}
     for p in range(inst.through_degree + 1):
         per_degree[p] = classify_map(induced_map_on_homology(t, p))
@@ -674,9 +669,9 @@ def with_inflated_floor(inst: TheoremInstance) -> TheoremInstance:
 
 def _variant(inst: TheoremInstance, **changes) -> TheoremInstance:
     """inst rebuilt with every constructor field copied except `changes`;
-    each slot but the derived orbit category is a constructor field."""
+    each slot but the derived orbit_cat and chains is a constructor field."""
     fields = {name: getattr(inst, name) for name in TheoremInstance.__slots__
-              if name != "orbit_cat"}
+              if name not in ("orbit_cat", "chains")}
     return TheoremInstance(**{**fields, **changes})
 
 

@@ -170,6 +170,20 @@ def test_validate_module_map_catches_non_natural():
     assert validate_module_map(ModuleMap(m_free, const, broken)) != []
 
 
+def test_yoneda_map_into_a_non_functor_is_still_checked():
+    # the swap of G/1 acting by 2 on Z squares to 4, so this target is not
+    # a functor: only into a free-marked target is a map out of a free
+    # module known natural on sight
+    const = constant_module(OR2, FpAbGroup.free(1), "contra")
+    actions = dict(const.actions)
+    actions[swap_endo(OR2, FREE_LAB)] = AbHom(
+        FpAbGroup.free(1), FpAbGroup.free(1), IntMatrix.from_rows([[2]]))
+    target = CatModule(OR2, "contra", const.values, actions)
+    m_free = free_module(OR2, [FREE_LAB], "contra")
+    mm = free_map_from_images(m_free, target, [[1]])
+    assert validate_module_map(mm) != []
+
+
 def test_module_map_algebra():
     mod = constant_module(OR2, Z(6), "co")
     ident = ModuleMap.identity(mod)

@@ -12,6 +12,7 @@ from functools import partial
 
 import pytest
 
+import orbifunctor.catmod as catmod
 import orbifunctor.cellspaces as cs
 import orbifunctor.chainplex as chainplex
 
@@ -39,6 +40,7 @@ from orbifunctor.catmod import (
     ModuleMap,
     constant_module,
     free_module,
+    validate_module_map,
 )
 from orbifunctor.chainplex import (
     CatChainComplex,
@@ -85,6 +87,13 @@ Z = FpAbGroup.free(1)
 def groups_of(c, top):
     from orbifunctor.exact_abelian import format_group
     return [format_group(homology(c, p)) for p in range(top + 1)]
+
+
+def quotient_at(x, h_label, family=None):
+    """The centralizer quotient of x at H, read off the fixed-point chains
+    of x over the given family (default: the isotropy family)."""
+    chains = fixed_point_chains(x, family or x.isotropy_family())
+    return centralizer_quotient_chains(chains, x.group, h_label)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +186,23 @@ class TestCatCW:
         x = CatCWComplex(cat, {0: (0,), 1: (0,)})
         ev = cellular_chain_complex(x).evaluate_at(0)
         assert groups_of(ev, 1) == ["Z", "Z"]
+
+    def test_differentials_are_natural_without_squaring(self, monkeypatch):
+        # each differential maps a free module into a free module by its
+        # generator images, natural by the Yoneda lemma: building the chains
+        # of the grid model checks d∘d but squares no morphism
+        calls = []
+        real = catmod._square_commutes
+        monkeypatch.setattr(catmod, "_square_commutes",
+                            lambda mm, f: calls.append(f) or real(mm, f))
+        chains = cellular_chain_complex(classifying_model("RF", 5))
+        assert calls == []
+        # squared all the same, every differential is natural
+        for p in range(chains.lo + 1, chains.hi + 1):
+            d = chains.diff(p)
+            d._memo.clear()
+            assert validate_module_map(d) == []
+        assert calls
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +341,7 @@ class TestBredon:
         # same quotient computed two independent ways
         for x in (reflection_circle(), antipodal_circle(), hexagon_s3()):
             mod = constant_module(orbit_cat(x.group), Z, COVARIANT)
-            q = centralizer_quotient_chains(x, (x.group.identity,))
+            q = quotient_at(x, (x.group.identity,))
             for p in range(x.dimension + 1):
                 assert bredon_homology(x, mod, p) == homology(q, p)
 
@@ -327,32 +353,51 @@ class TestBredon:
 
 class TestCentralizerQuotient:
     def test_point_full_stabilizer(self):
-        q = centralizer_quotient_chains(point_space(C2), FULL)
+        q = quotient_at(point_space(C2), FULL)
         assert groups_of(q, 0) == ["Z"]
 
     def test_free_orbit_collapses_to_one_point(self):
-        q = centralizer_quotient_chains(free_orbit_points(C2), TRIV)
+        q = quotient_at(free_orbit_points(C2), TRIV)
         assert groups_of(q, 0) == ["Z"]
 
     def test_reflection_circle_fixed_classes(self):
-        q = centralizer_quotient_chains(reflection_circle(), FULL)
+        q = quotient_at(reflection_circle(), FULL)
         assert groups_of(q, 1) == ["Z^2", "0"]
 
     def test_hexagon_reflection_classes(self):
         hexa = hexagon_s3()
-        q = centralizer_quotient_chains(hexa, hexa.cells[0][0])
+        q = quotient_at(hexa, hexa.cells[0][0])
         # two fixed vertices, centralizer acts trivially on them
         assert groups_of(q, 1) == ["Z^2", "0"]
 
     def test_subgroup_outside_family_rejected(self):
         hexa = hexagon_s3()
         rot = tuple(sorted(hexa.group.subgroup_generated([(2, 3, 4, 5, 0, 1)])))
-        with pytest.raises(ValueError, match="isotropy family"):
-            centralizer_quotient_chains(hexa, rot)
+        # the chains over the isotropy family have no object G/H for the
+        # rotations, which fix no cell
+        with pytest.raises(ValueError, match="not an object under the chains"):
+            quotient_at(hexa, rot)
 
     def test_malformed_label_rejected(self):
         with pytest.raises(ValueError, match="subgroup label"):
-            centralizer_quotient_chains(point_space(C2), (1,))
+            quotient_at(point_space(C2), (1,))
+
+    def test_any_family_containing_h_gives_the_same_quotient(self):
+        hexa = hexagon_s3()
+        everything = SubgroupFamily.all(hexa.group)
+        for lab in (hexa.cells[0][0], hexa.cells[0][1], hexa.cells[1][0]):
+            ours = quotient_at(hexa, lab, everything)
+            theirs = quotient_at(hexa, lab)
+            for p in range(hexa.dimension + 1):
+                assert homology(ours, p) == homology(theirs, p)
+
+    def test_subgroup_without_fixed_cells_gives_the_zero_complex(self):
+        # over the family of all subgroups the rotations are objects, and
+        # X^H is empty there
+        hexa = hexagon_s3()
+        rot = tuple(sorted(hexa.group.subgroup_generated([(2, 3, 4, 5, 0, 1)])))
+        q = quotient_at(hexa, rot, SubgroupFamily.all(hexa.group))
+        assert groups_of(q, 1) == ["0", "0"]
 
 
 # ---------------------------------------------------------------------------

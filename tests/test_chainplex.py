@@ -486,7 +486,7 @@ def comparison_inputs(which):
         ref = importlib.resources.files("orbifunctor") / "manifests" \
             / "z2_reflection_sphere.json"
         inst = parse_manifest(ref.read_text(encoding="utf-8")).get("instance")
-    return inst.space_chains(), inst.free_complex, inst.coefficients
+    return inst.chains, inst.free_complex, inst.coefficients
 
 
 def assert_same_complex(glued, plain):
@@ -622,7 +622,7 @@ def test_comparison_map_equals_that_of_the_explicit_round_trip(which):
            "category": inst.index_cat}
     explicit = decode_bifunctor(encode_bifunctor(inst.coefficients),
                                 "bifunctor", ctx)
-    chains = inst.space_chains()
+    chains = inst.chains
     shared = ComparisonData(chains, inst.free_complex, inst.coefficients)
     apart = ComparisonData(chains, inst.free_complex, explicit)
     assert len({id(t) for t in shared.row_totals.values()}) == 1

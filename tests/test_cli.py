@@ -464,11 +464,15 @@ class TestReports:
         monkeypatch.setattr(fincat.FinCategory, "__init__", counted)
         manifest = parse_manifest(json.dumps(hexagon_desk_manifest()))
         assert run("verify-theorem", manifest).passed
+        during_run = list(built)
         full = orbit_category(manifest.get("group"), manifest.get("family"))
         iso = manifest.get("gcw").isotropy_family()
         assert len(full.objects) == 6 and len(iso) == 4
-        for cat in (full, orbit_category(iso.group, iso)):
-            assert sum(c == cat for c in built) == 1
+        assert sum(c == full for c in during_run) == 1
+        # hypothesis D reads the instance's own fixed-point chains, so the
+        # run never builds the category of the isotropy family
+        iso_cat = orbit_category(iso.group, iso)
+        assert not any(c == iso_cat for c in during_run)
 
     def test_hexagon_desk_run_shares_the_hom_side(self, monkeypatch):
         import orbifunctor.chainplex as chainplex
@@ -650,6 +654,32 @@ def _functor_complex_shape():
     return {"version": "1", "group": {"kind": "cyclic", "n": "2"},
             "family": {"kind": "all"}, "category": {"kind": "orbit"},
             "complex": encode_functor_complex(chains)}
+
+
+def test_non_natural_functor_complex_differential_exits_2(tmp_path, capsys):
+    # the swap of G/1 exchanges the two edges of the reflection circle and
+    # fixes both vertices, so a differential at G/1 with two different
+    # columns is not natural
+    data = _functor_complex_shape()
+    data["complex"]["diffs"]["1"][0]["rows"][0][0] = "5"
+    path = write_manifest(tmp_path, data)
+    assert main(["homology", "--manifest", path]) == 2
+    assert "not natural" in capsys.readouterr().err
+
+
+def test_isotropy_outside_the_family_is_refused_at_parse(tmp_path, capsys):
+    # the reflection circle's vertices are fixed by all of C_2, outside the
+    # trivial family: the instance's fixed-point chains cannot be built, so
+    # the manifest is refused as input before any hypothesis is checked
+    data = json.loads(shipped_text())
+    data["family"] = {"kind": "trivial"}
+    data["instance"]["vanishing_floor"] = "5"
+    path = write_manifest(tmp_path, data)
+    assert main(["verify-theorem", "--manifest", path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: instance: ")
+    assert "outside the family" in out.err
 
 
 def _sequence_shape():

@@ -7,6 +7,9 @@ kernel pattern for the one-point space from the classifying-space homology
 already pinned in the cell-structure tests.
 """
 
+import importlib.resources
+import json
+
 import pytest
 
 import orbifunctor.exact_abelian as ea
@@ -125,14 +128,31 @@ class TestInstanceValidation:
                             inst.space, inst.coefficients, 2, 2)
 
     def test_space_given_as_chain_complex(self):
+        # hypothesis D reads the chains, however the space was given: the
+        # same witnesses, "no fixed cells" members included (the hexagon's
+        # rotations)
+        for inst in (instance_z2_reflection(), instance_s3_hexagon()):
+            chains = fixed_point_chains(inst.space, inst.family)
+            direct = TheoremInstance(inst.index_cat, inst.free_complex,
+                                     inst.group, inst.family, chains,
+                                     inst.coefficients, 2, 2)
+            assert direct.chains is chains
+            rep, from_cells = check_hypotheses(direct), check_hypotheses(inst)
+            assert rep.passed
+            assert rep.d.witnesses == from_cells.d.witnesses
+            assert rep.d.note == from_cells.d.note
+
+    def test_isotropy_outside_the_family_rejected(self):
+        # the reflection circle's vertices are fixed by all of C_2, which the
+        # trivial family leaves out: its fixed-point chains cannot be built
         inst = instance_z2_reflection()
-        chains = fixed_point_chains(inst.space, inst.family)
-        direct = TheoremInstance(inst.index_cat, inst.free_complex,
-                                 inst.group, inst.family, chains,
-                                 inst.coefficients, 2, 2)
-        rep = check_hypotheses(direct)
-        assert rep.passed
-        assert "not sampled" in rep.d.note
+        trivial = SubgroupFamily.trivial(inst.group)
+        coeff = BiFunctorComplex.constant_in_index(
+            inst.index_cat, cat_complex_concentrated(
+                transport_pi0_module(inst.group, trivial), 0))
+        with pytest.raises(ValueError, match="outside the family"):
+            TheoremInstance(inst.index_cat, inst.free_complex, inst.group,
+                            trivial, inst.space, coeff, 2, 2)
 
     def test_space_of_wrong_kind_rejected(self):
         inst = instance_z2_reflection()
@@ -172,22 +192,39 @@ class TestHypotheses:
         assert all(len(lab) in (3, 6) for lab in empties)
 
     def test_fixed_point_chains_built_once_per_check(self, monkeypatch):
+        # a whole verify-theorem run, parsing included, builds cellular
+        # chains twice: the index model and the space's fixed-point chains,
+        # which hypothesis D and the comparison share
         import orbifunctor.cellspaces as cs
-        inst = instance_s3_hexagon(4)
+        import orbifunctor.cli as cli
         calls = []
         build = cs.cellular_chain_complex
 
         def counted(*args):
             calls.append(1)
             return build(*args)
-        monkeypatch.setattr(cs, "cellular_chain_complex", counted)
-        rep = check_hypotheses(inst)
-        assert len(calls) == 1
-        # the same witnesses as one centralizer quotient per member
-        for lab, p, grp in rep.d.witnesses:
-            if p is not None:
-                cq = centralizer_quotient_chains(inst.space, lab)
-                assert homology(cq, p) == grp
+        ref = importlib.resources.files("orbifunctor") / "manifests" \
+            / "z2_reflection_sphere.json"
+        data = json.loads(ref.read_text(encoding="utf-8"))
+        hexa = hexagon_s3()
+        hexagon = {**data, "group": cli.encode_group(hexa.group),
+                   "gcw": cli.encode_gcw(hexa)}
+        for manifest in (data, hexagon):
+            with monkeypatch.context() as patch:
+                for module in (cs, cli):
+                    patch.setattr(module, "cellular_chain_complex", counted)
+                calls.clear()
+                parsed = cli.parse_manifest(json.dumps(manifest))
+                assert cli.run("verify-theorem", parsed).passed
+                assert len(calls) == 2
+            # the same witnesses as one centralizer quotient per member,
+            # read off the chains over the isotropy family
+            inst = parsed.get("instance")
+            own = fixed_point_chains(inst.space, inst.space.isotropy_family())
+            for lab, p, grp in check_hypotheses(inst).d.witnesses:
+                if p is not None:
+                    cq = centralizer_quotient_chains(own, inst.group, lab)
+                    assert homology(cq, p) == grp
 
     def test_almost_mode_reports_annihilator(self):
         inst = instance_z2_reflection()
