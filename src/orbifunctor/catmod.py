@@ -332,11 +332,12 @@ def free_map_from_images(free: CatModule, target: CatModule,
         raise ValueError("source carries no free marker")
     if len(images) != len(free.free_gens):
         raise ValueError("one image per generator required")
-    sparse = []
+    reduced = []
     for img, c in zip(images, free.free_gens):
         if len(img) != target.values[c].ngens:
             raise ValueError(f"image of a generator at {c!r} has the wrong length")
-        sparse.append({b: x for b, x in enumerate(img) if x})
+        reduced.append(target.values[c].reduce(img))
+    sparse = [{b: x for b, x in enumerate(img) if x} for img in reduced]
 
     def image_column(i, phi):
         cols, acc = target.action_columns(phi), {}
@@ -344,7 +345,10 @@ def free_map_from_images(free: CatModule, target: CatModule,
             for r, y in cols[b].items():
                 acc[r] = acc.get(r, 0) + x * y
         return {r: x for r, x in acc.items() if x}
-    return _free_map(free, target, image_column)
+    mm = _free_map(free, target, image_column)
+    if _generator_images(free, mm.components) == reduced:
+        mm._memo["defect"] = []     # the identities fix the images
+    return mm
 
 
 def _free_map(free: CatModule, target: CatModule, image_column) -> ModuleMap:
@@ -352,9 +356,11 @@ def _free_map(free: CatModule, target: CatModule, image_column) -> ModuleMap:
     # a {row: nonzero entry} dict
     components = {}
     for w in free.cat.objects:
-        cols = [image_column(i, phi) for (i, phi) in free.free_basis[w]]
-        mat = IntMatrix(len(cols), target.values[w].ngens,
-                        nonzeros=cols).transpose()
+        rows = [{} for _ in range(target.values[w].ngens)]
+        for j, (i, phi) in enumerate(free.free_basis[w]):
+            for r, x in image_column(i, phi).items():
+                rows[r][j] = x
+        mat = IntMatrix(len(rows), len(free.free_basis[w]), nonzeros=rows)
         components[w] = AbHom(free.values[w], target.values[w], mat, check=False)
     mm = ModuleMap(free, target, components)
     if target.is_free_marked():
@@ -425,17 +431,15 @@ def module_image(mm: ModuleMap):
 class CatTensor:
     """M ⊗ over the base category ⊗ N for M contravariant, N covariant.
 
-    The group is a quotient of the big sum ⊕_c M(c) ⊗ N(c): `projection`
-    maps the big sum's canonical coordinates onto it, and the group's
-    witness pair translates between the two.
-
     When M is free-marked on generators at c_0, ..., c_{r-1}, the co-Yoneda
-    lemma gives M ⊗ N = ⊕_k N(c_k), and the witness is written down: the
-    pair (k, φ) ⊗ y at c goes to N(φ)(y) in summand k, and generator y of
-    N(c_k) comes from the pair (k, id) ⊗ y at c_k.  Otherwise the group is
-    the coequalizer, the quotient of the big sum by the relations
-    (x·φ) ⊗ y  =  x ⊗ (φ·y), one block per non-identity morphism φ: c → d,
-    x in M(d), y in N(c).
+    lemma gives M ⊗ N = ⊕_k N(c_k), held in `evals` with `group` its
+    canonical form: (k, φ) ⊗ y at c is N(φ)(y) in summand k.  Nothing is
+    solved; `tensors`, `part_index`, `big` and `projection` are None.
+    Otherwise `evals` is None and the group is the coequalizer: the quotient
+    of `big` = ⊕_c M(c) ⊗ N(c), part `part_index[c]` the `TensorBasis`
+    `tensors[c]`, by the relations (x·φ) ⊗ y  =  x ⊗ (φ·y), one block per
+    non-identity morphism φ: c → d, x in M(d), y in N(c); `projection` maps
+    the big sum's canonical coordinates onto it.
     """
 
     __slots__ = ("left", "right", "cat", "tensors", "part_index", "big",
@@ -450,17 +454,16 @@ class CatTensor:
         self.left = left
         self.right = right
         cat = self.cat = left.cat
+        if left.is_free_marked():
+            self.evals = DirectSum([right.values[c] for c in left.free_gens])
+            self.group = self.evals.group
+            self.tensors = self.part_index = self.big = self.projection = None
+            return
+        self.evals = None
         self.tensors = {c: TensorBasis(left.values[c], right.values[c])
                         for c in cat.objects}
         self.part_index = {c: i for i, c in enumerate(cat.objects)}
         self.big = DirectSum([self.tensors[c].group for c in cat.objects])
-        self.evals = None
-        if left.is_free_marked():
-            self.evals = DirectSum([right.values[c] for c in left.free_gens])
-            self.group = self._evaluated()
-            self.projection = AbHom(self.big.group, self.group,
-                                    self.group.to_can)
-            return
         rel_cols = []
         for f in cat.morphisms:
             if cat.is_identity(f):
@@ -502,102 +505,94 @@ class CatTensor:
         return big.group.to_can * IntMatrix(big.total_gens, pairs.ncols,
                                             nonzeros=placed)
 
-    def _evaluated(self) -> FpAbGroup:
-        # ⊕_k N(c_k) for the free-marked left factor, with its witness pair
-        # on the canonical coordinates of the big sum
-        left, right, big, ev = self.left, self.right, self.big, self.evals
-        # to_can: the pair ((k, φ), y) at c goes to N(φ)(y) in summand k
-        rows = [{} for _ in range(ev.total_gens)]
-        for c in self.cat.objects:
-            tb = self.tensors[c]
-            at_c = [{} for _ in range(ev.total_gens)]
-            for e, (a, b, _) in enumerate(tb.entries):
-                k, phi = left.free_basis[c][a]
-                lo = ev.offsets[k]
-                for r, x in right.action_columns(phi)[b].items():
-                    at_c[lo + r][e] = x
-            pairs = IntMatrix(ev.total_gens, len(tb.entries),
-                              nonzeros=at_c) * tb.group.reps
-            shift = big.offsets[self.part_index[c]]
-            for row, part in zip(rows, pairs.nonzeros):
-                row.update((j + shift, x) for j, x in part.items())
-        to_can = ev.group.to_can * (IntMatrix(ev.total_gens, big.total_gens,
-                                              nonzeros=rows) * big.group.reps)
-        # reps: generator y of N(c_k) comes from the pair ((k, id), y) at c_k,
-        # one batch of pairs per base object
-        by_object = {}
-        for k, c in enumerate(left.free_gens):
-            a = left.free_index[c][(k, self.cat.ids[c])]
-            index = self.tensors[c].index
-            for b in range(right.values[c].ngens):
-                by_object.setdefault(c, []).append((ev.offsets[k] + b,
-                                                    index[(a, b)]))
-        reps_cols = [None] * ev.total_gens
-        for c, slots in by_object.items():
-            pairs = IntMatrix.selection(len(self.tensors[c].entries),
-                                        [e for _, e in slots])
-            placed = self._pairs_to_big(c, pairs).transpose().nonzeros
-            for (pos, _), col in zip(slots, placed):
-                reps_cols[pos] = col
-        reps = IntMatrix(ev.total_gens, big.group.ngens,
-                         nonzeros=reps_cols).transpose() * ev.group.reps
-        return FpAbGroup(ev.group.rank, ev.group.torsion,
-                         to_can=to_can, reps=reps)
-
     def class_of_pure(self, c, x, y):
         """Class of the elementary tensor x ⊗ y sitting at object c."""
-        raw = self.big.embed(self.part_index[c], self.tensors[c].pure(x, y))
-        return self.projection.apply(self.big.group.to_canonical(raw))
+        if self.evals is None:
+            raw = self.big.embed(self.part_index[c], self.tensors[c].pure(x, y))
+            return self.projection.apply(self.big.group.to_canonical(raw))
+        # Σ_φ x_(k,φ)·N(φ)(y) in summand k
+        moved = _through(self.left, self.right, c, x)
+        return self.evals.assemble([moved[k].apply(y) if k in moved
+                                    else [0] * part.ngens
+                                    for k, part in enumerate(self.evals.parts)])
 
     def components(self, can_vec):
-        """One representative of a class, as per-object tensor coordinates."""
-        rep = self.group.representative(can_vec)   # big-group canonical coords
-        out = {}
-        for i, c in enumerate(self.cat.objects):
-            out[c] = self.big.project(i).apply(rep)
+        """One representative of a class, as per-object tensor coordinates:
+        the canonical coordinates of each `tensors[c]` on the coequalizer
+        path; on the free path the sum Σ_k (k, id) ⊗ y_k, with M(c) ⊗ N(c)
+        read as one copy of N(c) per basis label of M(c), label-major."""
+        rep = self.group.representative(can_vec)
+        if self.evals is None:
+            return {c: self.big.project(i).apply(rep)
+                    for i, c in enumerate(self.cat.objects)}
+        left = self.left
+        out = {c: [0] * (len(left.free_basis[c]) * self.right.values[c].ngens)
+               for c in self.cat.objects}
+        for k, c in enumerate(left.free_gens):
+            n, lo = self.evals.parts[k].ngens, self.evals.offsets[k]
+            at = left.free_index[c][(k, self.cat.ids[c])] * n
+            out[c][at:at + n] = rep[lo:lo + n]
         return out
 
     def induced(self, other: "CatTensor", left_map: ModuleMap | None,
                 right_map: ModuleMap | None) -> AbHom:
         """The map of tensor groups induced by maps of both factors."""
+        us = (right_map or ModuleMap.identity(self.right)).components
         if self.evals is not None and other.evals is not None and (
                 _same_marking(self.left, other.left) if left_map is None
                 else _same_marking(left_map.source, self.left)
                 and _same_marking(left_map.target, other.left)):
-            return self._blockwise(other, left_map, right_map)
-        cat = self.cat
-        blocks = {}
-        for c in cat.objects:
-            lm = (left_map.components[c] if left_map is not None
-                  else AbHom.identity(self.left.values[c]))
-            rm = (right_map.components[c] if right_map is not None
-                  else AbHom.identity(self.right.values[c]))
-            blocks[(other.part_index[c], self.part_index[c])] = \
-                self.tensors[c].induced(other.tensors[c], lm, rm)
+            return self._blockwise(other, left_map, us)
+        vs = (left_map or ModuleMap.identity(self.left)).components
+        if self.evals is not None or other.evals is not None:
+            return self._pairwise(other, vs, us)
+        blocks = {(other.part_index[c], self.part_index[c]):
+                  self.tensors[c].induced(other.tensors[c], vs[c], us[c])
+                  for c in self.cat.objects}
         # both groups are presented on the canonical coordinates of their sums
         big_map = block_hom(self.big, other.big, blocks)
         return hom_from_presentation(self.group, other.group, big_map.matrix)
 
-    def _blockwise(self, other: "CatTensor", v, u) -> AbHom:
+    def _pairwise(self, other: "CatTensor", vs, us) -> AbHom:
+        # the pair (a, b) at c goes to the class of vs[c](a) ⊗ us[c](b) in
+        # other; a free side is read on its generator pairs (k, id) ⊗ y at
+        # c_k, a coequalizer side on the pairs of its tensor at each object
+        def image(c, a, b):
+            return other.class_of_pure(c, vs[c].matrix.column(a),
+                                       us[c].matrix.column(b))
+        n = other.group.ngens
+        if self.evals is not None:
+            ids = self.cat.ids
+            pres = IntMatrix.from_columns(
+                [image(c, self.left.free_index[c][(k, ids[c])], b)
+                 for k, c in enumerate(self.left.free_gens)
+                 for b in range(self.right.values[c].ngens)], nrows=n)
+        else:
+            cols = []
+            for c in self.cat.objects:
+                tb = self.tensors[c]
+                pairs = IntMatrix.from_columns(
+                    [image(c, a, b) for a, b, _ in tb.entries], nrows=n)
+                cols.extend((pairs * tb.group.reps).columns())
+            pres = IntMatrix.from_columns(cols, nrows=n) * self.big.group.reps
+        return AbHom(self.group, other.group, pres * self.group.reps)
+
+    def _blockwise(self, other: "CatTensor", v, us) -> AbHom:
         # in ⊕_k N(c_k) coordinates generator y of N(c_k) is (k, id) ⊗ y, sent
         # to v(k, id) ⊗ u(y): block (k', k) = Σ_φ a_(k',φ)·N'(φ)·u_{c_k}, a
         # the value of v at generator k (block (k, k) = u_{c_k} when v = 1)
+        if v is None:
+            return block_hom(self.evals, other.evals, {
+                (k, k): us[c] for k, c in enumerate(self.left.free_gens)})
         values, gens = other.right.values, other.left.free_gens
-        images = (_generator_images(v.source, v.components) if v is not None
-                  else None)
+        images = _generator_images(v.source, v.components)
         blocks = {}
         for k, c in enumerate(self.left.free_gens):
-            uc = (u.components[c] if u is not None
-                  else AbHom.identity(self.right.values[c]))
-            if v is None:
-                blocks[(k, k)] = uc
-                continue
             for k2, m in _through(other.left, other.right, c,
                                   images[k]).items():
-                blocks[(k2, k)] = AbHom(uc.source, values[gens[k2]],
-                                        m * uc.matrix, check=False)
-        h = block_hom(self.evals, other.evals, blocks)
-        return AbHom(self.group, other.group, h.matrix, check=False)
+                blocks[(k2, k)] = AbHom(us[c].source, values[gens[k2]],
+                                        m * us[c].matrix, check=False)
+        return block_hom(self.evals, other.evals, blocks)
 
 
 def tensor_over_cat(left: CatModule, right: CatModule) -> FpAbGroup:

@@ -665,6 +665,9 @@ class ComparisonData:
         self.c = c
         self.d = d
         self.e = e
+        # the actions that are identities, each distinct chain map asked once
+        identities = {m for m in {*e.index_action.values(),
+                                  *e.coeff_action.values()} if m.is_identity()}
 
         # hom_I(D, E(-, j)) per coefficient object, glued into a covariant
         # complex of modules over J: ψ: j1 -> j2 postcomposes with E(-, ψ).
@@ -678,7 +681,7 @@ class ComparisonData:
         hom_maps = {}
         for psi in jcat.morphisms:
             h1, h2 = homs[jcat.dom[psi]], homs[jcat.cod[psi]]
-            if h1 is h2 and all(e.coeff_action[(i, psi)].is_identity()
+            if h1 is h2 and all(e.coeff_action[(i, psi)] in identities
                                 for i in icat.objects):
                 hom_maps[psi] = ChainMap.identity(h1.complex)
                 continue
@@ -702,7 +705,7 @@ class ComparisonData:
         row_maps = {}
         for phi in icat.morphisms:
             ra, rb = rows[icat.dom[phi]], rows[icat.cod[phi]]
-            if ra is rb and all(e.index_action[(phi, j)].is_identity()
+            if ra is rb and all(e.index_action[(phi, j)] in identities
                                 for j in jcat.objects):
                 row_maps[phi] = ChainMap.identity(ra.complex)
                 continue

@@ -107,7 +107,7 @@ from .chainplex import (
 from .cellspaces import (
     CatCWComplex,
     GCWComplex,
-    bredon_homology,
+    bredon_complex,
     cellular_chain_complex,
     classifying_model,
     contractibility_check,
@@ -952,9 +952,9 @@ def _cmd_bredon(manifest, args, rep):
     if "coefficients" not in modules:
         raise ManifestError(
             "bredon needs a module named 'coefficients' in the module section")
-    coeff = modules["coefficients"]
+    chains = bredon_complex(x, modules["coefficients"])
     for p in _degrees_arg(args, 0, x.dimension):
-        rep.group(f"H_{p}", bredon_homology(x, coeff, p))
+        rep.group(f"H_{p}", homology(chains, p))
     rep.verdict("Bredon homology computed", True,
                 f"{len(rep.groups)} group(s)")
 

@@ -88,8 +88,10 @@ class IntMatrix:
     def selection(cls, nrows, positions):
         """The 0/1 matrix whose column j is the unit vector at positions[j]."""
         positions = list(positions)
-        return cls(len(positions), nrows,
-                   nonzeros=[{i: 1} for i in positions]).transpose()
+        rows = [{} for _ in range(nrows)]
+        for j, i in enumerate(positions):
+            rows[i][j] = 1
+        return cls(nrows, len(positions), nonzeros=rows)
 
     @classmethod
     def identity(cls, n):

@@ -1,8 +1,9 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and oracles for the test suite."""
 
 from hypothesis import strategies as st
 
-from orbifunctor.exact_abelian import FpAbGroup, HomBasis, IntMatrix
+from orbifunctor.catmod import CatModule, CatTensor
+from orbifunctor.exact_abelian import AbHom, FpAbGroup, HomBasis, IntMatrix
 
 small_entries = st.integers(min_value=-20, max_value=20)
 
@@ -52,3 +53,27 @@ def ab_homs_with_basis(draw, source=None, target=None):
     hb = HomBasis(src, tgt)
     coords = [draw(st.integers(-5, 5)) for _ in range(hb.group.ngens)]
     return hb, hb.to_hom(coords)
+
+
+def stripped(module):
+    """The same module without its free markers: the general paths."""
+    return CatModule(module.cat, module.variance, module.values,
+                     module.actions)
+
+
+def coequalizer_oracle(fast: CatTensor):
+    """(slow, iso) for a tensor whose left factor is free-marked: slow is the
+    coequalizer of the stripped copy, and iso: fast.group -> slow.group sends
+    generator y of N(c_k) to the class, in the coequalizer, of the generator
+    pair (k, id) ⊗ y at c_k."""
+    slow = CatTensor(stripped(fast.left), fast.right)
+    free, ids = fast.left, fast.cat.ids
+    cols = []
+    for k, c in enumerate(free.free_gens):
+        x = [0] * free.values[c].ngens
+        x[free.free_index[c][(k, ids[c])]] = 1
+        n = fast.right.values[c].ngens
+        cols.extend(slow.class_of_pure(c, x, [int(i == b) for i in range(n)])
+                    for b in range(n))
+    pres = IntMatrix.from_columns(cols, nrows=slow.group.ngens)
+    return slow, AbHom(fast.group, slow.group, pres * fast.group.reps)

@@ -63,6 +63,7 @@ from orbifunctor.fincat import (
     standard_category,
     sub_category_and_projection,
 )
+from samplers import coequalizer_oracle, stripped
 
 Z = FpAbGroup.cyclic
 
@@ -184,6 +185,45 @@ def test_yoneda_map_into_a_non_functor_is_still_checked():
     assert validate_module_map(mm) != []
 
 
+def test_maps_from_generator_images_are_not_rebuilt(monkeypatch):
+    # a map built from its generator images is the transformation they
+    # determine, so the free hom path never recomputes its defect; a map
+    # built any other way is still compared
+    import orbifunctor.catmod as catmod_mod
+    free = free_module(OR_S3, [OR_S3.objects[0], OR_S3.objects[-1]], "contra")
+    target = constant_module(OR_S3, FpAbGroup.from_invariants(1, (2,)),
+                             "contra")
+    v = free_map_from_images(free, free, [
+        unit(free.values[c].ngens, j % free.values[c].ngens)
+        for j, c in enumerate(free.free_gens)])
+    hg = CatHomGroup(free, target)
+    real = catmod_mod._yoneda_defect
+
+    def forbidden(mm):
+        raise AssertionError("a map built from its images was rebuilt")
+    monkeypatch.setattr(catmod_mod, "_yoneda_defect", forbidden)
+    maps = [hg.to_module_map(e) for e in units(hg.group.ngens)]
+    assert [hg.coords_of(mm) for mm in maps] == units(hg.group.ngens)
+    composed = hg.precompose_map(hg, v)
+    monkeypatch.setattr(catmod_mod, "_yoneda_defect", real)
+    copy = ModuleMap(free, free, v.components)
+    assert hg.precompose_map(hg, copy) == composed
+    assert "defect" in copy._memo and "defect" in v._memo
+
+
+def test_images_moved_by_an_identity_action_are_still_compared():
+    # the identity of G/1 acting by 2 on Z (no functor) moves the image, so
+    # the built map is not the transformation of its generator values
+    const = constant_module(OR2, Z1, "contra")
+    actions = dict(const.actions)
+    actions[OR2.ids[FREE_LAB]] = AbHom(Z1, Z1, IntMatrix.from_rows([[2]]))
+    target = CatModule(OR2, "contra", const.values, actions)
+    mm = free_map_from_images(free_module(OR2, [FREE_LAB], "contra"), target,
+                              [[1]])
+    assert "defect" not in mm._memo
+    assert mm.defect() != []
+
+
 def test_module_map_algebra():
     mod = constant_module(OR2, Z(6), "co")
     ident = ModuleMap.identity(mod)
@@ -276,21 +316,42 @@ def right_test_modules():
             constant_module(OR2, Z(4), "co")]
 
 
+def pure_glue(ct, c, x=None, y=None):
+    """The map into ct.group from the value at c of the factor whose
+    argument is None, through the elementary tensors with the other."""
+    n = (ct.right if x is not None else ct.left).values[c].ngens
+    cols = [ct.class_of_pure(c, x, unit(n, j)) if x is not None
+            else ct.class_of_pure(c, unit(n, j), y) for j in range(n)]
+    return AbHom((ct.right if x is not None else ct.left).values[c], ct.group,
+                 IntMatrix.from_columns(cols, nrows=ct.group.ngens))
+
+
+def assert_pure_classes_agree(fast, slow, iso):
+    """iso(x ⊗ y in fast) is x ⊗ y in slow, for basis elements x, y at every
+    object."""
+    for c in fast.cat.objects:
+        for x in units(fast.left.values[c].ngens):
+            for y in units(fast.right.values[c].ngens):
+                assert iso.apply(fast.class_of_pure(c, x, y)) == \
+                    slow.class_of_pure(c, x, y)
+
+
 def test_tensor_with_representable_evaluates():
     # tensoring with the free module at c recovers the value at c, and the
-    # elementary tensors of the marked generator give the isomorphism
+    # elementary tensors of the marked generator give the isomorphism; the
+    # coequalizer of the stripped copy is the oracle of the free path
     for right in right_test_modules():
         for c in OR2.objects:
             left = free_module(OR2, [c], "contra")
             ct = CatTensor(left, right)
-            assert ct.group == right.values[c]
+            slow, iso = coequalizer_oracle(ct)
+            assert ct.group == slow.group == right.values[c]
+            assert is_isomorphism(iso)
             idx = left.free_basis[c].index((0, OR2.ids[c]))
             x = unit(left.values[c].ngens, idx)
-            cols = [ct.class_of_pure(c, x, unit(right.values[c].ngens, j))
-                    for j in range(right.values[c].ngens)]
-            glue = AbHom(right.values[c], ct.group,
-                         IntMatrix.from_columns(cols, nrows=ct.group.ngens))
-            assert is_isomorphism(glue)
+            assert is_isomorphism(pure_glue(slow, c, x=x))
+            assert iso.compose(pure_glue(ct, c, x=x)) == pure_glue(slow, c, x=x)
+            assert_pure_classes_agree(ct, slow, iso)
 
 
 def test_tensor_against_representable_evaluates():
@@ -299,14 +360,15 @@ def test_tensor_against_representable_evaluates():
         for c in OR2.objects:
             right = free_module(OR2, [c], "co")
             ct = CatTensor(left, right)
-            assert ct.group == left.values[c]
+            slow, iso = (coequalizer_oracle(ct) if left.is_free_marked()
+                         else (ct, AbHom.identity(ct.group)))
+            assert ct.group == slow.group == left.values[c]
+            assert is_isomorphism(iso)
             idx = right.free_basis[c].index((0, OR2.ids[c]))
             y = unit(right.values[c].ngens, idx)
-            cols = [ct.class_of_pure(c, unit(left.values[c].ngens, j), y)
-                    for j in range(left.values[c].ngens)]
-            glue = AbHom(left.values[c], ct.group,
-                         IntMatrix.from_columns(cols, nrows=ct.group.ngens))
-            assert is_isomorphism(glue)
+            assert is_isomorphism(pure_glue(slow, c, y=y))
+            assert iso.compose(pure_glue(ct, c, y=y)) == pure_glue(slow, c, y=y)
+            assert_pure_classes_agree(ct, slow, iso)
 
 
 def test_tensor_of_constants_sees_components():
@@ -331,11 +393,25 @@ def test_tensor_components_round_trip():
     left = free_module(OR2, [FREE_LAB], "contra")
     right = constant_module(OR2, Z(4), "co")
     ct = CatTensor(left, right)
+    slow, iso = coequalizer_oracle(ct)
     for j in range(ct.group.ngens):
+        # the free path: one copy of N(c) per basis label of M(c), read
+        # back through the coequalizer's elementary tensors
         comps = ct.components(unit(ct.group.ngens, j))
-        back = ct.projection.apply(
-            ct.big.assemble([comps[c] for c in OR2.objects]))
-        assert back == unit(ct.group.ngens, j)
+        back = [0] * slow.group.ngens
+        for c in OR2.objects:
+            n = right.values[c].ngens
+            for a in range(left.values[c].ngens):
+                pure = slow.class_of_pure(c, unit(left.values[c].ngens, a),
+                                          comps[c][a * n:(a + 1) * n])
+                back = [u + w for u, w in zip(back, pure)]
+        assert slow.group.reduce(back) == iso.apply(unit(ct.group.ngens, j))
+    for j in range(slow.group.ngens):
+        # the coequalizer path: canonical coordinates of each tensor
+        comps = slow.components(unit(slow.group.ngens, j))
+        back = slow.projection.apply(
+            slow.big.assemble([comps[c] for c in OR2.objects]))
+        assert back == unit(slow.group.ngens, j)
 
 
 # ---------------------------------------------------------------------------
@@ -651,12 +727,6 @@ OR_S3 = orbit_category(_S3, SubgroupFamily.all(_S3))
 Z1 = FpAbGroup.free(1)
 
 
-def stripped(module):
-    """The same module without its free markers: the general paths."""
-    return CatModule(module.cat, module.variance, module.values,
-                     module.actions)
-
-
 def rebased(mm, source, target):
     return ModuleMap(source, target, mm.components)
 
@@ -792,37 +862,38 @@ def test_free_tensor_fast_path_matches_coequalizer(data):
     cat = data.draw(CATS)
     free = data.draw(free_on(cat))
     right = target_pool(cat, "co", data)
-    fast, slow = CatTensor(free, right), CatTensor(stripped(free), right)
+    fast = CatTensor(free, right)
+    slow, iso = coequalizer_oracle(fast)
+    assert slow.evals is None and fast.big is None
     assert fast.group == slow.group
     # the witness pair is a section up to torsion
     n = fast.group.ngens
     assert fast.group.reduce_matrix(fast.group.to_can * fast.group.reps) == \
         IntMatrix.identity(n)
-    # the projection kills every coequalizer relation (x·f) ⊗ y = x ⊗ (f·y)
+    # the fast classes satisfy every coequalizer relation (x·f) ⊗ y = x ⊗ (f·y)
     for f in cat.morphisms:
         c, d = cat.dom[f], cat.cod[f]
         for x in units(free.values[d].ngens):
             for y in units(right.values[c].ngens):
                 assert fast.class_of_pure(c, free.actions[f].apply(x), y) == \
                     fast.class_of_pure(d, x, right.actions[f].apply(y))
-    # both are quotients of one big sum, so the fast reps followed by the
-    # coequalizer projection is an isomorphism, and induced maps agree
-    # through it
-    iso = AbHom(fast.group, slow.group,
-                slow.projection.matrix * fast.group.reps)
+    # the generator pairs (k, id) ⊗ y give an isomorphism onto the
+    # coequalizer, which carries every elementary tensor to its class there,
+    # and induced maps agree through it
     assert is_isomorphism(iso)
+    assert_pure_classes_agree(fast, slow, iso)
     u = natural_map_to_constant(right, Z(6), data)
     assert validate_module_map(u) == []
-    fast2, slow2 = CatTensor(free, u.target), CatTensor(stripped(free), u.target)
-    iso2 = AbHom(fast2.group, slow2.group,
-                 slow2.projection.matrix * fast2.group.reps)
+    fast2 = CatTensor(free, u.target)
+    slow2, iso2 = coequalizer_oracle(fast2)
     assert iso2.compose(fast.induced(fast2, None, u)) == \
         slow.induced(slow2, None, u).compose(iso)
 
 
 def big_sum_induced(src: CatTensor, tgt: CatTensor, v, u) -> AbHom:
-    """The map of tensors through the big sums ⊕_c M(c) ⊗ N(c): per-object
-    tensor maps, assembled and pushed through both witness pairs."""
+    """The map of coequalizers through the big sums ⊕_c M(c) ⊗ N(c):
+    per-object tensor maps, assembled and pushed through both witness
+    pairs."""
     blocks = {}
     for c in src.cat.objects:
         lm = v.components[c] if v else AbHom.identity(src.left.values[c])
@@ -831,6 +902,14 @@ def big_sum_induced(src: CatTensor, tgt: CatTensor, v, u) -> AbHom:
             src.tensors[c].induced(tgt.tensors[c], lm, rm)
     big = block_hom(src.big, tgt.big, blocks)
     return hom_from_presentation(src.group, tgt.group, big.matrix)
+
+
+def to_coequalizer(ct: CatTensor):
+    """(coequalizer, iso from ct.group): the oracle of a free-marked left
+    factor, ct itself otherwise."""
+    if ct.evals is None:
+        return ct, AbHom.identity(ct.group)
+    return coequalizer_oracle(ct)
 
 
 @settings(max_examples=25, deadline=None)
@@ -843,13 +922,25 @@ def test_free_tensor_induced_blocks_match_the_big_sum(data):
     v = free_map_from_images(free, other, [
         [data.draw(st.integers(-2, 2)) for _ in range(other.values[c].ngens)]
         for c in free.free_gens])
-    src = CatTensor(free, right)
-    for left_map, right_map in ((None, u), (v, None), (v, u)):
-        tgt = CatTensor(other if left_map else free,
-                        u.target if right_map else right)
-        assert src.evals is not None and tgt.evals is not None
-        assert src.induced(tgt, left_map, right_map) == \
-            big_sum_induced(src, tgt, left_map, right_map)
+    # every pairing of a free-marked and an unmarked left factor on each side
+    for src_left, tgt_free in ((free, True), (free, False),
+                               (stripped(free), True),
+                               (stripped(free), False)):
+        src = CatTensor(src_left, right)
+        src_slow, src_iso = to_coequalizer(src)
+        for left_map, right_map in ((None, u), (v, None), (v, u)):
+            tgt_left = other if left_map else free
+            tgt = CatTensor(tgt_left if tgt_free else stripped(tgt_left),
+                            u.target if right_map else right)
+            tgt_slow, tgt_iso = to_coequalizer(tgt)
+            assert (src.evals is not None, tgt.evals is not None) == \
+                (src_left is free, tgt_free)
+            lm = rebased(v, src.left, tgt.left) if left_map else None
+            slow_lm = (rebased(v, src_slow.left, tgt_slow.left) if left_map
+                       else None)
+            assert tgt_iso.compose(src.induced(tgt, lm, right_map)) == \
+                big_sum_induced(src_slow, tgt_slow, slow_lm,
+                                right_map).compose(src_iso)
 
 
 def test_free_marked_paths_solve_nothing(monkeypatch):
@@ -857,7 +948,8 @@ def test_free_marked_paths_solve_nothing(monkeypatch):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a free-marked module was solved for")
-    for name in ("hom_kernel", "quotient_group", "express_in_kernel"):
+    for name in ("hom_kernel", "quotient_group", "express_in_kernel",
+                 "TensorBasis"):
         monkeypatch.setattr(catmod_mod, name, forbidden)
     free = free_module(OR_S3, [OR_S3.objects[0], OR_S3.objects[-1]],
                           "contra")

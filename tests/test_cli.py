@@ -18,6 +18,7 @@ import time
 import pytest
 
 import orbifunctor
+from orbifunctor.catmod import constant_module
 from orbifunctor.exact_abelian import AbHom, FpAbGroup, IntMatrix
 from orbifunctor.fincat import (
     FinGroup,
@@ -325,6 +326,22 @@ class TestCommands:
         rep = run("bredon", m)
         assert rep.groups == [{"name": "H_0", "value": "Z/5"}]
 
+    def test_bredon_builds_one_total_for_every_degree(self, monkeypatch):
+        # degrees 0..dim of the hexagon read one coefficient complex
+        import orbifunctor.chainplex as chainplex
+        builds = []
+        init = chainplex.TotalTensorComplex.__init__
+
+        def counted(self, *args):
+            builds.append(self)
+            init(self, *args)
+        monkeypatch.setattr(chainplex.TotalTensorComplex, "__init__", counted)
+        manifest = parse_manifest(json.dumps(bredon_hexagon_manifest()))
+        rep = run("bredon", manifest)
+        assert rep.groups == [{"name": "H_0", "value": "Z"},
+                              {"name": "H_1", "value": "0"}]
+        assert len(builds) == 1
+
     def test_bredon_needs_named_module(self, tmp_path):
         data = {"version": "1", "group": {"kind": "cyclic", "n": "2"},
                 "family": {"kind": "all"}, "category": {"kind": "orbit"},
@@ -380,6 +397,17 @@ def borel_manifest(space):
             "gcw": encode_gcw(space)}
 
 
+def bredon_hexagon_manifest():
+    """The hexagon over Or(S_3, all) with constant Z coefficients."""
+    x = hexagon_s3()
+    cat = orbit_category(x.group, SubgroupFamily.all(x.group))
+    return {"version": "1", "group": encode_group(x.group),
+            "family": {"kind": "all"}, "category": {"kind": "orbit"},
+            "module": {"coefficients": encode_module(
+                constant_module(cat, FpAbGroup.free(1), "co"))},
+            "gcw": encode_gcw(x)}
+
+
 # SHA-256 of the report each command line writes: (manifest, arguments,
 # digest).  Reports are the same bytes on every run, so a refactor that keeps
 # them keeps these digests.
@@ -398,6 +426,9 @@ PINNED_REPORTS = {
         lambda: borel_manifest(reflection_circle()),
         ["borel-check", "--truncation", "5"],
         "604d60dc96f39ed3d1d70c920aceb257fc604419b1bef826573ef719d46bb679"),
+    "bredon-hexagon-constant-z": (
+        bredon_hexagon_manifest, ["bredon"],
+        "3fd7e1a426070c39311da94bc6d2b8d4635b56172d141cc44f8405c8dc045af4"),
 }
 
 

@@ -655,6 +655,22 @@ def test_sparse_core_on_empty_and_zero_shapes(m, n):
     assert z == IntMatrix(m, n, [[0] * n for _ in range(m)])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_selection_matches_the_transposed_construction(data):
+    # the rows are filled directly; the construction they replace built the
+    # matrix of unit rows and transposed it
+    nrows = data.draw(st.integers(0, 6))
+    positions = data.draw(st.lists(st.integers(0, nrows - 1), max_size=7)
+                          if nrows else st.just([]))
+    old = IntMatrix(len(positions), nrows,
+                    nonzeros=[{i: 1} for i in positions]).transpose()
+    new = IntMatrix.selection(nrows, positions)
+    assert (new.nrows, new.ncols) == (nrows, len(positions))
+    assert new == old and new.rows == old.rows
+    assert IntMatrix.selection(nrows, iter(positions)) == old
+
+
 def test_identity_witnesses_are_implicit():
     for g in (FpAbGroup.free(4), FpAbGroup.from_invariants(1, [2, 4]),
               cokernel_presentation(IntMatrix.zeros(3, 0)),
