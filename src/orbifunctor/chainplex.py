@@ -9,7 +9,7 @@ the comparison chain map from tensor-of-hom to hom-of-tensor.
 Sign conventions (frozen; homology is insensitive to the choice but maps are
 not, so one set is fixed and stated):
   - tensor total: d(x ⊗ y) = dx ⊗ y + (-1)^p x ⊗ dy for x in degree p;
-  - hom total, degree n piece ⊕_p Hom(D_p, E_{p+n}):
+  - hom total, degree n piece ⊕ hom(D_p, E_q) over q − p = n:
     (dφ)_p = d_E ∘ φ_p − (−1)^n φ_{p−1} ∘ d_D.
 The comparison map itself carries no signs: x ⊗ φ goes to y ↦ x ⊗ φ(y).
 
@@ -20,6 +20,7 @@ index-complex dimension plus one.
 
 from __future__ import annotations
 
+from itertools import groupby
 from types import MappingProxyType
 
 from .exact_abelian import (
@@ -68,7 +69,7 @@ class PlainChainComplex:
                 raise ValueError(f"d∘d is nonzero out of degree {p}")
 
     def group(self, p) -> FpAbGroup:
-        return self.groups.get(p, FpAbGroup.zero())
+        return self.groups[p] if p in self.groups else FpAbGroup.zero()
 
     def differential(self, p) -> AbHom:
         d = self.diffs.get(p)
@@ -214,9 +215,10 @@ class CatChainComplex:
             # each map, and each composable pair of maps, is checked once
             seen = set()
             for p, d in self.diffs.items():
-                if d.source is not self.modules[p] and \
-                        d.source.values != self.modules[p].values:
-                    raise ValueError(f"differential at {p} has wrong source")
+                for end, got, want in (("source", d.source, self.modules[p]),
+                                       ("target", d.target, self.modules[p - 1])):
+                    if got is not want and got.values != want.values:
+                        raise ValueError(f"differential at {p} has wrong {end}")
                 if id(d) not in seen:
                     seen.add(id(d))
                     problems = validate_module_map(d)
@@ -467,14 +469,36 @@ def _chain_maps_equal(f: ChainMap, g: ChainMap):
 # ---------------------------------------------------------------------------
 
 
-class TotalTensorComplex:
-    """C ⊗ over the base ⊗ E as a plain total complex, with bookkeeping.
+class _Total:
+    """The total complex of a functor of two module complexes: parts[(p, q)]
+    = part(left_p, right_q) for every degree pair, keys[n] the pairs with
+    degree(p, q) = n in ascending p, sums[n] the direct sum of their groups,
+    and d assembled by `_blockwise` from the (step, block) pairs in edges."""
 
-    C contravariant, E covariant, same base.  Degree n is the direct sum of
-    the category-tensor groups of C_p ⊗ E_q over p + q = n, p ascending.
-    """
+    __slots__ = ("left", "right", "parts", "keys", "sums", "complex")
 
-    __slots__ = ("left", "right", "tensors", "keys", "sums", "complex")
+    def __init__(self, left, right, part, degree, edges):
+        self.left, self.right = left, right
+        pairs = sorted(((p, q) for p in left.degrees() for q in right.degrees()),
+                       key=lambda k: (degree(*k), k))
+        self.parts = {(p, q): part(left.module(p), right.module(q))
+                      for p, q in pairs}
+        self.keys = {n: tuple(ks) for n, ks in
+                     groupby(pairs, key=lambda k: degree(*k))}
+        self.sums = {n: DirectSum([self.parts[k].group for k in ks])
+                     for n, ks in self.keys.items()}
+        lo, hi = min(self.keys), max(self.keys)
+        self.complex = PlainChainComplex(
+            lo, hi, {n: s.group for n, s in self.sums.items()},
+            {n: _blockwise(self, self, n, n - 1, edges)
+             for n in range(lo + 1, hi + 1)})
+
+
+class TotalTensorComplex(_Total):
+    """C ⊗ E over their base, C contravariant and E covariant, as a plain
+    total complex: degree n is ⊕ C_p ⊗ E_q over p + q = n."""
+
+    __slots__ = ()
 
     def __init__(self, left: CatChainComplex, right: CatChainComplex):
         if left.base != right.base:
@@ -482,41 +506,13 @@ class TotalTensorComplex:
         if left.variance != "contra" or right.variance != "co":
             raise ValueError("need a contravariant left and covariant right "
                              "complex")
-        self.left = left
-        self.right = right
-        lo = left.lo + right.lo
-        hi = left.hi + right.hi
-        self.tensors = {}
-        self.keys = {}
-        self.sums = {}
-        groups = {}
-        for n in range(lo, hi + 1):
-            keys = [(p, n - p) for p in range(left.lo, left.hi + 1)
-                    if right.lo <= n - p <= right.hi]
-            for key in keys:
-                if key not in self.tensors:
-                    self.tensors[key] = CatTensor(left.module(key[0]),
-                                                  right.module(key[1]))
-            self.keys[n] = tuple(keys)
-            self.sums[n] = DirectSum([self.tensors[k].group for k in keys])
-            groups[n] = self.sums[n].group
-        diffs = {}
-        for n in range(lo + 1, hi + 1):
-            blocks = {}
-            for jdx, (p, q) in enumerate(self.keys[n]):
-                if (p - 1, q) in self.keys[n - 1]:
-                    idx = self.keys[n - 1].index((p - 1, q))
-                    blocks[(idx, jdx)] = self.tensors[(p, q)].induced(
-                        self.tensors[(p - 1, q)], left.diff(p), None)
-                if (p, q - 1) in self.keys[n - 1]:
-                    idx = self.keys[n - 1].index((p, q - 1))
-                    h = self.tensors[(p, q)].induced(
-                        self.tensors[(p, q - 1)], None, right.diff(q))
-                    if p % 2:
-                        h = h.negate()
-                    blocks[(idx, jdx)] = h
-            diffs[n] = block_hom(self.sums[n], self.sums[n - 1], blocks)
-        self.complex = PlainChainComplex(lo, hi, groups, diffs)
+
+        def d_right(a, b, p, q):
+            h = a.induced(b, None, right.diff(q))
+            return h.negate() if p % 2 else h
+        super().__init__(left, right, CatTensor, lambda p, q: p + q, (
+            ((-1, 0), lambda a, b, p, q: a.induced(b, left.diff(p), None)),
+            ((0, -1), d_right)))
 
 
 def tensor_complex_over_cat(left: CatChainComplex,
@@ -524,14 +520,12 @@ def tensor_complex_over_cat(left: CatChainComplex,
     return TotalTensorComplex(left, right).complex
 
 
-class TotalHomComplex:
-    """hom over the base from D to E as a plain total complex.
+class TotalHomComplex(_Total):
+    """hom(D, E) over their base, both contravariant and D free-marked
+    degreewise, as a plain total complex: degree n is ⊕ hom(D_p, E_q) over
+    q − p = n."""
 
-    Both complexes contravariant over one base; D must carry free markers
-    degreewise.  Degree n is ⊕_p hom(D_p, E_{p+n}), p ascending.
-    """
-
-    __slots__ = ("source", "target", "homs", "keys", "sums", "complex")
+    __slots__ = ()
 
     def __init__(self, source: CatChainComplex, target: CatChainComplex):
         if source.base != target.base:
@@ -540,43 +534,14 @@ class TotalHomComplex:
             raise ValueError("hom total takes two contravariant complexes")
         if not source.is_degreewise_free():
             raise ValueError("source must be degreewise free with markers")
-        self.source = source
-        self.target = target
-        lo = target.lo - source.hi
-        hi = target.hi - source.lo
-        self.homs = {}
-        self.keys = {}
-        self.sums = {}
-        groups = {}
-        for n in range(lo, hi + 1):
-            ps = [p for p in range(source.lo, source.hi + 1)
-                  if target.lo <= p + n <= target.hi]
-            for p in ps:
-                if (p, n) not in self.homs:
-                    self.homs[(p, n)] = CatHomGroup(source.module(p),
-                                                    target.module(p + n))
-            self.keys[n] = tuple(ps)
-            self.sums[n] = DirectSum([self.homs[(p, n)].group for p in ps])
-            groups[n] = self.sums[n].group
-        diffs = {}
-        for n in range(lo + 1, hi + 1):
+
+        def d_source(a, b, p, q):
             # the second term of (dφ)_p carries the coefficient -(-1)^n
-            negate = (n % 2 == 0)
-            blocks = {}
-            for jdx, p in enumerate(self.keys[n]):
-                if p in self.keys[n - 1]:
-                    idx = self.keys[n - 1].index(p)
-                    blocks[(idx, jdx)] = self.homs[(p, n)].postcompose_map(
-                        self.homs[(p, n - 1)], target.diff(p + n))
-                if p + 1 in self.keys[n - 1]:
-                    idx = self.keys[n - 1].index(p + 1)
-                    h = self.homs[(p, n)].precompose_map(
-                        self.homs[(p + 1, n - 1)], source.diff(p + 1))
-                    if negate:
-                        h = h.negate()
-                    blocks[(idx, jdx)] = h
-            diffs[n] = block_hom(self.sums[n], self.sums[n - 1], blocks)
-        self.complex = PlainChainComplex(lo, hi, groups, diffs)
+            h = a.precompose_map(b, source.diff(p + 1))
+            return h if (q - p) % 2 else h.negate()
+        super().__init__(source, target, CatHomGroup, lambda p, q: q - p, (
+            ((0, -1), lambda a, b, p, q: a.postcompose_map(b, target.diff(q))),
+            ((1, 0), d_source)))
 
 
 def hom_complex_over_cat(source: CatChainComplex,
@@ -584,13 +549,28 @@ def hom_complex_over_cat(source: CatChainComplex,
     return TotalHomComplex(source, target).complex
 
 
-def _blockwise(src, tgt, n, piece) -> AbHom:
-    """Degree-n map between two totals, one block per summand key the two
-    share; piece(key) is the block of that key."""
-    keys = tgt.keys.get(n, ())
-    blocks = {(keys.index(key), jdx): piece(key)
-              for jdx, key in enumerate(src.keys[n]) if key in keys}
-    return block_hom(src.sums[n], tgt.sums[n], blocks)
+def _blockwise(src, tgt, n, m, edges) -> AbHom:
+    """The degree-n to degree-m map between two totals, block by block: for
+    each ((dp, dq), block) in edges, the summand (p, q) of src maps into the
+    summand (p + dp, q + dq) of tgt, where tgt has it in degree m, by
+    block(src part, tgt part, p, q)."""
+    keys = tgt.keys.get(m, ())
+    blocks = {}
+    for jdx, (p, q) in enumerate(src.keys[n]):
+        for (dp, dq), block in edges:
+            to = (p + dp, q + dq)
+            if to in keys:
+                blocks[(keys.index(to), jdx)] = block(src.parts[(p, q)],
+                                                      tgt.parts[to], p, q)
+    return block_hom(src.sums[n], tgt.sums[m], blocks)
+
+
+def _induced(src, tgt, block) -> ChainMap:
+    """The chain map of totals that is block(src part, tgt part, p, q) on
+    every pair the two share; the ChainMap constructor verifies commutation."""
+    return ChainMap(src.complex, tgt.complex, {
+        n: _blockwise(src, tgt, n, n, (((0, 0), block),))
+        for n in src.keys if n in tgt.sums})
 
 
 def tensor_total_induced(src: TotalTensorComplex, tgt: TotalTensorComplex,
@@ -598,29 +578,18 @@ def tensor_total_induced(src: TotalTensorComplex, tgt: TotalTensorComplex,
     """Blockwise map of tensor totals from degreewise maps of the factors.
 
     left_maps / right_maps: dict degree -> ModuleMap (None means identity).
-    Only valid when the given maps are degree-preserving chain maps; the
-    ChainMap constructor verifies commutation.
+    Only valid when the given maps are degree-preserving chain maps.
     """
     left_maps, right_maps = left_maps or {}, right_maps or {}
-
-    def piece(key):
-        return src.tensors[key].induced(tgt.tensors[key], left_maps.get(key[0]),
-                                        right_maps.get(key[1]))
-    comps = {n: _blockwise(src, tgt, n, piece)
-             for n in src.keys if n in tgt.sums}
-    return ChainMap(src.complex, tgt.complex, comps)
+    return _induced(src, tgt, lambda a, b, p, q: a.induced(
+        b, left_maps.get(p), right_maps.get(q)))
 
 
 def hom_total_induced(src: TotalHomComplex, tgt: TotalHomComplex,
                       target_maps) -> ChainMap:
     """Postcomposition map of hom totals from degreewise maps E_q -> F_q."""
-    comps = {}
-    for n in src.keys:
-        if n in tgt.sums:
-            comps[n] = _blockwise(src, tgt, n, lambda p: src.homs[(p, n)]
-                                  .postcompose_map(tgt.homs[(p, n)],
-                                                   target_maps[p + n]))
-    return ChainMap(src.complex, tgt.complex, comps)
+    return _induced(src, tgt, lambda a, b, p, q: a.postcompose_map(
+        b, target_maps[q]))
 
 
 # ---------------------------------------------------------------------------
@@ -686,10 +655,10 @@ class ComparisonData:
                 hom_maps[psi] = ChainMap.identity(h1.complex)
                 continue
             hom_maps[psi] = hom_total_induced(h1, h2, {
-                q: ModuleMap(h1.target.module(q), h2.target.module(q),
+                q: ModuleMap(h1.right.module(q), h2.right.module(q),
                              {i: e.coeff_action[(i, psi)].component(q)
                               for i in icat.objects})
-                for q in h1.target.degrees()})
+                for q in h1.right.degrees()})
         self.hom_de = _glue(jcat, "co",
                             {j: homs[j].complex for j in jcat.objects},
                             hom_maps)
@@ -727,35 +696,37 @@ class ComparisonData:
 
     def _component(self, m, projections) -> AbHom:
         # hom_I(D_p, X) is ⊕_k X(c_k) over the generators k (at c_k) of D_p,
-        # so the block from C_a ⊗ H_n (H the glued hom_I(D, E)) to generator k
-        # is 1_C ⊗ π into the summand (a, p+n) of (C ⊗_J E(c_k, -))_{p+m},
-        # where π evaluates the p-th summand of H_n at k; projections keeps
-        # π's components across degrees, one per distinct hom total
+        # so the block from C_a ⊗ H_n (H the glued hom_I(D, E)) to the pair
+        # (p, r) at generator k is 1_C ⊗ π into the summand (a, q) of
+        # (C ⊗_J E(c_k, -))_r, where π evaluates the summand hom_I(D_p, E_q)
+        # of H_n at k (q = p + n, r = p + m); projections keeps π's
+        # components across degrees, one per distinct hom total
         src, tt, e = self.source_total, self.target_total, self.e
         homs = self.hom_totals
         blocks = {}
         for jdx, (a, n) in enumerate(src.keys[m]):
-            ct = src.tensors[(a, n)]
-            for idx, p in enumerate(tt.keys[m]):
-                if not e.lo <= p + n <= e.hi:
-                    continue        # H_n has no summand hom_I(D_p, E_{p+n})
-                key = (a, p + n)
-                parts = []
+            ct = src.parts[(a, n)]
+            for idx, (p, r) in enumerate(tt.keys[m]):
+                q = p + n
+                if not e.lo <= q <= e.hi:
+                    continue        # H_n has no summand hom_I(D_p, E_q)
+                key = (a, q)
+                images = []
                 for k, c in enumerate(self.d.module(p).free_gens):
                     rt = self.row_totals[c]
                     if (p, n, k) not in projections:
                         projections[(p, n, k)] = _shared(
                             homs, lambda j: (homs[j],),
-                            lambda j: homs[j].homs[(p, n)].evals.project(k)
+                            lambda j: homs[j].parts[(p, q)].evals.project(k)
                             .compose(homs[j].sums[n].project(
-                                homs[j].keys[n].index(p))))
-                    pi = ModuleMap(ct.right, rt.tensors[key].right,
+                                homs[j].keys[n].index((p, q)))))
+                    pi = ModuleMap(ct.right, rt.parts[key].right,
                                    projections[(p, n, k)])
-                    inject = rt.sums[p + m].inject(rt.keys[p + m].index(key))
-                    parts.append(inject.compose(
-                        ct.induced(rt.tensors[key], None, pi)))
-                blocks[(idx, jdx)] = tt.homs[(p, m)].evals.hom_into(ct.group,
-                                                                   parts)
+                    inject = rt.sums[r].inject(rt.keys[r].index(key))
+                    images.append(inject.compose(
+                        ct.induced(rt.parts[key], None, pi)))
+                blocks[(idx, jdx)] = tt.parts[(p, r)].evals.hom_into(ct.group,
+                                                                    images)
         return block_hom(src.sums[m], tt.sums[m], blocks)
 
 

@@ -810,10 +810,13 @@ def hom_from_presentation(source: FpAbGroup, target: FpAbGroup,
 
 
 def _relation_columns(moduli) -> IntMatrix:
-    """Relation columns t * e_k, one per nonzero modulus t, in order."""
-    moduli = list(moduli)
-    return IntMatrix(len(moduli) - moduli.count(0), len(moduli),
-                     nonzeros=[{k: t} for k, t in enumerate(moduli) if t]).transpose()
+    """Relation columns t * e_k, one per nonzero modulus t, in order: row k
+    holds t in the column of its nonzero modulus."""
+    rows, j = [], 0
+    for t in moduli:
+        rows.append({j: t} if t else {})
+        j += bool(t)
+    return IntMatrix(len(rows), j, nonzeros=rows)
 
 
 def _torsion_columns(g: FpAbGroup) -> IntMatrix:

@@ -214,6 +214,12 @@ def test_cat_complex_validation():
         FULL_LAB: AbHom.zero(c1.values[FULL_LAB], c0.values[FULL_LAB])})
     with pytest.raises(ValueError):
         CatChainComplex(OR2, "contra", 0, 1, {0: c0, 1: c1}, {1: broken})
+    # a natural map into the wrong module is refused on construction, not
+    # only later by evaluate_at
+    z, z2 = (constant_module(OR2, FpAbGroup.free(n), "co") for n in (1, 2))
+    with pytest.raises(ValueError, match="wrong target"):
+        CatChainComplex(OR2, "co", 0, 1, {0: z, 1: z},
+                        {1: ModuleMap.zero(z, z2)})
 
 
 def test_cat_complex_dd_checked():
@@ -337,8 +343,9 @@ def test_tensor_total_point_category_is_plain_tensor():
 
 
 def test_tensor_total_mixed_degrees_signs():
-    # two two-term complexes; constructor verifies d∘d = 0, which pins the
-    # Koszul sign
+    # two two-term complexes; the constructor verifies d∘d = 0, which holds
+    # with the sign on either factor (the sign itself is pinned elementwise
+    # below)
     x = reflection_circle_complex()
     total = TotalTensorComplex(x, coefficient_tower())
     assert total.complex.lo == 0 and total.complex.hi == 2
@@ -393,8 +400,8 @@ def test_hom_total_identity_class_survives():
     x = reflection_circle_complex()
     total = TotalHomComplex(x, x)
     vecs = [[0] * part.ngens for part in total.sums[0].parts]
-    for pdx, p in enumerate(total.keys[0]):
-        vecs[pdx] = total.homs[(p, 0)].coords_of(
+    for pdx, (p, q) in enumerate(total.keys[0]):
+        vecs[pdx] = total.parts[(p, q)].coords_of(
             ModuleMap.identity(x.module(p)))
     cycle = total.sums[0].assemble(vecs)
     assert all(v == 0 for v in total.complex.differential(0).apply(cycle))
@@ -409,6 +416,97 @@ def test_hom_total_sends_isos_to_isos():
     f = hom_total_induced(total, total, flip)
     for n in f.source.degrees():
         assert is_isomorphism(f.component(n))
+
+
+def assert_total_layout(total, degree):
+    # keys[n]: the degree pairs of total degree n, ascending; sums[n]: the
+    # groups of their parts, in that order
+    pairs = sorted((p, q) for p in total.left.degrees()
+                   for q in total.right.degrees())
+    assert total.keys == {n: tuple(k for k in pairs if degree(*k) == n)
+                          for n in {degree(*k) for k in pairs}}
+    for n, keys in total.keys.items():
+        assert total.sums[n].parts == tuple(total.parts[k].group for k in keys)
+
+
+def free_orbit_tower():
+    """Covariant two-term complex over Or(Z/2) on the free orbit, d = 1 − t:
+    unlike `coefficient_tower` it meets the free orbit edges of the
+    reflection circle in degree (1, 1), where the Koszul sign acts."""
+    w1, w0 = (free_module(OR2, [FREE_LAB], "co") for _ in range(2))
+    d = free_map_from_images(w1, w0, [[1, -1]])
+    return CatChainComplex(OR2, "co", 0, 1, {0: w0, 1: w1}, {1: d})
+
+
+def test_tensor_total_sign_is_koszul_elementwise():
+    # d(x ⊗ y) = dx ⊗ y + (-1)^p x ⊗ dy on every elementary tensor; d∘d = 0
+    # alone would also hold with the sign on the other factor
+    x = reflection_circle_complex()
+    signed = 0
+    for w in (coefficient_tower(), free_orbit_tower()):
+        total = TotalTensorComplex(x, w)
+        assert_total_layout(total, lambda p, q: p + q)
+        cx = total.complex
+        for n in range(cx.lo + 1, cx.hi + 1):
+            below = total.sums[n - 1]
+
+            def term(key, c, a, b):
+                at = below.inject(total.keys[n - 1].index(key))
+                return at.apply(total.parts[key].class_of_pure(c, a, b))
+            for idx, (p, q) in enumerate(total.keys[n]):
+                for c in OR2.objects:
+                    xs = x.module(p).values[c].ngens
+                    ys = w.module(q).values[c].ngens
+                    for alpha in range(xs):
+                        for beta in range(ys):
+                            a, b = unit(alpha, xs), unit(beta, ys)
+                            got = cx.differential(n).apply(
+                                total.sums[n].inject(idx).apply(
+                                    total.parts[(p, q)].class_of_pure(c, a, b)))
+                            want = [0] * below.group.ngens
+                            if (p - 1, q) in total.keys[n - 1]:
+                                da = x.diff(p).components[c].apply(a)
+                                want = [u + v for u, v in zip(
+                                    want, term((p - 1, q), c, da, b))]
+                            if (p, q - 1) in total.keys[n - 1]:
+                                db = w.diff(q).components[c].apply(b)
+                                moved = term((p, q - 1), c, a, db)
+                                want = [u + (-1) ** p * v
+                                        for u, v in zip(want, moved)]
+                                signed += p % 2 and any(moved)
+                            assert below.group.reduce(got) == \
+                                below.group.reduce(want)
+    assert signed
+
+
+def test_hom_total_sign_elementwise():
+    # (dφ)_p = d_E ∘ φ_p − (−1)^n φ_{p−1} ∘ d_D for φ of degree n, read
+    # summand by summand through to_module_map and coords_of
+    x = reflection_circle_complex()
+    total = TotalHomComplex(x, x)
+    assert_total_layout(total, lambda p, q: q - p)
+    cx = total.complex
+    both = 0
+    for n in range(cx.lo + 1, cx.hi + 1):
+        for beta in range(cx.group(n).ngens):
+            h = unit(beta, cx.group(n).ngens)
+            phi = {p: total.parts[(p, q)].to_module_map(
+                total.sums[n].project(idx).apply(h))
+                for idx, (p, q) in enumerate(total.keys[n])}
+            dh = cx.differential(n).apply(h)
+            for idx, (p, q) in enumerate(total.keys[n - 1]):
+                part = total.parts[(p, q)]
+                want = ModuleMap.zero(x.module(p), x.module(q))
+                if p in phi and (p, q + 1) in total.keys[n]:
+                    want = want.add(x.diff(q + 1).compose(phi[p]))
+                if p - 1 in phi:
+                    second = phi[p - 1].compose(x.diff(p))
+                    want = want.add(second if n % 2 else second.negate())
+                    both += not second.is_zero()
+                got = total.sums[n - 1].project(idx).apply(dh)
+                assert part.group.reduce(part.coords_of(want)) == \
+                    part.group.reduce(got)
+    assert both
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +640,10 @@ def test_glued_totals_reproduce_the_per_object_totals(which):
     for psi in jcat.morphisms:
         j1, j2 = jcat.dom[psi], jcat.cod[psi]
         t1, t2 = data.hom_totals[j1], data.hom_totals[j2]
-        moves = {q: ModuleMap(t1.target.module(q), t2.target.module(q),
+        moves = {q: ModuleMap(t1.right.module(q), t2.right.module(q),
                               {i: e.coeff_action[(i, psi)].component(q)
                                for i in icat.objects})
-                 for q in t1.target.degrees()}
+                 for q in t1.right.degrees()}
         induced = hom_total_induced(t1, t2, moves)
         for n in data.hom_de.degrees():
             assert data.hom_de.module(n).action(psi) == induced.component(n)
@@ -712,18 +810,18 @@ def image_by_definition(data, m, a, n, j, x, h, pure):
     x ⊗ (the p-th summand of h, as a module map, at that generator)."""
     ht, tt = data.hom_totals[j], data.target_total
     out = [0] * tt.complex.group(m).ngens
-    for pdx, p in enumerate(ht.keys[n]):
-        phi = ht.homs[(p, n)].to_module_map(ht.sums[n].project(pdx).apply(h))
-        dmod, key = data.d.module(p), (a, p + n)
+    for pdx, (p, q) in enumerate(ht.keys[n]):
+        phi = ht.parts[(p, q)].to_module_map(ht.sums[n].project(pdx).apply(h))
+        dmod, key = data.d.module(p), (a, q)
         values = []
         for k, c in enumerate(dmod.free_gens):
             y = phi.components[c].matrix.column(
                 dmod.free_index[c][(k, dmod.cat.ids[c])])
             rt = data.row_totals[c]
             inject = rt.sums[p + m].inject(rt.keys[p + m].index(key))
-            values.append(inject.apply(pure(rt.tensors[key], j, x, y)))
-        vec = tt.homs[(p, m)].evals.assemble(values)
-        emb = tt.sums[m].inject(tt.keys[m].index(p)).apply(vec)
+            values.append(inject.apply(pure(rt.parts[key], j, x, y)))
+        vec = tt.parts[(p, p + m)].evals.assemble(values)
+        emb = tt.sums[m].inject(tt.keys[m].index((p, p + m))).apply(vec)
         out = [u + w for u, w in zip(out, emb)]
     return tt.complex.group(m).reduce(out)
 
@@ -739,7 +837,7 @@ def test_comparison_matrix_is_x_tensor_phi_at_each_generator(which):
     for m in src.complex.degrees():
         t = data.chain_map.component(m)
         for kdx, (a, n) in enumerate(src.keys[m]):
-            ct = src.tensors[(a, n)]
+            ct = src.parts[(a, n)]
             assert ct.evals is not None
             for j in data.e.coeff_base.objects:
                 xs = data.c.module(a).values[j].ngens

@@ -671,6 +671,20 @@ def test_selection_matches_the_transposed_construction(data):
     assert IntMatrix.selection(nrows, iter(positions)) == old
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 12) | st.just(0), max_size=8))
+def test_relation_columns_match_the_transposed_construction(moduli):
+    # the rows are written directly; the construction they replace built one
+    # unit row per nonzero modulus and transposed it
+    old = IntMatrix(len(moduli) - moduli.count(0), len(moduli),
+                    nonzeros=[{k: t} for k, t in enumerate(moduli) if t]
+                    ).transpose()
+    new = ea._relation_columns(moduli)
+    assert new == old and new.rows == old.rows
+    assert ea._relation_columns(iter(moduli)) == old
+    assert ea._relation_columns([]) == IntMatrix.zeros(0, 0)
+
+
 def test_identity_witnesses_are_implicit():
     for g in (FpAbGroup.free(4), FpAbGroup.from_invariants(1, [2, 4]),
               cokernel_presentation(IntMatrix.zeros(3, 0)),
