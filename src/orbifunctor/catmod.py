@@ -1,14 +1,14 @@
 """Modules over a finite category: functors into f.p. abelian groups.
 
 Covariant and contravariant modules, natural transformations, free modules
-with marked bases, tensor product over the category (a coequalizer, or an
-evaluation when the left factor is free-marked), natural transformation
-groups (an equalizer, or an evaluation out of a free-marked module),
-objectwise kernels/cokernels with induced actions, restriction and induction
-along a functor, generating covers, and the finite-product interchange map
-for finitely generated free modules.  A free module's basis is held by the
-module itself (`free_gens`, `free_basis`); free resolutions and Tor, which
-are chain complexes of such modules, live in `chainplex`.
+with marked bases, tensor product over the category and natural
+transformation groups (both evaluations on the first factor's standard
+presentation, then one cokernel or kernel), objectwise kernels/cokernels
+with induced actions, restriction and induction along a functor, generating
+covers, and the finite-product interchange map for finitely generated free
+modules.  A free module's basis is held by the module itself (`free_gens`,
+`free_basis`); free resolutions and Tor, which are chain complexes of such
+modules, live in `chainplex`.
 
 Everything is presented over the exact integer layer, so all answers are
 canonical forms with witnesses, never up-to-iso guesses.
@@ -24,15 +24,14 @@ from .exact_abelian import (
     FpAbGroup,
     HomBasis,
     IntMatrix,
-    TensorBasis,
     block_hom,
+    block_matrix,
     express_in_kernel,
     hom_cokernel,
     hom_from_presentation,
     hom_image,
     hom_kernel,
     is_isomorphism,
-    quotient_group,
 )
 from .fincat import CatFunctor, FinCategory
 
@@ -178,7 +177,9 @@ class ModuleMap:
         """For a map out of a free-marked module: the triples (object w,
         basis position j, difference in target(w)) at which the map differs
         from the transformation that its values at the marked generators
-        determine.  Empty exactly when the map is natural."""
+        determine, empty exactly when the map is natural.  Empty for a
+        source without markers, whose every point is a generator of its
+        standard presentation."""
         if "defect" not in self._memo:
             self._memo["defect"] = _yoneda_defect(self)
         return self._memo["defect"]
@@ -260,10 +261,12 @@ def _square_commutes(mm: ModuleMap, f) -> bool:
 
 def _yoneda_defect(mm: ModuleMap):
     # compare each component with that of the transformation sending each
-    # generator i to the value of mm at (i, id_{c_i})
+    # generator i to the value of mm at (i, id_{c_i}); a module without
+    # markers has a generator at each point of its standard presentation,
+    # so nothing to compare
     free, target = mm.source, mm.target
     if not free.is_free_marked():
-        raise ValueError("source carries no free marker")
+        return []
     yoneda = free_map_from_images(free, target,
                                   _generator_images(free, mm.components))
     out = []
@@ -424,335 +427,83 @@ def module_image(mm: ModuleMap):
 
 
 # ---------------------------------------------------------------------------
-# Tensor over the category (coequalizer)
+# Tensor and hom over the category, through the standard presentation
 # ---------------------------------------------------------------------------
 
 
-class CatTensor:
-    """M ⊗ over the base category ⊗ N for M contravariant, N covariant.
+class StandardPresentation:
+    """F1 → F0 → M → 0, the free presentation through which M enters a
+    tensor or a hom (Davis–Lück, K-Theory 15, 1998, §1).
 
-    When M is free-marked on generators at c_0, ..., c_{r-1}, the co-Yoneda
-    lemma gives M ⊗ N = ⊕_k N(c_k), held in `evals` with `group` its
-    canonical form: (k, φ) ⊗ y at c is N(φ)(y) in summand k.  Nothing is
-    solved; `tensors`, `part_index`, `big` and `projection` are None.
-    Otherwise `evals` is None and the group is the coequalizer: the quotient
-    of `big` = ⊕_c M(c) ⊗ N(c), part `part_index[c]` the `TensorBasis`
-    `tensors[c]`, by the relations (x·φ) ⊗ y  =  x ⊗ (φ·y), one block per
-    non-identity morphism φ: c → d, x in M(d), y in N(c); `projection` maps
-    the big sum's canonical coordinates onto it.
+    F0 (`cover`) is M itself when M is free-marked, with no relations, and
+    the free module of `generating_cover(M)` otherwise.  Generator k of F0
+    sits at c_k and maps to canonical generator `slots[k]` of M(c_k);
+    `lifts[c]` sends each canonical generator of M(c) to a preimage in
+    F0(c).  F1 is free on `relations`, pairs (t, r) with r in F0(t), and is
+    never built as a module: r = (x at s, f) − Σ_j M(f)(e_x)_j · (j at t,
+    id) for each non-identity f acting from s to t and generator x of M(s),
+    and r = n · (j at c, id) for each generator j of M(c) of finite order n.
+    Each label (x, f), f not an identity, is in one relation, which rewrites
+    it at t; so the presentation is exact at every object (the coend
+    formula).
     """
 
-    __slots__ = ("left", "right", "cat", "tensors", "part_index", "big",
-                 "evals", "group", "projection")
+    __slots__ = ("cover", "slots", "lifts", "relations")
 
-    def __init__(self, left: CatModule, right: CatModule):
-        if left.cat != right.cat:
-            raise ValueError("modules live over different categories")
-        if left.variance != CONTRAVARIANT or right.variance != COVARIANT:
-            raise ValueError("tensor needs a contravariant left module and a "
-                             "covariant right module")
-        self.left = left
-        self.right = right
-        cat = self.cat = left.cat
-        if left.is_free_marked():
-            self.evals = DirectSum([right.values[c] for c in left.free_gens])
-            self.group = self.evals.group
-            self.tensors = self.part_index = self.big = self.projection = None
+    def __init__(self, module: CatModule):
+        cat = module.cat
+        if module.is_free_marked():
+            self.cover, self.relations = module, []
+            self.slots = [module.free_index[c][(k, cat.ids[c])]
+                          for k, c in enumerate(module.free_gens)]
+            self.lifts = {c: IntMatrix.identity(module.values[c].ngens)
+                          for c in cat.objects}
             return
-        self.evals = None
-        self.tensors = {c: TensorBasis(left.values[c], right.values[c])
-                        for c in cat.objects}
-        self.part_index = {c: i for i, c in enumerate(cat.objects)}
-        self.big = DirectSum([self.tensors[c].group for c in cat.objects])
-        rel_cols = []
+        cover = self.cover = generating_cover(module)[0]
+        self.slots = [j for c in cat.objects
+                      for j in range(module.values[c].ngens)]
+        first = {}
+        for k, c in enumerate(cover.free_gens):
+            first.setdefault(c, k)
+        # canonical generator j of M(c) lifts to (j at c, id)
+        self.lifts = {c: IntMatrix.selection(len(cover.free_basis[c]), [
+            cover.free_index[c][(first[c] + j, cat.ids[c])]
+            for j in range(module.values[c].ngens)]) for c in cat.objects}
+        self.relations = []
         for f in cat.morphisms:
-            if cat.is_identity(f):
-                continue
-            c, d = cat.dom[f], cat.cod[f]
-            # one relation per generator pair (x, y) of M(d) x N(c), x-major
-            mcols = left.actions[f].matrix.transpose().nonzeros    # M(d) -> M(c)
-            ncols = right.actions[f].matrix.transpose().nonzeros   # N(c) -> N(d)
-            tc, td = self.tensors[c], self.tensors[d]
-            at_c = [{} for _ in tc.entries]     # (x·f) ⊗ y, on pairs at c
-            at_d = [{} for _ in td.entries]     # x ⊗ (f·y), on pairs at d
-            col = 0
-            for x in range(left.values[d].ngens):
-                for y in range(right.values[c].ngens):
-                    for a, v in mcols[x].items():
-                        k = tc.index.get((a, y))
-                        if k is not None:
-                            at_c[k][col] = v
-                    for b, w in ncols[y].items():
-                        k = td.index.get((x, b))
-                        if k is not None:
-                            at_d[k][col] = w
-                    col += 1
-            rels = (self._pairs_to_big(c, IntMatrix(len(at_c), col, nonzeros=at_c))
-                    - self._pairs_to_big(d, IntMatrix(len(at_d), col, nonzeros=at_d)))
-            rel_cols.extend(self.big.group.reduce_matrix(rels).columns())
-        self.group, self.projection = quotient_group(self.big.group, rel_cols)
+            if not cat.is_identity(f):
+                s, t = _action_endpoints(module, f)
+                for x in range(module.values[s].ngens):
+                    r = [-a for a in self.lifts[t].apply(
+                        module.actions[f].matrix.column(x))]
+                    r[cover.free_index[t][(first[s] + x, f)]] += 1
+                    self.relations.append((t, r))
+        self.relations += [(c, [n * a for a in self.lifts[c].column(j)])
+                           for c in cat.objects
+                           for j, n in enumerate(module.values[c].moduli())
+                           if n]
 
-    def _pairs_to_big(self, c, pairs: IntMatrix) -> IntMatrix:
-        # columns on the generator pairs of the tensor at c -> canonical
-        # coordinates of the big sum (unreduced): the part's rows placed at
-        # its offset (rows are never mutated, so the empty ones share one
-        # dict), then the sum's own witness
-        big = self.big
-        placed = [{}] * big.total_gens
-        lo = big.offsets[self.part_index[c]]
-        rows = (self.tensors[c].group.to_can * pairs).nonzeros
-        placed[lo:lo + len(rows)] = rows
-        return big.group.to_can * IntMatrix(big.total_gens, pairs.ncols,
-                                            nonzeros=placed)
+    def through(self, module: CatModule, c, x):
+        """{k: Σ_φ a_(k,φ)·N(φ)}, N = module and a the lift of x in M(c):
+        how x ⊗ − and τ ↦ τ_c(x) read on the evaluation ⊕_k N(c_k)."""
+        return _through(self.cover, module, c, self.lifts[c].apply(x))
 
-    def class_of_pure(self, c, x, y):
-        """Class of the elementary tensor x ⊗ y sitting at object c."""
-        if self.evals is None:
-            raw = self.big.embed(self.part_index[c], self.tensors[c].pure(x, y))
-            return self.projection.apply(self.big.group.to_canonical(raw))
-        # Σ_φ x_(k,φ)·N(φ)(y) in summand k
-        moved = _through(self.left, self.right, c, x)
-        return self.evals.assemble([moved[k].apply(y) if k in moved
-                                    else [0] * part.ngens
-                                    for k, part in enumerate(self.evals.parts)])
+    def carried(self, v: ModuleMap, into: "StandardPresentation",
+                module: CatModule):
+        """(k, c_k, blocks) for each generator k of this cover: its point of
+        M(c_k), carried by v and read through module by `into.through`."""
+        for k, (c, slot) in enumerate(zip(self.cover.free_gens, self.slots)):
+            yield k, c, into.through(module, c,
+                                     v.components[c].matrix.column(slot))
 
-    def components(self, can_vec):
-        """One representative of a class, as per-object tensor coordinates:
-        the canonical coordinates of each `tensors[c]` on the coequalizer
-        path; on the free path the sum Σ_k (k, id) ⊗ y_k, with M(c) ⊗ N(c)
-        read as one copy of N(c) per basis label of M(c), label-major."""
-        rep = self.group.representative(can_vec)
-        if self.evals is None:
-            return {c: self.big.project(i).apply(rep)
-                    for i, c in enumerate(self.cat.objects)}
-        left = self.left
-        out = {c: [0] * (len(left.free_basis[c]) * self.right.values[c].ngens)
-               for c in self.cat.objects}
-        for k, c in enumerate(left.free_gens):
-            n, lo = self.evals.parts[k].ngens, self.evals.offsets[k]
-            at = left.free_index[c][(k, self.cat.ids[c])] * n
-            out[c][at:at + n] = rep[lo:lo + n]
-        return out
-
-    def induced(self, other: "CatTensor", left_map: ModuleMap | None,
-                right_map: ModuleMap | None) -> AbHom:
-        """The map of tensor groups induced by maps of both factors."""
-        us = (right_map or ModuleMap.identity(self.right)).components
-        if self.evals is not None and other.evals is not None and (
-                _same_marking(self.left, other.left) if left_map is None
-                else _same_marking(left_map.source, self.left)
-                and _same_marking(left_map.target, other.left)):
-            return self._blockwise(other, left_map, us)
-        vs = (left_map or ModuleMap.identity(self.left)).components
-        if self.evals is not None or other.evals is not None:
-            return self._pairwise(other, vs, us)
-        blocks = {(other.part_index[c], self.part_index[c]):
-                  self.tensors[c].induced(other.tensors[c], vs[c], us[c])
-                  for c in self.cat.objects}
-        # both groups are presented on the canonical coordinates of their sums
-        big_map = block_hom(self.big, other.big, blocks)
-        return hom_from_presentation(self.group, other.group, big_map.matrix)
-
-    def _pairwise(self, other: "CatTensor", vs, us) -> AbHom:
-        # the pair (a, b) at c goes to the class of vs[c](a) ⊗ us[c](b) in
-        # other; a free side is read on its generator pairs (k, id) ⊗ y at
-        # c_k, a coequalizer side on the pairs of its tensor at each object
-        def image(c, a, b):
-            return other.class_of_pure(c, vs[c].matrix.column(a),
-                                       us[c].matrix.column(b))
-        n = other.group.ngens
-        if self.evals is not None:
-            ids = self.cat.ids
-            pres = IntMatrix.from_columns(
-                [image(c, self.left.free_index[c][(k, ids[c])], b)
-                 for k, c in enumerate(self.left.free_gens)
-                 for b in range(self.right.values[c].ngens)], nrows=n)
-        else:
-            cols = []
-            for c in self.cat.objects:
-                tb = self.tensors[c]
-                pairs = IntMatrix.from_columns(
-                    [image(c, a, b) for a, b, _ in tb.entries], nrows=n)
-                cols.extend((pairs * tb.group.reps).columns())
-            pres = IntMatrix.from_columns(cols, nrows=n) * self.big.group.reps
-        return AbHom(self.group, other.group, pres * self.group.reps)
-
-    def _blockwise(self, other: "CatTensor", v, us) -> AbHom:
-        # in ⊕_k N(c_k) coordinates generator y of N(c_k) is (k, id) ⊗ y, sent
-        # to v(k, id) ⊗ u(y): block (k', k) = Σ_φ a_(k',φ)·N'(φ)·u_{c_k}, a
-        # the value of v at generator k (block (k, k) = u_{c_k} when v = 1)
-        if v is None:
-            return block_hom(self.evals, other.evals, {
-                (k, k): us[c] for k, c in enumerate(self.left.free_gens)})
-        values, gens = other.right.values, other.left.free_gens
-        images = _generator_images(v.source, v.components)
+    def on_relations(self, module: CatModule):
+        """F1 read through the module: (⊕_r N(t_r), {(r, k): Σ_φ
+        r_(k,φ)·N(φ)}) over the relations r at t_r, N = module."""
         blocks = {}
-        for k, c in enumerate(self.left.free_gens):
-            for k2, m in _through(other.left, other.right, c,
-                                  images[k]).items():
-                blocks[(k2, k)] = AbHom(us[c].source, values[gens[k2]],
-                                        m * us[c].matrix, check=False)
-        return block_hom(self.evals, other.evals, blocks)
-
-
-def tensor_over_cat(left: CatModule, right: CatModule) -> FpAbGroup:
-    """Canonical form of the tensor product over the base category."""
-    return CatTensor(left, right).group
-
-
-# ---------------------------------------------------------------------------
-# Natural transformation groups (equalizer)
-# ---------------------------------------------------------------------------
-
-
-class CatHomGroup:
-    """The group of natural transformations M => N (same variance).
-
-    When M is free-marked on generators at c_0, ..., c_{r-1}, the Yoneda
-    lemma makes a transformation the tuple of its values at the marked
-    generators (k, id_{c_k}), so the group is the canonical form of
-    ⊕_k N(c_k), held in `evals`, and nothing is solved.  Otherwise it is the
-    kernel, inside ⊕_c Hom(M(c), N(c)), of the stacked naturality
-    constraints over all non-identity morphisms.
-
-    Both paths refuse the same maps: `coords_of` raises ValueError on a
-    module map that is not natural, and `postcompose_map` and
-    `precompose_map` raise ValueError exactly when composing some
-    transformation with the given map is not natural.
-    """
-
-    __slots__ = ("source", "target", "cat", "evals", "bases", "big", "group",
-                 "kernel_basis", "inclusion")
-
-    def __init__(self, source: CatModule, target: CatModule):
-        if source.cat != target.cat:
-            raise ValueError("modules live over different categories")
-        if source.variance != target.variance:
-            raise ValueError("variance mismatch")
-        self.source = source
-        self.target = target
-        cat = self.cat = source.cat
-        if source.is_free_marked():
-            self.evals = DirectSum([target.values[c] for c in source.free_gens])
-            self.group = self.evals.group
-            self.bases = self.big = self.kernel_basis = self.inclusion = None
-            return
-        self.evals = None
-        self.bases = {c: HomBasis(source.values[c], target.values[c])
-                      for c in cat.objects}
-        self.big = DirectSum([self.bases[c].group for c in cat.objects])
-        constraints = []      # (constraint hom from big.group, target basis)
-        for f in cat.morphisms:
-            if cat.is_identity(f):
-                continue
-            # f acts from s to t; N(f)∘τ_s − τ_t∘M(f) : Hom(M(s), N(t)) when
-            # covariant, its negative when contravariant
-            s, t = _action_endpoints(source, f)
-            mixed = HomBasis(source.values[s], target.values[t])
-            post = self.bases[s].postcompose(mixed, target.actions[f]).compose(
-                self.big.project(cat.objects.index(s)))
-            pre = self.bases[t].precompose(mixed, source.actions[f]).compose(
-                self.big.project(cat.objects.index(t)))
-            if source.variance == COVARIANT:
-                constraints.append(post.add(pre.negate()))
-            else:
-                constraints.append(pre.add(post.negate()))
-        tgt_sum = DirectSum([p.target for p in constraints])
-        delta = tgt_sum.hom_into(self.big.group, constraints)
-        self.group, self.kernel_basis, self.inclusion = hom_kernel(delta)
-
-    def to_module_map(self, can_vec) -> ModuleMap:
-        if self.evals is not None:
-            pres = self.group.representative(can_vec)
-            ev = self.evals
-            images = [pres[lo:lo + part.ngens]
-                      for lo, part in zip(ev.offsets, ev.parts)]
-            return free_map_from_images(self.source, self.target, images)
-        v = self.inclusion.apply(can_vec)
-        components = {}
-        for i, c in enumerate(self.cat.objects):
-            coords = self.big.project(i).apply(v)
-            components[c] = self.bases[c].to_hom(coords)
-        return ModuleMap(self.source, self.target, components)
-
-    def coords_of(self, mm: ModuleMap):
-        if self.evals is None:
-            vec = self.big.assemble([self.bases[c].coords_of(mm.components[c])
-                                     for c in self.cat.objects])
-            return express_in_kernel(self.group, self.kernel_basis,
-                                     self.big.group, vec)
-        for c in self.cat.objects:
-            h = mm.components[c]
-            if h.source != self.source.values[c] or \
-                    h.target != self.target.values[c]:
-                raise ValueError("module map does not match this hom group")
-        if mm.source is not self.source:
-            mm = ModuleMap(self.source, self.target, mm.components)
-        if mm.defect():
-            raise ValueError("module map is not natural")
-        return self.evals.assemble(_generator_images(self.source,
-                                                     mm.components))
-
-    def postcompose_map(self, other: "CatHomGroup", u: ModuleMap) -> AbHom:
-        """Hom(M,N) -> Hom(M,N'), τ ↦ u∘τ, for a module map u: N -> N'."""
-        if not (self._evaluates(other)
-                and _same_marking(self.source, other.source)):
-            return self._generatorwise(other, u.compose)
-        # u∘τ is natural for every τ exactly when u is natural at each
-        # morphism acting from a generator's object
-        for c in set(self.source.free_gens):
-            h = u.components[c]
-            if h.source != self.target.values[c] or \
-                    h.target != other.target.values[c]:
-                raise ValueError("composition mismatch")
-            if not u.natural_from(c):
-                raise ValueError(f"module map is not natural at a morphism "
-                                 f"acting from {c!r}")
-        return block_hom(self.evals, other.evals,
-                         {(k, k): u.components[c]
-                          for k, c in enumerate(self.source.free_gens)})
-
-    def precompose_map(self, other: "CatHomGroup", v: ModuleMap) -> AbHom:
-        """Hom(M,N) -> Hom(M',N), τ ↦ τ∘v, for a module map v: M' -> M."""
-        if not (self._evaluates(other) and _same_marking(v.source, other.source)
-                and _same_marking(v.target, self.source)):
-            return self._generatorwise(other, lambda tau: tau.compose(v))
-        # τ∘v differs from a natural map by τ applied to v's defect d, which
-        # vanishes for every τ exactly when Σ_φ d_(k,φ)·N(φ) = 0 for each k
-        for w, _, diff in v.defect():
-            reduce = self.target.values[w].reduce_matrix
-            if any(not reduce(m).is_zero()
-                   for m in _through(self.source, self.target, w,
-                                     diff).values()):
-                raise ValueError("composite with the module map is not "
-                                 "natural")
-        # block (k', k) = Σ_φ a_(k,φ)·N(φ), a the value of v at generator k'
-        values, gens = self.target.values, self.source.free_gens
-        blocks = {}
-        for k2, a in enumerate(_generator_images(v.source, v.components)):
-            c2 = v.source.free_gens[k2]
-            for k, m in _through(self.source, self.target, c2, a).items():
-                blocks[(k2, k)] = AbHom(values[gens[k]], values[c2], m,
-                                        check=False)
-        return block_hom(self.evals, other.evals, blocks)
-
-    def _evaluates(self, other):
-        # both groups are evaluations at free generators
-        return self.evals is not None and other.evals is not None
-
-    def _generatorwise(self, other: "CatHomGroup", move) -> AbHom:
-        # column j: coordinates in `other` of move(τ_j), τ_j the j-th
-        # generator of this group
-        n = self.group.ngens
-        cols = [other.coords_of(move(self.to_module_map(
-                    [1 if i == j else 0 for i in range(n)])))
-                for j in range(n)]
-        return AbHom(self.group, other.group,
-                     IntMatrix.from_columns(cols, nrows=other.group.ngens))
-
-
-def _same_marking(a: CatModule, b: CatModule):
-    return a is b or (a.free_basis is not None and a.free_basis == b.free_basis)
+        for i, (t, r) in enumerate(self.relations):
+            for k, m in _through(self.cover, module, t, r).items():
+                blocks[(i, k)] = m
+        return DirectSum([module.values[t] for t, _ in self.relations]), blocks
 
 
 def _through(free: CatModule, module: CatModule, w, vec):
@@ -764,6 +515,232 @@ def _through(free: CatModule, module: CatModule, w, vec):
             term = module.actions[phi].matrix.scale(x)
             out[k] = out[k] + term if k in out else term
     return out
+
+
+class CatTensor:
+    """M ⊗ over the base category ⊗ N for M contravariant, N covariant.
+
+    M enters through its standard presentation F1 → F0 → M → 0 (`pres`),
+    and M ⊗ N = coker(F1 ⊗ N → F0 ⊗ N).  By the co-Yoneda lemma F0 ⊗ N is
+    the evaluation `evals` = ⊕_k N(c_k): (k, φ) ⊗ y at c is N(φ)(y) in
+    summand k, and F1 ⊗ N is one copy of N(t) per relation at t.  `group` is
+    presented on the coordinates of `evals`: it is `evals.group` when M is
+    free-marked (no relations) and the cokernel otherwise, so every induced
+    map is one block map between evaluations.
+    """
+
+    __slots__ = ("left", "right", "cat", "pres", "evals", "group")
+
+    def __init__(self, left: CatModule, right: CatModule):
+        if left.cat != right.cat:
+            raise ValueError("modules live over different categories")
+        if left.variance != CONTRAVARIANT or right.variance != COVARIANT:
+            raise ValueError("tensor needs a contravariant left module and a "
+                             "covariant right module")
+        self.left = left
+        self.right = right
+        self.cat = left.cat
+        pres = self.pres = StandardPresentation(left)
+        ev = self.evals = DirectSum([right.values[c]
+                                     for c in pres.cover.free_gens])
+        self.group = ev.group
+        if pres.relations:
+            rels, blocks = pres.on_relations(right)
+            self.group = ev.quotient(block_matrix(rels, ev, {
+                (k, i): AbHom(rels.parts[i], ev.parts[k], m, check=False)
+                for (i, k), m in blocks.items()}))
+
+    def class_of_pure(self, c, x, y):
+        """Class of the elementary tensor x ⊗ y sitting at object c."""
+        # Σ_φ a_(k,φ)·N(φ)(y) in summand k, a the lift of x to F0(c)
+        moved = self.pres.through(self.right, c, x)
+        return self.group.to_canonical(
+            [z for k, part in enumerate(self.evals.parts)
+             for z in (moved[k].apply(y) if k in moved else [0] * part.ngens)])
+
+    def components(self, can_vec):
+        """One representative of a class, as per-object tensor coordinates
+        on the cover: the sum Σ_k (k, id) ⊗ y_k, with F0(c) ⊗ N(c) read as
+        one copy of N(c) per basis label of F0(c), label-major."""
+        rep = self.group.representative(can_vec)
+        cover = self.pres.cover
+        out = {c: [0] * (len(cover.free_basis[c]) * self.right.values[c].ngens)
+               for c in self.cat.objects}
+        for k, c in enumerate(cover.free_gens):
+            n, lo = self.evals.parts[k].ngens, self.evals.offsets[k]
+            at = cover.free_index[c][(k, self.cat.ids[c])] * n
+            out[c][at:at + n] = rep[lo:lo + n]
+        return out
+
+    def induced(self, other: "CatTensor", left_map: ModuleMap | None,
+                right_map: ModuleMap | None) -> AbHom:
+        """The map of tensor groups induced by maps of both factors (no left
+        map: the identity of the left factor)."""
+        us = (right_map or ModuleMap.identity(self.right)).components
+        if left_map is None and other.left is self.left:
+            blocks = {(k, k): us[c]
+                      for k, c in enumerate(self.pres.cover.free_gens)}
+        else:
+            # generator k goes to v(its point of M(c_k)) lifted into the
+            # cover of other: block (k2, k) = Σ_φ a_(k2,φ)·N'(φ)·u_{c_k}
+            values, gens = other.right.values, other.pres.cover.free_gens
+            blocks = {}
+            for k, c, moved in self.pres.carried(
+                    left_map or ModuleMap.identity(self.left), other.pres,
+                    other.right):
+                for k2, m in moved.items():
+                    blocks[(k2, k)] = AbHom(us[c].source, values[gens[k2]],
+                                            m * us[c].matrix, check=False)
+        return hom_from_presentation(self.group, other.group, block_matrix(
+            self.evals, other.evals, blocks))
+
+
+def tensor_over_cat(left: CatModule, right: CatModule) -> FpAbGroup:
+    """Canonical form of the tensor product over the base category."""
+    return CatTensor(left, right).group
+
+
+class CatHomGroup:
+    """The group of natural transformations M => N (same variance).
+
+    M enters through its standard presentation F1 → F0 → M → 0 (`pres`),
+    and hom(M, N) = ker(hom(F0, N) → hom(F1, N)).  By the Yoneda lemma a
+    transformation out of F0 is the tuple of its values at the generators
+    (k, id_{c_k}), so hom(F0, N) is the evaluation `evals` = ⊕_k N(c_k), and
+    τ in hom(M, N) is read there through its values at the points `slots[k]`
+    of M(c_k).  When M is free-marked there are no relations and `group` is
+    `evals.group`; otherwise it is the kernel, `lattice` its basis and
+    `inclusion` its map into `evals.group`.
+
+    Every map refuses exactly when some composite is not natural:
+    `coords_of` raises ValueError on a module map that is not natural, and
+    `postcompose_map` and `precompose_map` raise ValueError exactly when
+    composing some transformation with the given map is not natural.
+    """
+
+    __slots__ = ("source", "target", "cat", "pres", "evals", "group",
+                 "lattice", "inclusion")
+
+    def __init__(self, source: CatModule, target: CatModule):
+        if source.cat != target.cat:
+            raise ValueError("modules live over different categories")
+        if source.variance != target.variance:
+            raise ValueError("variance mismatch")
+        self.source = source
+        self.target = target
+        self.cat = source.cat
+        pres = self.pres = StandardPresentation(source)
+        self.evals = DirectSum([target.values[c]
+                                for c in pres.cover.free_gens])
+        self.group, self.lattice = self.evals.group, None
+        self.inclusion = AbHom.identity(self.group)
+        if pres.relations:
+            # τ ↦ (τ_t(r))_r, i.e. (Σ_k Σ_φ r_(k,φ)·N(φ)·τ_k)_r
+            rels, blocks = pres.on_relations(target)
+            ev = self.evals
+            self.group, self.lattice, self.inclusion = hom_kernel(block_hom(
+                ev, rels, {(i, k): AbHom(ev.parts[k], rels.parts[i], m,
+                                         check=False)
+                           for (i, k), m in blocks.items()}))
+
+    def to_module_map(self, can_vec) -> ModuleMap:
+        ev = self.evals
+        vec = ev.group.representative(self.inclusion.apply(can_vec))
+        tau = free_map_from_images(self.pres.cover, self.target, [
+            vec[lo:lo + part.ngens] for lo, part in zip(ev.offsets, ev.parts)])
+        # down along F0 → M: each canonical generator through its lift; what
+        # tau knows of itself holds for the map it induces
+        mm = ModuleMap(self.source, self.target, {
+            c: AbHom(self.source.values[c], self.target.values[c],
+                     tau.components[c].matrix * self.pres.lifts[c],
+                     check=False) for c in self.cat.objects})
+        mm._memo.update(tau._memo)
+        return mm
+
+    def coords_of(self, mm: ModuleMap):
+        for c in self.cat.objects:
+            h = mm.components[c]
+            if h.source != self.source.values[c] or \
+                    h.target != self.target.values[c]:
+                raise ValueError("module map does not match this hom group")
+        if mm.source is not self.source:
+            mm = ModuleMap(self.source, self.target, mm.components)
+        if mm.defect():
+            raise ValueError("module map is not natural")
+        # with no defect, mm is the transformation of its values at the
+        # generators, which is natural when they lie in the kernel
+        return self._in_group(self.evals.assemble([
+            mm.components[c].matrix.column(slot)
+            for c, slot in zip(self.pres.cover.free_gens, self.pres.slots)]))
+
+    def postcompose_map(self, other: "CatHomGroup", u: ModuleMap) -> AbHom:
+        """Hom(M,N) -> Hom(M,N'), τ ↦ u∘τ, for a module map u: N -> N'."""
+        for c in set(self.pres.cover.free_gens):
+            h = u.components[c]
+            if h.source != self.target.values[c] or \
+                    h.target != other.target.values[c]:
+                raise ValueError("composition mismatch")
+        # a free M holds points off its generators, its basis labels moved
+        # along morphisms: there u∘τ is the transformation of its generator
+        # values for every τ exactly when u is natural at each morphism
+        # acting from a generator's object (a cover has no such points)
+        for c in set(self.source.free_gens or ()):
+            if not u.natural_from(c):
+                raise ValueError(f"module map is not natural at a morphism "
+                                 f"acting from {c!r}")
+        return self._composed(other, None, u)
+
+    def precompose_map(self, other: "CatHomGroup", v: ModuleMap) -> AbHom:
+        """Hom(M,N) -> Hom(M',N), τ ↦ τ∘v, for a module map v: M' -> M."""
+        if v.source is not other.source:
+            v = ModuleMap(other.source, v.target, v.components)
+        # τ∘v differs from the transformation of its generator values by τ
+        # applied to v's defect d, which vanishes for every τ exactly when
+        # τ ↦ τ_w(d) is zero on this group
+        ev = self.evals
+        for w, _, diff in v.defect():
+            at = DirectSum([self.target.values[w]])
+            at_d = block_hom(ev, at, {
+                (0, k): AbHom(ev.parts[k], at.parts[0], m, check=False)
+                for k, m in self.pres.through(self.target, w, diff).items()})
+            if not at_d.compose(self.inclusion).is_zero():
+                raise ValueError("composite with the module map is not "
+                                 "natural")
+        return self._composed(other, v, None)
+
+    def _composed(self, other: "CatHomGroup", v, u) -> AbHom:
+        # τ ↦ u∘τ∘v on the values at the generators (None: an identity), from
+        # this kernel into other's; ValueError when an image leaves it
+        if v is None and other.source is self.source:
+            blocks = {(k, k): u.components[c]
+                      for k, c in enumerate(self.pres.cover.free_gens)}
+        else:
+            # generator k2 of other's cover, carried by v and lifted into this
+            # cover: block (k2, k) = u_{c_k2}·Σ_φ a_(k,φ)·N(φ)
+            parts, blocks = self.evals.parts, {}
+            for k2, c2, moved in other.pres.carried(
+                    v or ModuleMap.identity(self.source), self.pres,
+                    self.target):
+                for k, m in moved.items():
+                    blocks[(k2, k)] = AbHom(
+                        parts[k], other.evals.parts[k2],
+                        m if u is None else u.components[c2].matrix * m,
+                        check=False)
+        on_covers = block_hom(self.evals, other.evals, blocks).compose(
+            self.inclusion)
+        if other.lattice is None:
+            return on_covers
+        return AbHom(self.group, other.group, IntMatrix.from_columns(
+            [other._in_group(col) for col in on_covers.matrix.columns()],
+            nrows=other.group.ngens))
+
+    def _in_group(self, vec):
+        # group coordinates of a tuple of generator values (canonical
+        # coordinates of evals); ValueError when it leaves the kernel
+        if self.lattice is None:
+            return vec
+        return express_in_kernel(self.group, self.lattice, self.evals.group,
+                                 vec)
 
 
 def hom_over_cat(source: CatModule, target: CatModule) -> FpAbGroup:

@@ -267,19 +267,28 @@ def cat_complex_concentrated(module: CatModule, degree: int) -> CatChainComplex:
 # ---------------------------------------------------------------------------
 
 
+# the work of a kernel step grows fast with the total rank it starts from
+RESOLUTION_RANK_BOUND = 256
+
+
 def free_resolution(module: CatModule, length: int):
     """(complex, augmentation) for F_L -> ... -> F_0 -> M -> 0, each F_i
     finitely generated free: the complex of the F_i in degrees 0..L and the
     epi F_0 -> M.
 
-    Exactness of the augmented complex is verified objectwise through degree
-    L-1 and failure aborts.
+    A kernel step from an F_{n-1} of total rank above RESOLUTION_RANK_BOUND
+    is refused with ValueError before it starts.  Exactness of the augmented
+    complex is verified objectwise through degree L-1 and failure aborts.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     f0, eps = generating_cover(module)
     modules, maps = {0: f0}, [eps]      # maps[n]: F_n -> F_{n-1}, or -> M
     for n in range(1, length + 1):
+        rank = modules[n - 1].total_rank()
+        if rank > RESOLUTION_RANK_BOUND:
+            raise ValueError(f"resolution step {n} starts from total rank "
+                             f"{rank}, above {RESOLUTION_RANK_BOUND}")
         ker, inc = module_kernel(maps[-1])
         modules[n], epi = generating_cover(ker)
         maps.append(inc.compose(epi))
@@ -297,7 +306,8 @@ def free_resolution(module: CatModule, length: int):
 
 def tor(left: CatModule, right: CatModule, p: int) -> FpAbGroup:
     """Tor_p over the base category, resolving the contravariant argument:
-    H_p of its free resolution tensored with the covariant one."""
+    H_p of its free resolution tensored with the covariant one; ValueError
+    where `free_resolution` refuses."""
     if p < 0:
         raise ValueError("p must be >= 0")
     res, _ = free_resolution(left, p + 1)

@@ -1232,6 +1232,11 @@ class DirectSum:
         return self._from_presentation(
             source, IntMatrix(self.total_gens, source.ngens, nonzeros=nonzeros))
 
+    def quotient(self, relations: IntMatrix) -> FpAbGroup:
+        """The sum modulo relation columns in presentation coordinates."""
+        return cokernel_presentation(_relation_columns(
+            [t for part in self.parts for t in part.moduli()]).hstack(relations))
+
     def _from_presentation(self, source: FpAbGroup, pres: IntMatrix) -> AbHom:
         # pres: source canonical coords -> presentation coords of the sum
         return AbHom(source, self.group, self.group.to_can * pres)
@@ -1239,10 +1244,15 @@ class DirectSum:
 
 def block_hom(ds_src: DirectSum, ds_tgt: DirectSum, blocks) -> AbHom:
     """Assemble an AbHom between direct sums from a dict {(i_tgt, j_src): AbHom}."""
+    return hom_from_presentation(ds_src.group, ds_tgt.group,
+                                 block_matrix(ds_src, ds_tgt, blocks))
+
+
+def block_matrix(ds_src: DirectSum, ds_tgt: DirectSum, blocks) -> IntMatrix:
+    """The same blocks as one matrix on the presentation coordinates."""
     nonzeros = [{} for _ in range(ds_tgt.total_gens)]
     for (i, j), f in blocks.items():
         lo, shift = ds_tgt.offsets[i], ds_src.offsets[j]
         for r, row in enumerate(f.matrix.nonzeros):
             nonzeros[lo + r].update((c + shift, x) for c, x in row.items())
-    pres = IntMatrix(ds_tgt.total_gens, ds_src.total_gens, nonzeros=nonzeros)
-    return hom_from_presentation(ds_src.group, ds_tgt.group, pres)
+    return IntMatrix(ds_tgt.total_gens, ds_src.total_gens, nonzeros=nonzeros)

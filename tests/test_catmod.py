@@ -17,6 +17,7 @@ from orbifunctor.catmod import (
     CatModule,
     CatTensor,
     ModuleMap,
+    StandardPresentation,
     constant_module,
     finite_product_interchange,
     free_map_from_images,
@@ -47,9 +48,8 @@ from orbifunctor.exact_abelian import (
     FpAbGroup,
     HomBasis,
     IntMatrix,
-    block_hom,
+    cokernel_presentation,
     hom_cokernel,
-    hom_from_presentation,
     hom_group,
     is_isomorphism,
     tensor_group,
@@ -63,7 +63,7 @@ from orbifunctor.fincat import (
     standard_category,
     sub_category_and_projection,
 )
-from samplers import coequalizer_oracle, stripped
+from samplers import EqualizerHom, coequalizer_oracle, stripped
 
 Z = FpAbGroup.cyclic
 
@@ -360,8 +360,7 @@ def test_tensor_against_representable_evaluates():
         for c in OR2.objects:
             right = free_module(OR2, [c], "co")
             ct = CatTensor(left, right)
-            slow, iso = (coequalizer_oracle(ct) if left.is_free_marked()
-                         else (ct, AbHom.identity(ct.group)))
+            slow, iso = coequalizer_oracle(ct)
             assert ct.group == slow.group == left.values[c]
             assert is_isomorphism(iso)
             idx = right.free_basis[c].index((0, OR2.ids[c]))
@@ -390,28 +389,39 @@ def test_tensor_induced_map_doubles():
 
 
 def test_tensor_components_round_trip():
-    left = free_module(OR2, [FREE_LAB], "contra")
     right = constant_module(OR2, Z(4), "co")
-    ct = CatTensor(left, right)
-    slow, iso = coequalizer_oracle(ct)
-    for j in range(ct.group.ngens):
-        # the free path: one copy of N(c) per basis label of M(c), read
-        # back through the coequalizer's elementary tensors
-        comps = ct.components(unit(ct.group.ngens, j))
-        back = [0] * slow.group.ngens
-        for c in OR2.objects:
-            n = right.values[c].ngens
-            for a in range(left.values[c].ngens):
-                pure = slow.class_of_pure(c, unit(left.values[c].ngens, a),
-                                          comps[c][a * n:(a + 1) * n])
-                back = [u + w for u, w in zip(back, pure)]
-        assert slow.group.reduce(back) == iso.apply(unit(ct.group.ngens, j))
-    for j in range(slow.group.ngens):
-        # the coequalizer path: canonical coordinates of each tensor
-        comps = slow.components(unit(slow.group.ngens, j))
-        back = slow.projection.apply(
-            slow.big.assemble([comps[c] for c in OR2.objects]))
-        assert back == unit(slow.group.ngens, j)
+    for left in (free_module(OR2, [FREE_LAB], "contra"),
+                 stripped(free_module(OR2, [FREE_LAB], "contra")),
+                 SIGN["contra"]):
+        ct = CatTensor(left, right)
+        slow, iso = coequalizer_oracle(ct)
+        # the epi F0 -> M of the presentation: the identity of a free M, the
+        # generating cover's otherwise
+        cover, epi = ((left, ModuleMap.identity(left))
+                      if left.is_free_marked() else generating_cover(left))
+        assert cover.free_basis == ct.pres.cover.free_basis
+        for j in range(ct.group.ngens):
+            # one copy of N(c) per basis label of F0(c), read back through
+            # the coequalizer's elementary tensors at the label's point of
+            # M(c)
+            comps = ct.components(unit(ct.group.ngens, j))
+            back = [0] * slow.group.ngens
+            for c in OR2.objects:
+                n = right.values[c].ngens
+                for a in range(cover.values[c].ngens):
+                    pure = slow.class_of_pure(
+                        c, epi.components[c].matrix.column(a),
+                        comps[c][a * n:(a + 1) * n])
+                    back = [u + w for u, w in zip(back, pure)]
+            assert slow.group.reduce(back) == \
+                iso.apply(unit(ct.group.ngens, j))
+        for j in range(slow.group.ngens):
+            # the oracle's own round trip: canonical coordinates of each
+            # tensor
+            comps = slow.components(unit(slow.group.ngens, j))
+            back = slow.projection.apply(
+                slow.big.assemble([comps[c] for c in OR2.objects]))
+            assert back == unit(slow.group.ngens, j)
 
 
 # ---------------------------------------------------------------------------
@@ -817,99 +827,136 @@ def natural_map_to_constant(module, group, data):
     return ModuleMap(module, tgt, {c: h for c in cat.objects})
 
 
+@st.composite
+def presented_modules(draw, cat):
+    """A module to present, of either variance: free (its own cover), a
+    stripped free copy, a constant with or without torsion, or over OR2 the
+    sign module."""
+    variance = draw(st.sampled_from(["co", "contra"]))
+    kinds = ["free", "stripped", "Z", "Z/4", "Z/6", "Z+Z/2"]
+    kind = draw(st.sampled_from(kinds + (["sign"] if cat is OR2 else [])))
+    if kind in ("free", "stripped"):
+        free = draw(free_on(cat, variance))
+        return free if kind == "free" else stripped(free)
+    if kind == "sign":
+        return SIGN[variance]
+    group = {"Z": Z1, "Z/4": Z(4), "Z/6": Z(6),
+             "Z+Z/2": FpAbGroup.from_invariants(1, (2,))}[kind]
+    return constant_module(cat, group, variance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_standard_presentation_is_exact_at_every_object(data):
+    # F1 -> F0 -> M -> 0 at each object c: the relations, moved along every
+    # morphism that acts from their object to c, span the kernel of the epi
+    cat = data.draw(CATS)
+    module = data.draw(presented_modules(cat))
+    pres = StandardPresentation(module)
+    cover = pres.cover
+    assert cover is not module or not pres.relations
+    epi = free_map_from_images(cover, module, [
+        unit(module.values[c].ngens, slot)
+        for c, slot in zip(cover.free_gens, pres.slots)])
+    assert validate_module_map(epi) == []
+    contra = module.variance == "contra"
+    for c in cat.objects:
+        value, eps = module.values[c], epi.components[c].matrix
+        # each lift is a section of the epi
+        assert value.reduce_matrix(eps * pres.lifts[c]) == \
+            IntMatrix.identity(value.ngens)
+        image = IntMatrix.from_columns(
+            [cover.actions[f].apply(r) for t, r in pres.relations
+             for f in (cat.mor(c, t) if contra else cat.mor(t, c))],
+            nrows=cover.values[c].ngens)
+        # the composite is zero, and the cokernel is M(c) through the epi
+        assert value.reduce_matrix(eps * image).is_zero()
+        coker = cokernel_presentation(image)
+        assert is_isomorphism(AbHom(coker, value, eps * coker.reps))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_free_hom_fast_path_matches_kernel_path(data):
+    # a free-marked source is its own cover and solves nothing; its stripped
+    # copy goes through the generating cover and one kernel; both agree with
+    # the equalizer oracle
     cat = data.draw(CATS)
     free = data.draw(free_on(cat))
     target = target_pool(cat, "contra", data)
-    fast, slow = CatHomGroup(free, target), CatHomGroup(stripped(free), target)
-    assert fast.evals is not None and slow.evals is None
-    assert fast.group == slow.group
-    # round trip on both paths, and the two coordinate systems agree
-    # through an isomorphism
-    for e in units(fast.group.ngens):
-        mm = fast.to_module_map(e)
-        assert validate_module_map(mm) == []
-        assert fast.coords_of(mm) == e
-    iso = comparison_iso(fast, slow)
-    assert is_isomorphism(iso)
-    # postcomposition with a natural map into a constant module
+    fast, general = (CatHomGroup(free, target),
+                     CatHomGroup(stripped(free), target))
+    assert not fast.pres.relations and general.pres.relations
+    oracle = EqualizerHom(free, target)
     u = natural_map_to_constant(target, Z(6), data)
     assert validate_module_map(u) == []
-    fast2 = CatHomGroup(free, u.target)
-    slow2 = CatHomGroup(stripped(free), u.target)
-    iso2 = comparison_iso(fast2, slow2)
-    assert iso2.compose(fast.postcompose_map(fast2, u)) == \
-        slow.postcompose_map(slow2, u).compose(iso)
-    # precomposition with a natural map out of another free module
+    oracle2 = EqualizerHom(free, u.target)
     other = data.draw(free_on(cat))
     images = [[data.draw(st.integers(-2, 2))
                for _ in range(free.values[c].ngens)]
               for c in other.free_gens]
     v = free_map_from_images(other, free, images)
-    fast3 = CatHomGroup(other, target)
-    slow3 = CatHomGroup(stripped(other), target)
-    iso3 = comparison_iso(fast3, slow3)
-    slow_v = rebased(v, stripped(other), slow.source)
-    assert iso3.compose(fast.precompose_map(fast3, v)) == \
-        slow.precompose_map(slow3, slow_v).compose(iso)
+    oracle3 = EqualizerHom(other, target)
+    for hg, other_source in ((fast, other), (general, stripped(other))):
+        assert hg.group == oracle.group
+        # round trip, and the two coordinate systems agree through an
+        # isomorphism
+        for e in units(hg.group.ngens):
+            mm = hg.to_module_map(e)
+            assert validate_module_map(mm) == []
+            assert hg.coords_of(mm) == e
+        iso = comparison_iso(hg, oracle)
+        assert is_isomorphism(iso)
+        # postcomposition with a natural map into a constant module
+        hg2 = CatHomGroup(hg.source, u.target)
+        iso2 = comparison_iso(hg2, oracle2)
+        assert iso2.compose(hg.postcompose_map(hg2, u)) == \
+            oracle.postcompose_map(oracle2, u).compose(iso)
+        # precomposition with a natural map out of another free module
+        hg3 = CatHomGroup(other_source, target)
+        iso3 = comparison_iso(hg3, oracle3)
+        assert iso3.compose(hg.precompose_map(
+            hg3, rebased(v, other_source, hg.source))) == \
+            oracle.precompose_map(oracle3, v).compose(iso)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_free_tensor_fast_path_matches_coequalizer(data):
+    # a free-marked left factor is its own cover and solves nothing; its
+    # stripped copy goes through the generating cover and one cokernel; both
+    # agree with the coequalizer oracle
     cat = data.draw(CATS)
     free = data.draw(free_on(cat))
     right = target_pool(cat, "co", data)
-    fast = CatTensor(free, right)
-    slow, iso = coequalizer_oracle(fast)
-    assert slow.evals is None and fast.big is None
-    assert fast.group == slow.group
-    # the witness pair is a section up to torsion
-    n = fast.group.ngens
-    assert fast.group.reduce_matrix(fast.group.to_can * fast.group.reps) == \
-        IntMatrix.identity(n)
-    # the fast classes satisfy every coequalizer relation (x·f) ⊗ y = x ⊗ (f·y)
-    for f in cat.morphisms:
-        c, d = cat.dom[f], cat.cod[f]
-        for x in units(free.values[d].ngens):
-            for y in units(right.values[c].ngens):
-                assert fast.class_of_pure(c, free.actions[f].apply(x), y) == \
-                    fast.class_of_pure(d, x, right.actions[f].apply(y))
-    # the generator pairs (k, id) ⊗ y give an isomorphism onto the
-    # coequalizer, which carries every elementary tensor to its class there,
-    # and induced maps agree through it
-    assert is_isomorphism(iso)
-    assert_pure_classes_agree(fast, slow, iso)
+    fast, general = CatTensor(free, right), CatTensor(stripped(free), right)
+    assert not fast.pres.relations and general.pres.relations
     u = natural_map_to_constant(right, Z(6), data)
     assert validate_module_map(u) == []
-    fast2 = CatTensor(free, u.target)
-    slow2, iso2 = coequalizer_oracle(fast2)
-    assert iso2.compose(fast.induced(fast2, None, u)) == \
-        slow.induced(slow2, None, u).compose(iso)
-
-
-def big_sum_induced(src: CatTensor, tgt: CatTensor, v, u) -> AbHom:
-    """The map of coequalizers through the big sums ⊕_c M(c) ⊗ N(c):
-    per-object tensor maps, assembled and pushed through both witness
-    pairs."""
-    blocks = {}
-    for c in src.cat.objects:
-        lm = v.components[c] if v else AbHom.identity(src.left.values[c])
-        rm = u.components[c] if u else AbHom.identity(src.right.values[c])
-        blocks[(tgt.part_index[c], src.part_index[c])] = \
-            src.tensors[c].induced(tgt.tensors[c], lm, rm)
-    big = block_hom(src.big, tgt.big, blocks)
-    return hom_from_presentation(src.group, tgt.group, big.matrix)
-
-
-def to_coequalizer(ct: CatTensor):
-    """(coequalizer, iso from ct.group): the oracle of a free-marked left
-    factor, ct itself otherwise."""
-    if ct.evals is None:
-        return ct, AbHom.identity(ct.group)
-    return coequalizer_oracle(ct)
+    for ct in (fast, general):
+        slow, iso = coequalizer_oracle(ct)
+        assert ct.group == slow.group
+        # the witness pair is a section up to torsion
+        n = ct.group.ngens
+        assert ct.group.reduce_matrix(ct.group.to_can * ct.group.reps) == \
+            IntMatrix.identity(n)
+        # the classes satisfy every coequalizer relation
+        # (x·f) ⊗ y = x ⊗ (f·y)
+        for f in cat.morphisms:
+            c, d = cat.dom[f], cat.cod[f]
+            for x in units(free.values[d].ngens):
+                for y in units(right.values[c].ngens):
+                    assert ct.class_of_pure(c, free.actions[f].apply(x), y) \
+                        == ct.class_of_pure(d, x, right.actions[f].apply(y))
+        # the generators of the cover give an isomorphism onto the
+        # coequalizer, which carries every elementary tensor to its class
+        # there, and induced maps agree through it
+        assert is_isomorphism(iso)
+        assert_pure_classes_agree(ct, slow, iso)
+        ct2 = CatTensor(ct.left, u.target)
+        slow2, iso2 = coequalizer_oracle(ct2)
+        assert iso2.compose(ct.induced(ct2, None, u)) == \
+            slow.induced(slow2, None, u).compose(iso)
 
 
 @settings(max_examples=25, deadline=None)
@@ -927,20 +974,17 @@ def test_free_tensor_induced_blocks_match_the_big_sum(data):
                                (stripped(free), True),
                                (stripped(free), False)):
         src = CatTensor(src_left, right)
-        src_slow, src_iso = to_coequalizer(src)
+        src_slow, src_iso = coequalizer_oracle(src)
         for left_map, right_map in ((None, u), (v, None), (v, u)):
             tgt_left = other if left_map else free
             tgt = CatTensor(tgt_left if tgt_free else stripped(tgt_left),
                             u.target if right_map else right)
-            tgt_slow, tgt_iso = to_coequalizer(tgt)
-            assert (src.evals is not None, tgt.evals is not None) == \
+            tgt_slow, tgt_iso = coequalizer_oracle(tgt)
+            assert (not src.pres.relations, not tgt.pres.relations) == \
                 (src_left is free, tgt_free)
             lm = rebased(v, src.left, tgt.left) if left_map else None
-            slow_lm = (rebased(v, src_slow.left, tgt_slow.left) if left_map
-                       else None)
             assert tgt_iso.compose(src.induced(tgt, lm, right_map)) == \
-                big_sum_induced(src_slow, tgt_slow, slow_lm,
-                                right_map).compose(src_iso)
+                src_slow.induced(tgt_slow, lm, right_map).compose(src_iso)
 
 
 def test_free_marked_paths_solve_nothing(monkeypatch):
@@ -948,9 +992,9 @@ def test_free_marked_paths_solve_nothing(monkeypatch):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a free-marked module was solved for")
-    for name in ("hom_kernel", "quotient_group", "express_in_kernel",
-                 "TensorBasis"):
+    for name in ("hom_kernel", "express_in_kernel"):
         monkeypatch.setattr(catmod_mod, name, forbidden)
+    monkeypatch.setattr(catmod_mod.DirectSum, "quotient", forbidden)
     free = free_module(OR_S3, [OR_S3.objects[0], OR_S3.objects[-1]],
                           "contra")
     target = constant_module(OR_S3, FpAbGroup.from_invariants(1, (2,)),
@@ -977,16 +1021,17 @@ def broken_swap_setup():
     return free, const, ModuleMap(free, const, comps)
 
 
-@pytest.mark.parametrize("path", ["fast", "general"])
+@pytest.mark.parametrize("path", ["fast", "general", "oracle"])
 def test_non_natural_maps_refused_on_both_paths(path):
     free, const, broken = broken_swap_setup()
     src = free if path == "fast" else stripped(free)
-    hg = CatHomGroup(src, const)
+    hom = EqualizerHom if path == "oracle" else CatHomGroup
+    hg = hom(src, const)
     with pytest.raises(ValueError):
         hg.coords_of(rebased(broken, src, const))
     # postcomposition: u: F -> Z is not natural at the swap, and composing
     # it with the identity transformation of F shows it
-    ends = CatHomGroup(src, free)
+    ends = hom(src, free)
     with pytest.raises(ValueError):
         ends.postcompose_map(hg, rebased(broken, free, const))
     # precomposition: v sends both basis vectors of F(free orbit) to

@@ -22,6 +22,7 @@ from orbifunctor.exact_abelian import (
     IntMatrix,
     hom_kernel_cokernel,
     is_isomorphism,
+    quotient_group,
 )
 from orbifunctor.fincat import (
     FinGroup,
@@ -584,6 +585,31 @@ class TestBorel:
     def test_truncation_too_small_rejected(self):
         with pytest.raises(ValueError, match="too small"):
             borel_and_quotient(reflection_circle(), 1)
+
+    @pytest.mark.parametrize("space", ["c2-point", "c2-reflection",
+                                       "c2-antipodal", "c3-point",
+                                       "c3-rotation"])
+    def test_quotient_is_the_coinvariants_of_the_underlying_chains(self,
+                                                                  space):
+        # Z ⊗ C over the group is the only tensor with a first factor
+        # without markers that the Borel check builds: degree by degree it
+        # is C / ((g - 1)·y)
+        c3 = FinGroup.cyclic(3)
+        x = {"c2-point": lambda: point_space(C2),
+             "c2-reflection": reflection_circle,
+             "c2-antipodal": antipodal_circle,
+             "c3-point": lambda: point_space(c3),
+             "c3-rotation": lambda: rotation_circle(c3, 1)}[space]()
+        cx = cs._underlying_complex(x)
+        quotient = borel_and_quotient(x, 4).quotient
+        for n in range(x.dimension + 1):
+            module = cx.module(n)
+            value = module.value(module.cat.objects[0])
+            moved = [[a - b for a, b in zip(module.action(g).apply(y), y)]
+                     for g in x.group.elements
+                     for y in ([int(i == j) for i in range(value.ngens)]
+                               for j in range(value.ngens))]
+            assert quotient.group(n) == quotient_group(value, moved)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -838,7 +838,7 @@ def test_comparison_matrix_is_x_tensor_phi_at_each_generator(which):
         t = data.chain_map.component(m)
         for kdx, (a, n) in enumerate(src.keys[m]):
             ct = src.parts[(a, n)]
-            assert ct.evals is not None
+            assert not ct.pres.relations
             for j in data.e.coeff_base.objects:
                 xs = data.c.module(a).values[j].ngens
                 hs = data.hom_totals[j].complex.group(n).ngens

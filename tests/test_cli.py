@@ -18,7 +18,7 @@ import time
 import pytest
 
 import orbifunctor
-from orbifunctor.catmod import constant_module
+from orbifunctor.catmod import CatModule, constant_module, validate_module
 from orbifunctor.exact_abelian import AbHom, FpAbGroup, IntMatrix
 from orbifunctor.fincat import (
     FinGroup,
@@ -275,6 +275,23 @@ class TestCommands:
         assert main(["verify-theorem", "--manifest", path]) == 2
         assert time.perf_counter() - start < 5
 
+    def test_tor_past_the_resolution_bound_refused(self, tmp_path):
+        # constant Z resolves over Or(S_3, all) with total ranks 34, 164 and
+        # 812 in degrees 0-2; Tor_2 needs the kernel on degree 2
+        g = FinGroup.symmetric(3)
+        cat = orbit_category(g, SubgroupFamily.all(g))
+        path = write_manifest(tmp_path, {
+            "version": "1", "group": encode_group(g),
+            "family": {"kind": "all"}, "category": {"kind": "orbit"},
+            "module": {
+                "left": encode_module(constant_module(
+                    cat, FpAbGroup.free(1), "contra")),
+                "right": encode_module(constant_module(
+                    cat, FpAbGroup.cyclic(2), "co"))}})
+        start = time.perf_counter()
+        assert main(["tor", "--degree", "2", "--manifest", path]) == 2
+        assert time.perf_counter() - start < 1
+
     def test_validate_shipped(self, tmp_path):
         path = write_manifest(tmp_path, json.loads(shipped_text()))
         assert main(["validate", "--manifest", path]) == 0
@@ -397,6 +414,49 @@ def borel_manifest(space):
             "gcw": encode_gcw(space)}
 
 
+def c2_torsion_module(variance, at_free, at_fixed, swap, along):
+    """A module over Or(C_2, all) given by its values at the free orbit and
+    the fixed point, the matrix of the swap and that of the projection
+    (free orbit to fixed point, read backwards when contravariant)."""
+    g = FinGroup.cyclic(2)
+    cat = orbit_category(g, SubgroupFamily.all(g))
+    free_orbit, fixed = cat.objects
+    values = {free_orbit: at_free, fixed: at_fixed}
+    actions = {}
+    for f in cat.morphisms:
+        if cat.is_identity(f):
+            actions[f] = AbHom.identity(values[cat.dom[f]])
+        elif cat.cod[f] == free_orbit:
+            actions[f] = AbHom(at_free, at_free, IntMatrix.from_rows(swap))
+        elif variance == "co":
+            actions[f] = AbHom(at_free, at_fixed, IntMatrix.from_rows(along))
+        else:
+            actions[f] = AbHom(at_fixed, at_free, IntMatrix.from_rows(along))
+    return CatModule(cat, variance, values, actions)
+
+
+def c2_torsion_manifest(left_variance, right_variance):
+    """Over Or(C_2, all), two modules with torsion, a sign action and no free
+    marker: the left one Z/4 at the free orbit (the swap acting by -1) over
+    Z/2 at the fixed point, the right one Z ⊕ Z/6 (the swap negating Z/6)
+    over Z/2 (covariant) or Z ⊕ Z/2 (contravariant)."""
+    z2, z4 = FpAbGroup.cyclic(2), FpAbGroup.cyclic(4)
+    left = (c2_torsion_module("co", z4, z2, [[-1]], [[1]])
+            if left_variance == "co" else
+            c2_torsion_module("contra", z4, z2, [[-1]], [[2]]))
+    z_z6 = FpAbGroup.from_invariants(1, (6,))
+    right = (c2_torsion_module("co", z_z6, z2, [[1, 0], [0, -1]],
+                               [[1, 1]])
+             if right_variance == "co" else
+             c2_torsion_module("contra", z_z6,
+                               FpAbGroup.from_invariants(1, (2,)),
+                               [[1, 0], [0, -1]], [[2, 0], [0, 3]]))
+    return {"version": "1", "group": {"kind": "cyclic", "n": "2"},
+            "family": {"kind": "all"}, "category": {"kind": "orbit"},
+            "module": {"left": encode_module(left),
+                       "right": encode_module(right)}}
+
+
 def bredon_hexagon_manifest():
     """The hexagon over Or(S_3, all) with constant Z coefficients."""
     x = hexagon_s3()
@@ -429,10 +489,33 @@ PINNED_REPORTS = {
     "bredon-hexagon-constant-z": (
         bredon_hexagon_manifest, ["bredon"],
         "3fd7e1a426070c39311da94bc6d2b8d4635b56172d141cc44f8405c8dc045af4"),
+    "tensor-c2-torsion": (
+        lambda: c2_torsion_manifest("contra", "co"), ["tensor"],
+        "76371ddb8f7be0c8a14a87dd228cea09b9c7a9cbda0dbfeab7623bf08d28d515"),
+    "hom-c2-torsion-co": (
+        lambda: c2_torsion_manifest("co", "co"), ["hom"],
+        "7f19f8c3fed6601a8a39a7deae4b5f2ed490b7c90027994786c2137682483a38"),
+    "hom-c2-torsion-contra": (
+        lambda: c2_torsion_manifest("contra", "contra"), ["hom"],
+        "a897dcb53c88caaf4ca1ae9b6524ce64ebc4cfe627b756ad9e3d183a1cbd0f2f"),
+    "tor-1-c2-torsion": (
+        lambda: c2_torsion_manifest("contra", "co"), ["tor"],
+        "c0741d89b2f8e01352169e92f9b79831c62c583a72cbf32b960e8b112980ff60"),
+    "tor-2-c2-torsion": (
+        lambda: c2_torsion_manifest("contra", "co"), ["tor", "--degree", "2"],
+        "f2a27082946e2bf02733954a74ec0a7354ee06a4214a37675308b02559dd9d9b"),
 }
 
 
 class TestReports:
+    @pytest.mark.parametrize("variances", [("co", "co"), ("contra", "co"),
+                                           ("contra", "contra")])
+    def test_pinned_c2_modules_are_functors(self, variances):
+        m = parse_manifest(json.dumps(c2_torsion_manifest(*variances)))
+        for module in m.get("module").values():
+            assert validate_module(module) == []
+            assert not module.is_free_marked()
+
     @pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
     def test_report_bytes_match_the_pinned_digest(self, tmp_path, case):
         manifest, argv, digest = PINNED_REPORTS[case]
