@@ -391,14 +391,11 @@ def _objectwise(mm: ModuleMap, build, act):
 def module_kernel(mm: ModuleMap):
     """(kernel module, inclusion).  Objectwise kernels with induced actions."""
     def act(f, s, t, data):
-        grp_t, lattice_t, _ = data[t]
         moved = mm.source.actions[f].compose(data[s][2])
-        cols = [express_in_kernel(grp_t, lattice_t, mm.source.values[t], col)
-                for col in moved.matrix.columns()]
-        return AbHom(data[s][0], grp_t,
-                     IntMatrix.from_columns(cols, nrows=grp_t.ngens))
+        return AbHom(data[s][0], data[t][0],
+                     express_in_kernel(data[t][1], moved.matrix))
 
-    kernel, data = _objectwise(mm, hom_kernel, act)
+    kernel, data = _objectwise(mm, lambda h: tuple(hom_kernel(h)), act)
     return kernel, ModuleMap(kernel, mm.source,
                              {c: data[c][2] for c in mm.source.cat.objects})
 
@@ -609,8 +606,9 @@ class CatHomGroup:
     (k, id_{c_k}), so hom(F0, N) is the evaluation `evals` = ⊕_k N(c_k), and
     τ in hom(M, N) is read there through its values at the points `slots[k]`
     of M(c_k).  When M is free-marked there are no relations and `group` is
-    `evals.group`; otherwise it is the kernel, `lattice` its basis and
-    `inclusion` its map into `evals.group`.
+    `evals.group`; otherwise `lattice` is the kernel, a sub-quotient of
+    `evals.group` (`hom_kernel`), `group` its group and `inclusion` its map
+    into `evals.group`.
 
     Every map refuses exactly when some composite is not natural:
     `coords_of` raises ValueError on a module map that is not natural, and
@@ -669,9 +667,13 @@ class CatHomGroup:
             raise ValueError("module map is not natural")
         # with no defect, mm is the transformation of its values at the
         # generators, which is natural when they lie in the kernel
-        return self._in_group(self.evals.assemble([
+        vec = self.evals.assemble([
             mm.components[c].matrix.column(slot)
-            for c, slot in zip(self.pres.cover.free_gens, self.pres.slots)]))
+            for c, slot in zip(self.pres.cover.free_gens, self.pres.slots)])
+        if self.lattice is None:
+            return vec
+        return express_in_kernel(self.lattice, IntMatrix.from_columns(
+            [vec], nrows=len(vec))).column(0)
 
     def postcompose_map(self, other: "CatHomGroup", u: ModuleMap) -> AbHom:
         """Hom(M,N) -> Hom(M,N'), τ ↦ u∘τ, for a module map u: N -> N'."""
@@ -730,17 +732,8 @@ class CatHomGroup:
             self.inclusion)
         if other.lattice is None:
             return on_covers
-        return AbHom(self.group, other.group, IntMatrix.from_columns(
-            [other._in_group(col) for col in on_covers.matrix.columns()],
-            nrows=other.group.ngens))
-
-    def _in_group(self, vec):
-        # group coordinates of a tuple of generator values (canonical
-        # coordinates of evals); ValueError when it leaves the kernel
-        if self.lattice is None:
-            return vec
-        return express_in_kernel(self.group, self.lattice, self.evals.group,
-                                 vec)
+        return AbHom(self.group, other.group,
+                     express_in_kernel(other.lattice, on_covers.matrix))
 
 
 def hom_over_cat(source: CatModule, target: CatModule) -> FpAbGroup:

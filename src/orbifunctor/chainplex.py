@@ -30,6 +30,7 @@ from .exact_abelian import (
     HomologyData,
     IntMatrix,
     block_hom,
+    express_in_kernel,
 )
 from .catmod import (
     CatHomGroup,
@@ -177,10 +178,8 @@ def induced_map_on_homology(f: ChainMap, p) -> AbHom:
     hsrc = homology_data(f.source, p)
     htgt = homology_data(f.target, p)
     # column j: the image of a cycle representing the j-th generator
-    moved = f.component(p).matrix * hsrc.inclusion.matrix * hsrc.group.reps
-    cols = [htgt.class_of(col) for col in moved.columns()]
-    mat = IntMatrix.from_columns(cols, nrows=htgt.group.ngens)
-    return AbHom(hsrc.group, htgt.group, mat)
+    moved = f.component(p).matrix * hsrc.inclusion.matrix
+    return AbHom(hsrc.group, htgt.group, express_in_kernel(htgt, moved))
 
 
 # ---------------------------------------------------------------------------

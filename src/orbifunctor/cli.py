@@ -119,6 +119,7 @@ from .verify import (
     TheoremInstance,
     borel_vs_quotient_check,
     check_hypotheses,
+    degree_passes,
     interchange_criterion,
     sub_factorization_check,
     tor_interchange_probe,
@@ -1015,9 +1016,8 @@ def _cmd_verify_theorem(manifest, args, rep):
     if hyp.passed:
         cmp_rep = verify_comparison(inst, mode=mode)
         for p, m in sorted(cmp_rep.per_degree.items()):
-            ok = m.kind == "isomorphism" or (
-                cmp_rep.mode == ALMOST and m.kind == "almost-isomorphism")
-            rep.verdict(f"comparison map in degree {p}: {m.kind}", ok)
+            rep.verdict(f"comparison map in degree {p}: {m.kind}",
+                        degree_passes(m.kind, cmp_rep.mode))
             if not (m.kernel.is_trivial() and m.cokernel.is_trivial()):
                 rep.group(f"kernel in degree {p}", m.kernel)
                 rep.group(f"cokernel in degree {p}", m.cokernel)

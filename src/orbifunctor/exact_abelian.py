@@ -479,28 +479,44 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     1
     """
     st = _SnfState(a, need_u=False, need_uinv=False, need_v=True).diagonalize()
-    cols = [[st.v[i][j] for i in range(a.ncols)] for j in range(st.rank, a.ncols)]
-    return IntMatrix.from_columns(cols, nrows=a.ncols)
+    return IntMatrix(a.ncols, a.ncols - st.rank, [row[st.rank:] for row in st.v])
 
 
 def solve(a: IntMatrix, b) -> list | None:
     """One integer solution x of A x = b, or None if there is none."""
-    b = list(b)
-    if len(b) != a.nrows:
-        raise ValueError(f"vector length {len(b)} != {a.nrows}")
+    b = IntMatrix.from_columns([b], nrows=a.nrows)      # checks the length
     st = _SnfState(a, need_u=True, need_uinv=False, need_v=True).diagonalize()
-    return _solve_reduced(st, b)
+    x = _solve_reduced(st, b)
+    return None if x is None else x.column(0)
 
 
-def _solve_reduced(st, b):
-    # x with A x = b from the diagonalized state of A (u and v kept), or None;
-    # both products visit only the nonzero entries of their vector
-    nz = [(j, x) for j, x in enumerate(b) if x]
-    c = [sum(row[j] * x for j, x in nz) for row in st.u]
-    if any(c[st.rank:]) or any(c[k] % st.s[k][k] for k in range(st.rank)):
+def _solve_reduced(st, b: IntMatrix) -> IntMatrix | None:
+    # X with A X = B from the diagonalized state of A (u and v kept), or None
+    # when a column of B leaves the column span: U·B, its first rank rows
+    # divided by the divisors, then V·Y
+    c = _rows_times(st.u, b.nonzeros)
+    divisors = st.divisors()
+    if any(c[st.rank:]) or any(x % d for row, d in zip(c, divisors)
+                               for x in row.values()):
         return None
-    y = [(k, c[k] // st.s[k][k]) for k in range(st.rank) if c[k]]
-    return [sum(row[k] * q for k, q in y) for row in st.v]
+    y = [{j: x // d for j, x in row.items()} for row, d in zip(c, divisors)]
+    return IntMatrix(st.n, b.ncols, nonzeros=_rows_times(st.v, y))
+
+
+def _rows_times(rows, nonzeros):
+    # dense rows times the matrix with these per-row nonzeros, as per-row
+    # nonzeros; only the matrix rows that hold entries are visited
+    live = [(k, nz) for k, nz in enumerate(nonzeros) if nz]
+    out = []
+    for row in rows:
+        acc = {}
+        for k, nz in live:
+            x = row[k]
+            if x:
+                for j, y in nz.items():
+                    acc[j] = acc.get(j, 0) + x * y
+        out.append({j: x for j, x in acc.items() if x})
+    return out
 
 
 def solve_mod(a: IntMatrix, b, moduli) -> list | None:
@@ -528,9 +544,10 @@ class LatticeBasis:
         if self._st.rank != matrix.ncols:
             raise ValueError("columns are not independent")
 
-    def coordinates(self, vec):
-        """x with matrix * x = vec, or None if vec is outside the lattice."""
-        return _solve_reduced(self._st, vec)
+    def coordinates(self, mat: IntMatrix) -> IntMatrix | None:
+        """X with matrix * X = mat, or None if a column of mat is outside
+        the lattice."""
+        return _solve_reduced(self._st, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -710,12 +727,6 @@ def cokernel_presentation(a: IntMatrix) -> FpAbGroup:
     return FpAbGroup(m - r, torsion, to_can=to_can, reps=reps)
 
 
-def presented_group(ngens: int, relation_columns) -> FpAbGroup:
-    """Convenience wrapper: group on `ngens` generators with the given relations."""
-    cols = [list(c) for c in relation_columns]
-    return cokernel_presentation(IntMatrix.from_columns(cols, nrows=ngens))
-
-
 # ---------------------------------------------------------------------------
 # Homomorphisms
 # ---------------------------------------------------------------------------
@@ -824,35 +835,22 @@ def _torsion_columns(g: FpAbGroup) -> IntMatrix:
     return _relation_columns(g.moduli())
 
 
-def hom_kernel(f: AbHom):
-    """(kernel group, kernel lattice, inclusion).
-
-    The kernel lattice is a `LatticeBasis` of kernel representatives in
-    source canonical coordinates, reduced once; `express_in_kernel` reuses
-    that reduction.  The kernel group's witness is taken over that basis, so
-    `inclusion` transports canonical kernel generators into the source.
-    """
-    src, tgt = f.source, f.target
-    stacked = f.matrix.hstack(_torsion_columns(tgt))
-    full = kernel_basis(stacked)
+def _kernel_lattice(f: AbHom) -> IntMatrix:
+    """Basis of the lattice of source canonical coordinates that f sends to
+    0 in the target; it holds the source relations."""
+    full = kernel_basis(f.matrix.hstack(_torsion_columns(f.target)))
     # The projection to source coordinates is injective on this kernel (the
     # torsion tail columns are independent), so the projected columns are
     # already a lattice basis.
-    basis = IntMatrix(src.ngens, full.ncols, nonzeros=full.nonzeros[:src.ngens])
-    lattice = LatticeBasis(basis)
-    if basis.ncols:
-        rel_cols = []
-        for vec in _torsion_columns(src).columns():
-            coords = lattice.coordinates(vec)
-            if coords is None:
-                raise ArithmeticError("source relation escaped the kernel lattice")
-            rel_cols.append(coords)
-        grp = presented_group(basis.ncols, rel_cols)
-        inclusion = AbHom(grp, src, basis * grp.reps)
-    else:
-        grp = FpAbGroup.zero()
-        inclusion = AbHom.zero(grp, src)
-    return grp, lattice, inclusion
+    n = f.source.ngens
+    return IntMatrix(n, full.ncols, nonzeros=full.nonzeros[:n])
+
+
+def hom_kernel(f: AbHom) -> "HomologyData":
+    """ker f as a sub-quotient of the source: the lattice that f sends to 0,
+    presented by the source relations.  Unpacks as (group, lattice,
+    inclusion), the lattice being the sub-quotient itself."""
+    return HomologyData(None, f)
 
 
 def hom_cokernel(f: AbHom):
@@ -866,9 +864,8 @@ def hom_cokernel(f: AbHom):
 
 def hom_image(f: AbHom):
     """(image group, mono into target, epi from source)."""
-    _, lattice, _ = hom_kernel(f)
     # image = Z^{source gens} / (preimage lattice of 0)
-    grp = cokernel_presentation(lattice.matrix)
+    grp = cokernel_presentation(_kernel_lattice(f))
     epi = AbHom(f.source, grp, grp.to_can)
     mono = AbHom(grp, f.target, f.matrix * grp.reps)
     return grp, mono, epi
@@ -876,9 +873,7 @@ def hom_image(f: AbHom):
 
 def hom_kernel_cokernel(f: AbHom):
     """(kernel, cokernel) canonical forms; `hom_image` gives the image."""
-    ker, _, _ = hom_kernel(f)
-    coker, _ = hom_cokernel(f)
-    return ker, coker
+    return hom_kernel(f).group, hom_cokernel(f)[0]
 
 
 def is_isomorphism(f: AbHom) -> bool:
@@ -903,19 +898,18 @@ def solve_image_membership(f: AbHom, y):
     return None, residue
 
 
-def express_in_kernel(kernel_group: FpAbGroup, lattice: LatticeBasis,
-                      source: FpAbGroup, vec):
-    """Canonical kernel coordinates of a source element lying in the kernel.
+def express_in_kernel(sub: "HomologyData", mat: IntMatrix) -> IntMatrix:
+    """Canonical coordinates in `sub.group` of every column of `mat`, given
+    in canonical coordinates of `sub.space`.
 
-    `kernel_group` and `lattice` must come from hom_kernel on a map out of
-    `source`, which checked that the source relations lie in the lattice; so
-    lattice coordinates are right up to a kernel relation, which
-    `to_canonical` removes.  Raises if the element is not in the kernel.
+    The lattice holds the relations that present the group, so lattice
+    coordinates are right up to a relation, which `to_can` removes.  Raises
+    ValueError if any column leaves the lattice.
     """
-    x = lattice.coordinates(source.reduce(vec))
+    x = sub.coordinates(sub.space.reduce_matrix(mat))
     if x is None:
         raise ValueError("element does not lie in the kernel subgroup")
-    return kernel_group.to_canonical(x)
+    return sub.group.reduce_matrix(sub.group.to_can * x)
 
 
 def quotient_group(g: FpAbGroup, relation_vectors):
@@ -929,14 +923,17 @@ def quotient_group(g: FpAbGroup, relation_vectors):
     return q, AbHom(g, q, q.to_can)
 
 
-class HomologyData:
-    """Kernel-mod-image at the middle of a composable pair  A --din--> B --dout--> C.
+class HomologyData(LatticeBasis):
+    """The sub-quotient ker(dout) / im(din) at the middle of a composable
+    pair  A --din--> B --dout--> C; either map may be None (a zero map).
 
-    Either map may be None (treated as a zero map).  Provides cycle-class and
-    representative computations, which is what induced maps on homology need.
+    The lattice is the cycles: the canonical coordinates of B that dout
+    sends to 0.  The relations of B and the columns of din lie in it and
+    present `group` once, on lattice coordinates; `express_in_kernel` gives
+    classes of cycles.  A kernel is the case din = None (`hom_kernel`).
     """
 
-    __slots__ = ("space", "group", "kernel", "basis", "inclusion", "projection")
+    __slots__ = ("space", "group", "_is_kernel")
 
     def __init__(self, d_in: AbHom | None, d_out: AbHom | None, space=None):
         if space is None:
@@ -946,29 +943,31 @@ class HomologyData:
             d_out = AbHom.zero(space, FpAbGroup.zero())
         if d_out.source != space:
             raise ValueError("outgoing map source mismatch")
-        self.kernel, self.basis, self.inclusion = hom_kernel(d_out)
-        image_vectors = []
+        relations = _torsion_columns(space)
         if d_in is not None:
             if d_in.target != space:
                 raise ValueError("incoming map target mismatch")
-            if d_out is not None and not d_out.compose(d_in).is_zero():
+            if not d_out.compose(d_in).is_zero():
                 raise ValueError("maps do not compose to zero")
-            for col in d_in.matrix.columns():
-                image_vectors.append(
-                    express_in_kernel(self.kernel, self.basis, space, col))
-        self.group, self.projection = quotient_group(self.kernel, image_vectors)
+            relations = relations.hstack(d_in.matrix)
+        super().__init__(_kernel_lattice(d_out))
+        coords = self.coordinates(relations)
+        if coords is None:
+            raise ArithmeticError("a relation escaped the cycle lattice")
+        # (a trivial lattice gives zero rows, presented with no reduction)
+        self.group = cokernel_presentation(coords)
+        self._is_kernel = d_in is None
 
-    def class_of(self, vec):
-        """Homology class of a cycle given in middle-space coordinates."""
-        k = express_in_kernel(self.kernel, self.basis, self.space, vec)
-        return self.projection.apply(k)
+    @property
+    def inclusion(self) -> AbHom:
+        """Representative cycles of the canonical generators, built on each
+        read (homology witnesses can be large); a homomorphism into the space
+        only for a kernel, since a multiple of a cycle may be a boundary."""
+        return AbHom(self.group, self.space, self.matrix * self.group.reps,
+                     check=self._is_kernel)
 
-    def representative(self, hvec):
-        """A cycle (middle-space coordinates) representing a homology class."""
-        # the quotient is presented on kernel-canonical generators, so the
-        # representative vector is already in kernel coordinates
-        k = self.group.representative(hvec)
-        return self.inclusion.apply(k)
+    def __iter__(self):
+        return iter((self.group, self, self.inclusion))
 
 
 def _exact_quotient(x, d):

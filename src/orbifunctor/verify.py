@@ -246,6 +246,12 @@ def classify_map(f: AbHom) -> MapClass:
     return MapClass(NEITHER, ker, coker, None)
 
 
+def degree_passes(kind: str, mode: str) -> bool:
+    """The rule for one degree of the comparison: an isomorphism passes, and
+    an almost-isomorphism passes unless the mode is strict."""
+    return kind == ISO or (kind == ALMOST_ISO and mode != STRICT)
+
+
 def verify_comparison(inst: TheoremInstance, mode=None) -> ComparisonReport:
     """Build both totals, the comparison chain map, and classify it on
     homology in every degree up to the requested one."""
@@ -268,10 +274,7 @@ def verify_comparison(inst: TheoremInstance, mode=None) -> ComparisonReport:
     for p in range(inst.through_degree + 1):
         per_degree[p] = classify_map(induced_map_on_homology(t, p))
     all_iso = all(m.kind == ISO for m in per_degree.values())
-    if mode == STRICT:
-        passed = all_iso
-    else:
-        passed = all(m.kind in (ISO, ALMOST_ISO) for m in per_degree.values())
+    passed = all(degree_passes(m.kind, mode) for m in per_degree.values())
     return ComparisonReport(per_degree, all_iso, passed, mode)
 
 

@@ -201,7 +201,7 @@ class EqualizerHom:
                 constraints.append(pre.add(post.negate()))
         tgt_sum = DirectSum([p.target for p in constraints])
         delta = tgt_sum.hom_into(self.big.group, constraints)
-        self.group, self.kernel_basis, self.inclusion = hom_kernel(delta)
+        self.group, self.kernel, self.inclusion = hom_kernel(delta)
 
     def to_module_map(self, can_vec) -> ModuleMap:
         v = self.inclusion.apply(can_vec)
@@ -211,10 +211,14 @@ class EqualizerHom:
 
     def coords_of(self, mm: ModuleMap):
         """Raises ValueError on a map that is not natural."""
-        vec = self.big.assemble([self.bases[c].coords_of(mm.components[c])
-                                 for c in self.cat.objects])
-        return express_in_kernel(self.group, self.kernel_basis,
-                                 self.big.group, vec)
+        return self._coords_of_all([mm]).column(0)
+
+    def _coords_of_all(self, maps) -> IntMatrix:
+        # one column of kernel coordinates per module map, in one solve
+        cols = [self.big.assemble([self.bases[c].coords_of(mm.components[c])
+                                   for c in self.cat.objects]) for mm in maps]
+        return express_in_kernel(self.kernel, IntMatrix.from_columns(
+            cols, nrows=self.big.group.ngens))
 
     def postcompose_map(self, other: "EqualizerHom", u: ModuleMap) -> AbHom:
         """τ ↦ u∘τ, generator by generator."""
@@ -228,8 +232,6 @@ class EqualizerHom:
         # column j: coordinates in `other` of move(τ_j), τ_j the j-th
         # generator of this group
         n = self.group.ngens
-        cols = [other.coords_of(move(self.to_module_map(
-                    [1 if i == j else 0 for i in range(n)])))
-                for j in range(n)]
-        return AbHom(self.group, other.group,
-                     IntMatrix.from_columns(cols, nrows=other.group.ngens))
+        return AbHom(self.group, other.group, other._coords_of_all(
+            move(self.to_module_map([1 if i == j else 0 for i in range(n)]))
+            for j in range(n)))

@@ -737,6 +737,20 @@ OR_S3 = orbit_category(_S3, SubgroupFamily.all(_S3))
 Z1 = FpAbGroup.free(1)
 
 
+def test_tor_of_constant_z_over_the_orbit_category_of_s3():
+    # constant contravariant Z is the representable at the terminal object
+    # G/G: one map G/H → G/G from every orbit, each acting by 1.  It is
+    # free, so Tor_0 is the value of Z/2 at G/G and Tor_1 vanishes
+    terminal = OR_S3.objects[-1]
+    assert len(terminal) == _S3.order
+    representable = free_module(OR_S3, [terminal], "contra")
+    constant = constant_module(OR_S3, Z1, "contra")
+    assert all(representable.values[c] == Z1 for c in OR_S3.objects)
+    right = constant_module(OR_S3, Z(2), "co")
+    assert tor(constant, right, 0) == Z(2)
+    assert tor(constant, right, 1).is_trivial()
+
+
 def rebased(mm, source, target):
     return ModuleMap(source, target, mm.components)
 

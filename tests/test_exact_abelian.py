@@ -31,7 +31,6 @@ from orbifunctor.exact_abelian import (
     hom_kernel_cokernel,
     is_isomorphism,
     kernel_basis,
-    presented_group,
     smith_normal_form,
     solve,
     solve_image_membership,
@@ -40,6 +39,11 @@ from orbifunctor.exact_abelian import (
 )
 from orbifunctor.verify import ALMOST_ISO, ISO, NEITHER, classify_map
 from samplers import ab_homs, ab_homs_with_basis, fp_groups, int_matrices, square_matrices
+
+
+def column(*entries):
+    """A one-column matrix."""
+    return IntMatrix.from_columns([list(entries)], nrows=len(entries))
 
 
 def test_module_doctests():
@@ -193,8 +197,14 @@ def test_solve_mod_oracle():
 
 def test_lattice_basis():
     lat = LatticeBasis(IntMatrix.diagonal([2, 3]))
-    assert lat.coordinates([4, 9]) == [2, 3]
-    assert lat.coordinates([1, 1]) is None
+    assert lat.coordinates(column(4, 9)) == column(2, 3)
+    assert lat.coordinates(column(1, 1)) is None
+    # every column of a matrix at once; one outsider refuses the whole
+    both = IntMatrix.from_columns([[4, 9], [-2, 0], [0, 0]])
+    assert lat.coordinates(both) == IntMatrix.from_columns(
+        [[2, 3], [-1, 0], [0, 0]])
+    assert lat.coordinates(both.hstack(column(1, 1))) is None
+    assert lat.coordinates(IntMatrix.zeros(2, 0)) == IntMatrix.zeros(2, 0)
 
 
 # -- groups -----------------------------------------------------------------
@@ -254,7 +264,7 @@ def test_cokernel_oracles():
     a = IntMatrix.from_rows([[2, 4], [6, 8]])
     assert cokernel_presentation(a) == FpAbGroup.from_invariants(0, [2, 4])
     assert cokernel_presentation(IntMatrix.zeros(2, 0)) == FpAbGroup.free(2)
-    assert presented_group(1, [[5]]) == FpAbGroup.cyclic(5)
+    assert cokernel_presentation(IntMatrix.from_columns([[5]])) == FpAbGroup.cyclic(5)
 
 
 def test_cokernel_witnesses_invert():
@@ -309,7 +319,8 @@ def test_hom_compose_apply():
 
 
 def test_hom_from_presentation():
-    g = presented_group(2, [[2, 0], [0, 3]])   # Z/6 on two generators
+    g = cokernel_presentation(   # Z/6 on two generators
+        IntMatrix.from_columns([[2, 0], [0, 3]]))
     assert g == FpAbGroup.cyclic(6)
     f = hom_from_presentation(g, g, IntMatrix.identity(2))
     assert f == AbHom.identity(g)
@@ -452,9 +463,9 @@ def test_homology_data_oracles():
     # Z --2--> Z --> 0 : cokernel Z/2
     h = ea.HomologyData(double, None, space=z)
     assert h.group == FpAbGroup.cyclic(2)
-    assert h.class_of([2]) == [0]
-    assert h.class_of([3]) == [1]
-    assert h.representative([1])[0] % 2 == 1
+    assert ea.express_in_kernel(h, column(2)) == column(0)
+    assert ea.express_in_kernel(h, column(3)) == column(1)
+    assert (h.inclusion.matrix * column(1))[0, 0] % 2 == 1
     # 0 --> Z --0--> Z : kernel Z
     h = ea.HomologyData(None, zero_out, space=z)
     assert h.group == z
@@ -479,11 +490,12 @@ def test_homology_data_rejects_nonzero_composite():
 def test_express_in_kernel():
     z4 = FpAbGroup.cyclic(4)
     double = AbHom(z4, z4, IntMatrix.from_rows([[2]]))
-    ker, basis, inc = hom_kernel(double)
-    coords = ea.express_in_kernel(ker, basis, z4, [2])
-    assert inc.apply(coords) == [2]
+    sub = hom_kernel(double)
+    ker, _, inc = sub
+    coords = ea.express_in_kernel(sub, column(2))
+    assert inc.apply(coords.column(0)) == [2]
     with pytest.raises(ValueError):
-        ea.express_in_kernel(ker, basis, z4, [1])
+        ea.express_in_kernel(sub, column(1))
 
 
 # -- hom and tensor groups --------------------------------------------------
@@ -819,53 +831,95 @@ def dense_solve_reduced(st_, b):
     return [sum(row[k] * y[k] for k in range(st_.rank) if y[k]) for row in st_.v]
 
 
+with_torsion = fp_groups().filter(lambda g: g.torsion)
+
+
 @settings(max_examples=150, deadline=None)
-@given(ab_homs(), st.data())
-def test_express_in_kernel_matches_stacked_solve(f, data):
-    ker, lattice, inc = hom_kernel(f)
+@given(st.data())
+def test_express_in_kernel_matches_stacked_solve(data):
+    # maps with torsion in the source, the target, both or neither
+    f = data.draw(ab_homs(source=data.draw(st.one_of(fp_groups(), with_torsion)),
+                          target=data.draw(st.one_of(fp_groups(), with_torsion))))
+    sub = hom_kernel(f)
+    ker, _, inc = sub
     src = f.source
-    # a kernel member, shifted by a random multiple of the source relations
-    k = data.draw(st.lists(small, min_size=ker.ngens, max_size=ker.ngens))
-    shift = [data.draw(small) * m for m in src.moduli()]
-    member = [x + s for x, s in zip(inc.apply(k), shift)]
-    got = ea.express_in_kernel(ker, lattice, src, member)
-    assert got == express_in_kernel_reference(ker, lattice.matrix, src, member)
-    assert got == ker.reduce(k)
-    # an arbitrary element: both routes agree, or both refuse it
-    vec = data.draw(st.lists(small, min_size=src.ngens, max_size=src.ngens))
-    if any(f.apply(vec)):
+
+    def solved(cols):
+        return ea.express_in_kernel(sub, IntMatrix.from_columns(
+            cols, nrows=src.ngens))
+
+    def reference(vec):
+        return express_in_kernel_reference(ker, sub.matrix, src, vec)
+
+    # kernel members, each shifted by a random multiple of the source
+    # relations; none at all is a zero-column matrix
+    ks = data.draw(st.lists(st.lists(small, min_size=ker.ngens,
+                                     max_size=ker.ngens), max_size=3))
+    members = [[x + data.draw(small) * m
+                for x, m in zip(inc.apply(k), src.moduli())] for k in ks]
+    got = solved(members)
+    assert (got.nrows, got.ncols) == (ker.ngens, len(ks))
+    assert got.columns() == [reference(v) for v in members] \
+        == [ker.reduce(k) for k in ks]
+    # arbitrary elements among the members: both routes agree column by
+    # column, or the matrix is refused and the reference refuses a column
+    vecs = data.draw(st.lists(st.lists(small, min_size=src.ngens,
+                                       max_size=src.ngens), max_size=3))
+    cols = members + vecs
+    if any(any(f.apply(v)) for v in vecs):
         with pytest.raises(ValueError):
-            ea.express_in_kernel(ker, lattice, src, vec)
+            solved(cols)
         with pytest.raises(ValueError):
-            express_in_kernel_reference(ker, lattice.matrix, src, vec)
+            for v in vecs:
+                reference(v)
     else:
-        assert (ea.express_in_kernel(ker, lattice, src, vec)
-                == express_in_kernel_reference(ker, lattice.matrix, src, vec))
+        assert solved(cols).columns() == [reference(v) for v in cols]
+
+
+def test_express_in_kernel_on_a_trivial_kernel():
+    z = FpAbGroup.free(1)
+    sub = hom_kernel(AbHom(z, FpAbGroup.from_invariants(1, [4]),
+                           IntMatrix.from_rows([[2], [1]])))
+    assert sub.group.is_trivial() and sub.matrix.ncols == 0
+    assert ea.express_in_kernel(sub, column(0)) == IntMatrix.zeros(0, 1)
+    assert ea.express_in_kernel(sub, IntMatrix.zeros(1, 0)) == \
+        IntMatrix.zeros(0, 0)
+    with pytest.raises(ValueError):
+        ea.express_in_kernel(sub, column(4))
+    with pytest.raises(ValueError):
+        express_in_kernel_reference(sub.group, sub.matrix, z, [4])
 
 
 @settings(max_examples=200, deadline=None)
 @given(int_matrices(max_rows=5, max_cols=5, entries=mostly_zero), st.data())
 def test_sparse_solve_reduced_matches_dense(a, data):
     st_ = ea._SnfState(a, need_u=True, need_uinv=False, need_v=True).diagonalize()
+
+    def as_column(vec):
+        return None if vec is None else column(*vec)
     x = data.draw(st.lists(mostly_zero, min_size=a.ncols, max_size=a.ncols))
     member = a.apply(x)
-    got = ea._solve_reduced(st_, member)
-    assert got == dense_solve_reduced(st_, member)
-    assert got is not None and a.apply(got) == member
+    got = ea._solve_reduced(st_, column(*member))
+    assert got == as_column(dense_solve_reduced(st_, member))
+    assert got is not None and a.apply(got.column(0)) == member
     # an arbitrary right-hand side is most often inconsistent
     b = data.draw(st.lists(mostly_zero, min_size=a.nrows, max_size=a.nrows))
-    got = ea._solve_reduced(st_, b)
-    assert got == dense_solve_reduced(st_, b)
-    assert got is None or a.apply(got) == b
+    got_b = ea._solve_reduced(st_, column(*b))
+    assert got_b == as_column(dense_solve_reduced(st_, b))
+    assert got_b is None or a.apply(got_b.column(0)) == b
+    # both at once: the columns solved together, or refused together
+    both = ea._solve_reduced(st_, column(*member).hstack(column(*b)))
+    assert both == (None if got_b is None else got.hstack(got_b))
 
 
 def test_sparse_solve_reduced_refuses_inconsistent_systems():
     a = IntMatrix.from_rows([[2, 0], [0, 0]])
     st_ = ea._SnfState(a, need_u=True, need_uinv=False, need_v=True).diagonalize()
     for b in ([1, 0], [0, 1], [2, 3]):
-        assert ea._solve_reduced(st_, b) is None
+        assert ea._solve_reduced(st_, column(*b)) is None
         assert dense_solve_reduced(st_, b) is None
-    assert ea._solve_reduced(st_, [4, 0]) == dense_solve_reduced(st_, [4, 0])
+    assert ea._solve_reduced(st_, column(4, 0)) == \
+        column(*dense_solve_reduced(st_, [4, 0]))
 
 
 def count_smith_reductions(monkeypatch):
@@ -888,13 +942,43 @@ def test_homology_classes_run_no_further_smith_reduction(monkeypatch):
     h = ea.HomologyData(d_in, d_out)
     assert h.group == FpAbGroup.from_invariants(1, [2])
     built = len(calls)
-    classes = {tuple(h.class_of([a, a, b])) for a in range(-6, 7)
-               for b in range(-3, 4)}
+    cycles = IntMatrix.from_columns([[a, a, b] for a in range(-6, 7)
+                                     for b in range(-3, 4)])
+    classes = set(map(tuple, ea.express_in_kernel(h, cycles).columns()))
     assert len(calls) == built
     assert len(classes) == 2 * 7      # a mod 2, and b itself
     with pytest.raises(ValueError):
-        h.class_of([1, 0, 0])
+        ea.express_in_kernel(h, column(1, 0, 0))
     assert len(calls) == built
+
+
+def test_homology_with_torsion_runs_three_smith_reductions(monkeypatch):
+    # Z --(3,2)--> Z ⊕ Z/4 --0--> Z: H = Z/12.  The cycles' kernel basis,
+    # the lattice reduction, and one presentation of the space's relation
+    # with the boundary: three reductions
+    z, space = FpAbGroup.free(1), FpAbGroup.from_invariants(1, [4])
+    d_in = AbHom(z, space, IntMatrix.from_rows([[3], [2]]))
+    calls = count_smith_reductions(monkeypatch)
+    h = ea.HomologyData(d_in, AbHom.zero(space, z))
+    assert h.group == FpAbGroup.cyclic(12)
+    assert len(calls) == 3
+    # the classes of a whole matrix run no further reduction
+    grid = IntMatrix.from_columns([[x, y] for x in range(12) for y in range(4)])
+    classes = ea.express_in_kernel(h, grid)
+    assert len(calls) == 3
+    assert len(set(map(tuple, classes.columns()))) == 12
+    assert ea.express_in_kernel(h, column(3, 2)) == column(0)
+    assert h.group.order_of(ea.express_in_kernel(h, column(1, 0)).column(0)) \
+        == 6
+    # representatives: the inclusion's columns map back to their classes
+    assert ea.express_in_kernel(h, h.inclusion.matrix) == \
+        IntMatrix.identity(h.group.ngens)
+    # a map with trivial kernel runs its kernel basis and lattice
+    # reductions, and no presentation
+    del calls[:]
+    assert hom_kernel(AbHom(z, z, IntMatrix.from_rows([[2]]))).group \
+        .is_trivial()
+    assert len(calls) == 2
 
 
 def test_hom_coordinates_run_no_further_smith_reduction(monkeypatch):

@@ -265,6 +265,24 @@ class TestComparison:
         with pytest.raises(ValueError, match="unreliable"):
             verify_comparison(marked)
 
+    @pytest.mark.parametrize("kind, strict, almost", [
+        (ISO, True, True), (ALMOST_ISO, False, True), (NEITHER, False, False)])
+    def test_degree_pass_rule(self, kind, strict, almost):
+        assert verify_mod.degree_passes(kind, STRICT) is strict
+        assert verify_mod.degree_passes(kind, ALMOST) is almost
+
+    def test_mode_decides_an_almost_isomorphism(self, monkeypatch):
+        # every degree classified almost-isomorphism: strict mode fails the
+        # comparison and almost mode passes it
+        z2 = FpAbGroup.cyclic(2)
+        monkeypatch.setattr(verify_mod, "classify_map", lambda f: verify_mod
+                            .MapClass(ALMOST_ISO, z2, z2, 2))
+        inst = instance_z2_reflection()
+        assert inst.mode == STRICT
+        assert not verify_comparison(inst).passed
+        with pytest.warns(UserWarning, match="mixed modes"):
+            assert verify_comparison(inst, mode=ALMOST).passed
+
     def test_classify_map_kinds(self):
         assert classify_map(one_by_one(Z, Z, 1)).kind == ISO
         doubling = classify_map(one_by_one(Z, Z, 2))
