@@ -56,7 +56,7 @@ class PlainChainComplex:
         self.hi = hi
         self.groups = {p: groups[p] for p in range(lo, hi + 1)}
         self.diffs = {}
-        self._homology = {}  # degree -> HomologyData; complexes never change
+        self._homology = {}  # HomologyData by degree and by stored pair
         self._identity = None  # the shared ChainMap.identity of this complex
         for p in range(lo + 1, hi + 1):
             d = diffs.get(p)
@@ -65,8 +65,11 @@ class PlainChainComplex:
             if d.source != self.groups[p] or d.target != self.groups[p - 1]:
                 raise ValueError(f"differential at degree {p} has wrong endpoints")
             self.diffs[p] = d
+        # one map object may serve many degrees: each pair is checked once
+        seen = {}
         for p in range(lo + 2, hi + 1):
-            if not self.diffs[p - 1].compose(self.diffs[p]).is_zero():
+            if not _once(seen, (self.diffs[p - 1], self.diffs[p]),
+                         lambda a, b: a.compose(b).is_zero()):
                 raise ValueError(f"d∘d is nonzero out of degree {p}")
 
     def group(self, p) -> FpAbGroup:
@@ -91,11 +94,18 @@ def complex_concentrated(group: FpAbGroup, degree: int) -> PlainChainComplex:
 
 
 def homology_data(c: PlainChainComplex, p) -> HomologyData:
-    """Cycle/boundary bookkeeping at degree p, zero-extended outside range."""
+    """Cycle/boundary bookkeeping at degree p, zero-extended outside range;
+    degrees between the same two stored differentials and group share one."""
     hd = c._homology.get(p)
     if hd is None:
-        hd = c._homology[p] = HomologyData(c.differential(p + 1),
-                                           c.differential(p), space=c.group(p))
+        d_in, d_out = c.diffs.get(p + 1), c.diffs.get(p)
+        if d_in is None or d_out is None:   # a fresh zero map at an end
+            hd = HomologyData(c.differential(p + 1), c.differential(p),
+                              space=c.group(p))
+        else:
+            hd = _once(c._homology, (d_in, d_out, c.groups[p]),
+                       lambda i, o, g: HomologyData(i, o, space=g))
+        c._homology[p] = hd
     return hd
 
 
@@ -133,12 +143,21 @@ class ChainMap:
             if h.source != source.group(p) or h.target != target.group(p):
                 raise ValueError(f"component at degree {p} has wrong endpoints")
         if check:
-            # in the lowest degree both sides map into zero groups
+            # in the lowest degree both sides map into zero groups; where both
+            # components are absent, d∘0 = 0 = 0∘d; a square of the same
+            # four maps as one already checked is not checked again
+            seen = {}
+            comps = self.components
             for p in range(min(source.lo, target.lo) + 1,
                            max(source.hi, target.hi) + 1):
-                lhs = target.differential(p).compose(self.component(p))
-                rhs = self.component(p - 1).compose(source.differential(p))
-                if lhs != rhs:
+                if p not in comps and p - 1 not in comps:
+                    continue
+                square = (target.diffs.get(p), comps.get(p), comps.get(p - 1),
+                          source.diffs.get(p))
+                if not _once(seen, square, lambda *_: (
+                        target.differential(p).compose(self.component(p))
+                        == self.component(p - 1).compose(
+                            source.differential(p)))):
                     raise ValueError(f"does not commute with d at degree {p}")
 
     @classmethod
@@ -216,7 +235,8 @@ class CatChainComplex:
             for p, d in self.diffs.items():
                 for end, got, want in (("source", d.source, self.modules[p]),
                                        ("target", d.target, self.modules[p - 1])):
-                    if got is not want and got.values != want.values:
+                    if got is not want and (got.values != want.values
+                                            or got.actions != want.actions):
                         raise ValueError(f"differential at {p} has wrong {end}")
                 if id(d) not in seen:
                     seen.add(id(d))
@@ -319,16 +339,23 @@ def tor(left: CatModule, right: CatModule, p: int) -> FpAbGroup:
 # ---------------------------------------------------------------------------
 
 
+def _once(memo, objs, build, plain=()):
+    """build(*objs), once per distinct (plain, objs) in memo, the objects
+    counted by identity.  memo keeps the objects, so no id it keys on is
+    reused while it lives; it belongs to one construction or one complex."""
+    key = (plain, *map(id, objs))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (objs, build(*objs))
+    return hit[1]
+
+
 def _shared(objects, parts, build) -> dict:
     """{x: build(x)} for x in objects, built once per distinct parts(x):
     objects whose parts are the same objects share one result."""
-    built, out = {}, {}
-    for x in objects:
-        key = tuple(map(id, parts(x)))
-        if key not in built:
-            built[key] = build(x)
-        out[x] = built[key]
-    return out
+    memo = {}
+    return {x: _once(memo, tuple(parts(x)), lambda *_: build(x))
+            for x in objects}
 
 
 class BiFunctorComplex:
@@ -482,7 +509,10 @@ class _Total:
     """The total complex of a functor of two module complexes: parts[(p, q)]
     = part(left_p, right_q) for every degree pair, keys[n] the pairs with
     degree(p, q) = n in ascending p, sums[n] the direct sum of their groups,
-    and d assembled by `_blockwise` from the (step, block) pairs in edges."""
+    and d assembled by `_blockwise` from the edges.  Degrees that repeat
+    their objects (a periodic resolution) share them: one part per distinct
+    pair of modules, one sum per distinct tuple of parts, and one block and
+    one differential per distinct set of inputs."""
 
     __slots__ = ("left", "right", "parts", "keys", "sums", "complex")
 
@@ -490,16 +520,18 @@ class _Total:
         self.left, self.right = left, right
         pairs = sorted(((p, q) for p in left.degrees() for q in right.degrees()),
                        key=lambda k: (degree(*k), k))
-        self.parts = {(p, q): part(left.module(p), right.module(q))
-                      for p, q in pairs}
+        parts, sums, maps = {}, {}, {}
+        self.parts = {(p, q): _once(parts, (left.module(p), right.module(q)),
+                                    part) for p, q in pairs}
         self.keys = {n: tuple(ks) for n, ks in
                      groupby(pairs, key=lambda k: degree(*k))}
-        self.sums = {n: DirectSum([self.parts[k].group for k in ks])
+        self.sums = {n: _once(sums, tuple(self.parts[k] for k in ks),
+                              lambda *xs: DirectSum([x.group for x in xs]))
                      for n, ks in self.keys.items()}
         lo, hi = min(self.keys), max(self.keys)
         self.complex = PlainChainComplex(
             lo, hi, {n: s.group for n, s in self.sums.items()},
-            {n: _blockwise(self, self, n, n - 1, edges)
+            {n: _blockwise(self, self, n, n - 1, edges, maps)
              for n in range(lo + 1, hi + 1)})
 
 
@@ -516,12 +548,13 @@ class TotalTensorComplex(_Total):
             raise ValueError("need a contravariant left and covariant right "
                              "complex")
 
-        def d_right(a, b, p, q):
-            h = a.induced(b, None, right.diff(q))
-            return h.negate() if p % 2 else h
+        def d_right(a, b, d, odd):
+            h = a.induced(b, None, d)
+            return h.negate() if odd else h
         super().__init__(left, right, CatTensor, lambda p, q: p + q, (
-            ((-1, 0), lambda a, b, p, q: a.induced(b, left.diff(p), None)),
-            ((0, -1), d_right)))
+            ((-1, 0), lambda p, q: (left.diff(p),),
+             lambda a, b, d: a.induced(b, d, None)),
+            ((0, -1), lambda p, q: (right.diff(q), p % 2 == 1), d_right)))
 
 
 def tensor_complex_over_cat(left: CatChainComplex,
@@ -544,13 +577,15 @@ class TotalHomComplex(_Total):
         if not source.is_degreewise_free():
             raise ValueError("source must be degreewise free with markers")
 
-        def d_source(a, b, p, q):
+        def d_source(a, b, d, odd):
             # the second term of (dφ)_p carries the coefficient -(-1)^n
-            h = a.precompose_map(b, source.diff(p + 1))
-            return h if (q - p) % 2 else h.negate()
+            h = a.precompose_map(b, d)
+            return h if odd else h.negate()
         super().__init__(source, target, CatHomGroup, lambda p, q: q - p, (
-            ((0, -1), lambda a, b, p, q: a.postcompose_map(b, target.diff(q))),
-            ((1, 0), d_source)))
+            ((0, -1), lambda p, q: (target.diff(q),),
+             lambda a, b, d: a.postcompose_map(b, d)),
+            ((1, 0), lambda p, q: (source.diff(p + 1), (q - p) % 2 == 1),
+             d_source)))
 
 
 def hom_complex_over_cat(source: CatChainComplex,
@@ -558,27 +593,36 @@ def hom_complex_over_cat(source: CatChainComplex,
     return TotalHomComplex(source, target).complex
 
 
-def _blockwise(src, tgt, n, m, edges) -> AbHom:
+def _blockwise(src, tgt, n, m, edges, memo) -> AbHom:
     """The degree-n to degree-m map between two totals, block by block: for
-    each ((dp, dq), block) in edges, the summand (p, q) of src maps into the
-    summand (p + dp, q + dq) of tgt, where tgt has it in degree m, by
-    block(src part, tgt part, p, q)."""
+    each edge ((dp, dq), reads, block), the summand (p, q) of src maps into
+    the summand (p + dp, q + dq) of tgt, where tgt has it in degree m, by
+    block(src part, tgt part, *reads(p, q)), reads giving the maps and signs
+    the block depends on.  memo, kept across the degrees of one
+    construction, builds one block per distinct edge, parts and reads, and
+    one map per distinct pair of sums and layout of blocks; the edges of one
+    construction have distinct offsets."""
     keys = tgt.keys.get(m, ())
     blocks = {}
     for jdx, (p, q) in enumerate(src.keys[n]):
-        for (dp, dq), block in edges:
+        for (dp, dq), reads, block in edges:
             to = (p + dp, q + dq)
             if to in keys:
-                blocks[(keys.index(to), jdx)] = block(src.parts[(p, q)],
-                                                      tgt.parts[to], p, q)
-    return block_hom(src.sums[n], tgt.sums[m], blocks)
+                blocks[(keys.index(to), jdx)] = _once(
+                    memo, (src.parts[(p, q)], tgt.parts[to], *reads(p, q)),
+                    block, plain=(dp, dq))
+    # a block is keyed by its edge's offset pair, a map by its layout
+    return _once(memo, (src.sums[n], tgt.sums[m], *blocks.values()),
+                 lambda s, t, *_: block_hom(s, t, blocks), plain=tuple(blocks))
 
 
-def _induced(src, tgt, block) -> ChainMap:
-    """The chain map of totals that is block(src part, tgt part, p, q) on
-    every pair the two share; the ChainMap constructor verifies commutation."""
+def _induced(src, tgt, reads, block) -> ChainMap:
+    """The chain map of totals that is block(src part, tgt part, *reads(p,
+    q)) on every pair the two share; the ChainMap constructor verifies
+    commutation."""
+    edges, memo = (((0, 0), reads, block),), {}
     return ChainMap(src.complex, tgt.complex, {
-        n: _blockwise(src, tgt, n, n, (((0, 0), block),))
+        n: _blockwise(src, tgt, n, n, edges, memo)
         for n in src.keys if n in tgt.sums})
 
 
@@ -590,15 +634,16 @@ def tensor_total_induced(src: TotalTensorComplex, tgt: TotalTensorComplex,
     Only valid when the given maps are degree-preserving chain maps.
     """
     left_maps, right_maps = left_maps or {}, right_maps or {}
-    return _induced(src, tgt, lambda a, b, p, q: a.induced(
-        b, left_maps.get(p), right_maps.get(q)))
+    return _induced(src, tgt,
+                    lambda p, q: (left_maps.get(p), right_maps.get(q)),
+                    lambda a, b, f, g: a.induced(b, f, g))
 
 
 def hom_total_induced(src: TotalHomComplex, tgt: TotalHomComplex,
                       target_maps) -> ChainMap:
     """Postcomposition map of hom totals from degreewise maps E_q -> F_q."""
-    return _induced(src, tgt, lambda a, b, p, q: a.postcompose_map(
-        b, target_maps[q]))
+    return _induced(src, tgt, lambda p, q: (target_maps[q],),
+                    lambda a, b, u: a.postcompose_map(b, u))
 
 
 # ---------------------------------------------------------------------------

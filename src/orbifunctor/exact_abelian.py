@@ -160,8 +160,10 @@ class IntMatrix:
             if self.ncols != other.nrows:
                 raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by "
                                  f"{other.nrows}x{other.ncols}")
-            if self.is_identity() or other.is_identity():
-                return other if self.is_identity() else self
+            if self.is_identity():
+                return other
+            if other.is_identity():
+                return self
             orows = other.nonzeros
             out = []
             for nz in self.nonzeros:
@@ -547,6 +549,8 @@ class LatticeBasis:
     def coordinates(self, mat: IntMatrix) -> IntMatrix | None:
         """X with matrix * X = mat, or None if a column of mat is outside
         the lattice."""
+        if self._st is None:        # a sub-quotient defers its reduction
+            LatticeBasis.__init__(self, self.matrix)
         return _solve_reduced(self._st, mat)
 
 
@@ -570,7 +574,7 @@ class FpAbGroup:
     FpAbGroup(Z ⊕ Z/2 ⊕ Z/6)
     """
 
-    __slots__ = ("rank", "torsion", "to_can", "reps")
+    __slots__ = ("rank", "torsion", "ngens", "to_can", "reps")
 
     def __init__(self, rank, torsion, to_can=None, reps=None):
         torsion = tuple(int(t) for t in torsion)
@@ -583,7 +587,7 @@ class FpAbGroup:
                 raise ValueError(f"invariant factors must form a chain: {torsion}")
         self.rank = rank
         self.torsion = torsion
-        n = rank + len(torsion)
+        self.ngens = n = rank + len(torsion)
         one = IntMatrix.identity(n)
         self.to_can = one if to_can is None else to_can   # pres -> canonical
         self.reps = one if reps is None else reps   # canonical -> pres reps
@@ -612,10 +616,6 @@ class FpAbGroup:
         if n == 1:
             return cls(0, ())
         return cls(0, (n,))
-
-    @property
-    def ngens(self):
-        return self.rank + len(self.torsion)
 
     @property
     def pres_gens(self):
@@ -749,8 +749,9 @@ class AbHom:
                              f"map {source.ngens} gens into {target.ngens} gens")
         self.source = source
         self.target = target
-        self.matrix = target.reduce_matrix(matrix)
-        if check:
+        self.matrix = (target.reduce_matrix(matrix) if target.torsion
+                       else matrix)
+        if check and source.torsion:
             self._check_relations()
 
     def _check_relations(self):
@@ -777,7 +778,7 @@ class AbHom:
 
     def compose(self, first: "AbHom") -> "AbHom":
         """self ∘ first (apply `first`, then self)."""
-        if first.target != self.source or first.target.ngens != self.source.ngens:
+        if first.target is not self.source and first.target != self.source:
             raise ValueError("composition mismatch")
         return AbHom(first.source, self.target, self.matrix * first.matrix,
                      check=False)
@@ -950,13 +951,19 @@ class HomologyData(LatticeBasis):
             if not d_out.compose(d_in).is_zero():
                 raise ValueError("maps do not compose to zero")
             relations = relations.hstack(d_in.matrix)
-        super().__init__(_kernel_lattice(d_out))
+        self._is_kernel = d_in is None
+        # the lattice is reduced on its first solve (a kernel basis has
+        # independent columns); with no relation to place, the group is free
+        # on the lattice basis and nothing is solved here
+        self.matrix, self._st = _kernel_lattice(d_out), None
+        if relations.is_zero():
+            self.group = FpAbGroup.free(self.matrix.ncols)
+            return
         coords = self.coordinates(relations)
         if coords is None:
             raise ArithmeticError("a relation escaped the cycle lattice")
         # (a trivial lattice gives zero rows, presented with no reduction)
         self.group = cokernel_presentation(coords)
-        self._is_kernel = d_in is None
 
     @property
     def inclusion(self) -> AbHom:

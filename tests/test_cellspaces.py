@@ -45,9 +45,11 @@ from orbifunctor.catmod import (
 )
 from orbifunctor.chainplex import (
     CatChainComplex,
+    TotalTensorComplex,
     cat_complex_concentrated,
     euler_characteristic,
     homology,
+    homology_data,
     induced_map_on_homology,
     tensor_complex_over_cat,
 )
@@ -667,16 +669,25 @@ class TestPeriodic:
         assert groups_of(bq.borel, top - 1) == \
             groups_of(bar_group_homology(group, top), top - 1)
 
-    @pytest.mark.parametrize("space", ["point", "reflection", "antipodal"])
+    @pytest.mark.parametrize("space", ["point", "reflection", "antipodal",
+                                       "c3-point", "c3-rotation"])
     def test_check_matches_the_bar_built_check(self, space, monkeypatch):
+        # the bar resolution repeats no object from degree to degree, so its
+        # check shares no piece of the total: it is the oracle for the
+        # periodic one, whose degrees share theirs
+        c3 = FinGroup.cyclic(3)
         x = {"point": point_space(C2), "reflection": reflection_circle(),
-             "antipodal": antipodal_circle()}[space]
-        periodic = {t: borel_vs_quotient_check(C2, x, t) for t in range(3, 7)}
+             "antipodal": antipodal_circle(), "c3-point": point_space(c3),
+             "c3-rotation": rotation_circle(c3, 1)}[space]
+        # the bar refuses C_3 past truncation 5 (3^6 tuples)
+        top = 7 if x.group.order == 2 else 6
+        periodic = {t: borel_vs_quotient_check(x.group, x, t)
+                    for t in range(3, top)}
         monkeypatch.setattr(cs, "_periodic_data",
                             lambda group, t, truncation:
                             cs._bar_data(group, truncation))
         for t, rep in periodic.items():
-            bar = borel_vs_quotient_check(C2, x, t)
+            bar = borel_vs_quotient_check(x.group, x, t)
             assert (rep.passed, rep.valid_through) == \
                 (bar.passed, bar.valid_through)
             assert rep.per_degree == bar.per_degree
@@ -734,6 +745,26 @@ class TestPeriodic:
         rep = _within_a_second(lambda: borel_vs_quotient_check(
             group, point_space(group), 256))
         assert rep.passed and len(calls) == 2
+
+    def test_repeated_degrees_share_their_pieces(self):
+        # over the C_2 point every degree of the Borel total is ZG ⊗ Z, and
+        # the differentials alternate between the two maps t - 1 and N
+        t = next(g for g in C2.elements if g != C2.identity)
+        res, _ = cs._periodic_data(C2, t, 6)
+        total = TotalTensorComplex(res,
+                                   cs._underlying_complex(point_space(C2)))
+        assert len({id(part) for part in total.parts.values()}) == 1
+        assert len({id(s) for s in total.sums.values()}) == 1
+        borel = borel_and_quotient(point_space(C2), 6).borel
+        d = borel.diffs
+        assert d[1] is d[3] is d[5] and d[2] is d[4] is d[6]
+        assert d[1] is not d[2]
+        assert homology_data(borel, 1) is homology_data(borel, 3) \
+            is homology_data(borel, 5)
+        assert homology_data(borel, 2) is homology_data(borel, 4)
+        # the ends, where a fresh zero map closes the complex, stand apart
+        assert homology_data(borel, 6) is not homology_data(borel, 4)
+        assert groups_of(borel, 5) == ["Z", "Z/2", "0", "Z/2", "0", "Z/2"]
 
     @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
     def test_past_the_bound_is_refused_before_building(self):

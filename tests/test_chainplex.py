@@ -35,11 +35,13 @@ from orbifunctor.chainplex import (
 )
 from orbifunctor.catmod import (
     CatHomGroup,
+    CatModule,
     ModuleMap,
     constant_module,
     free_map_from_images,
     free_module,
     tensor_over_cat,
+    validate_module_map,
     zero_module,
 )
 from orbifunctor.exact_abelian import (
@@ -51,8 +53,8 @@ from orbifunctor.exact_abelian import (
     solve_image_membership,
     tensor_group,
 )
-from orbifunctor.fincat import FinGroup, SubgroupFamily, orbit_category, \
-    standard_category
+from orbifunctor.fincat import FinGroup, SubgroupFamily, \
+    one_object_category, orbit_category, standard_category
 from orbifunctor.cli import decode_bifunctor, encode_bifunctor, parse_manifest
 from orbifunctor.verify import instance_s3_hexagon, instance_z2_reflection
 from samplers import coequalizer_oracle
@@ -182,6 +184,52 @@ def test_chain_map_must_commute():
                         1: AbHom(Z1, Z1, IntMatrix.from_rows([[3]]))})
 
 
+def periodic_plain(top, maps):
+    """Z^n in degrees 0..top, d_p = maps[p % len(maps)]: one object serves
+    every degree of its residue."""
+    g = maps[0].source
+    return PlainChainComplex(
+        0, top, {p: g for p in range(top + 1)},
+        {p: maps[p % len(maps)] for p in range(1, top + 1)})
+
+
+def test_repeated_differentials_are_checked_once_and_still_refused():
+    z2 = FpAbGroup.free(2)
+    a = AbHom(z2, z2, IntMatrix.from_rows([[0, 1], [0, 0]]))
+    b = AbHom(z2, z2, IntMatrix.from_rows([[1, 0], [0, 0]]))
+    # a∘b = 0 but b∘a ≠ 0: the pair (d_1, d_2) passes, (d_2, d_3) fails
+    with pytest.raises(ValueError, match="out of degree 3"):
+        periodic_plain(4, [b, a])
+    one = AbHom.identity(Z1)
+    with pytest.raises(ValueError, match="out of degree 2"):
+        periodic_plain(5, [one])
+    two = AbHom(Z1, Z1, IntMatrix.from_rows([[2]]))
+    c = periodic_plain(6, [two, AbHom.zero(Z1, Z1)])
+    assert homology_data(c, 1) is homology_data(c, 3) is homology_data(c, 5)
+    assert homology_data(c, 2) is homology_data(c, 4)
+    assert homology_data(c, 0) is not homology_data(c, 2)
+    assert [homology(c, p) for p in range(6)] == \
+        [Z1, Z(2), FpAbGroup.zero(), Z(2), FpAbGroup.zero(), Z(2)]
+
+
+def test_chain_map_checks_each_square_once_and_still_refuses():
+    two = AbHom(Z1, Z1, IntMatrix.from_rows([[2]]))
+    c = periodic_plain(6, [two, AbHom.zero(Z1, Z1)])
+    one = AbHom.identity(Z1)
+    ChainMap(c, c, {p: one for p in range(7)})
+    # a component that breaks only the square at degree 4; the squares at
+    # degrees 2 and 6 are the same four maps as each other, not as this one
+    comps = {p: one for p in range(7)}
+    comps[3] = two
+    with pytest.raises(ValueError, match="at degree 4"):
+        ChainMap(c, c, comps)
+    # the degrees where both components are absent commute; one present
+    # component is still checked against the zero map beside it
+    ChainMap(c, c, {0: one})
+    with pytest.raises(ValueError, match="at degree 2"):
+        ChainMap(c, c, {2: one})
+
+
 def test_homology_class_transport():
     c = two_term([[-1, -1], [1, 1]], 2, 2)
     hd = homology_data(c, 1)
@@ -221,6 +269,20 @@ def test_cat_complex_validation():
     with pytest.raises(ValueError, match="wrong target"):
         CatChainComplex(OR2, "co", 0, 1, {0: z, 1: z},
                         {1: ModuleMap.zero(z, z2)})
+    # a module with the same values but another action is another module:
+    # the identity of Z with trivial C_2 action does not start at Z with the
+    # sign action, where it would not be natural
+    c2 = one_object_category(G2)
+    triv = constant_module(c2, Z1, "contra")
+    sign = CatModule(c2, "contra", triv.values, {
+        g: AbHom.identity(Z1) if g == G2.identity
+        else AbHom.identity(Z1).negate() for g in c2.morphisms})
+    ident = ModuleMap.identity(triv)
+    assert validate_module_map(ModuleMap(sign, triv, ident.components))
+    with pytest.raises(ValueError, match="wrong source"):
+        CatChainComplex(c2, "contra", 0, 1, {0: triv, 1: sign}, {1: ident})
+    with pytest.raises(ValueError, match="wrong target"):
+        CatChainComplex(c2, "contra", 0, 1, {0: sign, 1: triv}, {1: ident})
 
 
 def test_cat_complex_dd_checked():

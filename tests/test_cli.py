@@ -27,6 +27,7 @@ from orbifunctor.fincat import (
     standard_category,
 )
 from orbifunctor.cellspaces import (
+    antipodal_circle,
     bar_resolution_truncated,
     classifying_model,
     hexagon_s3,
@@ -409,8 +410,9 @@ class TestCommands:
                      "--truncation", "4"]) == 0
 
 
-def borel_manifest(space):
-    return {"version": "1", "group": {"kind": "cyclic", "n": "2"},
+def borel_manifest(space, n=2):
+    """A borel-check manifest for a space over the cyclic group of order n."""
+    return {"version": "1", "group": {"kind": "cyclic", "n": str(n)},
             "gcw": encode_gcw(space)}
 
 
@@ -486,6 +488,14 @@ PINNED_REPORTS = {
         lambda: borel_manifest(reflection_circle()),
         ["borel-check", "--truncation", "5"],
         "604d60dc96f39ed3d1d70c920aceb257fc604419b1bef826573ef719d46bb679"),
+    "borel-check-c2-antipodal-t5": (
+        lambda: borel_manifest(antipodal_circle()),
+        ["borel-check", "--truncation", "5"],
+        "641815fda9eae5f71766819c58bb67e8430c055f970a0432dfc5f5c5258ac9ee"),
+    "borel-check-c3-point-t4": (
+        lambda: borel_manifest(point_space(FinGroup.cyclic(3)), 3),
+        ["borel-check", "--truncation", "4"],
+        "2bf41764810be9fee04678fb69e21820a0a292d8958a09469802a1d93a624189"),
     "bredon-hexagon-constant-z": (
         bredon_hexagon_manifest, ["bredon"],
         "3fd7e1a426070c39311da94bc6d2b8d4635b56172d141cc44f8405c8dc045af4"),

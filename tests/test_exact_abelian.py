@@ -205,6 +205,9 @@ def test_lattice_basis():
         [[2, 3], [-1, 0], [0, 0]])
     assert lat.coordinates(both.hstack(column(1, 1))) is None
     assert lat.coordinates(IntMatrix.zeros(2, 0)) == IntMatrix.zeros(2, 0)
+    # dependent columns are refused on construction, before any solve
+    with pytest.raises(ValueError, match="independent"):
+        LatticeBasis(IntMatrix.from_columns([[1, 2], [2, 4]]))
 
 
 # -- groups -----------------------------------------------------------------
@@ -973,12 +976,26 @@ def test_homology_with_torsion_runs_three_smith_reductions(monkeypatch):
     # representatives: the inclusion's columns map back to their classes
     assert ea.express_in_kernel(h, h.inclusion.matrix) == \
         IntMatrix.identity(h.group.ngens)
-    # a map with trivial kernel runs its kernel basis and lattice
-    # reductions, and no presentation
+    # a map with trivial kernel runs its kernel basis reduction only: with
+    # no relation to place, the lattice waits for its first solve, and no
+    # presentation is built
     del calls[:]
     assert hom_kernel(AbHom(z, z, IntMatrix.from_rows([[2]]))).group \
         .is_trivial()
+    assert len(calls) == 1
+    # a free kernel reduces its lattice on the first solve, and once
+    del calls[:]
+    z3 = FpAbGroup.free(3)
+    k = hom_kernel(AbHom(z3, z, IntMatrix.from_rows([[1, -1, 0]])))
+    assert k.group == FpAbGroup.free(2) and len(calls) == 1
+    moved = k.matrix * IntMatrix.from_columns([[1, 0], [3, -2]])
+    assert ea.express_in_kernel(k, moved) == \
+        IntMatrix.from_columns([[1, 0], [3, -2]])
+    assert ea.express_in_kernel(k, k.inclusion.matrix) == \
+        IntMatrix.identity(2)
     assert len(calls) == 2
+    with pytest.raises(ValueError):
+        ea.express_in_kernel(k, column(1, 0, 0))
 
 
 def test_hom_coordinates_run_no_further_smith_reduction(monkeypatch):
