@@ -17,6 +17,7 @@ canonical forms with witnesses, never up-to-iso guesses.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import MutableMapping
 
 from .exact_abelian import (
     AbHom,
@@ -77,7 +78,13 @@ class CatModule:
         they are shared and must not be mutated."""
         cols = self._columns.get(f)
         if cols is None:
-            cols = self._columns[f] = self.actions[f].matrix.transpose().nonzeros
+            if self.free_basis is not None:     # unit vectors at moved labels
+                cols = tuple({k: 1} for k in _moved(
+                    self.cat, self.variance == CONTRAVARIANT, self.free_basis,
+                    self.free_index, f)[2])
+            else:
+                cols = self.actions[f].matrix.transpose().nonzeros
+            self._columns[f] = cols
         return cols
 
     def is_free_marked(self):
@@ -299,7 +306,7 @@ def free_module(cat: FinCategory, gens, variance=CONTRAVARIANT) -> CatModule:
     with morphisms acting by precomposition.  Covariant: mor(c_i, w) and
     postcomposition.  Basis order is generator index first, then the stable
     morphism order of the category; `free_gens` of the result lists the
-    generators' objects.
+    generators' objects.  Each action is built on its first read.
     """
     gens = tuple(gens)
     objset = set(cat.objects)
@@ -313,18 +320,53 @@ def free_module(cat: FinCategory, gens, variance=CONTRAVARIANT) -> CatModule:
                       for phi in (cat.mor(w, c) if contra else cat.mor(c, w)))
              for w in cat.objects}
     index = {w: {lab: k for k, lab in enumerate(basis[w])} for w in cat.objects}
-    module = CatModule(cat, variance, {w: FpAbGroup.free(len(basis[w]))
-                                       for w in cat.objects}, {})
-    for f in cat.morphisms:
-        # the selection matrix moving each basis label along f
-        s, t = _action_endpoints(module, f)
-        moved = [(i, cat.compose(f, phi) if contra else cat.compose(phi, f))
-                 for i, phi in basis[s]]
-        module.actions[f] = AbHom(
-            module.values[s], module.values[t], IntMatrix.selection(
-                len(basis[t]), [index[t][lab] for lab in moved]), check=False)
+    values = {w: FpAbGroup.free(len(basis[w])) for w in cat.objects}
+    module = CatModule(cat, variance, values, {})
     module.free_gens, module.free_basis, module.free_index = gens, basis, index
+
+    def action(f):  # no reference to module: a cycle waits for the collector
+        s, t, positions = _moved(cat, contra, basis, index, f)
+        return AbHom(values[s], values[t], IntMatrix.selection(
+            len(basis[t]), positions), check=False)
+    module.actions = _LazyActions(cat.morphisms, action)
     return module
+
+
+def _moved(cat, contra, basis, index, f):
+    """(s, t, positions): f acts on the free module with these markers from
+    s to t, moving the basis label k of s to the label positions[k] of t."""
+    s, t = (cat.cod[f], cat.dom[f]) if contra else (cat.dom[f], cat.cod[f])
+    return s, t, [index[t][(i, cat.compose(f, phi) if contra
+                            else cat.compose(phi, f))] for i, phi in basis[s]]
+
+
+class _LazyActions(MutableMapping):
+    """Every morphism's action, built by build(f) on its first read (most
+    are never read); assignment and deletion act as on a dict."""
+
+    __slots__ = ("_acts", "_build")
+
+    def __init__(self, morphisms, build):
+        self._acts = dict.fromkeys(morphisms)     # None until built
+        self._build = build
+
+    def __getitem__(self, f):
+        act = self._acts[f]
+        if act is None:
+            act = self._acts[f] = self._build(f)
+        return act
+
+    def __setitem__(self, f, act):
+        self._acts[f] = act
+
+    def __delitem__(self, f):
+        del self._acts[f]
+
+    def __iter__(self):
+        return iter(self._acts)
+
+    def __len__(self):
+        return len(self._acts)
 
 
 def free_map_from_images(free: CatModule, target: CatModule,

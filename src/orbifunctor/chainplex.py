@@ -47,7 +47,7 @@ from .catmod import (
 class PlainChainComplex:
     """Bounded complex of f.p. abelian groups; d_p: C_p -> C_{p-1}."""
 
-    __slots__ = ("lo", "hi", "groups", "diffs", "_homology", "_identity")
+    __slots__ = ("lo", "hi", "groups", "diffs", "_memo", "_identity")
 
     def __init__(self, lo, hi, groups, diffs):
         if lo > hi:
@@ -56,7 +56,7 @@ class PlainChainComplex:
         self.hi = hi
         self.groups = {p: groups[p] for p in range(lo, hi + 1)}
         self.diffs = {}
-        self._homology = {}  # HomologyData by degree and by stored pair
+        self._memo = {}  # the zero group, zero maps, HomologyData
         self._identity = None  # the shared ChainMap.identity of this complex
         for p in range(lo + 1, hi + 1):
             d = diffs.get(p)
@@ -73,12 +73,13 @@ class PlainChainComplex:
                 raise ValueError(f"d∘d is nonzero out of degree {p}")
 
     def group(self, p) -> FpAbGroup:
-        return self.groups[p] if p in self.groups else FpAbGroup.zero()
+        return self.groups.get(p) or _once(self._memo, (), FpAbGroup.zero)
 
     def differential(self, p) -> AbHom:
         d = self.diffs.get(p)
         if d is None:
-            d = AbHom.zero(self.group(p), self.group(p - 1))
+            d = _once(self._memo, (self.group(p), self.group(p - 1)),
+                      AbHom.zero)
         return d
 
     def degrees(self):
@@ -95,17 +96,13 @@ def complex_concentrated(group: FpAbGroup, degree: int) -> PlainChainComplex:
 
 def homology_data(c: PlainChainComplex, p) -> HomologyData:
     """Cycle/boundary bookkeeping at degree p, zero-extended outside range;
-    degrees between the same two stored differentials and group share one."""
-    hd = c._homology.get(p)
+    degrees between the same two differentials and group share one, the
+    degrees outside the complex included."""
+    hd = c._memo.get(p)
     if hd is None:
-        d_in, d_out = c.diffs.get(p + 1), c.diffs.get(p)
-        if d_in is None or d_out is None:   # a fresh zero map at an end
-            hd = HomologyData(c.differential(p + 1), c.differential(p),
-                              space=c.group(p))
-        else:
-            hd = _once(c._homology, (d_in, d_out, c.groups[p]),
-                       lambda i, o, g: HomologyData(i, o, space=g))
-        c._homology[p] = hd
+        hd = c._memo[p] = _once(
+            c._memo, (c.differential(p + 1), c.differential(p), c.group(p)),
+            lambda i, o, g: HomologyData(i, o, space=g))
     return hd
 
 
@@ -133,12 +130,13 @@ def euler_characteristic(c: PlainChainComplex) -> int:
 class ChainMap:
     """Degreewise map of plain complexes; commutation with d is checked."""
 
-    __slots__ = ("source", "target", "components")
+    __slots__ = ("source", "target", "components", "_memo")
 
     def __init__(self, source, target, components, check=True):
         self.source = source
         self.target = target
         self.components = dict(components)
+        self._memo = {}     # zero components and induced maps, by their inputs
         for p, h in self.components.items():
             if h.source != source.group(p) or h.target != target.group(p):
                 raise ValueError(f"component at degree {p} has wrong endpoints")
@@ -174,7 +172,8 @@ class ChainMap:
     def component(self, p) -> AbHom:
         h = self.components.get(p)
         if h is None:
-            h = AbHom.zero(self.source.group(p), self.target.group(p))
+            h = _once(self._memo, (self.source.group(p), self.target.group(p)),
+                      AbHom.zero)
         return h
 
     def is_identity(self):
@@ -193,12 +192,13 @@ class ChainMap:
 
 
 def induced_map_on_homology(f: ChainMap, p) -> AbHom:
-    """H_p(f) between canonical homology forms, via cycle transport."""
-    hsrc = homology_data(f.source, p)
-    htgt = homology_data(f.target, p)
+    """H_p(f) between canonical homology forms, via cycle transport; one map
+    per distinct (source data, target data, component) of f."""
     # column j: the image of a cycle representing the j-th generator
-    moved = f.component(p).matrix * hsrc.inclusion.matrix
-    return AbHom(hsrc.group, htgt.group, express_in_kernel(htgt, moved))
+    return _once(f._memo, (homology_data(f.source, p),
+                           homology_data(f.target, p), f.component(p)),
+                 lambda s, t, h: AbHom(s.group, t.group, express_in_kernel(
+                     t, h.matrix * s.inclusion.matrix)))
 
 
 # ---------------------------------------------------------------------------

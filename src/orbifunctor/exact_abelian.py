@@ -878,6 +878,16 @@ def hom_kernel_cokernel(f: AbHom):
 
 
 def is_isomorphism(f: AbHom) -> bool:
+    """A unit-monomial matrix (each source generator sent to a unit multiple
+    of its own target generator of the same order) is read off with no
+    reduction; any other map is decided by its kernel and cokernel."""
+    m, src, tgt = f.matrix, f.source.moduli(), f.target.moduli()
+    if m.nrows == m.ncols and all(len(nz) == 1 for nz in m.nonzeros):
+        entries = [next(iter(nz.items())) for nz in m.nonzeros]
+        if len({j for j, _ in entries}) == m.ncols and all(
+                src[j] == t and gcd(x, t) == 1
+                for (j, x), t in zip(entries, tgt)):
+            return True
     ker, coker = hom_kernel_cokernel(f)
     return ker.is_trivial() and coker.is_trivial()
 

@@ -252,6 +252,19 @@ def degree_passes(kind: str, mode: str) -> bool:
     return kind == ISO or (kind == ALMOST_ISO and mode != STRICT)
 
 
+def classify_comparison_degree(t: ChainMap, p, isos) -> MapClass:
+    """The class of H_p(t).  Where t is an isomorphism in degrees p - 1, p
+    and p + 1, it carries cycles onto cycles and boundaries onto boundaries,
+    so H_p(t) is one and no homology is built; elsewhere the induced map is
+    classified.  isos keeps each degree's verdict for its neighbours."""
+    for q in (p - 1, p, p + 1):
+        if q not in isos:
+            isos[q] = is_isomorphism(t.component(q))
+        if not isos[q]:
+            return classify_map(induced_map_on_homology(t, p))
+    return MapClass(ISO, FpAbGroup.zero(), FpAbGroup.zero(), 1)
+
+
 def verify_comparison(inst: TheoremInstance, mode=None) -> ComparisonReport:
     """Build both totals, the comparison chain map, and classify it on
     homology in every degree up to the requested one."""
@@ -270,9 +283,9 @@ def verify_comparison(inst: TheoremInstance, mode=None) -> ComparisonReport:
                 f"extend the window to degree "
                 f"{inst.through_degree + inst.top_degree + 1}")
     t = comparison_map_t(inst.chains, inst.free_complex, inst.coefficients)
-    per_degree = {}
-    for p in range(inst.through_degree + 1):
-        per_degree[p] = classify_map(induced_map_on_homology(t, p))
+    isos = {}
+    per_degree = {p: classify_comparison_degree(t, p, isos)
+                  for p in range(inst.through_degree + 1)}
     all_iso = all(m.kind == ISO for m in per_degree.values())
     passed = all(degree_passes(m.kind, mode) for m in per_degree.values())
     return ComparisonReport(per_degree, all_iso, passed, mode)
@@ -312,10 +325,15 @@ def sub_factorization_check(group: FinGroup, family: SubgroupFamily,
         classes += 1
         ref = bucket[0]
         for i in e.index_base.objects:
+            f = e.coeff_action[(i, ref)]
             for other in bucket[1:]:
+                g = e.coeff_action[(i, other)]
+                # between the same complexes, equal components induce equal
+                # maps, with no homology built
+                same = f.source is g.source and f.target is g.target
                 for q in range(e.lo, e.hi + 1):
-                    if induced(e.coeff_action[(i, ref)], q) != \
-                            induced(e.coeff_action[(i, other)], q):
+                    if not (same and f.component(q) == g.component(q)) \
+                            and induced(f, q) != induced(g, q):
                         violations.append((i, ref, other, q))
     return FactorizationReport(not violations, tuple(violations), classes)
 
@@ -590,12 +608,13 @@ def borel_vs_quotient_check(group: FinGroup, x: GCWComplex, truncation: int,
     else:
         degrees = range(valid + 1)     # not listed: the bar bound comes later
     bq = borel_and_quotient(x, truncation)
+    classify = cache(classify_map)      # degrees may induce one map
     order = len(group.elements)
     per_degree = {}
     passed = True
     for p in degrees:
         ann = annihilators[p] if annihilators else (order ** p if p else 1)
-        kind, ker, coker, annihilator = classify_map(
+        kind, ker, coker, annihilator = classify(
             induced_map_on_homology(bq.projection, p))
         ok = kind != NEITHER and ann % annihilator == 0
         passed = passed and ok

@@ -7,6 +7,7 @@ on enumerated families.
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1087,14 +1088,21 @@ def marker_problems(module):
     if problems:
         return problems
     for f in cat.morphisms:
-        s, t = (cat.cod[f], cat.dom[f]) if contra else (cat.dom[f], cat.cod[f])
-        moved = [(i, cat.compose(f, phi) if contra else cat.compose(phi, f))
-                 for i, phi in basis[s]]
-        want = AbHom(module.values[s], module.values[t], IntMatrix.selection(
-            len(basis[t]), [index[t][lab] for lab in moved]))
-        if module.actions.get(f) != want:
+        if module.actions.get(f) != eager_action(module, f):
             problems.append(f"action of {f!r}")
     return problems
+
+
+def eager_action(module, f):
+    """The action of f on a free-marked module, built from its markers: the
+    selection matrix moving each basis label along f."""
+    cat, contra = module.cat, module.variance == "contra"
+    basis, index = module.free_basis, module.free_index
+    s, t = (cat.cod[f], cat.dom[f]) if contra else (cat.dom[f], cat.cod[f])
+    moved = [(i, cat.compose(f, phi) if contra else cat.compose(phi, f))
+             for i, phi in basis[s]]
+    return AbHom(module.values[s], module.values[t], IntMatrix.selection(
+        len(basis[t]), [index[t][lab] for lab in moved]))
 
 
 MARKER_CATS = [OR2, OR_S3, SUBS3, POINT, standard_category("chain", 2),
@@ -1111,6 +1119,29 @@ def test_free_module_markers_describe_the_module(cat, variance, data):
     assert free.is_free_marked() and free.free_gens == tuple(gens)
     assert marker_problems(free) == []
     assert validate_module(free) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MARKER_CATS), st.sampled_from(["co", "contra"]),
+       st.data())
+def test_free_module_actions_match_the_eager_reference(cat, variance, data):
+    # the columns are read off the labels before any action is built; the
+    # actions, built on first read, are a mapping over every morphism equal
+    # to the eagerly built one
+    gens = data.draw(st.lists(st.sampled_from(cat.objects), max_size=3))
+    free = free_module(cat, gens, variance)
+    eager = {f: eager_action(free, f) for f in cat.morphisms}
+    with mock.patch.object(IntMatrix, "selection",
+                           side_effect=AssertionError("action built")):
+        for f in cat.morphisms:
+            assert free.action_columns(f) == \
+                eager[f].matrix.transpose().nonzeros
+    assert list(free.actions) == list(cat.morphisms)
+    assert len(free.actions) == len(cat.morphisms)
+    assert free.actions.get("no such morphism") is None
+    assert dict(free.actions) == eager
+    f = data.draw(st.sampled_from(cat.morphisms))
+    assert free.actions[f] is free.actions[f]
 
 
 def test_marker_checks_catch_wrong_markers():

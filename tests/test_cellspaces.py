@@ -762,9 +762,21 @@ class TestPeriodic:
         assert homology_data(borel, 1) is homology_data(borel, 3) \
             is homology_data(borel, 5)
         assert homology_data(borel, 2) is homology_data(borel, 4)
-        # the ends, where a fresh zero map closes the complex, stand apart
+        # the top end, closed by the zero map out of the zero group, stands
+        # apart; past it, every degree has the same zero maps and group
         assert homology_data(borel, 6) is not homology_data(borel, 4)
+        assert borel.differential(9) is borel.differential(12)
+        assert homology_data(borel, 8) is homology_data(borel, 11) \
+            is homology_data(borel, -2)
         assert groups_of(borel, 5) == ["Z", "Z/2", "0", "Z/2", "0", "Z/2"]
+        # the projection onto the quotient induces one map per distinct
+        # (source data, target data, component)
+        proj = borel_and_quotient(point_space(C2), 6).projection
+        assert proj.component(3) is proj.component(5)
+        assert induced_map_on_homology(proj, 3) \
+            is induced_map_on_homology(proj, 5)
+        assert induced_map_on_homology(proj, 2) \
+            is induced_map_on_homology(proj, 4)
 
     @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
     def test_past_the_bound_is_refused_before_building(self):

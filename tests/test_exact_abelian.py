@@ -378,6 +378,80 @@ def test_is_isomorphism():
     assert not is_isomorphism(AbHom(g, g, IntMatrix.diagonal([1, 2])))
 
 
+@st.composite
+def monomial_homs(draw):
+    """A homomorphism with at most one entry per row: a unit-monomial
+    isomorphism (generators permuted within each order, each sent to a unit
+    multiple), or a near miss: a non-unit entry, a target whose orders
+    differ, or two rows on one column.  Every entry is the least valid
+    multiple for its two orders, times the drawn unit."""
+    src = draw(fp_groups(max_rank=3, max_factors=3))
+    n, miss = src.ngens, draw(st.sampled_from(
+        ["none", "entry", "moduli", "column"]))
+    tgt = src
+    if miss == "moduli":
+        rank, torsion, t = draw(st.integers(0, n)), [], 1
+        for _ in range(n - rank):
+            t *= draw(st.integers(2, 4))
+            torsion.append(t)
+        tgt = FpAbGroup.from_invariants(rank, torsion)
+    sm, tm = src.moduli(), tgt.moduli()
+    col_of = list(range(n))
+    for m in set(sm):
+        at = [j for j in range(n) if sm[j] == m]
+        for i, j in zip(at, draw(st.permutations(at))):
+            col_of[i] = j
+    if miss == "column" and n >= 2:
+        i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        col_of[i] = col_of[k]
+    rows = []
+    for i, j in enumerate(col_of):
+        s, t = sm[j], tm[i]
+        unit = draw(st.sampled_from(
+            [u for u in range(1, max(t, 2)) if gcd(u, t) == 1]))
+        unit *= draw(st.sampled_from([1, -1]))
+        least = (1 if s == 0 else 0) if t == 0 else t // gcd(s, t)
+        rows.append({j: least * unit} if least else {})
+    if miss == "entry" and n:
+        i = draw(st.integers(0, n - 1))
+        factor = draw(st.sampled_from([0, 2, 3, 4]))
+        rows[i] = {j: x * factor for j, x in rows[i].items() if x * factor}
+    return AbHom(src, tgt, IntMatrix(n, n, nonzeros=rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(monomial_homs(), ab_homs(),
+                 fp_groups().flatmap(lambda g: ab_homs(g, g))))
+def test_is_isomorphism_agrees_with_kernel_and_cokernel(f):
+    ker, coker = hom_kernel_cokernel(f)
+    assert is_isomorphism(f) == (ker.is_trivial() and coker.is_trivial())
+
+
+def test_unit_monomial_isomorphism_runs_no_reduction(monkeypatch):
+    # Z^2 ⊕ Z/4 ⊕ Z/4 with both pairs swapped, entries -1, 1, 3, 1; and the
+    # map between trivial groups
+    g = FpAbGroup.from_invariants(2, [4, 4])
+    swap = AbHom(g, g, IntMatrix.from_rows(
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]]))
+    calls = []
+    real = ea.hom_kernel_cokernel
+    monkeypatch.setattr(ea, "hom_kernel_cokernel",
+                        lambda f: calls.append(f) or real(f))
+    zero = FpAbGroup.zero()
+    assert is_isomorphism(swap) and is_isomorphism(AbHom.identity(zero))
+    assert calls == []
+    # a unit between generators of different orders is no proof: Z/4 -> Z/2
+    # by 1 is onto but not injective; nor are units on every row of a
+    # matrix that is not square: the diagonal Z -> Z^2.  Both are decided by
+    # the reduction
+    assert not is_isomorphism(AbHom(FpAbGroup.cyclic(4), FpAbGroup.cyclic(2),
+                                    IntMatrix.from_rows([[1]])))
+    assert not is_isomorphism(AbHom(FpAbGroup.free(1), FpAbGroup.free(2),
+                                    IntMatrix.from_rows([[1], [1]])))
+    assert len(calls) == 2
+
+
 def test_solve_image_membership_oracle():
     z = FpAbGroup.free(1)
     f = AbHom(z, z, IntMatrix.from_rows([[6]]))

@@ -32,8 +32,13 @@ from orbifunctor.fincat import (
 from orbifunctor.catmod import CatModule, constant_module
 from orbifunctor.chainplex import (
     BiFunctorComplex,
+    ChainMap,
+    PlainChainComplex,
     cat_complex_concentrated,
+    comparison_map_t,
+    complex_concentrated,
     homology,
+    induced_map_on_homology,
 )
 from orbifunctor.cellspaces import (
     classifying_model,
@@ -69,6 +74,18 @@ from orbifunctor.verify import (
 )
 
 Z = FpAbGroup.free(1)
+
+
+def count_homology_builds(monkeypatch):
+    """A list that gains one entry per HomologyData built from now on."""
+    calls = []
+    init = ea.HomologyData.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ea.HomologyData, "__init__", counted)
+    return calls
 
 
 def one_by_one(src, tgt, entry):
@@ -249,6 +266,62 @@ class TestComparison:
         rep = verify_comparison(instance_s3_hexagon())
         assert rep.all_iso and rep.passed
 
+    def test_desk_comparisons_are_decided_by_their_components(
+            self, monkeypatch):
+        # every desk window and the shipped manifest: each component is an
+        # isomorphism, so no homology is built, and each degree's class is
+        # the one that homology gives
+        import orbifunctor.cli as cli
+        ref = importlib.resources.files("orbifunctor") / "manifests" \
+            / "z2_reflection_sphere.json"
+        shipped = cli.parse_manifest(ref.read_text(encoding="utf-8"))
+        insts = ([instance_z2_reflection(w) for w in (3, 4, 5)]
+                 + [instance_s3_hexagon(w) for w in (3, 4)]
+                 + [shipped.get("instance")])
+        for inst in insts:
+            with monkeypatch.context() as patch:
+                builds = count_homology_builds(patch)
+                rep = verify_comparison(inst)
+                assert rep.all_iso and builds == []
+            t = comparison_map_t(inst.chains, inst.free_complex,
+                                 inst.coefficients)
+            isos = {}
+            for p in range(inst.through_degree + 1):
+                assert verify_mod.classify_comparison_degree(t, p, isos) \
+                    == classify_map(induced_map_on_homology(t, p)) \
+                    == rep.per_degree[p]
+            assert all(isos.values())
+
+    def test_degree_rule_falls_back_to_homology(self):
+        # chain maps whose components are not all isomorphisms: the rule
+        # classifies the induced map, which may still be one; the last two
+        # are isomorphisms in degree p but not in p + 1 or in p - 1
+        zero = FpAbGroup.zero()
+        acyclic = PlainChainComplex(0, 1, {0: Z, 1: Z},
+                                    {1: AbHom.identity(Z)})
+        to_zero = ChainMap(acyclic, complex_concentrated(zero, 0), {})
+        z = complex_concentrated(Z, 0)
+        mod2 = PlainChainComplex(0, 1, {0: Z, 1: Z}, {1: one_by_one(Z, Z, 2)})
+        upper = PlainChainComplex(0, 1, {0: zero, 1: Z},
+                                  {1: AbHom.zero(Z, zero)})
+        cases = [(to_zero, 0, ISO), (to_zero, 1, ISO),
+                 (ChainMap(z, z, {0: one_by_one(Z, Z, 2)}), 0, ALMOST_ISO),
+                 (ChainMap(z, z, {0: AbHom.zero(Z, Z)}), 0, NEITHER),
+                 (ChainMap(mod2, acyclic, {0: AbHom.identity(Z),
+                                           1: one_by_one(Z, Z, 2)}),
+                  0, ALMOST_ISO),
+                 (ChainMap(acyclic, upper, {1: AbHom.identity(Z)}), 1,
+                  NEITHER)]
+        for t, p, kind in cases:
+            isos = {}
+            got = verify_mod.classify_comparison_degree(t, p, isos)
+            assert not all(isos.values())
+            assert got == classify_map(induced_map_on_homology(t, p))
+            assert got.kind == kind
+        doubling = verify_mod.classify_comparison_degree(cases[2][0], 0, {})
+        assert doubling.annihilator == 2
+        assert doubling.cokernel == FpAbGroup.cyclic(2)
+
     def test_mixed_mode_warns(self):
         inst = instance_z2_reflection()
         with pytest.warns(UserWarning, match="mixed modes"):
@@ -275,7 +348,8 @@ class TestComparison:
         # every degree classified almost-isomorphism: strict mode fails the
         # comparison and almost mode passes it
         z2 = FpAbGroup.cyclic(2)
-        monkeypatch.setattr(verify_mod, "classify_map", lambda f: verify_mod
+        monkeypatch.setattr(verify_mod, "classify_comparison_degree",
+                            lambda t, p, isos: verify_mod
                             .MapClass(ALMOST_ISO, z2, z2, 2))
         inst = instance_z2_reflection()
         assert inst.mode == STRICT
@@ -350,19 +424,15 @@ class TestEngineeredDefects:
 
     def test_factorization_builds_homology_once_per_complex_and_degree(
             self, monkeypatch):
+        # constant coefficients: every collapsed pair acts by equal
+        # components between the same complexes, so no homology is built at
+        # all; the sign system below keeps the once-per-complex bound
         inst = instance_s3_hexagon(4)
-        calls = []
-        init = ea.HomologyData.__init__
-
-        def counted(self, *args, **kwargs):
-            calls.append(1)
-            init(self, *args, **kwargs)
-        monkeypatch.setattr(ea.HomologyData, "__init__", counted)
+        calls = count_homology_builds(monkeypatch)
         rep = sub_factorization_check(inst.group, inst.family,
                                       inst.coefficients)
         assert rep.passed
-        # 25 distinct (complex, degree) pairs; one Smith reduction for each
-        assert 0 < len(calls) <= 25
+        assert len(calls) == 0
 
     def test_factorization_needs_matching_category(self):
         inst = instance_z2_reflection()
@@ -398,9 +468,13 @@ class TestEngineeredDefects:
         real = verify_mod.induced_map_on_homology
         monkeypatch.setattr(verify_mod, "induced_map_on_homology",
                             lambda f, p: calls.append(f) or real(f, p))
+        builds = count_homology_builds(monkeypatch)
         rep = sub_factorization_check(group, family, e)
         assert {i for i, _, _, _ in rep.violations} == set(idx.objects)
         assert len(calls) == 2      # two distinct chain maps, one degree
+        # homology is built at most once per distinct complex and degree
+        complexes = {id(c) for c in e.complexes.values()}
+        assert 0 < len(builds) <= len(complexes) * (e.hi - e.lo + 1)
 
 
 class TestTransportModule:
@@ -628,6 +702,18 @@ class TestBorelVsQuotient:
             assert ker == expected
             assert coker.is_trivial()
             assert ok
+
+    def test_each_distinct_induced_map_is_classified_once(self, monkeypatch):
+        # over the point, degrees 2 and 4 induce one map, 1, 3 and 5 another
+        # (H_p is Z/2 onto 0): three classifications for six degrees
+        calls = []
+        real = verify_mod.classify_map
+        monkeypatch.setattr(verify_mod, "classify_map",
+                            lambda f: calls.append(f) or real(f))
+        group = FinGroup.cyclic(2)
+        rep = borel_vs_quotient_check(group, point_space(group), 6)
+        assert sorted(rep.per_degree) == [0, 1, 2, 3, 4, 5]
+        assert len(calls) == len(set(calls)) == 3
 
     def test_explicit_annihilators(self):
         group = FinGroup.cyclic(2)
