@@ -527,13 +527,27 @@ class StandardPresentation:
         how x ⊗ − and τ ↦ τ_c(x) read on the evaluation ⊕_k N(c_k)."""
         return _through(self.cover, module, c, self.lifts[c].apply(x))
 
-    def carried(self, v: ModuleMap, into: "StandardPresentation",
-                module: CatModule):
-        """(k, c_k, blocks) for each generator k of this cover: its point of
-        M(c_k), carried by v and read through module by `into.through`."""
+    def images(self, v: ModuleMap | None, into: "StandardPresentation"):
+        """(k, c_k, terms) for each generator k of this cover: its point of
+        M(c_k), carried by v (None: the identity) and lifted into the cover
+        of `into`, as the terms (k2, φ, a) of its labels (k2, φ) there."""
         for k, (c, slot) in enumerate(zip(self.cover.free_gens, self.slots)):
-            yield k, c, into.through(module, c,
-                                     v.components[c].matrix.column(slot))
+            x = {slot: 1} if v is None else {
+                r: nz[slot] for r, nz in
+                enumerate(v.components[c].matrix.nonzeros) if slot in nz}
+            lift = into.lifts[c]
+            if not lift.is_identity():
+                y = lift.apply([x.get(i, 0) for i in range(lift.ncols)])
+                x = {r: a for r, a in enumerate(y) if a}
+            basis = into.cover.free_basis[c]
+            yield k, c, [(*basis[r], a) for r, a in x.items()]
+
+    def carried(self, v: ModuleMap | None, into: "StandardPresentation",
+                module: CatModule):
+        """(k, c_k, blocks) for each generator k of this cover: its image
+        under `images`, read through module as `into.through` reads it."""
+        for k, c, terms in self.images(v, into):
+            yield k, c, _summed(module, terms)
 
     def on_relations(self, module: CatModule):
         """F1 read through the module: (⊕_r N(t_r), {(r, k): Σ_φ
@@ -545,15 +559,24 @@ class StandardPresentation:
         return DirectSum([module.values[t] for t, _ in self.relations]), blocks
 
 
+def _terms(free: CatModule, w, vec):
+    # vec in free(w) as the terms (k, φ, a) of its nonzero labels (k, φ)
+    return [(k, phi, a) for (k, phi), a in zip(free.free_basis[w], vec) if a]
+
+
+def _summed(module: CatModule, terms):
+    # {k: Σ_φ a·N(φ)} over the terms (k, φ, a), N = module
+    out = {}
+    for k, phi, a in terms:
+        term = module.actions[phi].matrix.scale(a)
+        out[k] = out[k] + term if k in out else term
+    return out
+
+
 def _through(free: CatModule, module: CatModule, w, vec):
     # vec in free(w), by summand of the evaluation: {k: Σ_φ vec_(k,φ)·N(φ)}
     # with N = module, i.e. how τ ↦ τ_w(vec) and y ↦ vec ⊗ y act on ⊕_k N(c_k)
-    out = {}
-    for (k, phi), x in zip(free.free_basis[w], vec):
-        if x:
-            term = module.actions[phi].matrix.scale(x)
-            out[k] = out[k] + term if k in out else term
-    return out
+    return _summed(module, _terms(free, w, vec))
 
 
 class CatTensor:
@@ -624,9 +647,8 @@ class CatTensor:
             # cover of other: block (k2, k) = Σ_φ a_(k2,φ)·N'(φ)·u_{c_k}
             values, gens = other.right.values, other.pres.cover.free_gens
             blocks = {}
-            for k, c, moved in self.pres.carried(
-                    left_map or ModuleMap.identity(self.left), other.pres,
-                    other.right):
+            for k, c, moved in self.pres.carried(left_map, other.pres,
+                                                 other.right):
                 for k2, m in moved.items():
                     blocks[(k2, k)] = AbHom(us[c].source, values[gens[k2]],
                                             m * us[c].matrix, check=False)
@@ -762,9 +784,8 @@ class CatHomGroup:
             # generator k2 of other's cover, carried by v and lifted into this
             # cover: block (k2, k) = u_{c_k2}·Σ_φ a_(k,φ)·N(φ)
             parts, blocks = self.evals.parts, {}
-            for k2, c2, moved in other.pres.carried(
-                    v or ModuleMap.identity(self.source), self.pres,
-                    self.target):
+            for k2, c2, moved in other.pres.carried(v, self.pres,
+                                                    self.target):
                 for k, m in moved.items():
                     blocks[(k2, k)] = AbHom(
                         parts[k], other.evals.parts[k2],

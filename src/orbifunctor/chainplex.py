@@ -20,6 +20,7 @@ index-complex dimension plus one.
 
 from __future__ import annotations
 
+import weakref
 from itertools import groupby
 from types import MappingProxyType
 
@@ -29,14 +30,14 @@ from .exact_abelian import (
     FpAbGroup,
     HomologyData,
     IntMatrix,
-    block_hom,
     express_in_kernel,
+    hom_from_presentation,
 )
 from .catmod import (
-    CatHomGroup,
     CatModule,
-    CatTensor,
     ModuleMap,
+    StandardPresentation,
+    _terms,
     generating_cover,
     module_kernel,
     validate_module_map,
@@ -57,7 +58,7 @@ class PlainChainComplex:
         self.groups = {p: groups[p] for p in range(lo, hi + 1)}
         self.diffs = {}
         self._memo = {}  # the zero group, zero maps, HomologyData
-        self._identity = None  # the shared ChainMap.identity of this complex
+        self._identity = None  # a weak reference to ChainMap.identity(self)
         for p in range(lo + 1, hi + 1):
             d = diffs.get(p)
             if d is None:
@@ -130,7 +131,7 @@ def euler_characteristic(c: PlainChainComplex) -> int:
 class ChainMap:
     """Degreewise map of plain complexes; commutation with d is checked."""
 
-    __slots__ = ("source", "target", "components", "_memo")
+    __slots__ = ("source", "target", "components", "_memo", "__weakref__")
 
     def __init__(self, source, target, components, check=True):
         self.source = source
@@ -160,14 +161,16 @@ class ChainMap:
 
     @classmethod
     def identity(cls, c: PlainChainComplex):
-        """The identity of c: one shared instance per complex, with read-only
-        components."""
-        if c._identity is None:
+        """The identity of c, with read-only components: one shared instance
+        per complex while anything holds it.  The complex holds it weakly,
+        so the two make no reference cycle."""
+        ident = c._identity and c._identity()
+        if ident is None:
             ident = cls(c, c, {p: AbHom.identity(c.group(p))
                                for p in c.degrees()}, check=False)
             ident.components = MappingProxyType(ident.components)
-            c._identity = ident
-        return c._identity
+            c._identity = weakref.ref(ident)
+        return ident
 
     def component(self, p) -> AbHom:
         h = self.components.get(p)
@@ -506,38 +509,82 @@ def _chain_maps_equal(f: ChainMap, g: ChainMap):
 
 
 class _Total:
-    """The total complex of a functor of two module complexes: parts[(p, q)]
-    = part(left_p, right_q) for every degree pair, keys[n] the pairs with
-    degree(p, q) = n in ascending p, sums[n] the direct sum of their groups,
-    and d assembled by `_blockwise` from the edges.  Degrees that repeat
-    their objects (a periodic resolution) share them: one part per distinct
-    pair of modules, one sum per distinct tuple of parts, and one block and
-    one differential per distinct set of inputs."""
+    """The total complex of a functor of two module complexes, one
+    evaluation per degree.  Degree p of `left` enters through its standard
+    presentation F1 → F0 → M → 0 (`pres[p]`; F0 is M itself when M is
+    free-marked), and tensor and hom out of F0 are evaluations at the
+    generators k of F0, at c_k (co-Yoneda and Yoneda; Davis–Lück, K-Theory
+    15, 1998, §1).  So parts[(p, q)] is the tuple of groups right_q(c_k),
+    keys[n] the pairs (p, q) of degree n in ascending p, sums[n] the direct
+    sum of their parts, pair after pair, and at[(p, q)] the place of the
+    pair's first part in that sum.  The presentation coordinates of sums[n]
+    are the coordinates of degree n, whose group is sums[n].group, modulo F1
+    read through right_q where left_p is not free.  Each map of totals is
+    one sparse matrix on these coordinates, written by `_assemble` from the
+    generator images of maps of the F0's and the components of maps of the
+    right factor.  Degrees that repeat their objects (a periodic
+    resolution) share them: one presentation per left module, one part per
+    presentation and right module, one sum and group per tuple of parts,
+    and one map per distinct set of inputs."""
 
-    __slots__ = ("left", "right", "parts", "keys", "sums", "complex")
+    __slots__ = ("left", "right", "pres", "parts", "keys", "at", "sums",
+                 "groups", "complex")
 
-    def __init__(self, left, right, part, degree, edges):
+    def __init__(self, left, right, degree, edges):
         self.left, self.right = left, right
+        memo = {}
+        self.pres = {p: _once(memo, (left.module(p),), StandardPresentation)
+                     for p in left.degrees()}
         pairs = sorted(((p, q) for p in left.degrees() for q in right.degrees()),
                        key=lambda k: (degree(*k), k))
-        parts, sums, maps = {}, {}, {}
-        self.parts = {(p, q): _once(parts, (left.module(p), right.module(q)),
-                                    part) for p, q in pairs}
+        self.parts = {(p, q): _once(memo, (self.pres[p], right.module(q)),
+                                    lambda f, m: tuple(
+                                        m.values[c] for c in f.cover.free_gens),
+                                    plain="part") for p, q in pairs}
         self.keys = {n: tuple(ks) for n, ks in
                      groupby(pairs, key=lambda k: degree(*k))}
-        self.sums = {n: _once(sums, tuple(self.parts[k] for k in ks),
-                              lambda *xs: DirectSum([x.group for x in xs]))
+        self.at = {}
+        for ks in self.keys.values():
+            place = 0
+            for k in ks:
+                self.at[k] = place
+                place += len(self.parts[k])
+        self.sums = {n: _once(memo, tuple(self.parts[k] for k in ks),
+                              lambda *xs: DirectSum([g for x in xs for g in x]),
+                              plain="sum")
                      for n, ks in self.keys.items()}
+        self.groups = {n: _once(memo, (self.sums[n],),
+                                lambda s, n=n: self._quotient(n), plain="group")
+                       for n in self.keys}
         lo, hi = min(self.keys), max(self.keys)
-        self.complex = PlainChainComplex(
-            lo, hi, {n: s.group for n, s in self.sums.items()},
-            {n: _blockwise(self, self, n, n - 1, edges, maps)
-             for n in range(lo + 1, hi + 1)})
+        self.complex = PlainChainComplex(lo, hi, self.groups, {
+            n: _assemble(self, self, n, n - 1, edges, memo)
+            for n in range(lo + 1, hi + 1)})
+
+    def _quotient(self, n) -> FpAbGroup:
+        # each relation r at t of a presentation, tensored with a generator
+        # y of right_q(t), is Σ_(k,φ) r_(k,φ)·right_q(φ)(y) in summand k
+        s = self.sums[n]
+        rows, col = [{} for _ in range(s.total_gens)], 0
+        for p, q in self.keys[n]:
+            pres, module = self.pres[p], self.right.module(q)
+            at = s.offsets[self.at[(p, q)]:]
+            for t, r in pres.relations:
+                for k, phi, a in _terms(pres.cover, t, r):
+                    _put(rows, at[k], col, module.actions[phi].matrix, a)
+                col += module.values[t].ngens
+        if not col:
+            return s.group
+        return s.quotient(_matrix(rows, col))
 
 
 class TotalTensorComplex(_Total):
     """C ⊗ E over their base, C contravariant and E covariant, as a plain
-    total complex: degree n is ⊕ C_p ⊗ E_q over p + q = n."""
+    total complex: degree n is ⊕ C_p ⊗ E_q over p + q = n, read on the
+    evaluation ⊕ E_q(c_k) over the generators k of the cover of each C_p.
+    A term a·(k, φ) of the image of cover generator k2 under d_C gives the
+    block a·E_q(φ) from summand k2 to summand k; d_E gives (−1)^p times its
+    component at c_k on summand k."""
 
     __slots__ = ()
 
@@ -547,14 +594,12 @@ class TotalTensorComplex(_Total):
         if left.variance != "contra" or right.variance != "co":
             raise ValueError("need a contravariant left and covariant right "
                              "complex")
-
-        def d_right(a, b, d, odd):
-            h = a.induced(b, None, d)
-            return h.negate() if odd else h
-        super().__init__(left, right, CatTensor, lambda p, q: p + q, (
-            ((-1, 0), lambda p, q: (left.diff(p),),
-             lambda a, b, d: a.induced(b, d, None)),
-            ((0, -1), lambda p, q: (right.diff(q), p % 2 == 1), d_right)))
+        # the edges are read once self.pres is built
+        super().__init__(left, right, lambda p, q: p + q, (
+            (-1, 0, lambda p, q: (self.pres[p], left.diff(p), self.pres[p - 1],
+                                  right.module(q), None), _carried),
+            (0, -1, lambda p, q: (self.pres[p], right.diff(q),
+                                  -1 if p % 2 else 1), _diagonal)))
 
 
 def tensor_complex_over_cat(left: CatChainComplex,
@@ -565,7 +610,12 @@ def tensor_complex_over_cat(left: CatChainComplex,
 class TotalHomComplex(_Total):
     """hom(D, E) over their base, both contravariant and D free-marked
     degreewise, as a plain total complex: degree n is ⊕ hom(D_p, E_q) over
-    q − p = n."""
+    q − p = n, read on the evaluation ⊕ E_q(c_k) over the generators k of
+    each D_p.  d_E gives its component at c_k on summand k; a term a·(k, φ)
+    of the image of generator k2 of D_{p+1} under d_D gives the block
+    −(−1)^n a·E_q(φ) from summand k to summand k2.  Both refuse as
+    composing with a module map that is not natural does (`_postcomposed`,
+    `_precomposed`)."""
 
     __slots__ = ()
 
@@ -576,16 +626,13 @@ class TotalHomComplex(_Total):
             raise ValueError("hom total takes two contravariant complexes")
         if not source.is_degreewise_free():
             raise ValueError("source must be degreewise free with markers")
-
-        def d_source(a, b, d, odd):
-            # the second term of (dφ)_p carries the coefficient -(-1)^n
-            h = a.precompose_map(b, d)
-            return h if odd else h.negate()
-        super().__init__(source, target, CatHomGroup, lambda p, q: q - p, (
-            ((0, -1), lambda p, q: (target.diff(q),),
-             lambda a, b, d: a.postcompose_map(b, d)),
-            ((1, 0), lambda p, q: (source.diff(p + 1), (q - p) % 2 == 1),
-             d_source)))
+        # the edges are read once self.pres is built
+        super().__init__(source, target, lambda p, q: q - p, (
+            (0, -1, lambda p, q: (self.pres[p], target.diff(q)),
+             _postcomposed),
+            (1, 0, lambda p, q: (self.pres[p + 1], source.diff(p + 1),
+                                 self.pres[p], target.module(q),
+                                 1 if (q - p) % 2 else -1), _precomposed)))
 
 
 def hom_complex_over_cat(source: CatChainComplex,
@@ -593,37 +640,96 @@ def hom_complex_over_cat(source: CatChainComplex,
     return TotalHomComplex(source, target).complex
 
 
-def _blockwise(src, tgt, n, m, edges, memo) -> AbHom:
-    """The degree-n to degree-m map between two totals, block by block: for
-    each edge ((dp, dq), reads, block), the summand (p, q) of src maps into
-    the summand (p + dp, q + dq) of tgt, where tgt has it in degree m, by
-    block(src part, tgt part, *reads(p, q)), reads giving the maps and signs
-    the block depends on.  memo, kept across the degrees of one
-    construction, builds one block per distinct edge, parts and reads, and
-    one map per distinct pair of sums and layout of blocks; the edges of one
-    construction have distinct offsets."""
-    keys = tgt.keys.get(m, ())
-    blocks = {}
-    for jdx, (p, q) in enumerate(src.keys[n]):
-        for (dp, dq), reads, block in edges:
+def _assemble(src, tgt, n, m, edges, memo) -> AbHom:
+    """The map from degree n of src to degree m of tgt as one matrix on the
+    coordinates of both evaluations.  For each edge (dp, dq, reads, write),
+    the pair (p, q) of src maps into the pair (p + dp, q + dq) of tgt where
+    tgt has it: write(rows, cols, at, *reads(p, q)) adds the blocks, cols
+    and at being the offsets of the pair's summands in src and in tgt.
+    memo, kept across the degrees of one construction, builds one map per
+    distinct pair of sums, inputs and layout of pairs."""
+    blocks, objs = [], [src.groups[n], tgt.groups[m], src.sums[n], tgt.sums[m]]
+    for e, (dp, dq, reads, write) in enumerate(edges):
+        for p, q in src.keys[n]:
             to = (p + dp, q + dq)
-            if to in keys:
-                blocks[(keys.index(to), jdx)] = _once(
-                    memo, (src.parts[(p, q)], tgt.parts[to], *reads(p, q)),
-                    block, plain=(dp, dq))
-    # a block is keyed by its edge's offset pair, a map by its layout
-    return _once(memo, (src.sums[n], tgt.sums[m], *blocks.values()),
-                 lambda s, t, *_: block_hom(s, t, blocks), plain=tuple(blocks))
+            if to in tgt.at:
+                args = reads(p, q)
+                blocks.append((e, src.at[(p, q)], tgt.at[to], write, args))
+                objs.extend(args)
+    layout = tuple((e, a, b, len(args)) for e, a, b, _, args in blocks)
+
+    def build(sg, tg, ss, ts, *_):
+        rows = [{} for _ in range(ts.total_gens)]
+        for _, a, b, write, args in blocks:
+            write(rows, ss.offsets[a:], ts.offsets[b:], *args)
+        return hom_from_presentation(sg, tg, _matrix(rows, ss.total_gens))
+    return _once(memo, tuple(objs), build, plain=layout)
 
 
-def _induced(src, tgt, reads, block) -> ChainMap:
-    """The chain map of totals that is block(src part, tgt part, *reads(p,
-    q)) on every pair the two share; the ChainMap constructor verifies
-    commutation."""
-    edges, memo = (((0, 0), reads, block),), {}
-    return ChainMap(src.complex, tgt.complex, {
-        n: _blockwise(src, tgt, n, n, edges, memo)
-        for n in src.keys if n in tgt.sums})
+def _put(rows, r0, c0, mat: IntMatrix, a):
+    # rows[r0 + i][c0 + j] += a·mat[i][j]
+    if mat.is_identity():
+        for i in range(mat.nrows):
+            row, j = rows[r0 + i], c0 + i
+            row[j] = row.get(j, 0) + a
+        return
+    for i, nz in enumerate(mat.nonzeros, r0):
+        if nz:
+            row = rows[i]
+            for j, x in nz.items():
+                j += c0
+                row[j] = row.get(j, 0) + a * x
+
+
+def _matrix(rows, ncols) -> IntMatrix:
+    return IntMatrix(len(rows), ncols, nonzeros=[
+        {j: x for j, x in row.items() if x} for row in rows])
+
+
+def _diagonal(rows, cols, at, pres, u, sign=1):
+    # sign·u at c_k on summand k for each generator k of the cover
+    for k, c in enumerate(pres.cover.free_gens):
+        _put(rows, at[k], cols[k], u.components[c].matrix, sign)
+
+
+def _carried(rows, cols, at, pres, v, into, module, u):
+    # tensor: generator k of pres's cover goes to its point carried by v
+    # (None: the identity) and lifted into into's cover; a term a·(k2, φ)
+    # there is the block a·N(φ)·u_{c_k} from summand k to summand k2, N =
+    # module (u None: the identity)
+    for k, c, terms in pres.images(v, into):
+        for k2, phi, a in terms:
+            mat = module.actions[phi].matrix
+            if u is not None:
+                mat = mat * u.components[c].matrix
+            _put(rows, at[k2], cols[k], mat, a)
+
+
+def _postcomposed(rows, cols, at, pres, u):
+    # τ ↦ u∘τ on the values at the generators of a free D_p, which is the
+    # transformation of its generator values for every τ exactly when u is
+    # natural at each morphism acting from a generator's object
+    for c in set(pres.cover.free_gens):
+        if not u.natural_from(c):
+            raise ValueError(f"module map is not natural at a morphism "
+                             f"acting from {c!r}")
+    _diagonal(rows, cols, at, pres, u)
+
+
+def _precomposed(rows, cols, at, pres, v, into, module, sign):
+    # τ ↦ sign·τ∘v for v: D_{p+1} → D_p: a term a·(k, φ) of the image of
+    # generator k2 of pres's cover is the block sign·a·E(φ) from summand k to
+    # summand k2, E = module.  τ∘v differs from the transformation of its
+    # generator values by τ applied to v's defect d, which vanishes for
+    # every τ exactly when τ ↦ τ_w(d) is zero
+    for w, _, diff in v.defect():
+        for m in into.through(module, w, diff).values():
+            if not module.values[w].reduce_matrix(m).is_zero():
+                raise ValueError("composite with the module map is not "
+                                 "natural")
+    for k2, _, terms in pres.images(v, into):
+        for k, phi, a in terms:
+            _put(rows, at[k2], cols[k], module.actions[phi].matrix, sign * a)
 
 
 def tensor_total_induced(src: TotalTensorComplex, tgt: TotalTensorComplex,
@@ -631,19 +737,33 @@ def tensor_total_induced(src: TotalTensorComplex, tgt: TotalTensorComplex,
     """Blockwise map of tensor totals from degreewise maps of the factors.
 
     left_maps / right_maps: dict degree -> ModuleMap (None means identity).
-    Only valid when the given maps are degree-preserving chain maps.
+    Only valid when the given maps are degree-preserving chain maps; the
+    ChainMap constructor verifies commutation.
     """
     left_maps, right_maps = left_maps or {}, right_maps or {}
-    return _induced(src, tgt,
-                    lambda p, q: (left_maps.get(p), right_maps.get(q)),
-                    lambda a, b, f, g: a.induced(b, f, g))
+    return _induced(src, tgt, lambda p, q: (
+        src.pres[p], left_maps.get(p), tgt.pres[p], tgt.right.module(q),
+        right_maps.get(q)), _carried)
 
 
 def hom_total_induced(src: TotalHomComplex, tgt: TotalHomComplex,
                       target_maps) -> ChainMap:
-    """Postcomposition map of hom totals from degreewise maps E_q -> F_q."""
-    return _induced(src, tgt, lambda p, q: (target_maps[q],),
-                    lambda a, b, u: a.postcompose_map(b, u))
+    """Postcomposition map of hom totals out of one complex D from
+    degreewise maps E_q -> F_q; ValueError where a map is not natural at a
+    morphism acting from a generator's object."""
+    if src.left is not tgt.left:
+        raise ValueError("hom totals out of different complexes")
+    return _induced(src, tgt, lambda p, q: (src.pres[p], target_maps[q]),
+                    _postcomposed)
+
+
+def _induced(src, tgt, reads, write) -> ChainMap:
+    """The chain map of totals that writes each pair the two share into
+    itself; the ChainMap constructor verifies commutation."""
+    edges, memo = ((0, 0, reads, write),), {}
+    return ChainMap(src.complex, tgt.complex, {
+        n: _assemble(src, tgt, n, n, edges, memo)
+        for n in src.keys if n in tgt.sums})
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +777,19 @@ class ComparisonData:
     source = C ⊗_J hom_I(D, E) and target = hom_I(D, C ⊗_J E), where C is a
     contravariant complex over J, D a free-marked contravariant complex over
     I, and E a bifunctor complex on I^op × J.  The map sends x ⊗ φ to the
-    transformation y ↦ x ⊗ φ(y).  Hom out of the free D_p is evaluation at
-    its generators, so the map is assembled from blocks 1_C ⊗ π through
-    `CatTensor.induced`, π the evaluation of φ at one generator; nothing is
-    solved.  The two glued complexes hom_I(D, E) and C ⊗_J E act through the
-    chain maps of totals that one leg of E induces (`hom_total_induced`,
-    `tensor_total_induced`); a glued differential is natural at f exactly
-    when the chain map of f commutes with d, which `ChainMap` checks, so the
-    glue adds no check of its own.  The comparison map is verified to
-    commute with the total differentials on construction.
+    transformation y ↦ x ⊗ φ(y).  Both totals are evaluations at the
+    generators of C and of D (`_Total`), so in degree m both are presented
+    on the sum of the groups E_q(c_k, s_l) over the generators l (at s_l)
+    of the C_a, k (at c_k) of the D_p and the degrees q: the map sends each
+    such summand to itself, a swap of the two generator indices read
+    through the witnesses of the hom and row totals' groups (`_component`);
+    nothing is solved.  The two glued complexes hom_I(D, E) and C ⊗_J E
+    act through the chain maps of totals that one leg of E induces
+    (`hom_total_induced`, `tensor_total_induced`); a glued differential is
+    natural at f exactly when the chain map of f commutes with d, which
+    `ChainMap` checks, so the glue adds no check of its own.  The comparison
+    map is verified to commute with the total differentials on
+    construction.
     """
 
     __slots__ = ("c", "d", "e", "hom_totals", "hom_de", "row_totals", "ce",
@@ -741,47 +865,54 @@ class ComparisonData:
                         {i: rows[i].complex for i in icat.objects}, row_maps)
         self.target_total = TotalHomComplex(d, self.ce)
 
-        projections = {}    # (p, n, k) -> the components of π over J
-        comps = {}
-        for m in self.source_total.complex.degrees():
-            comps[m] = self._component(m, projections)
-        self.chain_map = ChainMap(self.source_total.complex,
-                                  self.target_total.complex, comps)
+        self.chain_map = ChainMap(
+            self.source_total.complex, self.target_total.complex,
+            {m: self._component(m) for m in self.source_total.keys})
 
-    def _component(self, m, projections) -> AbHom:
-        # hom_I(D_p, X) is ⊕_k X(c_k) over the generators k (at c_k) of D_p,
-        # so the block from C_a ⊗ H_n (H the glued hom_I(D, E)) to the pair
-        # (p, r) at generator k is 1_C ⊗ π into the summand (a, q) of
-        # (C ⊗_J E(c_k, -))_r, where π evaluates the summand hom_I(D_p, E_q)
-        # of H_n at k (q = p + n, r = p + m); projections keeps π's
-        # components across degrees, one per distinct hom total
-        src, tt, e = self.source_total, self.target_total, self.e
-        homs = self.hom_totals
-        blocks = {}
-        for jdx, (a, n) in enumerate(src.keys[m]):
-            ct = src.parts[(a, n)]
-            for idx, (p, r) in enumerate(tt.keys[m]):
-                q = p + n
-                if not e.lo <= q <= e.hi:
-                    continue        # H_n has no summand hom_I(D_p, E_q)
-                key = (a, q)
-                images = []
-                for k, c in enumerate(self.d.module(p).free_gens):
-                    rt = self.row_totals[c]
-                    if (p, n, k) not in projections:
-                        projections[(p, n, k)] = _shared(
-                            homs, lambda j: (homs[j],),
-                            lambda j: homs[j].parts[(p, q)].evals.project(k)
-                            .compose(homs[j].sums[n].project(
-                                homs[j].keys[n].index((p, q)))))
-                    pi = ModuleMap(ct.right, rt.parts[key].right,
-                                   projections[(p, n, k)])
-                    inject = rt.sums[r].inject(rt.keys[r].index(key))
-                    images.append(inject.compose(
-                        ct.induced(rt.parts[key], None, pi)))
-                blocks[(idx, jdx)] = tt.parts[(p, r)].evals.hom_into(ct.group,
-                                                                    images)
-        return block_hom(src.sums[m], tt.sums[m], blocks)
+    def _component(self, m) -> AbHom:
+        # The summand E_q(c_k, s_l) of the source sits at generator l of C_a
+        # and, inside H_n(s_l) (H the hom totals, n = q − p), at generator k
+        # of D_p; in the target it sits at generator k of D_p and, inside
+        # R_r(c_k) (R the row totals, r = a + q), at generator l of C_a.  In
+        # the coordinates of the H and R sums the map moves each summand to
+        # its place; the H and R groups are reached through their witnesses
+        src, tt = self.source_total, self.target_total
+        homs, rows = self.hom_totals, self.row_totals
+        starts, down, place = {}, [], 0     # T-side: the R sums, in order
+        for p, r in tt.keys[m]:
+            for k, ck in enumerate(tt.pres[p].cover.free_gens):
+                starts[(p, r, k)] = place
+                place += rows[ck].sums[r].total_gens
+                down.append(rows[ck].groups[r].to_can)
+        positions, up = [], []              # S-side: the H sums, in order
+        for a, n in src.keys[m]:
+            for l, sl in enumerate(src.pres[a].cover.free_gens):
+                h = homs[sl]
+                up.append(h.groups[n].reps)
+                for p, q in h.keys[n]:
+                    r = a + q
+                    for k, ck in enumerate(tt.pres[p].cover.free_gens):
+                        rt = rows[ck]
+                        to = (starts[(p, r, k)]
+                              + rt.sums[r].offsets[rt.at[(a, q)] + l])
+                        size = h.parts[(p, q)][k].ngens
+                        positions.extend(range(to, to + size))
+        swap = IntMatrix.selection(place, positions)
+        return hom_from_presentation(
+            src.groups[m], tt.groups[m],
+            _block_diagonal(down) * swap * _block_diagonal(up))
+
+
+def _block_diagonal(mats) -> IntMatrix:
+    """The block-diagonal matrix of mats, the shared identity when each of
+    them is one."""
+    if all(x.is_identity() for x in mats):
+        return IntMatrix.identity(sum(x.nrows for x in mats))
+    rows, shift = [], 0
+    for x in mats:
+        rows.extend({j + shift: v for j, v in nz.items()} for nz in x.nonzeros)
+        shift += x.ncols
+    return IntMatrix(len(rows), shift, nonzeros=rows)
 
 
 def comparison_map_t(c: CatChainComplex, d: CatChainComplex,

@@ -598,9 +598,20 @@ def _cells_icw(data, path, ctx):
     return CatCWComplex(cat, cells, boundary, truncation_valid=valid)
 
 
+def _classifying_icw(data, path, ctx):
+    model = classifying_model(_field(data, "model", path),
+                              _int_field(data, "truncation", path))
+    # one index category per manifest: a category section equal to the
+    # model's base becomes its base, so later checks compare one object;
+    # the cells, checked against the equal base, stand over it unchanged
+    cat = ctx.get("category")
+    if cat is not None and cat == model.base:
+        model.base = cat
+    return model
+
+
 _ICW_KINDS = {
-    "classifying": ((), lambda data, path, ctx: classifying_model(
-        _field(data, "model", path), _int_field(data, "truncation", path))),
+    "classifying": ((), _classifying_icw),
     "cells": (("category",), _cells_icw),
 }
 

@@ -32,7 +32,8 @@ class FinGroup:
     product a*b; for permutation groups built here, (p*q)(i) = p(q(i)).
     """
 
-    __slots__ = ("elements", "table", "identity", "inv", "_subgroups")
+    __slots__ = ("elements", "table", "identity", "inv", "_subgroups",
+                 "_positions")
 
     def __init__(self, elements, table, identity, inv):
         self.elements = tuple(elements)
@@ -40,6 +41,7 @@ class FinGroup:
         self.identity = identity
         self.inv = dict(inv)
         self._subgroups = None
+        self._positions = None
 
     # -- constructors ------------------------------------------------------
 
@@ -205,29 +207,65 @@ class FinGroup:
             frontier = nxt
         return frozenset(current)
 
+    def positions(self):
+        """(elements, position, mult, inv) on element positions, built once:
+        the elements in sorted order, the position of each, and the product
+        and the inverse as lists of positions.  Positions order as their
+        elements do, so a sorted tuple of positions is a sorted label."""
+        if self._positions is None:
+            els = sorted(self.elements)
+            at = {g: i for i, g in enumerate(els)}
+            table = self.table
+            self._positions = (els, at,
+                               [[at[table[(a, b)]] for b in els] for a in els],
+                               [at[self.inv[a]] for a in els])
+        return self._positions
+
     def all_subgroups(self):
-        """Complete subgroup lattice by iterative closure."""
+        """Complete subgroup lattice, ordered by (size, sorted elements).
+
+        On element positions: from the trivial subgroup on, each subgroup
+        found is joined once with one element of each of its cosets outside
+        it (<H, g> depends on gH only)."""
         if self._subgroups is not None:
             return self._subgroups
         if self.order > GROUP_ORDER_BOUND:
             raise ValueError(
                 f"group of order {self.order} exceeds the exhaustive-enumeration "
                 f"bound {GROUP_ORDER_BOUND}")
-        found = {frozenset([self.identity])}
-        for g in self.elements:
-            found.add(self.subgroup_generated([g]))
-        while True:
-            new = set()
-            for sub in found:
-                for g in self.elements:
-                    if g not in sub:
-                        bigger = self.subgroup_generated(list(sub) + [g])
-                        if bigger not in found:
-                            new.add(bigger)
-            if not new:
-                break
-            found |= new
-        self._subgroups = tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+        els, at, mult, _ = self.positions()
+
+        def closure(sub, gens):
+            # sub closed under right multiplication by gens
+            current, frontier = set(sub), list(sub)
+            while frontier:
+                nxt = []
+                for a in frontier:
+                    row = mult[a]
+                    for g in gens:
+                        b = row[g]
+                        if b not in current:
+                            current.add(b)
+                            nxt.append(b)
+                frontier = nxt
+            return frozenset(current)
+
+        trivial = frozenset([at[self.identity]])
+        found = {trivial: ()}       # each subgroup -> elements generating it
+        work = [trivial]
+        while work:
+            sub = work.pop()
+            gens, seen = found[sub], set(sub)
+            for g in range(len(els)):
+                if g not in seen:
+                    bigger = closure(sub, gens + (g,))
+                    if bigger not in found:
+                        found[bigger] = gens + (g,)
+                        work.append(bigger)
+                    seen.update(mult[g][h] for h in sub)
+        self._subgroups = tuple(
+            frozenset(els[i] for i in sub)
+            for sub in sorted(found, key=lambda x: (len(x), sorted(x))))
         return self._subgroups
 
     def centralizer(self, subset):
@@ -573,30 +611,61 @@ def orbit_category(group: FinGroup, family: SubgroupFamily) -> FinCategory:
 
     Objects are subgroup labels; mor(G/H, G/K) is the set of cosets gK with
     g^-1 H g <= K, acting by xH |-> x(gK); composition multiplies coset
-    representatives.  The family holds the category once built; a group
-    other than the family's own gets a fresh build.
+    representatives, the least elements of the cosets.  Built on element
+    positions (`FinGroup.positions`), with morphisms in sorted order.  The
+    family holds the category once built; a group other than the family's
+    own gets a fresh build.
     """
     own = group is family.group
     if own and family._orbit_cat is not None:
         return family._orbit_cat
+    els, at, mult, inv = group.positions()
     objects = [_subgroup_label(m) for m in family.members]
-    labels = {o: _coset_labels(group, o) for o in objects}
-    reps = {}       # each morphism, with the least element of its coset
-    for h_lab in objects:
-        for k_lab in objects:
-            k_sub = frozenset(k_lab)
-            # the fixed set (G/K)^H: whether g^-1 H g <= K depends on gK only
-            for coset in dict.fromkeys(labels[k_lab].values()):
-                r = min(coset)
-                if all(group.conjugate(r, h) in k_sub for h in h_lab):
-                    reps[(h_lab, k_lab, coset)] = r
-    dom = {f: f[0] for f in reps}
-    cod = {f: f[1] for f in reps}
-    ids = {o: (o, o, o) for o in objects}
-    morphisms = sorted(reps)
-    mult = group.table
-    table = {(f, g): (dom[f], cod[g], labels[cod[g]][mult[(reps[f], reps[g])]])
-             for f, g in _composable(morphisms, dom, cod)}
+    subs = [sorted(at[h] for h in m) for m in family.members]
+    masks = [sum(1 << h for h in sub) for sub in subs]
+    cosets = []     # per object: the coset of each position, the least
+    for sub in subs:    # element and the label of each coset
+        of, least, labels = [None] * len(els), [], []
+        for g in range(len(els)):
+            if of[g] is None:
+                coset = sorted(mult[g][h] for h in sub)
+                for x in coset:
+                    of[x] = len(least)
+                least.append(g)
+                labels.append(tuple(els[x] for x in coset))
+        cosets.append((of, least, labels))
+    conjugates = {}     # (object, r) -> r^-1 H r, as a mask of positions
+
+    def conjugated(i, r):
+        mask = conjugates.get((i, r))
+        if mask is None:
+            row = mult[inv[r]]
+            mask = conjugates[(i, r)] = sum(1 << mult[row[h]][r]
+                                            for h in subs[i])
+        return mask
+    # the morphisms (H, K, gK) in sorted order: by H, by K, then by coset,
+    # the cosets of one K ordering as their least elements do
+    order = sorted(range(len(objects)), key=objects.__getitem__)
+    morphisms, ends, named, out = [], [], {}, {}
+    for i in order:
+        for k in order:
+            _, least, labels = cosets[k]
+            for c, r in enumerate(least):
+                if conjugated(i, r) | masks[k] == masks[k]:
+                    f = (objects[i], objects[k], labels[c])
+                    morphisms.append(f)
+                    ends.append((i, k, r))
+                    named[(i, k, c)] = f
+                    out.setdefault(i, []).append((f, k, r))
+    dom = {f: objects[i] for f, (i, _, _) in zip(morphisms, ends)}
+    cod = {f: objects[k] for f, (_, k, _) in zip(morphisms, ends)}
+    ids = {o: named[(i, i, cosets[i][0][at[group.identity]])]
+           for i, o in enumerate(objects)}
+    # f: H -> K then g: K -> L is the coset of the product of their least
+    # elements, f-major as `_composable` orders pairs
+    table = {(f, g): named[(i, m, cosets[m][0][mult[r][s]])]
+             for f, (i, k, r) in zip(morphisms, ends)
+             for g, m, s in out.get(k, ())}
     cat = FinCategory(objects, morphisms, dom, cod, table, ids)
     if own:
         family._orbit_cat = cat

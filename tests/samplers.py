@@ -2,7 +2,19 @@
 
 from hypothesis import strategies as st
 
-from orbifunctor.catmod import COVARIANT, CatModule, CatTensor, ModuleMap
+from orbifunctor.catmod import (
+    COVARIANT,
+    CatHomGroup,
+    CatModule,
+    CatTensor,
+    ModuleMap,
+)
+from orbifunctor.chainplex import (
+    ChainMap,
+    PlainChainComplex,
+    homology,
+    induced_map_on_homology,
+)
 from orbifunctor.exact_abelian import (
     AbHom,
     DirectSum,
@@ -14,8 +26,11 @@ from orbifunctor.exact_abelian import (
     express_in_kernel,
     hom_from_presentation,
     hom_kernel,
+    is_isomorphism,
     quotient_group,
 )
+from orbifunctor.fincat import FinCategory
+from orbifunctor.verify import classify_map
 
 small_entries = st.integers(min_value=-20, max_value=20)
 
@@ -235,3 +250,208 @@ class EqualizerHom:
         return AbHom(self.group, other.group, other._coords_of_all(
             move(self.to_module_map([1 if i == j else 0 for i in range(n)]))
             for j in range(n)))
+
+
+class PairTotal:
+    """The reference total complex, one part per degree pair: parts[(p, q)]
+    = part(left_p, right_q) (a `CatTensor` or `CatHomGroup`), keys[n] the
+    pairs of degree n in ascending p, sums[n] the direct sum of their
+    groups, and d assembled block by block from the parts' induced maps,
+    each edge ((dp, dq), reads, block) mapping the summand (p, q) into (p +
+    dp, q + dq) by block(source part, target part, *reads(p, q)).  Its
+    degree n is presented on the same evaluations as chainplex's totals
+    (`to_total`)."""
+
+    def __init__(self, left, right, part, degree, edges):
+        self.left, self.right = left, right
+        pairs = sorted(((p, q) for p in left.degrees() for q in right.degrees()),
+                       key=lambda k: (degree(*k), k))
+        self.parts = {(p, q): part(left.module(p), right.module(q))
+                      for p, q in pairs}
+        self.keys = {}
+        for k in pairs:
+            self.keys.setdefault(degree(*k), []).append(k)
+        self.sums = {n: DirectSum([self.parts[k].group for k in ks])
+                     for n, ks in self.keys.items()}
+        lo, hi = min(self.keys), max(self.keys)
+        self.complex = PlainChainComplex(
+            lo, hi, {n: s.group for n, s in self.sums.items()},
+            {n: _blockwise(self, self, n, n - 1, edges)
+             for n in range(lo + 1, hi + 1)})
+
+
+def _blockwise(src, tgt, n, m, edges) -> AbHom:
+    keys = tgt.keys.get(m, [])
+    blocks = {}
+    for jdx, (p, q) in enumerate(src.keys[n]):
+        for (dp, dq), reads, block in edges:
+            to = (p + dp, q + dq)
+            if to in keys:
+                blocks[(keys.index(to), jdx)] = block(
+                    src.parts[(p, q)], tgt.parts[to], *reads(p, q))
+    return block_hom(src.sums[n], tgt.sums[m], blocks)
+
+
+def pair_tensor_total(left, right) -> PairTotal:
+    """C ⊗ E: d(x ⊗ y) = dx ⊗ y + (-1)^p x ⊗ dy, one `CatTensor` per pair."""
+    def d_right(a, b, d, odd):
+        h = a.induced(b, None, d)
+        return h.negate() if odd else h
+    return PairTotal(left, right, CatTensor, lambda p, q: p + q, (
+        ((-1, 0), lambda p, q: (left.diff(p),),
+         lambda a, b, d: a.induced(b, d, None)),
+        ((0, -1), lambda p, q: (right.diff(q), p % 2 == 1), d_right)))
+
+
+def pair_hom_total(source, target) -> PairTotal:
+    """hom(D, E): (dφ)_p = d_E ∘ φ_p − (−1)^n φ_{p−1} ∘ d_D, one
+    `CatHomGroup` per pair."""
+    def d_source(a, b, d, odd):
+        h = a.precompose_map(b, d)
+        return h if odd else h.negate()
+    return PairTotal(source, target, CatHomGroup, lambda p, q: q - p, (
+        ((0, -1), lambda p, q: (target.diff(q),),
+         lambda a, b, d: a.postcompose_map(b, d)),
+        ((1, 0), lambda p, q: (source.diff(p + 1), (q - p) % 2 == 1),
+         d_source)))
+
+
+def _pair_induced(src, tgt, reads, block) -> ChainMap:
+    edges = (((0, 0), reads, block),)
+    return ChainMap(src.complex, tgt.complex, {
+        n: _blockwise(src, tgt, n, n, edges)
+        for n in src.keys if n in tgt.sums})
+
+
+def pair_tensor_induced(src, tgt, left_maps=None, right_maps=None):
+    left_maps, right_maps = left_maps or {}, right_maps or {}
+    return _pair_induced(src, tgt,
+                         lambda p, q: (left_maps.get(p), right_maps.get(q)),
+                         lambda a, b, f, g: a.induced(b, f, g))
+
+
+def pair_hom_induced(src, tgt, target_maps):
+    return _pair_induced(src, tgt, lambda p, q: (target_maps[q],),
+                         lambda a, b, u: a.postcompose_map(b, u))
+
+
+def to_total(oracle: PairTotal, total, n) -> AbHom:
+    """The map from degree n of the oracle to degree n of a chainplex total
+    that is the identity on their common evaluation coordinates: each part's
+    canonical coordinates are read on its evaluation through its witness."""
+    reps = [oracle.parts[k].group.reps for k in oracle.keys[n]]
+    rows, shift = [], 0
+    for r in reps:
+        rows.extend({j + shift: x for j, x in nz.items()} for nz in r.nonzeros)
+        shift += r.ncols
+    return hom_from_presentation(oracle.complex.group(n),
+                                 total.complex.group(n),
+                                 IntMatrix(len(rows), shift, nonzeros=rows))
+
+
+def in_total(total, n, pair, vec):
+    """Canonical coordinates, in degree n of a chainplex total, of the
+    element that is vec on the evaluation of `pair` (its groups' canonical
+    coordinates, concatenated) and zero elsewhere."""
+    s = total.sums[n]
+    pres = [0] * s.total_gens
+    lo = s.offsets[total.at[pair]]
+    pres[lo:lo + len(vec)] = vec
+    return total.complex.group(n).to_canonical(pres)
+
+
+def of_total(total, n, pair, vec):
+    """The summands of the pair in a representative of the degree-n class
+    vec: one reduced vector per group of the pair's evaluation."""
+    s = total.sums[n]
+    rep = total.complex.group(n).representative(vec)
+    out = []
+    for i, g in enumerate(total.parts[pair], total.at[pair]):
+        lo = s.offsets[i]
+        out.append(g.reduce(rep[lo:lo + g.ngens]))
+    return out
+
+
+def assert_matches_oracle(total, oracle):
+    """total has the oracle's degree groups and homology, and the map that is
+    the identity on their common evaluation coordinates is an isomorphism of
+    complexes; returns that map, degree by degree."""
+    cx, ox = total.complex, oracle.complex
+    assert (cx.lo, cx.hi) == (ox.lo, ox.hi)
+    to = {n: to_total(oracle, total, n) for n in cx.degrees()}
+    for n in cx.degrees():
+        assert cx.group(n) == ox.group(n)
+        assert is_isomorphism(to[n])
+        if n > cx.lo:
+            assert cx.differential(n).compose(to[n]) == \
+                to[n - 1].compose(ox.differential(n))
+    for n in range(cx.lo - 1, cx.hi + 2):
+        assert homology(cx, n) == homology(ox, n)
+    return to
+
+
+def assert_map_matches_oracle(f, g, src_to, tgt_to):
+    """f and the oracle's g agree through the identifications of both ends,
+    and have the same class in every degree, on chains and on homology."""
+    for n in f.source.degrees():
+        if n in tgt_to:
+            assert f.component(n).compose(src_to[n]) == \
+                tgt_to[n].compose(g.component(n))
+        assert classify_map(f.component(n)) == classify_map(g.component(n))
+        assert classify_map(induced_map_on_homology(f, n)) == \
+            classify_map(induced_map_on_homology(g, n))
+
+
+def subgroups_by_rounds(group):
+    """The reference subgroup lattice: the cyclic subgroups, then rounds
+    that join every subgroup found so far with every element outside it,
+    until a round finds nothing new; ordered by (size, sorted elements)."""
+    found = {frozenset([group.identity])}
+    for g in group.elements:
+        found.add(group.subgroup_generated([g]))
+    while True:
+        new = set()
+        for sub in found:
+            for g in group.elements:
+                if g not in sub:
+                    bigger = group.subgroup_generated(list(sub) + [g])
+                    if bigger not in found:
+                        new.add(bigger)
+        if not new:
+            break
+        found |= new
+    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+
+
+def orbit_category_by_labels(group, family):
+    """The reference orbit category, built on element labels: for each pair
+    of members H, K and each coset gK, the morphism (H, K, gK) exists when
+    r^-1 H r <= K for the least element r of gK; composites multiply those
+    representatives; morphisms in sorted order."""
+    objects = [tuple(sorted(m)) for m in family.members]
+    labels = {}
+    for o in objects:
+        labels[o] = {}
+        for g in group.elements:
+            if g not in labels[o]:
+                lab = tuple(sorted(group.mult(g, k) for k in o))
+                labels[o].update(dict.fromkeys(lab, lab))
+    reps = {}
+    for h_lab in objects:
+        for k_lab in objects:
+            k_sub = frozenset(k_lab)
+            for coset in dict.fromkeys(labels[k_lab].values()):
+                r = min(coset)
+                if all(group.conjugate(r, h) in k_sub for h in h_lab):
+                    reps[(h_lab, k_lab, coset)] = r
+    dom = {f: f[0] for f in reps}
+    cod = {f: f[1] for f in reps}
+    morphisms = sorted(reps)
+    out = {}
+    for g in morphisms:
+        out.setdefault(dom[g], []).append(g)
+    table = {(f, g): (dom[f], cod[g],
+                      labels[cod[g]][group.mult(reps[f], reps[g])])
+             for f in morphisms for g in out.get(cod[f], ())}
+    return FinCategory(objects, morphisms, dom, cod, table,
+                       {o: (o, o, o) for o in objects})

@@ -80,6 +80,12 @@ from orbifunctor.cli import (
     run,
 )
 from orbifunctor.verify import borel_vs_quotient_check
+from samplers import (
+    assert_map_matches_oracle,
+    assert_matches_oracle,
+    pair_tensor_induced,
+    pair_tensor_total,
+)
 
 C2 = FinGroup.cyclic(2)
 FULL = (0, 1)
@@ -655,6 +661,38 @@ def transported(x, group, phi):
                 for n, labs in x.cells.items()},
         {key: tuple((c, j, move(coset)) for c, j, coset in terms)
          for key, terms in x.boundary.items()})
+
+
+@pytest.mark.parametrize("group, space, truncation", [
+    (C2, point_space(C2), 6),
+    (C2, reflection_circle(), 5),
+    (C2, antipodal_circle(), 5),
+    (FinGroup.direct_product(C2, C2),
+     point_space(FinGroup.direct_product(C2, C2)), 3),
+], ids=["c2-point-periodic", "c2-reflection-periodic",
+        "c2-antipodal-periodic", "klein-point-bar"])
+def test_borel_totals_match_the_per_pair_oracle(group, space, truncation):
+    # the periodic resolution where some element generates the group, the
+    # bar resolution otherwise; the strict quotient tensors with the
+    # constant Z, which is not free, through its standard presentation
+    t = next((g for g in group.elements
+              if len(group.subgroup_generated([g])) == group.order), None)
+    res, augmentation = (cs._bar_data(group, truncation) if t is None
+                         else cs._periodic_data(group, t, truncation))
+    cx = cs._underlying_complex(space)
+    constant = cat_complex_concentrated(augmentation.target, 0)
+    borel, quotient = (TotalTensorComplex(res, cx),
+                       TotalTensorComplex(constant, cx))
+    assert quotient.pres[0].relations
+    oracle_borel, oracle_quotient = (pair_tensor_total(res, cx),
+                                     pair_tensor_total(constant, cx))
+    assert_map_matches_oracle(
+        chainplex.tensor_total_induced(borel, quotient,
+                                       left_maps={0: augmentation}),
+        pair_tensor_induced(oracle_borel, oracle_quotient,
+                            left_maps={0: augmentation}),
+        assert_matches_oracle(borel, oracle_borel),
+        assert_matches_oracle(quotient, oracle_quotient))
 
 
 class TestPeriodic:

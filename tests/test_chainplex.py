@@ -8,6 +8,8 @@ fixed-point homology are computed by hand and frozen here.
 
 import doctest
 import importlib.resources
+from itertools import accumulate
+from math import gcd
 
 import pytest
 
@@ -36,6 +38,7 @@ from orbifunctor.chainplex import (
 from orbifunctor.catmod import (
     CatHomGroup,
     CatModule,
+    CatTensor,
     ModuleMap,
     constant_module,
     free_map_from_images,
@@ -57,7 +60,17 @@ from orbifunctor.fincat import FinGroup, SubgroupFamily, \
     one_object_category, orbit_category, standard_category
 from orbifunctor.cli import decode_bifunctor, encode_bifunctor, parse_manifest
 from orbifunctor.verify import instance_s3_hexagon, instance_z2_reflection
-from samplers import coequalizer_oracle
+from samplers import (
+    assert_map_matches_oracle,
+    assert_matches_oracle,
+    coequalizer_oracle,
+    in_total,
+    of_total,
+    pair_hom_induced,
+    pair_hom_total,
+    pair_tensor_induced,
+    pair_tensor_total,
+)
 
 Z1 = FpAbGroup.free(1)
 Z = FpAbGroup.cyclic
@@ -460,13 +473,16 @@ def test_hom_total_requires_markers():
 
 
 def test_hom_total_identity_class_survives():
+    # the identity of each x_p, read through the per-pair hom group, placed
+    # on its pair's evaluation
     x = reflection_circle_complex()
     total = TotalHomComplex(x, x)
-    vecs = [[0] * part.ngens for part in total.sums[0].parts]
-    for pdx, (p, q) in enumerate(total.keys[0]):
-        vecs[pdx] = total.parts[(p, q)].coords_of(
-            ModuleMap.identity(x.module(p)))
-    cycle = total.sums[0].assemble(vecs)
+    cycle = [0] * total.complex.group(0).ngens
+    for p, q in total.keys[0]:
+        part = CatHomGroup(x.module(p), x.module(q))
+        vec = in_total(total, 0, (p, q), part.group.representative(
+            part.coords_of(ModuleMap.identity(x.module(p)))))
+        cycle = [u + v for u, v in zip(cycle, vec)]
     assert all(v == 0 for v in total.complex.differential(0).apply(cycle))
     hd = homology_data(total.complex, 0)
     assert any(v for v in express_in_kernel(
@@ -480,17 +496,29 @@ def test_hom_total_sends_isos_to_isos():
     f = hom_total_induced(total, total, flip)
     for n in f.source.degrees():
         assert is_isomorphism(f.component(n))
+    # postcomposition keeps the source: totals out of another complex,
+    # even an equal one, have no map between them to induce
+    other = TotalHomComplex(reflection_circle_complex(), x)
+    with pytest.raises(ValueError, match="different complexes"):
+        hom_total_induced(total, other, flip)
 
 
-def assert_total_layout(total, degree):
+def assert_total_layout(total, degree, part):
     # keys[n]: the degree pairs of total degree n, ascending; sums[n]: the
-    # groups of their parts, in that order
+    # groups of their parts, in that order, pair k's from at[k] on; a part
+    # is the evaluation of the per-pair tensor or hom group
     pairs = sorted((p, q) for p in total.left.degrees()
                    for q in total.right.degrees())
     assert total.keys == {n: tuple(k for k in pairs if degree(*k) == n)
                           for n in {degree(*k) for k in pairs}}
     for n, keys in total.keys.items():
-        assert total.sums[n].parts == tuple(total.parts[k].group for k in keys)
+        assert total.sums[n].parts == tuple(g for k in keys
+                                            for g in total.parts[k])
+        assert [total.at[k] for k in keys] == list(accumulate(
+            [0] + [len(total.parts[k]) for k in keys[:-1]]))
+        for p, q in keys:
+            assert total.parts[(p, q)] == part(
+                total.left.module(p), total.right.module(q)).evals.parts
 
 
 def free_orbit_tower():
@@ -504,20 +532,28 @@ def free_orbit_tower():
 
 def test_tensor_total_sign_is_koszul_elementwise():
     # d(x ⊗ y) = dx ⊗ y + (-1)^p x ⊗ dy on every elementary tensor; d∘d = 0
-    # alone would also hold with the sign on the other factor
+    # alone would also hold with the sign on the other factor.  The class of
+    # x ⊗ y is read off the per-pair tensor and placed on its pair's
+    # evaluation
     x = reflection_circle_complex()
     signed = 0
     for w in (coefficient_tower(), free_orbit_tower()):
         total = TotalTensorComplex(x, w)
-        assert_total_layout(total, lambda p, q: p + q)
+        assert_total_layout(total, lambda p, q: p + q, CatTensor)
         cx = total.complex
+        parts = {(p, q): CatTensor(x.module(p), w.module(q))
+                 for p, q in total.at}
+
+        def pure(n, key, c, a, b):
+            part = parts[key]
+            return in_total(total, n, key, part.group.representative(
+                part.class_of_pure(c, a, b)))
         for n in range(cx.lo + 1, cx.hi + 1):
-            below = total.sums[n - 1]
+            below = cx.group(n - 1)
 
             def term(key, c, a, b):
-                at = below.inject(total.keys[n - 1].index(key))
-                return at.apply(total.parts[key].class_of_pure(c, a, b))
-            for idx, (p, q) in enumerate(total.keys[n]):
+                return pure(n - 1, key, c, a, b)
+            for p, q in total.keys[n]:
                 for c in OR2.objects:
                     xs = x.module(p).values[c].ngens
                     ys = w.module(q).values[c].ngens
@@ -525,9 +561,8 @@ def test_tensor_total_sign_is_koszul_elementwise():
                         for beta in range(ys):
                             a, b = unit(alpha, xs), unit(beta, ys)
                             got = cx.differential(n).apply(
-                                total.sums[n].inject(idx).apply(
-                                    total.parts[(p, q)].class_of_pure(c, a, b)))
-                            want = [0] * below.group.ngens
+                                pure(n, (p, q), c, a, b))
+                            want = [0] * below.ngens
                             if (p - 1, q) in total.keys[n - 1]:
                                 da = x.diff(p).components[c].apply(a)
                                 want = [u + v for u, v in zip(
@@ -538,28 +573,30 @@ def test_tensor_total_sign_is_koszul_elementwise():
                                 want = [u + (-1) ** p * v
                                         for u, v in zip(want, moved)]
                                 signed += p % 2 and any(moved)
-                            assert below.group.reduce(got) == \
-                                below.group.reduce(want)
+                            assert below.reduce(got) == below.reduce(want)
     assert signed
 
 
 def test_hom_total_sign_elementwise():
     # (dφ)_p = d_E ∘ φ_p − (−1)^n φ_{p−1} ∘ d_D for φ of degree n, read
-    # summand by summand through to_module_map and coords_of
+    # summand by summand through the per-pair hom group's to_module_map and
+    # coords_of on each pair's evaluation
     x = reflection_circle_complex()
     total = TotalHomComplex(x, x)
-    assert_total_layout(total, lambda p, q: q - p)
+    assert_total_layout(total, lambda p, q: q - p, CatHomGroup)
     cx = total.complex
+    parts = {(p, q): CatHomGroup(x.module(p), x.module(q))
+             for p, q in total.at}
     both = 0
     for n in range(cx.lo + 1, cx.hi + 1):
         for beta in range(cx.group(n).ngens):
             h = unit(beta, cx.group(n).ngens)
-            phi = {p: total.parts[(p, q)].to_module_map(
-                total.sums[n].project(idx).apply(h))
-                for idx, (p, q) in enumerate(total.keys[n])}
+            phi = {p: parts[(p, q)].to_module_map(parts[(p, q)].evals.assemble(
+                of_total(total, n, (p, q), h)))
+                for p, q in total.keys[n]}
             dh = cx.differential(n).apply(h)
-            for idx, (p, q) in enumerate(total.keys[n - 1]):
-                part = total.parts[(p, q)]
+            for p, q in total.keys[n - 1]:
+                part = parts[(p, q)]
                 want = ModuleMap.zero(x.module(p), x.module(q))
                 if p in phi and (p, q + 1) in total.keys[n]:
                     want = want.add(x.diff(q + 1).compose(phi[p]))
@@ -567,7 +604,7 @@ def test_hom_total_sign_elementwise():
                     second = phi[p - 1].compose(x.diff(p))
                     want = want.add(second if n % 2 else second.negate())
                     both += not second.is_zero()
-                got = total.sums[n - 1].project(idx).apply(dh)
+                got = part.evals.assemble(of_total(total, n - 1, (p, q), dh))
                 assert part.group.reduce(part.coords_of(want)) == \
                     part.group.reduce(got)
     assert both
@@ -636,14 +673,27 @@ def multi_degree_index_complex(icat):
 DESK = {"z2-w3": instance_z2_reflection, "s3-w3": instance_s3_hexagon}
 
 
+def torsion_tower(variance="co"):
+    """Two-term complex of constant modules over Or(Z/2), Z/4 → Z/6 by 3: the
+    evaluations of its totals mix orders, so their canonical forms carry
+    witnesses that are not identities."""
+    w1, w0 = (constant_module(OR2, Z(n), variance) for n in (4, 6))
+    three = AbHom(Z(4), Z(6), IntMatrix.from_rows([[3]]))
+    return CatChainComplex(OR2, variance, 0, 1, {0: w0, 1: w1},
+                           {1: ModuleMap(w1, w0, dict.fromkeys(OR2.objects,
+                                                               three))})
+
+
 def comparison_inputs(which):
-    """(C, D, E) of a comparison: the constant-in-index tower over the chain
-    category, the shipped manifest's instance, or a desk instance at window
-    3."""
-    if which == "constant_in_index":
+    """(C, D, E) of a comparison: the constant-in-index tower (or torsion
+    tower) over the chain category, the shipped manifest's instance, or a
+    desk instance at window 3."""
+    if which in ("constant_in_index", "torsion"):
         icat = standard_category("chain", 1)
+        tower = coefficient_tower() if which == "constant_in_index" \
+            else torsion_tower()
         return (reflection_circle_complex(), multi_degree_index_complex(icat),
-                BiFunctorComplex.constant_in_index(icat, coefficient_tower()))
+                BiFunctorComplex.constant_in_index(icat, tower))
     if which in DESK:
         inst = DESK[which](3)
     else:
@@ -723,7 +773,7 @@ def test_glued_totals_reproduce_the_per_object_totals(which):
             assert data.ce.module(r).action(phi) == induced.component(r)
 
 
-@pytest.mark.parametrize("which", BIFUNCTORS)
+@pytest.mark.parametrize("which", BIFUNCTORS + ["torsion"])
 def test_comparison_multi_degree_instance(which):
     t = ComparisonData(*comparison_inputs(which)).chain_map
     for p in t.source.degrees():
@@ -871,21 +921,23 @@ class PureClasses:
 def image_by_definition(data, m, a, n, j, x, h, pure):
     """The image of x ⊗ h, x in C_a(j) and h in the degree-n hom total at j:
     the transformation whose value at generator k (at c_k) of D_p is
-    x ⊗ (the p-th summand of h, as a module map, at that generator)."""
+    x ⊗ (the p-th summand of h, as a module map, at that generator).  The
+    summands are read through the per-pair hom and tensor groups."""
     ht, tt = data.hom_totals[j], data.target_total
     out = [0] * tt.complex.group(m).ngens
-    for pdx, (p, q) in enumerate(ht.keys[n]):
-        phi = ht.parts[(p, q)].to_module_map(ht.sums[n].project(pdx).apply(h))
+    for p, q in ht.keys[n]:
         dmod, key = data.d.module(p), (a, q)
+        hp = CatHomGroup(dmod, ht.right.module(q))
+        phi = hp.to_module_map(hp.evals.assemble(of_total(ht, n, (p, q), h)))
         values = []
         for k, c in enumerate(dmod.free_gens):
             y = phi.components[c].matrix.column(
                 dmod.free_index[c][(k, dmod.cat.ids[c])])
             rt = data.row_totals[c]
-            inject = rt.sums[p + m].inject(rt.keys[p + m].index(key))
-            values.append(inject.apply(pure(rt.parts[key], j, x, y)))
-        vec = tt.parts[(p, p + m)].evals.assemble(values)
-        emb = tt.sums[m].inject(tt.keys[m].index((p, p + m))).apply(vec)
+            part = CatTensor(data.c.module(a), rt.right.module(q))
+            values.extend(in_total(rt, p + m, key, part.group.representative(
+                pure(part, j, x, y))))
+        emb = in_total(tt, m, (p, p + m), values)
         out = [u + w for u, w in zip(out, emb)]
     return tt.complex.group(m).reduce(out)
 
@@ -900,8 +952,8 @@ def test_comparison_matrix_is_x_tensor_phi_at_each_generator(which):
     moved = 0
     for m in src.complex.degrees():
         t = data.chain_map.component(m)
-        for kdx, (a, n) in enumerate(src.keys[m]):
-            ct = src.parts[(a, n)]
+        for a, n in src.keys[m]:
+            ct = CatTensor(data.c.module(a), data.hom_de.module(n))
             assert not ct.pres.relations
             for j in data.e.coeff_base.objects:
                 xs = data.c.module(a).values[j].ngens
@@ -913,7 +965,102 @@ def test_comparison_matrix_is_x_tensor_phi_at_each_generator(which):
                         assert cls == ct.class_of_pure(j, x, h)
                         want = image_by_definition(data, m, a, n, j, x, h,
                                                    pure)
-                        assert t.apply(src.sums[m].inject(kdx).apply(cls)) \
+                        assert t.apply(in_total(src, m, (a, n),
+                                                ct.group.representative(cls))) \
                             == want
                         moved += any(want)
     assert moved
+
+
+# ---------------------------------------------------------------------------
+# Totals against the per-pair oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", BIFUNCTORS + sorted(DESK) + ["torsion"])
+def test_comparison_totals_match_the_per_pair_oracle(which):
+    data = ComparisonData(*comparison_inputs(which))
+    e = data.e
+    icat, jcat = e.index_base, e.coeff_base
+    oracles = {}    # one per distinct total: (oracle, identification)
+
+    def matched(total, pair_total):
+        if id(total) not in oracles:
+            oracle = pair_total(total.left, total.right)
+            oracles[id(total)] = oracle, assert_matches_oracle(total, oracle)
+        return oracles[id(total)]
+    matched(data.source_total, pair_tensor_total)
+    matched(data.target_total, pair_hom_total)
+    # the torsion tower's hom and row totals reach the comparison's
+    # coordinates through witnesses that are not identities
+    assert (which == "torsion") == any(
+        not t.groups[n].reps.is_identity()
+        for t in [*data.hom_totals.values(), *data.row_totals.values()]
+        for n in t.groups)
+    for psi in jcat.morphisms:
+        j1, j2 = jcat.dom[psi], jcat.cod[psi]
+        t1, t2 = data.hom_totals[j1], data.hom_totals[j2]
+        (o1, to1), (o2, to2) = (matched(t, pair_hom_total) for t in (t1, t2))
+        moves = {q: ModuleMap(t1.right.module(q), t2.right.module(q),
+                              {i: e.coeff_action[(i, psi)].component(q)
+                               for i in icat.objects})
+                 for q in t1.right.degrees()}
+        assert_map_matches_oracle(hom_total_induced(t1, t2, moves),
+                                  pair_hom_induced(o1, o2, moves), to1, to2)
+    for phi in icat.morphisms:
+        a, b = icat.dom[phi], icat.cod[phi]
+        tb, ta = data.row_totals[b], data.row_totals[a]
+        (ob, tob), (oa, toa) = (matched(t, pair_tensor_total)
+                                for t in (tb, ta))
+        moves = {q: ModuleMap(tb.right.module(q), ta.right.module(q),
+                              {j: e.index_action[(phi, j)].component(q)
+                               for j in jcat.objects})
+                 for q in tb.right.degrees()}
+        assert_map_matches_oracle(
+            tensor_total_induced(tb, ta, right_maps=moves),
+            pair_tensor_induced(ob, oa, right_maps=moves), tob, toa)
+
+
+def test_towers_total_matches_the_per_pair_oracle():
+    # both towers over the reflection circle, tensor and hom, and the maps
+    # the towers' doubling and negation induce
+    x = reflection_circle_complex()
+    for w in (coefficient_tower(), torsion_tower()):
+        total = TotalTensorComplex(x, w)
+        oracle = pair_tensor_total(x, w)
+        to = assert_matches_oracle(total, oracle)
+        twice = {q: ModuleMap.identity(w.module(q)).add(
+            ModuleMap.identity(w.module(q))) for q in w.degrees()}
+        assert_map_matches_oracle(
+            tensor_total_induced(total, total, right_maps=twice),
+            pair_tensor_induced(oracle, oracle, right_maps=twice), to, to)
+    for y in (x, torsion_tower("contra")):
+        total = TotalHomComplex(x, y)
+        oracle = pair_hom_total(x, y)
+        to = assert_matches_oracle(total, oracle)
+        flip = {q: ModuleMap.identity(y.module(q)).negate()
+                for q in y.degrees()}
+        assert_map_matches_oracle(hom_total_induced(total, total, flip),
+                                  pair_hom_induced(oracle, oracle, flip),
+                                  to, to)
+
+
+def is_unit_monomial(f):
+    """Each source generator goes to a unit multiple of its own target
+    generator of the same order: the matrices `is_isomorphism` reads off."""
+    m, src, tgt = f.matrix, f.source.moduli(), f.target.moduli()
+    if m.nrows != m.ncols or any(len(nz) != 1 for nz in m.nonzeros):
+        return False
+    entries = [next(iter(nz.items())) for nz in m.nonzeros]
+    return len({j for j, _ in entries}) == m.ncols and all(
+        src[j] == t and gcd(x, t) == 1 for (j, x), t in zip(entries, tgt))
+
+
+@pytest.mark.parametrize("which", BIFUNCTORS + sorted(DESK))
+def test_comparison_components_on_free_factors_are_unit_monomial(which):
+    # C and D are free and so is every value of E here: the map only moves
+    # the summands E_q(c_k, s_l) of one evaluation to their places
+    data = ComparisonData(*comparison_inputs(which))
+    assert data.c.is_degreewise_free() and data.d.is_degreewise_free()
+    for m in data.chain_map.source.degrees():
+        assert is_unit_monomial(data.chain_map.component(m))

@@ -6,6 +6,7 @@ and checking the report bytes do not drift between runs.
 
 import ast
 import copy
+import gc
 import hashlib
 import importlib.resources
 import json
@@ -34,7 +35,11 @@ from orbifunctor.cellspaces import (
     point_space,
     reflection_circle,
 )
-from orbifunctor.chainplex import ChainMap, validate_bifunctor
+from orbifunctor.chainplex import (
+    ChainMap,
+    PlainChainComplex,
+    validate_bifunctor,
+)
 from orbifunctor.verify import GradedSeqSpec, transport_pi0_module
 from orbifunctor.cli import (
     ManifestError,
@@ -104,6 +109,22 @@ class TestParsing:
         m = parse_manifest(shipped_text())
         assert m.get("instance") is not None
         assert len(m.get("family")) == 2
+
+    @pytest.mark.parametrize("manifest", ["shipped", "hexagon"])
+    def test_one_index_category_per_manifest(self, manifest):
+        # the classifying model's grid is the category section's object, so
+        # no later check walks two composition tables
+        data = json.loads(shipped_text()) if manifest == "shipped" \
+            else hexagon_desk_manifest()
+        m = parse_manifest(json.dumps(data))
+        inst = m.get("instance")
+        assert inst.free_complex.base is inst.index_cat \
+            is inst.coefficients.index_base is m.get("category")
+        # a category section that is not the model's base stays apart
+        data["category"]["size"] = str(int(data["category"]["size"]) + 1)
+        del data["instance"]
+        m = parse_manifest(json.dumps(data))
+        assert m.get("icw").base != m.get("category")
 
     def test_unknown_section_named(self):
         with pytest.raises(ManifestError, match="unknown section 'cohomology'"):
@@ -643,6 +664,25 @@ class TestReports:
                 with pytest.raises(TypeError):
                     ident.components[c.lo] = AbHom.zero(c.group(c.lo),
                                                         c.group(c.lo))
+
+    def test_desk_run_leaves_no_complex_in_a_reference_cycle(self):
+        # with the collector off, whatever one run leaves for it is garbage
+        # in a cycle; a complex there would hold its groups, maps and
+        # homology until the next collection
+        manifest = parse_manifest(json.dumps(hexagon_desk_manifest()))
+        gc.collect()
+        gc.disable()
+        try:
+            assert run("verify-theorem", manifest).passed
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            cyclic = [type(x).__name__ for x in gc.garbage
+                      if isinstance(x, (PlainChainComplex, ChainMap))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert cyclic == []
 
     def test_report_shape(self, tmp_path):
         path = write_manifest(tmp_path, json.loads(shipped_text()))

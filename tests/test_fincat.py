@@ -29,6 +29,8 @@ from orbifunctor.fincat import (
     validate_functor,
 )
 
+from samplers import orbit_category_by_labels, subgroups_by_rounds
+
 S3 = FinGroup.symmetric(3)
 SWAP01 = (1, 0, 2)      # the transposition exchanging 0 and 1
 A3 = S3.subgroup_generated([(1, 2, 0)])
@@ -530,6 +532,38 @@ def test_orbit_and_sub_category_match_the_all_pairs_builders():
         old_sub, old_map = _old_sub_category(group, orb)
         assert _same_category(data.sub, old_sub)
         assert data.projection.mor_map == old_map
+
+
+def _lattice_cases():
+    # every group the suite builds, and groups whose elements are not listed
+    # in sorted order
+    C2, C3 = FinGroup.cyclic(2), FinGroup.cyclic(3)
+    unsorted = FinGroup.from_table([7, 0], {(0, 0): 0, (0, 7): 7,
+                                            (7, 0): 7, (7, 7): 0})
+    quotient, _ = FinGroup.dihedral(4).quotient(
+        FinGroup.dihedral(4).subgroup_generated([(2, 3, 0, 1)]))
+    return list(dict.fromkeys(group for group, _ in _oracle_cases())) + [
+        unsorted, quotient, FinGroup.cyclic(8), FinGroup.cyclic(24),
+        FinGroup.direct_product(C2, C3), FinGroup.direct_product(C3, C3),
+        FinGroup.direct_product(C2, FinGroup.direct_product(C2, C2)),
+        FinGroup.dihedral(3), FinGroup.dihedral(6), FinGroup.dihedral(12),
+        FinGroup.symmetric(4),
+        FinGroup.from_permutations([(1, 2, 0, 3), (0, 2, 3, 1)])]
+
+
+@pytest.mark.parametrize("group", _lattice_cases(),
+                         ids=lambda g: f"order-{g.order}")
+def test_lattice_and_orbit_category_match_the_label_builders(group):
+    # the position-based builders against the label-based ones they
+    # replaced: equal lattices in the same order, and equal categories with
+    # the same morphism and table order
+    assert group.all_subgroups() == subgroups_by_rounds(group)
+    for fam in (SubgroupFamily.all(group), SubgroupFamily.trivial(group),
+                family_closure(group, [group.subgroup_generated([g])
+                                       for g in group.elements
+                                       if group.mult(g, g) == group.identity])):
+        assert _same_category(orbit_category(group, fam),
+                              orbit_category_by_labels(group, fam))
 
 
 def test_orbit_category_is_built_once_per_family():
