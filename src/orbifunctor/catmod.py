@@ -10,6 +10,10 @@ modules.  A free module's basis is held by the module itself (`free_gens`,
 `free_basis`); free resolutions and Tor, which are chain complexes of such
 modules, live in `chainplex`.
 
+Every map between evaluations is one sparse matrix, written by the writers
+beside `StandardPresentation`; a `CatTensor` or `CatHomGroup` is the
+one-pair case of the total complexes of `chainplex`, written by the same.
+
 Everything is presented over the exact integer layer, so all answers are
 canonical forms with witnesses, never up-to-iso guesses.
 """
@@ -26,7 +30,6 @@ from .exact_abelian import (
     HomBasis,
     IntMatrix,
     block_hom,
-    block_matrix,
     express_in_kernel,
     hom_cokernel,
     hom_from_presentation,
@@ -522,11 +525,6 @@ class StandardPresentation:
                            for j, n in enumerate(module.values[c].moduli())
                            if n]
 
-    def through(self, module: CatModule, c, x):
-        """{k: Σ_φ a_(k,φ)·N(φ)}, N = module and a the lift of x in M(c):
-        how x ⊗ − and τ ↦ τ_c(x) read on the evaluation ⊕_k N(c_k)."""
-        return _through(self.cover, module, c, self.lifts[c].apply(x))
-
     def images(self, v: ModuleMap | None, into: "StandardPresentation"):
         """(k, c_k, terms) for each generator k of this cover: its point of
         M(c_k), carried by v (None: the identity) and lifted into the cover
@@ -542,41 +540,108 @@ class StandardPresentation:
             basis = into.cover.free_basis[c]
             yield k, c, [(*basis[r], a) for r, a in x.items()]
 
-    def carried(self, v: ModuleMap | None, into: "StandardPresentation",
-                module: CatModule):
-        """(k, c_k, blocks) for each generator k of this cover: its image
-        under `images`, read through module as `into.through` reads it."""
-        for k, c, terms in self.images(v, into):
-            yield k, c, _summed(module, terms)
-
-    def on_relations(self, module: CatModule):
-        """F1 read through the module: (⊕_r N(t_r), {(r, k): Σ_φ
-        r_(k,φ)·N(φ)}) over the relations r at t_r, N = module."""
-        blocks = {}
-        for i, (t, r) in enumerate(self.relations):
-            for k, m in _through(self.cover, module, t, r).items():
-                blocks[(i, k)] = m
-        return DirectSum([module.values[t] for t, _ in self.relations]), blocks
-
 
 def _terms(free: CatModule, w, vec):
     # vec in free(w) as the terms (k, φ, a) of its nonzero labels (k, φ)
     return [(k, phi, a) for (k, phi), a in zip(free.free_basis[w], vec) if a]
 
 
-def _summed(module: CatModule, terms):
-    # {k: Σ_φ a·N(φ)} over the terms (k, φ, a), N = module
-    out = {}
-    for k, phi, a in terms:
-        term = module.actions[phi].matrix.scale(a)
-        out[k] = out[k] + term if k in out else term
-    return out
+# The writers: each adds the blocks of one map between evaluations to rows,
+# one {column: entry} dict per target coordinate, cols[k] and at[k] being
+# the first column and row of summand k on the source and the target side.
 
 
-def _through(free: CatModule, module: CatModule, w, vec):
-    # vec in free(w), by summand of the evaluation: {k: Σ_φ vec_(k,φ)·N(φ)}
-    # with N = module, i.e. how τ ↦ τ_w(vec) and y ↦ vec ⊗ y act on ⊕_k N(c_k)
-    return _summed(module, _terms(free, w, vec))
+def _put(rows, r0, c0, mat: IntMatrix, a):
+    # rows[r0 + i][c0 + j] += a·mat[i][j]
+    if mat.is_identity():
+        for i in range(mat.nrows):
+            row, j = rows[r0 + i], c0 + i
+            row[j] = row.get(j, 0) + a
+        return
+    for i, nz in enumerate(mat.nonzeros, r0):
+        if nz:
+            row = rows[i]
+            for j, x in nz.items():
+                j += c0
+                row[j] = row.get(j, 0) + a * x
+
+
+def _matrix(rows, ncols) -> IntMatrix:
+    return IntMatrix(len(rows), ncols, nonzeros=[
+        {j: x for j, x in row.items() if x} for row in rows])
+
+
+def _related(rows, at, col, pres, module, transposed=False):
+    # F1 read through N = module: relation r at t, on a copy of N(t) from
+    # column col on, is the block Σ_φ r_(k,φ)·N(φ) into summand k (tensor);
+    # transposed, the copy is a row block and summand k the columns (hom:
+    # τ ↦ τ_t(r)).  Returns the column after the last copy
+    for t, r in pres.relations:
+        for k, phi, a in _terms(pres.cover, t, r):
+            mat = module.actions[phi].matrix
+            if transposed:
+                _put(rows, col, at[k], mat, a)
+            else:
+                _put(rows, at[k], col, mat, a)
+        col += module.values[t].ngens
+    return col
+
+
+def _diagonal(rows, cols, at, pres, u, sign=1):
+    # sign·u at c_k on summand k for each generator k of the cover
+    for k, c in enumerate(pres.cover.free_gens):
+        _put(rows, at[k], cols[k], u.components[c].matrix, sign)
+
+
+def _carried(rows, cols, at, pres, v, into, module, u):
+    # tensor: generator k of pres's cover goes to its point carried by v
+    # (None: the identity) and lifted into into's cover; a term a·(k2, φ)
+    # there is the block a·N(φ)·u_{c_k} from summand k to summand k2, N =
+    # module (u None: the identity)
+    for k, c, terms in pres.images(v, into):
+        for k2, phi, a in terms:
+            mat = module.actions[phi].matrix
+            if u is not None:
+                mat = mat * u.components[c].matrix
+            _put(rows, at[k2], cols[k], mat, a)
+
+
+def _postcomposed(rows, cols, at, pres, u):
+    # τ ↦ u∘τ on the values at the generators of a free-marked module, which
+    # is the transformation of its generator values for every τ exactly when
+    # u is natural at each morphism acting from a generator's object
+    for c in set(pres.cover.free_gens):
+        if not u.natural_from(c):
+            raise ValueError(f"module map is not natural at a morphism "
+                             f"acting from {c!r}")
+    _diagonal(rows, cols, at, pres, u)
+
+
+def _precomposed(rows, cols, at, pres, v, into, module, sign,
+                 inclusion=None):
+    # τ ↦ sign·τ∘v for v: M' → M, pres and into presenting M' and M: a term
+    # a·(k, φ) of the image of generator k2 of pres's cover is the block
+    # sign·a·N(φ) from summand k to summand k2, N = module.  τ∘v differs
+    # from the transformation of its generator values by τ applied to v's
+    # defect d, which vanishes for every τ exactly when τ ↦ τ_w(d) is zero
+    # on the group of the τ: the whole evaluation of into's cover (inclusion
+    # None), or the group that inclusion embeds in it
+    gens = into.cover.free_gens
+    for w, _, diff in v.defect():
+        at_w = [{} for _ in range(module.values[w].ngens)]
+        for k, phi, a in _terms(into.cover, w, into.lifts[w].apply(diff)):
+            _put(at_w, 0, cols[k], module.actions[phi].matrix, a)
+        # the columns end with the last summand of into's cover
+        at_w = _matrix(at_w, cols[len(gens) - 1]
+                       + module.values[gens[-1]].ngens if gens else 0)
+        if inclusion is not None:
+            at_w = hom_from_presentation(inclusion.target, module.values[w],
+                                         at_w).compose(inclusion).matrix
+        if not module.values[w].reduce_matrix(at_w).is_zero():
+            raise ValueError("composite with the module map is not natural")
+    for k2, _, terms in pres.images(v, into):
+        for k, phi, a in terms:
+            _put(rows, at[k2], cols[k], module.actions[phi].matrix, sign * a)
 
 
 class CatTensor:
@@ -607,18 +672,20 @@ class CatTensor:
                                      for c in pres.cover.free_gens])
         self.group = ev.group
         if pres.relations:
-            rels, blocks = pres.on_relations(right)
-            self.group = ev.quotient(block_matrix(rels, ev, {
-                (k, i): AbHom(rels.parts[i], ev.parts[k], m, check=False)
-                for (i, k), m in blocks.items()}))
+            rows = [{} for _ in range(ev.total_gens)]
+            ncols = _related(rows, ev.offsets, 0, pres, right)
+            self.group = ev.quotient(_matrix(rows, ncols))
 
     def class_of_pure(self, c, x, y):
         """Class of the elementary tensor x ⊗ y sitting at object c."""
         # Σ_φ a_(k,φ)·N(φ)(y) in summand k, a the lift of x to F0(c)
-        moved = self.pres.through(self.right, c, x)
-        return self.group.to_canonical(
-            [z for k, part in enumerate(self.evals.parts)
-             for z in (moved[k].apply(y) if k in moved else [0] * part.ngens)])
+        vec = [0] * self.evals.total_gens
+        for k, phi, a in _terms(self.pres.cover, c,
+                                self.pres.lifts[c].apply(x)):
+            for i, z in enumerate(self.right.actions[phi].matrix.apply(y),
+                                  self.evals.offsets[k]):
+                vec[i] += a * z
+        return self.group.to_canonical(vec)
 
     def components(self, can_vec):
         """One representative of a class, as per-object tensor coordinates
@@ -638,22 +705,11 @@ class CatTensor:
                 right_map: ModuleMap | None) -> AbHom:
         """The map of tensor groups induced by maps of both factors (no left
         map: the identity of the left factor)."""
-        us = (right_map or ModuleMap.identity(self.right)).components
-        if left_map is None and other.left is self.left:
-            blocks = {(k, k): us[c]
-                      for k, c in enumerate(self.pres.cover.free_gens)}
-        else:
-            # generator k goes to v(its point of M(c_k)) lifted into the
-            # cover of other: block (k2, k) = Σ_φ a_(k2,φ)·N'(φ)·u_{c_k}
-            values, gens = other.right.values, other.pres.cover.free_gens
-            blocks = {}
-            for k, c, moved in self.pres.carried(left_map, other.pres,
-                                                 other.right):
-                for k2, m in moved.items():
-                    blocks[(k2, k)] = AbHom(us[c].source, values[gens[k2]],
-                                            m * us[c].matrix, check=False)
-        return hom_from_presentation(self.group, other.group, block_matrix(
-            self.evals, other.evals, blocks))
+        rows = [{} for _ in range(other.evals.total_gens)]
+        _carried(rows, self.evals.offsets, other.evals.offsets, self.pres,
+                 left_map, other.pres, other.right, right_map)
+        return hom_from_presentation(self.group, other.group, _matrix(
+            rows, self.evals.total_gens))
 
 
 def tensor_over_cat(left: CatModule, right: CatModule) -> FpAbGroup:
@@ -698,12 +754,13 @@ class CatHomGroup:
         self.inclusion = AbHom.identity(self.group)
         if pres.relations:
             # τ ↦ (τ_t(r))_r, i.e. (Σ_k Σ_φ r_(k,φ)·N(φ)·τ_k)_r
-            rels, blocks = pres.on_relations(target)
             ev = self.evals
-            self.group, self.lattice, self.inclusion = hom_kernel(block_hom(
-                ev, rels, {(i, k): AbHom(ev.parts[k], rels.parts[i], m,
-                                         check=False)
-                           for (i, k), m in blocks.items()}))
+            rels = DirectSum([target.values[t] for t, _ in pres.relations])
+            rows = [{} for _ in range(rels.total_gens)]
+            _related(rows, ev.offsets, 0, pres, target, transposed=True)
+            self.group, self.lattice, self.inclusion = hom_kernel(
+                hom_from_presentation(ev.group, rels.group,
+                                      _matrix(rows, ev.total_gens)))
 
     def to_module_map(self, can_vec) -> ModuleMap:
         ev = self.evals
@@ -741,58 +798,33 @@ class CatHomGroup:
 
     def postcompose_map(self, other: "CatHomGroup", u: ModuleMap) -> AbHom:
         """Hom(M,N) -> Hom(M,N'), τ ↦ u∘τ, for a module map u: N -> N'."""
+        if other.source is not self.source:
+            raise ValueError("hom groups out of different modules")
         for c in set(self.pres.cover.free_gens):
             h = u.components[c]
             if h.source != self.target.values[c] or \
                     h.target != other.target.values[c]:
                 raise ValueError("composition mismatch")
         # a free M holds points off its generators, its basis labels moved
-        # along morphisms: there u∘τ is the transformation of its generator
-        # values for every τ exactly when u is natural at each morphism
-        # acting from a generator's object (a cover has no such points)
-        for c in set(self.source.free_gens or ()):
-            if not u.natural_from(c):
-                raise ValueError(f"module map is not natural at a morphism "
-                                 f"acting from {c!r}")
-        return self._composed(other, None, u)
+        # along morphisms, which `_postcomposed` checks; a cover has none
+        write = _postcomposed if self.source.is_free_marked() else _diagonal
+        return self._composed(other, write, self.pres, u)
 
     def precompose_map(self, other: "CatHomGroup", v: ModuleMap) -> AbHom:
         """Hom(M,N) -> Hom(M',N), τ ↦ τ∘v, for a module map v: M' -> M."""
         if v.source is not other.source:
             v = ModuleMap(other.source, v.target, v.components)
-        # τ∘v differs from the transformation of its generator values by τ
-        # applied to v's defect d, which vanishes for every τ exactly when
-        # τ ↦ τ_w(d) is zero on this group
-        ev = self.evals
-        for w, _, diff in v.defect():
-            at = DirectSum([self.target.values[w]])
-            at_d = block_hom(ev, at, {
-                (0, k): AbHom(ev.parts[k], at.parts[0], m, check=False)
-                for k, m in self.pres.through(self.target, w, diff).items()})
-            if not at_d.compose(self.inclusion).is_zero():
-                raise ValueError("composite with the module map is not "
-                                 "natural")
-        return self._composed(other, v, None)
+        return self._composed(other, _precomposed, other.pres, v, self.pres,
+                              self.target, 1, self.inclusion)
 
-    def _composed(self, other: "CatHomGroup", v, u) -> AbHom:
-        # τ ↦ u∘τ∘v on the values at the generators (None: an identity), from
-        # this kernel into other's; ValueError when an image leaves it
-        if v is None and other.source is self.source:
-            blocks = {(k, k): u.components[c]
-                      for k, c in enumerate(self.pres.cover.free_gens)}
-        else:
-            # generator k2 of other's cover, carried by v and lifted into this
-            # cover: block (k2, k) = u_{c_k2}·Σ_φ a_(k,φ)·N(φ)
-            parts, blocks = self.evals.parts, {}
-            for k2, c2, moved in other.pres.carried(v, self.pres,
-                                                    self.target):
-                for k, m in moved.items():
-                    blocks[(k2, k)] = AbHom(
-                        parts[k], other.evals.parts[k2],
-                        m if u is None else u.components[c2].matrix * m,
-                        check=False)
-        on_covers = block_hom(self.evals, other.evals, blocks).compose(
-            self.inclusion)
+    def _composed(self, other: "CatHomGroup", write, *args) -> AbHom:
+        # the map of evaluations that write(rows, cols, at, *args) writes,
+        # from this kernel into other's; ValueError when an image leaves it
+        rows = [{} for _ in range(other.evals.total_gens)]
+        write(rows, self.evals.offsets, other.evals.offsets, *args)
+        on_covers = hom_from_presentation(
+            self.evals.group, other.evals.group,
+            _matrix(rows, self.evals.total_gens)).compose(self.inclusion)
         if other.lattice is None:
             return on_covers
         return AbHom(self.group, other.group,

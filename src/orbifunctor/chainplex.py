@@ -12,6 +12,8 @@ not, so one set is fixed and stated):
   - hom total, degree n piece ⊕ hom(D_p, E_q) over q − p = n:
     (dφ)_p = d_E ∘ φ_p − (−1)^n φ_{p−1} ∘ d_D.
 The comparison map itself carries no signs: x ⊗ φ goes to y ↦ x ⊗ φ(y).
+Each map of totals is one sparse matrix, written by the writers of `catmod`
+that also write `CatTensor` and `CatHomGroup`, the one-pair case.
 
 Both inputs of every total construction must be bounded; a degree window of
 size n only ever reads the coefficient complex in degrees up to n plus the
@@ -37,7 +39,12 @@ from .catmod import (
     CatModule,
     ModuleMap,
     StandardPresentation,
-    _terms,
+    _carried,
+    _diagonal,
+    _matrix,
+    _postcomposed,
+    _precomposed,
+    _related,
     generating_cover,
     module_kernel,
     validate_module_map,
@@ -519,13 +526,14 @@ class _Total:
     sum of their parts, pair after pair, and at[(p, q)] the place of the
     pair's first part in that sum.  The presentation coordinates of sums[n]
     are the coordinates of degree n, whose group is sums[n].group, modulo F1
-    read through right_q where left_p is not free.  Each map of totals is
-    one sparse matrix on these coordinates, written by `_assemble` from the
-    generator images of maps of the F0's and the components of maps of the
-    right factor.  Degrees that repeat their objects (a periodic
-    resolution) share them: one presentation per left module, one part per
-    presentation and right module, one sum and group per tuple of parts,
-    and one map per distinct set of inputs."""
+    read through right_q where left_p is not free (`_related`).  Each map
+    of totals is one sparse matrix on these coordinates, assembled by
+    `_assemble` with the writers of `catmod` from the generator images of
+    maps of the F0's and the components of maps of the right factor.
+    Degrees that repeat their objects (a periodic resolution) share them:
+    one presentation per left module, one part per presentation and right
+    module, one sum and group per tuple of parts, and one map per distinct
+    set of inputs."""
 
     __slots__ = ("left", "right", "pres", "parts", "keys", "at", "sums",
                  "groups", "complex")
@@ -562,17 +570,11 @@ class _Total:
             for n in range(lo + 1, hi + 1)})
 
     def _quotient(self, n) -> FpAbGroup:
-        # each relation r at t of a presentation, tensored with a generator
-        # y of right_q(t), is Σ_(k,φ) r_(k,φ)·right_q(φ)(y) in summand k
         s = self.sums[n]
         rows, col = [{} for _ in range(s.total_gens)], 0
         for p, q in self.keys[n]:
-            pres, module = self.pres[p], self.right.module(q)
-            at = s.offsets[self.at[(p, q)]:]
-            for t, r in pres.relations:
-                for k, phi, a in _terms(pres.cover, t, r):
-                    _put(rows, at[k], col, module.actions[phi].matrix, a)
-                col += module.values[t].ngens
+            col = _related(rows, s.offsets[self.at[(p, q)]:], col,
+                           self.pres[p], self.right.module(q))
         if not col:
             return s.group
         return s.quotient(_matrix(rows, col))
@@ -664,72 +666,6 @@ def _assemble(src, tgt, n, m, edges, memo) -> AbHom:
             write(rows, ss.offsets[a:], ts.offsets[b:], *args)
         return hom_from_presentation(sg, tg, _matrix(rows, ss.total_gens))
     return _once(memo, tuple(objs), build, plain=layout)
-
-
-def _put(rows, r0, c0, mat: IntMatrix, a):
-    # rows[r0 + i][c0 + j] += a·mat[i][j]
-    if mat.is_identity():
-        for i in range(mat.nrows):
-            row, j = rows[r0 + i], c0 + i
-            row[j] = row.get(j, 0) + a
-        return
-    for i, nz in enumerate(mat.nonzeros, r0):
-        if nz:
-            row = rows[i]
-            for j, x in nz.items():
-                j += c0
-                row[j] = row.get(j, 0) + a * x
-
-
-def _matrix(rows, ncols) -> IntMatrix:
-    return IntMatrix(len(rows), ncols, nonzeros=[
-        {j: x for j, x in row.items() if x} for row in rows])
-
-
-def _diagonal(rows, cols, at, pres, u, sign=1):
-    # sign·u at c_k on summand k for each generator k of the cover
-    for k, c in enumerate(pres.cover.free_gens):
-        _put(rows, at[k], cols[k], u.components[c].matrix, sign)
-
-
-def _carried(rows, cols, at, pres, v, into, module, u):
-    # tensor: generator k of pres's cover goes to its point carried by v
-    # (None: the identity) and lifted into into's cover; a term a·(k2, φ)
-    # there is the block a·N(φ)·u_{c_k} from summand k to summand k2, N =
-    # module (u None: the identity)
-    for k, c, terms in pres.images(v, into):
-        for k2, phi, a in terms:
-            mat = module.actions[phi].matrix
-            if u is not None:
-                mat = mat * u.components[c].matrix
-            _put(rows, at[k2], cols[k], mat, a)
-
-
-def _postcomposed(rows, cols, at, pres, u):
-    # τ ↦ u∘τ on the values at the generators of a free D_p, which is the
-    # transformation of its generator values for every τ exactly when u is
-    # natural at each morphism acting from a generator's object
-    for c in set(pres.cover.free_gens):
-        if not u.natural_from(c):
-            raise ValueError(f"module map is not natural at a morphism "
-                             f"acting from {c!r}")
-    _diagonal(rows, cols, at, pres, u)
-
-
-def _precomposed(rows, cols, at, pres, v, into, module, sign):
-    # τ ↦ sign·τ∘v for v: D_{p+1} → D_p: a term a·(k, φ) of the image of
-    # generator k2 of pres's cover is the block sign·a·E(φ) from summand k to
-    # summand k2, E = module.  τ∘v differs from the transformation of its
-    # generator values by τ applied to v's defect d, which vanishes for
-    # every τ exactly when τ ↦ τ_w(d) is zero
-    for w, _, diff in v.defect():
-        for m in into.through(module, w, diff).values():
-            if not module.values[w].reduce_matrix(m).is_zero():
-                raise ValueError("composite with the module map is not "
-                                 "natural")
-    for k2, _, terms in pres.images(v, into):
-        for k, phi, a in terms:
-            _put(rows, at[k2], cols[k], module.actions[phi].matrix, sign * a)
 
 
 def tensor_total_induced(src: TotalTensorComplex, tgt: TotalTensorComplex,

@@ -1180,10 +1180,10 @@ class DirectSum:
     """⊕ of canonical-form groups, canonicalized, with coordinate bookkeeping.
 
     Presentation coordinates of `group` are the parts' canonical coordinates,
-    concatenated.  Each injection and projection is built once, on first use.
+    concatenated.  Each projection is built once, on first use.
     """
 
-    __slots__ = ("parts", "offsets", "group", "_injects", "_projects")
+    __slots__ = ("parts", "offsets", "group", "_projects")
 
     def __init__(self, parts):
         self.parts = tuple(parts)
@@ -1196,7 +1196,6 @@ class DirectSum:
             moduli.extend(p.moduli())
         self.offsets = tuple(offsets)
         self.group = cokernel_presentation(_relation_columns(moduli))
-        self._injects = [None] * len(self.parts)
         self._projects = [None] * len(self.parts)
 
     @property
@@ -1209,16 +1208,6 @@ class DirectSum:
         for k, x in enumerate(vec):
             out[self.offsets[i] + k] = x
         return out
-
-    def inject(self, i) -> AbHom:
-        h = self._injects[i]
-        if h is None:
-            part = self.parts[i]
-            lo = self.offsets[i]
-            pres = IntMatrix.selection(self.total_gens,
-                                       range(lo, lo + part.ngens))
-            h = self._injects[i] = self._from_presentation(part, pres)
-        return h
 
     def project(self, i) -> AbHom:
         h = self._projects[i]
@@ -1245,30 +1234,22 @@ class DirectSum:
             if h.source != source or h.target != part:
                 raise ValueError("component does not map source into its part")
             nonzeros.extend(h.matrix.nonzeros)
-        return self._from_presentation(
-            source, IntMatrix(self.total_gens, source.ngens, nonzeros=nonzeros))
+        return AbHom(source, self.group, self.group.to_can * IntMatrix(
+            self.total_gens, source.ngens, nonzeros=nonzeros))
 
     def quotient(self, relations: IntMatrix) -> FpAbGroup:
         """The sum modulo relation columns in presentation coordinates."""
         return cokernel_presentation(_relation_columns(
             [t for part in self.parts for t in part.moduli()]).hstack(relations))
 
-    def _from_presentation(self, source: FpAbGroup, pres: IntMatrix) -> AbHom:
-        # pres: source canonical coords -> presentation coords of the sum
-        return AbHom(source, self.group, self.group.to_can * pres)
-
 
 def block_hom(ds_src: DirectSum, ds_tgt: DirectSum, blocks) -> AbHom:
-    """Assemble an AbHom between direct sums from a dict {(i_tgt, j_src): AbHom}."""
-    return hom_from_presentation(ds_src.group, ds_tgt.group,
-                                 block_matrix(ds_src, ds_tgt, blocks))
-
-
-def block_matrix(ds_src: DirectSum, ds_tgt: DirectSum, blocks) -> IntMatrix:
-    """The same blocks as one matrix on the presentation coordinates."""
+    """Assemble an AbHom between direct sums from a dict {(i_tgt, j_src): AbHom},
+    the blocks placed on the presentation coordinates of both sums."""
     nonzeros = [{} for _ in range(ds_tgt.total_gens)]
     for (i, j), f in blocks.items():
         lo, shift = ds_tgt.offsets[i], ds_src.offsets[j]
         for r, row in enumerate(f.matrix.nonzeros):
             nonzeros[lo + r].update((c + shift, x) for c, x in row.items())
-    return IntMatrix(ds_tgt.total_gens, ds_src.total_gens, nonzeros=nonzeros)
+    return hom_from_presentation(ds_src.group, ds_tgt.group, IntMatrix(
+        ds_tgt.total_gens, ds_src.total_gens, nonzeros=nonzeros))

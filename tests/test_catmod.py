@@ -1060,6 +1060,19 @@ def test_non_natural_maps_refused_on_both_paths(path):
     assert hg.precompose_map(hg, v) == AbHom.identity(hg.group)
     with pytest.raises(ValueError):
         ends.precompose_map(ends, v)
+    # the same v out of F into src: its defect is nonzero, yet τ∘v is
+    # natural for every τ into a constant module, which an unmarked src
+    # shows on its hom group (a kernel) and not on the whole evaluation;
+    # into src itself the identity of src shows the defect
+    v = ModuleMap(free, src, comps)
+    assert v.defect() != []
+    out_of_free = hom(free, const)
+    slow, slow_free = EqualizerHom(src, const), EqualizerHom(free, const)
+    assert comparison_iso(out_of_free, slow_free).compose(
+        hg.precompose_map(out_of_free, v)) == \
+        slow.precompose_map(slow_free, v).compose(comparison_iso(hg, slow))
+    with pytest.raises(ValueError):
+        hom(src, src).precompose_map(hom(free, src), v)
 
 
 # ---------------------------------------------------------------------------
