@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import MutableMapping
+from functools import partial
 
 from .exact_abelian import (
     AbHom,
@@ -159,9 +160,14 @@ class ModuleMap:
     Naturality is not checked on construction; `validate_module_map`,
     `natural_from` and `defect` check it.  The last two remember their
     answers, so a map that is reused (a differential) is checked once.
+
+    `images` is set by `free_map_from_images` alone: the value of the map
+    at each generator (k, id_{c_k}) of its free-marked source, as a
+    {coordinate: entry} dict, when the map is the transformation these
+    values determine.  Such a map builds each component on its first read.
     """
 
-    __slots__ = ("source", "target", "components", "_memo")
+    __slots__ = ("source", "target", "components", "images", "_memo")
 
     def __init__(self, source: CatModule, target: CatModule, components):
         if source.cat is not target.cat and source.cat != target.cat:
@@ -171,6 +177,7 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.components = dict(components)
+        self.images = None
         self._memo = {}
 
     def natural_from(self, obj) -> bool:
@@ -277,8 +284,10 @@ def _yoneda_defect(mm: ModuleMap):
     free, target = mm.source, mm.target
     if not free.is_free_marked():
         return []
-    yoneda = free_map_from_images(free, target,
-                                  _generator_images(free, mm.components))
+    ids = free.cat.ids
+    yoneda = free_map_from_images(free, target, [
+        mm.components[c].matrix.column(free.free_index[c][(i, ids[c])])
+        for i, c in enumerate(free.free_gens)])
     out = []
     for w in free.cat.objects:
         have, want = mm.components[w].matrix, yoneda.components[w].matrix
@@ -288,13 +297,6 @@ def _yoneda_defect(mm: ModuleMap):
                 if any(diff):
                     out.append((w, j, diff))
     return out
-
-
-def _generator_images(free: CatModule, components):
-    # the column of each component at the marked generator (i, id_{c_i})
-    ids = free.cat.ids
-    return [components[c].matrix.column(free.free_index[c][(i, ids[c])])
-            for i, c in enumerate(free.free_gens)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +345,36 @@ def _moved(cat, contra, basis, index, f):
                             else cat.compose(phi, f))] for i, phi in basis[s]]
 
 
+def _acted(module: CatModule, vec, f):
+    """The action of f on vec, both {coordinate: entry} dicts; on a
+    free-marked module one composite per term moves its label."""
+    out = {}
+    if module.free_basis is not None:
+        cat, contra = module.cat, module.variance == CONTRAVARIANT
+        s, t = _action_endpoints(module, f)
+        basis, index = module.free_basis[s], module.free_index[t]
+        for b, x in vec.items():
+            k, phi = basis[b]
+            r = index[(k, cat.compose(f, phi) if contra
+                       else cat.compose(phi, f))]
+            out[r] = out.get(r, 0) + x
+    else:
+        cols = module.action_columns(f)
+        for b, x in vec.items():
+            for r, y in cols[b].items():
+                out[r] = out.get(r, 0) + x * y
+    return {r: x for r, x in out.items() if x}
+
+
 class _LazyActions(MutableMapping):
-    """Every morphism's action, built by build(f) on its first read (most
-    are never read); assignment and deletion act as on a dict."""
+    """Each key's value (a morphism's action, a map's component), built by
+    build(key) on its first read (most are never read); assignment and
+    deletion act as on a dict."""
 
     __slots__ = ("_acts", "_build")
 
-    def __init__(self, morphisms, build):
-        self._acts = dict.fromkeys(morphisms)     # None until built
+    def __init__(self, keys, build):
+        self._acts = dict.fromkeys(keys)     # None until built
         self._build = build
 
     def __getitem__(self, f):
@@ -375,46 +399,74 @@ class _LazyActions(MutableMapping):
 def free_map_from_images(free: CatModule, target: CatModule,
                          images) -> ModuleMap:
     """The module map out of a marked free module sending generator i (sitting
-    at base object c_i) to the given element of target(c_i)."""
+    at base object c_i) to the given element of target(c_i).  Its component
+    at w is built on its first read: the column of label (i, φ) is the
+    action of φ on image i."""
     if not free.is_free_marked():
         raise ValueError("source carries no free marker")
     if len(images) != len(free.free_gens):
         raise ValueError("one image per generator required")
-    reduced = []
+    sparse = []
     for img, c in zip(images, free.free_gens):
         if len(img) != target.values[c].ngens:
             raise ValueError(f"image of a generator at {c!r} has the wrong length")
-        reduced.append(target.values[c].reduce(img))
-    sparse = [{b: x for b, x in enumerate(img) if x} for img in reduced]
-
-    def image_column(i, phi):
-        cols, acc = target.action_columns(phi), {}
-        for b, x in sparse[i].items():
-            for r, y in cols[b].items():
-                acc[r] = acc.get(r, 0) + x * y
-        return {r: x for r, x in acc.items() if x}
-    mm = _free_map(free, target, image_column)
-    if _generator_images(free, mm.components) == reduced:
+        sparse.append({b: x for b, x in enumerate(target.values[c].reduce(img))
+                       if x})
+    mm = ModuleMap(free, target, {})
+    # no reference to mm: a cycle waits for the collector
+    mm.components = _LazyActions(free.cat.objects, partial(
+        _free_component, free, target, sparse))
+    ids = free.cat.ids
+    if all(_acted(target, img, ids[c]) == img
+           for img, c in zip(sparse, free.free_gens)):
+        mm.images = sparse
         mm._memo["defect"] = []     # the identities fix the images
-    return mm
-
-
-def _free_map(free: CatModule, target: CatModule, image_column) -> ModuleMap:
-    # image_column(i, phi): target coordinates of basis element (i, phi), as
-    # a {row: nonzero entry} dict
-    components = {}
-    for w in free.cat.objects:
-        rows = [{} for _ in range(target.values[w].ngens)]
-        for j, (i, phi) in enumerate(free.free_basis[w]):
-            for r, x in image_column(i, phi).items():
-                rows[r][j] = x
-        mat = IntMatrix(len(rows), len(free.free_basis[w]), nonzeros=rows)
-        components[w] = AbHom(free.values[w], target.values[w], mat, check=False)
-    mm = ModuleMap(free, target, components)
     if target.is_free_marked():
         # Yoneda: natural into a functor, which a free-marked module is
         mm._memo.update((("from", c), True) for c in free.cat.objects)
     return mm
+
+
+def _free_component(free, target, images, w) -> AbHom:
+    # the component at w of the map sending generator i to images[i]
+    basis = free.free_basis[w]
+    rows = [{} for _ in range(target.values[w].ngens)]
+    for j, (i, phi) in enumerate(basis):
+        for r, x in _acted(target, images[i], phi).items():
+            rows[r][j] = x
+    return AbHom(free.values[w], target.values[w],
+                 IntMatrix(len(rows), len(basis), nonzeros=rows), check=False)
+
+
+def _column(mat: IntMatrix, j):
+    # column j of mat as a {row: entry} dict
+    return {r: nz[j] for r, nz in enumerate(mat.nonzeros) if j in nz}
+
+
+def vanishes_at_generators(second: ModuleMap, first: ModuleMap) -> bool:
+    """Whether second ∘ first is zero, for natural maps out of a free-marked
+    module.  By the Yoneda lemma the composite is zero exactly when it sends
+    each generator (k, id_{c_k}) to zero in the target at c_k; a map stored
+    as its generator images is read label by label, building no
+    component."""
+    free, end = first.source, second.target
+    ids = free.cat.ids
+    for k, c in enumerate(free.free_gens):
+        y = first.images[k] if first.images is not None else _column(
+            first.components[c].matrix, free.free_index[c][(k, ids[c])])
+        z = [0] * end.values[c].ngens
+        if second.images is not None:
+            basis = second.source.free_basis[c]
+            for b, x in y.items():
+                i, phi = basis[b]
+                for r, a in _acted(end, second.images[i], phi).items():
+                    z[r] += x * a
+        else:
+            for r, nz in enumerate(second.components[c].matrix.nonzeros):
+                z[r] = sum(a * y.get(j, 0) for j, a in nz.items())
+        if any(end.values[c].reduce(z)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +582,12 @@ class StandardPresentation:
         M(c_k), carried by v (None: the identity) and lifted into the cover
         of `into`, as the terms (k2, φ, a) of its labels (k2, φ) there."""
         for k, (c, slot) in enumerate(zip(self.cover.free_gens, self.slots)):
-            x = {slot: 1} if v is None else {
-                r: nz[slot] for r, nz in
-                enumerate(v.components[c].matrix.nonzeros) if slot in nz}
+            if v is None:
+                x = {slot: 1}
+            elif v.images is not None and v.source is self.cover:
+                x = v.images[k]     # slot is the generator (k, id_c)
+            else:
+                x = _column(v.components[c].matrix, slot)
             lift = into.lifts[c]
             if not lift.is_identity():
                 y = lift.apply([x.get(i, 0) for i in range(lift.ncols)])
@@ -922,8 +977,9 @@ def generating_cover(module: CatModule):
             gens.append(c)
             slots.append(j)
     free = free_module(cat, gens, module.variance)
-    epi = _free_map(free, module,
-                    lambda i, phi: module.action_columns(phi)[slots[i]])
+    epi = free_map_from_images(free, module, [
+        [int(j == slot) for j in range(module.values[c].ngens)]
+        for c, slot in zip(gens, slots)])
     return free, epi
 
 

@@ -300,7 +300,9 @@ def centralizer_quotient_chains(chains: CatChainComplex, group: FinGroup,
     chains: fixed-point chains of a space over an orbit category of the
     group (``fixed_point_chains``), which must have G/H as an object; the
     value there is C_*(X^H).  Degreewise the coinvariants of C_*(X^H) under
-    the action of Z_G(H) by translation, with the induced differential.
+    the action of Z_G(H) by translation, with the induced differential.  On
+    free-marked chains the centralizer permutes the basis labels, so the
+    coinvariants are free on their orbits.
     """
     h_lab = tuple(h_label)
     h_sub = frozenset(h_lab)
@@ -312,10 +314,16 @@ def centralizer_quotient_chains(chains: CatChainComplex, group: FinGroup,
                     for z in group.centralizer(h_sub)})
     groups, diffs = {}, {}
     for n in chains.degrees():
-        value = chains.module(n).value(h_lab)
+        module = chains.module(n)
+        value = module.value(h_lab)
+        if module.is_free_marked():
+            groups[n] = _orbit_quotient(value.ngens, [
+                module.action_columns((h_lab, h_lab, coset))
+                for coset in moves])
+            continue
         rels = []
         for coset in moves:
-            act = chains.module(n).action((h_lab, h_lab, coset))
+            act = module.action((h_lab, h_lab, coset))
             for k in range(value.ngens):
                 col = act.matrix.column(k)
                 col[k] -= 1
@@ -326,6 +334,30 @@ def centralizer_quotient_chains(chains: CatChainComplex, group: FinGroup,
         diffs[n] = hom_from_presentation(
             groups[n], groups[n - 1], chains.diff(n).component(h_lab).matrix)
     return PlainChainComplex(chains.lo, chains.hi, groups, diffs)
+
+
+def _orbit_quotient(n, moves) -> FpAbGroup:
+    """Z^n modulo e_k − e_j for each column {j: 1} at k of each of moves:
+    free on the classes of the coordinates, presented on the coordinates,
+    each class represented by its first coordinate."""
+    parent = list(range(n))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+    for cols in moves:
+        for k, col in enumerate(cols):
+            for j in col:
+                a, b = sorted((find(k), find(j)))
+                parent[b] = a
+    firsts = [k for k in range(n) if find(k) == k]
+    rank = {k: r for r, k in enumerate(firsts)}
+    return FpAbGroup(len(firsts), (),
+                     IntMatrix.selection(len(firsts),
+                                         [rank[find(k)] for k in range(n)]),
+                     IntMatrix.selection(n, firsts))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +530,12 @@ def borel_and_quotient(x: GCWComplex, truncation: int) -> BorelQuotient:
 # ---------------------------------------------------------------------------
 
 
-def classifying_model(kind: str, truncation: int) -> CatCWComplex:
+def classifying_model(kind: str, truncation: int,
+                      base: FinCategory | None = None) -> CatCWComplex:
     """Finite windows of the two contractible-by-design index models.
+
+    The model stands over `base` when that is the standard category it
+    needs (`FinCategory.standard`), and over a new one otherwise.
 
     kind "N": over the chain category on {0..K}; one vertex per object, one
     edge joining each consecutive pair.  Evaluation at i is the interval
@@ -516,7 +552,7 @@ def classifying_model(kind: str, truncation: int) -> CatCWComplex:
         if truncation < 1:
             raise ValueError("the interval model needs a window of size >= 1")
         big = truncation
-        cat = standard_category("chain", big)
+        cat = _standard(base, "chain", big)
         cells = {0: tuple(range(big + 1)), 1: tuple(range(big))}
         boundary = {}
         for n in range(big):
@@ -526,7 +562,7 @@ def classifying_model(kind: str, truncation: int) -> CatCWComplex:
         if truncation < 2:
             raise ValueError("the grid model needs a window of size >= 2")
         big = truncation
-        cat = standard_category("grid", big)
+        cat = _standard(base, "grid", big)
         cells = {0: tuple(range(big + 1)),
                  1: tuple(range(big)) + tuple(range(big)),
                  2: tuple(range(big - 1))}
@@ -544,6 +580,12 @@ def classifying_model(kind: str, truncation: int) -> CatCWComplex:
                 (-1, big + n, idn))
         return CatCWComplex(cat, cells, boundary, truncation_valid=big - 2)
     raise ValueError(f"unknown model kind {kind!r} (expected 'N' or 'RF')")
+
+
+def _standard(base, kind, truncation) -> FinCategory:
+    if base is not None and base.standard == (kind, truncation):
+        return base
+    return standard_category(kind, truncation)
 
 
 ContractibilityReport = namedtuple(

@@ -48,6 +48,7 @@ from .catmod import (
     generating_cover,
     module_kernel,
     validate_module_map,
+    vanishes_at_generators,
     zero_module,
 )
 
@@ -254,11 +255,15 @@ class CatChainComplex:
                     if problems:
                         raise ValueError(f"differential at {p} not natural: "
                                          f"{problems[0]}")
+            # every map is natural now, so out of a free-marked module the
+            # composite is read at the generators (the Yoneda lemma)
             for p in range(lo + 2, hi + 1):
-                pair = (id(self.diffs[p - 1]), id(self.diffs[p]))
-                if pair not in seen:
-                    seen.add(pair)
-                    if not self.diffs[p - 1].compose(self.diffs[p]).is_zero():
+                d, e = self.diffs[p - 1], self.diffs[p]
+                if (id(d), id(e)) not in seen:
+                    seen.add((id(d), id(e)))
+                    if not (vanishes_at_generators(d, e)
+                            if e.source.is_free_marked()
+                            else d.compose(e).is_zero()):
                         raise ValueError(f"d∘d is nonzero out of degree {p}")
 
     def module(self, p) -> CatModule:

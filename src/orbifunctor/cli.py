@@ -75,6 +75,7 @@ import sys
 import time
 from functools import partial
 from itertools import product
+from json.encoder import encode_basestring
 
 from .exact_abelian import AbHom, FpAbGroup, IntMatrix, format_group
 from .fincat import (
@@ -599,13 +600,15 @@ def _cells_icw(data, path, ctx):
 
 
 def _classifying_icw(data, path, ctx):
-    model = classifying_model(_field(data, "model", path),
-                              _int_field(data, "truncation", path))
-    # one index category per manifest: a category section equal to the
-    # model's base becomes its base, so later checks compare one object;
-    # the cells, checked against the equal base, stand over it unchanged
+    # one index category per manifest: the model stands over a category
+    # section that names its standard category, and a section equal to the
+    # model's base otherwise becomes its base, so later checks compare one
+    # object; the cells, checked against the equal base, stand over it
+    # unchanged
     cat = ctx.get("category")
-    if cat is not None and cat == model.base:
+    model = classifying_model(_field(data, "model", path),
+                              _int_field(data, "truncation", path), cat)
+    if cat is not None and model.base is not cat and cat == model.base:
         model.base = cat
     return model
 
@@ -855,6 +858,13 @@ def parse_manifest(text: str) -> Manifest:
 # ---------------------------------------------------------------------------
 
 
+def _scalar(x) -> str:
+    """x as json.dumps writes it with ensure_ascii=False."""
+    if isinstance(x, str):
+        return encode_basestring(x)
+    return json.dumps(x)
+
+
 class Report:
     """Deterministic verdict document plus the human rendering."""
 
@@ -882,11 +892,25 @@ class Report:
         return all(v["passed"] for v in self.verdicts)
 
     def to_json(self) -> str:
-        doc = {"command": self.command, "inputs": self.digest,
-               "verdicts": self.verdicts, "witnesses": self.witnesses,
-               "groups": self.groups}
-        return json.dumps(doc, indent=2, sort_keys=True,
-                          ensure_ascii=False) + "\n"
+        """The document that json.dumps writes with indent=2, sort_keys=True
+        and ensure_ascii=False, written directly: its shape is fixed, and
+        json.dumps indents through its pure-Python encoder."""
+        def listed(entries):
+            return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+
+        def record(d):
+            return "    {\n" + ",\n".join(
+                f"      {_scalar(k)}: {_scalar(d[k])}" for k in sorted(d)) \
+                + "\n    }"
+        fields = (
+            ("command", _scalar(self.command)),
+            ("groups", listed([record(g) for g in self.groups])),
+            ("inputs", _scalar(self.digest)),
+            ("verdicts", listed([record(v) for v in self.verdicts])),
+            ("witnesses", listed(["    " + _scalar(w)
+                                  for w in self.witnesses])))
+        return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) \
+            + "\n}\n"
 
     def human(self) -> str:
         lines = [f"command: {self.command}", f"inputs: {self.digest}"]

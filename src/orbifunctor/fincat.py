@@ -379,13 +379,15 @@ class FinCategory:
     """A finite category: labeled objects/morphisms plus a composition table.
 
     table[(f, g)] is the composite "f then g"; it exists exactly when
-    cod(f) == dom(g).
+    cod(f) == dom(g).  `standard` is (kind, truncation) for a category built
+    by `standard_category`, and None otherwise.
     """
 
     __slots__ = ("objects", "morphisms", "dom", "cod", "table", "ids",
-                 "mor_index", "_index")
+                 "mor_index", "_index", "standard")
 
     def __init__(self, objects, morphisms, dom, cod, table, ids):
+        self.standard = None
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         self.dom = dict(dom)
@@ -790,8 +792,7 @@ def standard_category(kind: str, truncation: int) -> FinCategory:
         table = {(f, g): (f[0], g[1])
                  for f, g in _composable(morphisms, dom, cod)}
         ids = {i: (i, i) for i in objects}
-        return FinCategory(objects, morphisms, dom, cod, table, ids)
-    if kind == "grid":
+    elif kind == "grid":
         morphisms = []
         for m in objects:
             for n in objects:
@@ -802,5 +803,8 @@ def standard_category(kind: str, truncation: int) -> FinCategory:
         table = {(f, g): (f[0], g[1], (f[2][0] + g[2][0], f[2][1] + g[2][1]))
                  for f, g in _composable(morphisms, dom, cod)}
         ids = {i: (i, i, (0, 0)) for i in objects}
-        return FinCategory(objects, morphisms, dom, cod, table, ids)
-    raise ValueError(f"unknown kind {kind!r} (expected 'chain' or 'grid')")
+    else:
+        raise ValueError(f"unknown kind {kind!r} (expected 'chain' or 'grid')")
+    cat = FinCategory(objects, morphisms, dom, cod, table, ids)
+    cat.standard = (kind, truncation)
+    return cat

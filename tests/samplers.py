@@ -82,6 +82,28 @@ def ab_homs_with_basis(draw, source=None, target=None):
     return hb, hb.to_hom(coords)
 
 
+def eager_free_map(free, target, images) -> ModuleMap:
+    """The map out of a free-marked module sending generator i to images[i],
+    every component built at once: the column of label (i, φ) is the action
+    matrix of φ applied to image i.  The reference for
+    `catmod.free_map_from_images`, which builds each component on its first
+    read and moves labels on a free-marked target without that matrix."""
+    reduced = [target.values[c].reduce(img)
+               for img, c in zip(images, free.free_gens)]
+    components = {}
+    for w in free.cat.objects:
+        rows = [{} for _ in range(target.values[w].ngens)]
+        for j, (i, phi) in enumerate(free.free_basis[w]):
+            col = target.actions[phi].matrix.apply(reduced[i])
+            for r, x in enumerate(col):
+                if x:
+                    rows[r][j] = x
+        mat = IntMatrix(len(rows), len(free.free_basis[w]), nonzeros=rows)
+        components[w] = AbHom(free.values[w], target.values[w], mat,
+                              check=False)
+    return ModuleMap(free, target, components)
+
+
 def stripped(module):
     """The same module without its free markers: presented through its
     generating cover."""

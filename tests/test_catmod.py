@@ -35,9 +35,11 @@ from orbifunctor.catmod import (
     tensor_over_cat,
     validate_module,
     validate_module_map,
+    vanishes_at_generators,
     zero_module,
 )
 from orbifunctor.chainplex import (
+    CatChainComplex,
     cat_complex_concentrated,
     free_resolution,
     homology,
@@ -64,7 +66,12 @@ from orbifunctor.fincat import (
     standard_category,
     sub_category_and_projection,
 )
-from samplers import EqualizerHom, coequalizer_oracle, stripped
+from samplers import (
+    EqualizerHom,
+    coequalizer_oracle,
+    eager_free_map,
+    stripped,
+)
 
 Z = FpAbGroup.cyclic
 
@@ -890,6 +897,54 @@ def test_standard_presentation_is_exact_at_every_object(data):
         assert is_isomorphism(AbHom(coker, value, eps * coker.reps))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_generating_cover_matches_the_eager_oracle(data):
+    # the cover's epi is built from unit generator images, one component on
+    # each read; every component is the one the action matrices give
+    cat = data.draw(CATS)
+    module = data.draw(presented_modules(cat))
+    free, epi = generating_cover(module)
+    slots = [j for c in cat.objects for j in range(module.values[c].ngens)]
+    oracle = eager_free_map(free, module, [
+        unit(module.values[c].ngens, j)
+        for c, j in zip(free.free_gens, slots)])
+    for c in cat.objects:
+        assert epi.components[c] == oracle.components[c]
+    assert epi.images == [{j: 1} for j in slots]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_generator_check_of_a_composite_matches_the_full_composite(data):
+    # second ∘ first out of a free module, both natural: read at the
+    # generators it vanishes exactly when every component of the full
+    # composite does, whether each map is stored as its images or as plain
+    # components; a complex of the three refuses exactly the nonzero ones
+    cat = data.draw(CATS)
+    variance = data.draw(st.sampled_from(["co", "contra"]))
+    top = data.draw(free_on(cat, variance))
+    mid = data.draw(free_on(cat, variance))
+    end = target_pool(cat, variance, data)
+
+    def images(src, tgt):
+        return [[data.draw(st.integers(-2, 2))
+                 for _ in range(tgt.values[c].ngens)] for c in src.free_gens]
+    first = free_map_from_images(top, mid, images(top, mid))
+    second = free_map_from_images(mid, end, images(mid, end))
+    assert first.images is not None and second.images is not None
+    zero = second.compose(first).is_zero()
+    for f in (first, rebased(first, top, mid)):
+        for g in (second, rebased(second, mid, end)):
+            assert vanishes_at_generators(g, f) == zero
+    modules, diffs = {0: end, 1: mid, 2: top}, {1: second, 2: first}
+    if zero:
+        CatChainComplex(cat, variance, 0, 2, modules, diffs)
+    else:
+        with pytest.raises(ValueError, match="d∘d is nonzero"):
+            CatChainComplex(cat, variance, 0, 2, modules, diffs)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_free_hom_fast_path_matches_kernel_path(data):
@@ -997,9 +1052,12 @@ def test_free_tensor_induced_blocks_match_the_big_sum(data):
             tgt_slow, tgt_iso = coequalizer_oracle(tgt)
             assert (not src.pres.relations, not tgt.pres.relations) == \
                 (src_left is free, tgt_free)
-            lm = rebased(v, src.left, tgt.left) if left_map else None
-            assert tgt_iso.compose(src.induced(tgt, lm, right_map)) == \
-                src_slow.induced(tgt_slow, lm, right_map).compose(src_iso)
+            # v as built, stored as its generator images, and a plain copy
+            # on the factors' own modules
+            for lm in ((v, rebased(v, src.left, tgt.left)) if left_map
+                       else (None,)):
+                assert tgt_iso.compose(src.induced(tgt, lm, right_map)) == \
+                    src_slow.induced(tgt_slow, lm, right_map).compose(src_iso)
 
 
 def test_free_marked_paths_solve_nothing(monkeypatch):

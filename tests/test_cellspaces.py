@@ -20,6 +20,7 @@ from orbifunctor.exact_abelian import (
     AbHom,
     FpAbGroup,
     IntMatrix,
+    hom_from_presentation,
     hom_kernel_cokernel,
     is_isomorphism,
     quotient_group,
@@ -45,6 +46,7 @@ from orbifunctor.catmod import (
 )
 from orbifunctor.chainplex import (
     CatChainComplex,
+    TotalHomComplex,
     TotalTensorComplex,
     cat_complex_concentrated,
     euler_characteristic,
@@ -79,15 +81,22 @@ from orbifunctor.cli import (
     parse_manifest,
     run,
 )
-from orbifunctor.verify import borel_vs_quotient_check
+from orbifunctor.verify import (
+    borel_vs_quotient_check,
+    instance_s3_hexagon,
+    instance_z2_reflection,
+)
 from samplers import (
     assert_map_matches_oracle,
     assert_matches_oracle,
+    eager_free_map,
     pair_tensor_induced,
     pair_tensor_total,
+    stripped,
 )
 
 C2 = FinGroup.cyclic(2)
+C3 = FinGroup.cyclic(3)
 FULL = (0, 1)
 TRIV = (0,)
 Z = FpAbGroup.free(1)
@@ -212,6 +221,52 @@ class TestCatCW:
             d._memo.clear()
             assert validate_module_map(d) == []
         assert calls
+
+    def test_free_chains_and_their_hom_total_build_no_component(
+            self, monkeypatch):
+        # the differentials are stored as their generator images: checking
+        # d∘d and writing the hom total read those alone, and each
+        # component is built when something reads it
+        built = []
+        real = catmod._free_component
+        monkeypatch.setattr(catmod, "_free_component",
+                            lambda *args: built.append(args) or real(*args))
+        chains = cellular_chain_complex(classifying_model("RF", 5))
+        TotalHomComplex(chains, cat_complex_concentrated(
+            constant_module(chains.base, Z, CONTRAVARIANT), 0))
+        assert built == []
+        chains.evaluate_at(0)
+        assert len(built) == chains.hi
+
+
+LAZY_CASES = {
+    "RF-3": lambda: cellular_chain_complex(classifying_model("RF", 3)),
+    "RF-4": lambda: cellular_chain_complex(classifying_model("RF", 4)),
+    "RF-5": lambda: cellular_chain_complex(classifying_model("RF", 5)),
+    "z2-desk": lambda: instance_z2_reflection(4).chains,
+    "s3-desk": lambda: instance_s3_hexagon(4).chains,
+    "bar": lambda: cs._bar_data(C3, 3)[0],
+    "periodic": lambda: cs._periodic_data(
+        C3, next(g for g in C3.elements if g != C3.identity), 5)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CASES))
+def test_lazy_components_match_the_eager_oracle(name):
+    # each differential keeps its generator images, which are its values at
+    # the generators, and builds every component as the action matrices do
+    chains = LAZY_CASES[name]()
+    for p in range(chains.lo + 1, chains.hi + 1):
+        d = chains.diff(p)
+        free, target = d.source, d.target
+        images = [[d.images[k].get(b, 0) for b in range(
+            target.values[c].ngens)] for k, c in enumerate(free.free_gens)]
+        oracle = eager_free_map(free, target, images)
+        for c in chains.base.objects:
+            assert d.components[c] == oracle.components[c]
+        for k, c in enumerate(free.free_gens):
+            slot = free.free_index[c][(k, chains.base.ids[c])]
+            assert oracle.components[c].matrix.column(slot) == images[k]
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +454,43 @@ class TestCentralizerQuotient:
             theirs = quotient_at(hexa, lab)
             for p in range(hexa.dimension + 1):
                 assert homology(ours, p) == homology(theirs, p)
+
+    @pytest.mark.parametrize("space", [hexagon_s3, reflection_circle,
+                                       antipodal_circle])
+    def test_orbit_quotient_matches_the_smith_quotient(self, space,
+                                                        monkeypatch):
+        # free-marked chains give the coinvariants by the orbits of their
+        # labels; the same chains without markers take one quotient_group
+        # per degree.  Both are presented on the chain coordinates, so the
+        # identity there is an isomorphism of the two complexes
+        x = space()
+        chains = fixed_point_chains(x, SubgroupFamily.all(x.group))
+        mods = {n: stripped(chains.module(n)) for n in chains.degrees()}
+        plain = CatChainComplex(
+            chains.base, CONTRAVARIANT, chains.lo, chains.hi, mods,
+            {n: ModuleMap(mods[n], mods[n - 1], chains.diff(n).components)
+             for n in range(chains.lo + 1, chains.hi + 1)})
+        calls = []
+        monkeypatch.setattr(cs, "quotient_group",
+                            lambda *args: calls.append(1) or
+                            quotient_group(*args))
+        for lab in chains.base.objects:
+            ours = centralizer_quotient_chains(chains, x.group, lab)
+            assert calls == []
+            theirs = centralizer_quotient_chains(plain, x.group, lab)
+            assert len(calls) == len(chains.degrees())
+            calls.clear()
+            iso = {n: hom_from_presentation(
+                ours.group(n), theirs.group(n), IntMatrix.identity(
+                    chains.module(n).value(lab).ngens))
+                for n in chains.degrees()}
+            for n in chains.degrees():
+                assert ours.group(n) == theirs.group(n)
+                assert is_isomorphism(iso[n])
+                assert homology(ours, n) == homology(theirs, n)
+            for n in range(chains.lo + 1, chains.hi + 1):
+                assert iso[n - 1].compose(ours.differential(n)) == \
+                    theirs.differential(n).compose(iso[n])
 
     def test_subgroup_without_fixed_cells_gives_the_zero_complex(self):
         # over the family of all subgroups the rotations are objects, and

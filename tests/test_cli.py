@@ -126,6 +126,30 @@ class TestParsing:
         m = parse_manifest(json.dumps(data))
         assert m.get("icw").base != m.get("category")
 
+    def test_classifying_model_builds_over_the_named_category(
+            self, monkeypatch):
+        # a category section that names the model's standard category is
+        # its base, and the model builds none of its own; an explicit
+        # section equal to the grid is built once more and then shared; a
+        # section of another size is refused by the instance as before
+        import orbifunctor.cellspaces as cellspaces
+        calls = []
+        real = cellspaces.standard_category
+        monkeypatch.setattr(cellspaces, "standard_category",
+                            lambda *args: calls.append(args) or real(*args))
+        data = json.loads(shipped_text())
+        m = parse_manifest(json.dumps(data))
+        assert calls == [] and m.get("icw").base is m.get("category")
+        data["category"] = encode_category(m.get("category"))
+        m = parse_manifest(json.dumps(data))
+        assert calls == [("grid", 3)]
+        assert m.get("icw").base is m.get("category")
+        data["category"] = {"kind": "grid", "size": "4"}
+        with pytest.raises(ManifestError,
+                           match="does not live over the index category"):
+            parse_manifest(json.dumps(data))
+        assert calls[1:] == [("grid", 3)]
+
     def test_unknown_section_named(self):
         with pytest.raises(ManifestError, match="unknown section 'cohomology'"):
             parse_manifest('{"cohomology": {}}')
@@ -554,6 +578,25 @@ class TestReports:
         assert main(argv + ["--manifest", write_manifest(tmp_path, manifest()),
                             "--report", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_report_text_is_json_dumps_indented(self, filled):
+        # the report is written directly; json.dumps with the same settings
+        # is its reference, on escapes, non-ASCII text, empty and non-string
+        # fields
+        rep = Report("verify-theorem", None if filled else "builtin")
+        if filled:
+            rep.verdict("quote \" and backslash \\", True, "tab\tnewline\n")
+            rep.verdict("Z ⊕ Z/2 — ünïcode", False)
+            rep.verdicts.append({"name": "count", "passed": True, "detail": 3})
+            rep.witness("control \x01 and \u2028")
+            rep.witness(("tuple", 1))
+            rep.group("H_1", FpAbGroup.from_invariants(1, (2,)))
+        doc = {"command": rep.command, "inputs": rep.digest,
+               "verdicts": rep.verdicts, "witnesses": rep.witnesses,
+               "groups": rep.groups}
+        assert rep.to_json() == json.dumps(doc, indent=2, sort_keys=True,
+                                           ensure_ascii=False) + "\n"
 
     def test_report_bytes_stable(self, tmp_path):
         path = write_manifest(tmp_path, json.loads(shipped_text()))
